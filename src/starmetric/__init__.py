@@ -7,20 +7,12 @@ from .scalars import (
     PoleAtPoint,
     RatFunc2,
     ZeroDenominator,
-    gr_conj,
-    rf_eval,
-    rf_partial,
 )
 from .phasepoly import (
     CouplingMismatch,
     CouplingSeries,
     ModelParams,
     PhasePoly,
-    pp_conjugate,
-    pp_derivative,
-    pp_integrate_x,
-    pp_mul,
-    series_mul,
 )
 from .star import (
     BadConstantTerm,

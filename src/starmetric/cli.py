@@ -56,7 +56,7 @@ def _maybe_hbar(model: Model, value):
 
 
 def _order(args, model: Model, default=3) -> int:
-    if getattr(args, "order", None) is not None:
+    if args.order is not None:
         return args.order
     if model.order is not None:
         return model.order
@@ -191,7 +191,7 @@ def _certify_payload(path: str, order, latex: bool = False) -> dict:
 
 def cmd_certify(args):
     _require(args.model, "certify needs at least one --model PATH")
-    paths = args.model if isinstance(args.model, list) else [args.model]
+    paths = args.model
     for path in paths:
         if load_model(path).spec.coupling_name is None:
             raise CliInputError(f"model {path!r} has no coupling; certify works on series metrics")
@@ -310,7 +310,7 @@ def cmd_berry2x2(args):
     product_err = float(np.max(np.abs(berry.holonomy_product_form(100000) - f_expected)))
     worst_solve = 0.0
     worst_residual = 0.0
-    trials = args.trials
+    trials = _trials(args)
     done = 0
     while done < trials:
         q = rng.uniform(-1.5, 1.5, size=2)
@@ -361,6 +361,11 @@ def cmd_berry2x2(args):
     return payload, ok
 
 
+def _trials(args) -> int:
+    _require(args.trials >= 0, "--trials must be nonnegative")
+    return args.trials
+
+
 def _cstr(v: complex) -> str:
     return f"{v.real:+.12g}{v.imag:+.12g}j"
 
@@ -402,8 +407,7 @@ def _parse_range(spec: str):
     if ":" in spec:
         lo, hi, count = spec.split(":")
         lo, hi, count = Fraction(lo), Fraction(hi), int(count)
-        if count < 2:
-            return [lo]
+        _require(count >= 2, f"range {spec!r}: count must be at least 2")
         step = (hi - lo) / (count - 1)
         return [lo + k * step for k in range(count)]
     return [Fraction(spec)]
@@ -430,7 +434,10 @@ def cmd_scan_locus(args):
             args.alpha is not None and args.beta is not None,
             "oscillator mapping needs --omega, --alpha and --beta",
         )
-        q1, q2 = berry.oscillator_parameters(args.omega, args.alpha, args.beta)
+        try:
+            q1, q2 = berry.oscillator_parameters(args.omega, args.alpha, args.beta)
+        except ZeroDivisionError as exc:
+            raise CliInputError(str(exc)) from exc
         record = _scan_record(q1, q2)
         record["omega"], record["alpha"], record["beta"] = args.omega, args.alpha, args.beta
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
@@ -450,7 +457,7 @@ def cmd_scan_locus(args):
 
 
 def cmd_finite_oracle(args):
-    report = weyl.oracle_run(args.n, args.trials, args.seed)
+    report = weyl.oracle_run(args.n, _trials(args), args.seed)
     return report, report["failures"] == 0
 
 
@@ -467,21 +474,40 @@ def cmd_emit_latex(args):
     return payload, True
 
 
-_HANDLERS = {
-    "star": cmd_star,
-    "dagger": cmd_dagger,
-    "check-hermitian": cmd_check_hermitian,
-    "pde": cmd_pde,
-    "residual": cmd_residual,
-    "solve": cmd_solve,
-    "starlog": cmd_starlog,
-    "certify": cmd_certify,
-    "family": cmd_family,
-    "berry2x2": cmd_berry2x2,
-    "berry-osc": cmd_berry_osc,
-    "scan-locus": cmd_scan_locus,
-    "finite-oracle": cmd_finite_oracle,
-    "emit-latex": cmd_emit_latex,
+# each command with the only flags its handler reads
+_COMMANDS = {
+    "star": (cmd_star, ("model", "theta")),
+    "dagger": (cmd_dagger, ("model", "latex")),
+    "check-hermitian": (cmd_check_hermitian, ("model",)),
+    "pde": (cmd_pde, ("model",)),
+    "residual": (cmd_residual, ("model", "theta")),
+    "solve": (cmd_solve, ("model", "order", "latex")),
+    "starlog": (cmd_starlog, ("model", "series", "order", "latex")),
+    "certify": (cmd_certify, ("model", "order", "jobs", "latex")),
+    "family": (cmd_family, ("model", "observable", "order")),
+    "berry2x2": (cmd_berry2x2, ("trials", "seed")),
+    "berry-osc": (cmd_berry_osc, ("q1", "q2")),
+    "scan-locus": (cmd_scan_locus, ("q1", "q2", "omega", "alpha", "beta", "jobs")),
+    "finite-oracle": (cmd_finite_oracle, ("n", "trials", "seed")),
+    "emit-latex": (cmd_emit_latex, ("model", "order")),
+}
+
+_FLAGS = {
+    "model": {},
+    "order": {"type": int},
+    "observable": {"choices": ["p", "x", "N"]},
+    "theta": {},
+    "series": {},
+    "q1": {},
+    "q2": {},
+    "omega": {"type": float},
+    "alpha": {"type": float},
+    "beta": {"type": float},
+    "n": {"type": int, "default": 4},
+    "trials": {"type": int, "default": 20},
+    "seed": {"type": int, "default": 7},
+    "jobs": {"type": int, "default": 1},
+    "latex": {"action": "store_true"},
 }
 
 
@@ -491,33 +517,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact star-product calculus for metric operators and Berry connections",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in _HANDLERS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if name == "certify":
-            p.add_argument("--model", action="append")
-        else:
-            p.add_argument("--model")
-        p.add_argument("--order", type=int)
-        p.add_argument("--observable", choices=["p", "x", "N"])
-        p.add_argument("--theta")
-        p.add_argument("--series")
-        p.add_argument("--q1")
-        p.add_argument("--q2")
-        p.add_argument("--omega", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--n", type=int, default=4)
-        p.add_argument("--trials", type=int, default=20)
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--latex", action="store_true")
+        for flag in flags:
+            spec = {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
+            p.add_argument(f"--{flag}", **spec)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, ok = _HANDLERS[args.cmd](args)
+        payload, ok = _COMMANDS[args.cmd][0](args)
     except json.JSONDecodeError as exc:
         msg = f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         print(json.dumps({"error": msg}), file=sys.stderr)

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, ParamPoly, RatFunc2
-from .star import ExpQuadForm
 
 _GREEK = {"hbar": r"\hbar", "alpha": r"\alpha", "beta": r"\beta", "omega": r"\omega"}
 
@@ -155,10 +154,3 @@ def series_latex(series: CouplingSeries) -> str:
     rendered = " + ".join(bits) if bits else "0"
     return f"{rendered} + O({_pow(g, series.order + 1)})"
 
-
-def eqf_latex(e: ExpQuadForm) -> str:
-    pre = poly_latex(e.prefactor)
-    body = poly_latex(e.exponent)
-    if pre == "1":
-        return f"e^{{{body}}}"
-    return f"\\left( {pre} \\right) e^{{{body}}}"

@@ -15,13 +15,15 @@ from .star import (
     ExpQuadForm,
     dagger,
     dagger_series,
+    derivative_chain,
     is_hermitian,
+    moyal_terms,
+    power_sum,
     series_exp_pointwise,
     star,
     star_log,
     star_poly_expquad,
     star_series,
-    _i_pow_over_fact,
 )
 
 ThetaLike = Union[PhasePoly, CouplingSeries, ExpQuadForm]
@@ -304,24 +306,11 @@ def pde_operator(spec: HamiltonianSpec) -> PDEOperator:
     Theta * dagger(H) contributes (i hbar)^k/k! dp^k dagger(H) at slot (k, 0).
     """
     h = spec.symbolic_total()
-    hd = dagger(h)
     acc: Dict[Tuple[int, int], PhasePoly] = {}
-    cur = h
-    k = 0
-    while not cur.is_zero:
-        acc[(0, k)] = acc.get((0, k), PhasePoly.zero()) + cur.shift_hbar(k).scaled(
-            _i_pow_over_fact(k)
-        )
-        cur = cur.derivative("x")
-        k += 1
-    cur = hd
-    k = 0
-    while not cur.is_zero:
-        acc[(k, 0)] = acc.get((k, 0), PhasePoly.zero()) - cur.shift_hbar(k).scaled(
-            _i_pow_over_fact(k)
-        )
-        cur = cur.derivative("p")
-        k += 1
+    for k, t in enumerate(moyal_terms(derivative_chain(h, lambda f: f.derivative("x")))):
+        acc[(0, k)] = t
+    for k, t in enumerate(moyal_terms(derivative_chain(dagger(h), lambda f: f.derivative("p")))):
+        acc[(k, 0)] = acc.get((k, 0), PhasePoly.zero()) - t
     return PDEOperator(acc)
 
 
@@ -570,17 +559,6 @@ def certify_metric(theta: CouplingSeries) -> CertReport:
     return CertReport(hermitian, positive, theta.order)
 
 
-def poly_of_series(coeffs: Sequence, base: CouplingSeries) -> CouplingSeries:
-    """sum_k coeffs[k] * base^{*k} with star powers of the series."""
-    out = CouplingSeries.constant(base.coupling, PhasePoly.zero(), base.order)
-    power = CouplingSeries.one(base.coupling, base.order)
-    for k, c in enumerate(coeffs):
-        if k:
-            power = star_series(power, base)
-        out = out + power.scaled(c)
-    return out
-
-
 def solution_family_closure(
     spec: HamiltonianSpec,
     theta: CouplingSeries,
@@ -593,8 +571,8 @@ def solution_family_closure(
     result (f(H) commutes with H under star, and likewise for g).
     """
     h = spec.as_exact_series(theta.coupling, theta.order)
-    fh = poly_of_series(f_coeffs, h)
-    ghd = poly_of_series(g_coeffs, dagger_series(h))
+    fh = power_sum(f_coeffs, h, star_series)
+    ghd = power_sum(g_coeffs, dagger_series(h), star_series)
     return star_series(star_series(fh, theta), ghd)
 
 
@@ -603,7 +581,7 @@ def hermitian_closure(
 ) -> CouplingSeries:
     """g(H) * Theta * dagger(g(H)): preserves hermiticity of the candidate."""
     h = spec.as_exact_series(theta.coupling, theta.order)
-    gh = poly_of_series(g_coeffs, h)
+    gh = power_sum(g_coeffs, h, star_series)
     return star_series(star_series(gh, theta), dagger_series(gh))
 
 

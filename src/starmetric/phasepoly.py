@@ -14,6 +14,7 @@ coerce automatically through the numeric protocol.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
@@ -102,17 +103,6 @@ class PhasePoly:
     def canonical_terms(self):
         """Terms in lexicographic order on (x_deg, p_deg, hbar_deg)."""
         return sorted(self.terms.items())
-
-    def x_degree(self) -> int:
-        return max((k[0] for k in self.terms), default=0)
-
-    def p_degree_range(self) -> Tuple[int, int]:
-        degs = [k[1] for k in self.terms]
-        return (min(degs), max(degs)) if degs else (0, 0)
-
-    def hbar_degree_range(self) -> Tuple[int, int]:
-        degs = [k[2] for k in self.terms]
-        return (min(degs), max(degs)) if degs else (0, 0)
 
     def total_xp_degree(self) -> int:
         return max((k[0] + k[1] for k in self.terms), default=0)
@@ -378,19 +368,23 @@ class CouplingSeries:
             return NotImplemented
         return self + (-other)
 
+    def cauchy(self, other: "CouplingSeries", mul) -> "CouplingSeries":
+        """Cauchy product with coefficient product ``mul``, truncated."""
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        return CouplingSeries(
+            self.coupling,
+            [
+                sum((mul(a[j], b[n - j]) for j in range(n + 1)), PhasePoly.zero())
+                for n in range(min(self.order, other.order) + 1)
+            ],
+        )
+
     def __mul__(self, other):
         """Cauchy product with pointwise coefficient products, truncated."""
         if not isinstance(other, CouplingSeries):
             return NotImplemented
-        self._check(other)
-        k = min(self.order, other.order)
-        out = []
-        for n in range(k + 1):
-            acc = PhasePoly.zero()
-            for j in range(n + 1):
-                acc = acc + self.coeffs[j] * other.coeffs[n - j]
-            out.append(acc)
-        return CouplingSeries(self.coupling, out)
+        return self.cauchy(other, operator.mul)
 
     def scaled(self, scalar) -> "CouplingSeries":
         return CouplingSeries(self.coupling, [c.scaled(scalar) for c in self.coeffs])
@@ -486,23 +480,3 @@ class ModelParams:
 
     def __repr__(self):
         return f"ModelParams(a={self.a!r}, b={self.b!r}, c={self.c!r})"
-
-
-def pp_mul(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    return a * b
-
-
-def pp_derivative(a: PhasePoly, var: str) -> PhasePoly:
-    return a.derivative(var)
-
-
-def pp_integrate_x(a: PhasePoly) -> PhasePoly:
-    return a.integrate_x()
-
-
-def pp_conjugate(a: PhasePoly) -> PhasePoly:
-    return a.conjugate()
-
-
-def series_mul(a: CouplingSeries, b: CouplingSeries) -> CouplingSeries:
-    return a * b

@@ -189,11 +189,6 @@ ZERO = GaussianRational(0)
 I = GaussianRational(0, 1)
 
 
-def gr_conj(z: GaussianRational) -> GaussianRational:
-    """Complex conjugate; an involution."""
-    return z.conjugate()
-
-
 class ParamPoly:
     """Sparse Laurent polynomial in named real parameters over GaussianRational.
 
@@ -432,22 +427,20 @@ class RatFunc2:
 
     The denominator is normalized to be monic in the lexicographically
     leading monomial (so its leading coefficient has positive real part).
-    Numerator and denominator are reduced only by monomial/numeric content;
-    the ``reduced`` flag records whether the pair is known factor-free, and
-    equality is always decided by cross multiplication.
+    Numerator and denominator are reduced only by monomial/numeric content,
+    never by a polynomial gcd, so equality is decided by cross multiplication.
     """
 
     PARAMS = ("q1", "q2")
-    __slots__ = ("num", "den", "reduced")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, *, _reduced=False):
+    def __init__(self, num, den=1):
         num = self._as_poly(num)
         den = self._as_poly(den)
         if den.is_zero:
             raise ZeroDenominator("denominator is identically zero")
         if num.is_zero:
             den = ParamPoly.constant(self.PARAMS, 1)
-            _reduced = True
         else:
             # joint per-variable minimum exponent over num and den; shifting it
             # to zero clears Laurent exponents and strips shared monomial content
@@ -464,11 +457,8 @@ class RatFunc2:
             if lead != ONE:
                 num = num / lead
                 den = den / lead
-        if den.is_constant and den.constant_value() == ONE and len(den.terms) == 1:
-            _reduced = True
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "reduced", _reduced)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc2 is immutable")
@@ -521,7 +511,7 @@ class RatFunc2:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc2(-self.num, self.den, _reduced=self.reduced)
+        return RatFunc2(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce_op(other)
@@ -604,15 +594,6 @@ class RatFunc2:
         if self.den.is_constant and self.den.constant_value() == ONE:
             return f"({self.num!r})"
         return f"({self.num!r})/({self.den!r})"
-
-
-def rf_eval(f: RatFunc2, q1, q2) -> GaussianRational:
-    """Evaluate exactly; raises PoleAtPoint on the singular locus."""
-    return f.eval(q1, q2)
-
-
-def rf_partial(f: RatFunc2, which: int) -> RatFunc2:
-    return f.partial(which)
 
 
 def primitive_real_poly(poly: ParamPoly) -> ParamPoly:

@@ -10,24 +10,34 @@ operator ordering exp(i t p_hat) exp(i s x_hat) used to expand operators
 into functions.  Every sign in this module hangs off this choice; do not
 "fix" one occurrence in isolation.
 
-The k-sum terminates because the x degree of the left operand is finite by
-the PhasePoly type invariant.  The adjoint map and hermiticity criterion
+Every truncating hbar-sum in the package goes through one kernel:
+`derivative_chain` lists f, step(f), step(step(f)), ... and stops at the
+first zero, and `moyal_terms` puts the factor (sign * i hbar)^k / k! on the
+k-th term.  The star product zips the x chain of the left operand with the
+p chain of the right one, so the sum stops as soon as either chain
+vanishes; it always stops because the x degree of the left operand is
+finite by the PhasePoly type invariant.  The adjoint map and hermiticity
+criterion
 
     A_dagger = exp(+i hbar dx dp) conj(A)
     A hermitian  iff  conj(A) = exp(-i hbar dx dp) A
 
-terminate the same way.
+are the same kernel over the dx dp chain, and `star_poly_expquad` and
+`metric.pde_operator` use it too.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I
+from .scalars import I
 
 __all__ = [
+    "derivative_chain",
+    "moyal_terms",
     "star",
     "dagger",
     "is_hermitian",
@@ -35,6 +45,7 @@ __all__ = [
     "star_series",
     "star_log",
     "star_exp",
+    "power_sum",
     "series_exp_pointwise",
     "ExpQuadForm",
     "star_poly_expquad",
@@ -62,23 +73,31 @@ class MixedExponent(ValueError):
     """The Gaussian exponent mixes x and p, so the pointwise-log shortcut fails."""
 
 
-def _i_pow_over_fact(k: int) -> GaussianRational:
-    return I**k * Fraction(1, factorial(k))
+def derivative_chain(f: PhasePoly, step):
+    """f, step(f), step(step(f)), ... up to, not including, the first zero."""
+    while not f.is_zero:
+        yield f
+        f = step(f)
+
+
+def moyal_terms(terms, sign: int = 1):
+    """(sign * i hbar)^k / k! * t_k for the k-th term t_k of ``terms``."""
+    unit = I * sign
+    for k, t in enumerate(terms):
+        yield t.shift_hbar(k).scaled(unit**k * Fraction(1, factorial(k))) if k else t
+
+
+def _dx(f: PhasePoly) -> PhasePoly:
+    return f.derivative("x")
+
+
+def _dp(f: PhasePoly) -> PhasePoly:
+    return f.derivative("p")
 
 
 def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    out = PhasePoly.zero()
-    da, db = a, b
-    k = 0
-    while not da.is_zero:
-        if k:
-            out = out + (da * db).shift_hbar(k).scaled(_i_pow_over_fact(k))
-        else:
-            out = out + da * db
-        da = da.derivative("x")
-        db = db.derivative("p")
-        k += 1
-    return out
+    pairs = zip(derivative_chain(a, _dx), derivative_chain(b, _dp))
+    return sum(moyal_terms(da * db for da, db in pairs), PhasePoly.zero())
 
 
 def dagger(a: PhasePoly) -> PhasePoly:
@@ -88,15 +107,8 @@ def dagger(a: PhasePoly) -> PhasePoly:
 
 def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
     """Apply exp(sign * i hbar dx dp) to a; terminates on the x degree."""
-    out = PhasePoly.zero()
-    cur = a
-    k = 0
-    while not cur.is_zero:
-        scale = _i_pow_over_fact(k) * GaussianRational.coerce(sign) ** k
-        out = out + cur.shift_hbar(k).scaled(scale) if k else out + cur
-        cur = cur.derivative("x").derivative("p")
-        k += 1
-    return out
+    chain = derivative_chain(a, lambda f: _dp(_dx(f)))
+    return sum(moyal_terms(chain, sign), PhasePoly.zero())
 
 
 def is_hermitian(a: PhasePoly) -> bool:
@@ -110,25 +122,21 @@ def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 
 def star_series(a: CouplingSeries, b: CouplingSeries) -> CouplingSeries:
     """Cauchy product with the star product in place of the pointwise one."""
-    a._check(b)
-    order = min(a.order, b.order)
-    out = []
-    for n in range(order + 1):
-        acc = PhasePoly.zero()
-        for j in range(n + 1):
-            acc = acc + star(a.coeffs[j], b.coeffs[n - j])
-        out.append(acc)
-    return CouplingSeries(a.coupling, out)
+    return a.cauchy(b, star)
 
 
 def dagger_series(s: CouplingSeries) -> CouplingSeries:
     return s.map_coeffs(dagger)
 
 
-def _star_power(s: CouplingSeries, n: int) -> CouplingSeries:
-    out = CouplingSeries.one(s.coupling, s.order)
-    for _ in range(n):
-        out = star_series(out, s)
+def power_sum(coeffs, base: CouplingSeries, mul) -> CouplingSeries:
+    """sum_k coeffs[k] * base^k, the powers taken under the series product mul."""
+    out = CouplingSeries.constant(base.coupling, PhasePoly.zero(), base.order)
+    power = CouplingSeries.one(base.coupling, base.order)
+    for k, c in enumerate(coeffs):
+        if k:
+            power = mul(power, base)
+        out = out + power.scaled(c)
     return out
 
 
@@ -141,37 +149,22 @@ def star_log(s: CouplingSeries) -> CouplingSeries:
     if s.coeffs[0] != PhasePoly.one():
         raise BadConstantTerm("star_log needs constant term 1 at order 0")
     p = s - CouplingSeries.one(s.coupling, s.order)
-    out = CouplingSeries.constant(s.coupling, PhasePoly.zero(), s.order)
-    power = CouplingSeries.one(s.coupling, s.order)
-    for n in range(1, s.order + 1):
-        power = star_series(power, p)
-        sign = Fraction((-1) ** (n + 1), n)
-        out = out + power.scaled(sign)
-    return out
+    coeffs = [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, s.order + 1)]
+    return power_sum(coeffs, p, star_series)
 
 
 def star_exp(s: CouplingSeries) -> CouplingSeries:
     """Formal star-exponential of a series with zero constant term."""
     if not s.coeffs[0].is_zero:
         raise NonzeroConstantTerm("star_exp needs zero constant term at order 0")
-    out = CouplingSeries.one(s.coupling, s.order)
-    power = CouplingSeries.one(s.coupling, s.order)
-    for n in range(1, s.order + 1):
-        power = star_series(power, s)
-        out = out + power.scaled(Fraction(1, factorial(n)))
-    return out
+    return power_sum([Fraction(1, factorial(n)) for n in range(s.order + 1)], s, star_series)
 
 
 def series_exp_pointwise(s: CouplingSeries) -> CouplingSeries:
     """Pointwise (commutative) exponential of a series with zero constant term."""
     if not s.coeffs[0].is_zero:
         raise NonzeroConstantTerm("pointwise exp needs zero constant term")
-    out = CouplingSeries.one(s.coupling, s.order)
-    power = CouplingSeries.one(s.coupling, s.order)
-    for n in range(1, s.order + 1):
-        power = power * s
-        out = out + power.scaled(Fraction(1, factorial(n)))
-    return out
+    return power_sum([Fraction(1, factorial(n)) for n in range(s.order + 1)], s, operator.mul)
 
 
 class ExpQuadForm:
@@ -247,34 +240,20 @@ def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
     NonTerminating.
     """
     if side == "left":
-        q_p = e.exponent.derivative("p")
-        out = PhasePoly.zero()
-        da = a
-        g = e.prefactor  # (d/dp + dQ/dp)^k applied to the prefactor
-        k = 0
-        while not da.is_zero:
-            term = da * g
-            out = out + (term.shift_hbar(k).scaled(_i_pow_over_fact(k)) if k else term)
-            da = da.derivative("x")
-            g = g.derivative("p") + q_p * g
-            k += 1
-        return ExpQuadForm(out, e.exponent)
-    if side == "right":
+        q_p = _dp(e.exponent)
+        # (d/dp + dQ/dp)^k applied to the prefactor
+        chain = derivative_chain(e.prefactor, lambda g: _dp(g) + q_p * g)
+        terms = (da * g for da, g in zip(derivative_chain(a, _dx), chain))
+    elif side == "right":
         if not a.is_p_polynomial():
             raise NonTerminating("right operand has negative p powers")
-        q_x = e.exponent.derivative("x")
-        out = PhasePoly.zero()
-        db = a
-        h = e.prefactor  # (d/dx + dQ/dx)^k applied to the prefactor
-        k = 0
-        while not db.is_zero:
-            term = h * db
-            out = out + (term.shift_hbar(k).scaled(_i_pow_over_fact(k)) if k else term)
-            db = db.derivative("p")
-            h = h.derivative("x") + q_x * h
-            k += 1
-        return ExpQuadForm(out, e.exponent)
-    raise ValueError("side must be 'left' or 'right'")
+        q_x = _dx(e.exponent)
+        # (d/dx + dQ/dx)^k applied to the prefactor
+        chain = derivative_chain(e.prefactor, lambda h: _dx(h) + q_x * h)
+        terms = (h * db for db, h in zip(derivative_chain(a, _dp), chain))
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return ExpQuadForm(sum(moyal_terms(terms), PhasePoly.zero()), e.exponent)
 
 
 def eqf_is_positive_hermitian(e: ExpQuadForm) -> bool:

@@ -215,6 +215,42 @@ class TestErrorHandling:
         code, out, err = run(capsys, "residual", "--model", SHIFTED, "--theta", "exp(-2p")
         assert code == 2
 
+    def test_scan_locus_degenerate_oscillator_point(self, capsys):
+        # omega = alpha + beta makes a = 0, so (q1, q2) is undefined
+        code, out, err = run(
+            capsys, "scan-locus", "--omega", "1", "--alpha", "0.5", "--beta", "0.5"
+        )
+        assert code == 2 and not out
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
+    def test_scan_locus_range_count_below_two(self, capsys, spec):
+        code, out, err = run(capsys, "scan-locus", f"--q1={spec}", "--q2=0")
+        assert code == 2 and not out
+        assert "count" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv", [("berry2x2", "--trials", "-3"), ("finite-oracle", "--n", "3", "--trials", "-2")]
+    )
+    def test_negative_trials_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "--trials" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("berry2x2", "--model", IX3),
+            ("pde", "--model", IX3, "--order", "2"),
+            ("finite-oracle", "--latex"),
+            ("star", "--model", SHIFTED, "--theta", "p^2", "--jobs", "2"),
+        ],
+    )
+    def test_command_rejects_flags_it_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+
 
 class TestBundledModels:
     def test_all_bundled_models_load(self):

@@ -1,0 +1,154 @@
+"""sympy as an independent oracle for the Moyal kernel.
+
+Every expected value here is built from sympy derivatives of the operands
+written out as sympy expressions: the star product, the adjoint, the
+hermiticity criterion, star products against P exp(Q), and the PDE form of
+the metric residual.  Nothing but the conversion of the operands to sympy
+touches starmetric code.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sp = pytest.importorskip("sympy")
+
+from starmetric import (
+    ExpQuadForm,
+    GaussianRational,
+    HamiltonianSpec,
+    PhasePoly,
+    dagger,
+    is_hermitian,
+    pde_operator,
+    star,
+    star_poly_expquad,
+)
+from starmetric.modelio import bundled_model_path, load_model
+from starmetric.scalars import ParamPoly
+
+from _helpers import random_gr, random_poly
+
+X, P, HBAR = sp.symbols("x p hbar", real=True)
+
+
+def _rat(f: Fraction):
+    return sp.Rational(f.numerator, f.denominator)
+
+
+def _coeff(c):
+    if isinstance(c, GaussianRational):
+        return _rat(c.re) + sp.I * _rat(c.im)
+    if isinstance(c, ParamPoly):
+        syms = [sp.Symbol(name, real=True) for name in c.params]
+        return sp.Add(
+            *[_coeff(v) * sp.Mul(*[s**e for s, e in zip(syms, key)]) for key, v in c.terms.items()]
+        )
+    raise TypeError(f"no sympy image for {c!r}")
+
+
+def to_sympy(poly: PhasePoly):
+    return sp.Add(*[_coeff(c) * X**xd * P**pd * HBAR**hd for (xd, pd, hd), c in poly.terms.items()])
+
+
+def same(a, b) -> bool:
+    return sp.expand(a - b) == 0
+
+
+def moyal(a, b):
+    """sum_k (i hbar)^k / k! d^k a/dx^k d^k b/dp^k, until either derivative vanishes."""
+    total, k = 0, 0
+    while (da := sp.diff(a, X, k)) != 0 and (db := sp.diff(b, P, k)) != 0:
+        total += (sp.I * HBAR) ** k / sp.factorial(k) * da * db
+        k += 1
+    return total
+
+
+def exp_mixed(a, sign):
+    """exp(sign i hbar dx dp) a."""
+    total, k = 0, 0
+    while (d := sp.diff(a, X, k, P, k)) != 0:
+        total += (sign * sp.I * HBAR) ** k / sp.factorial(k) * d
+        k += 1
+    return total
+
+
+def sym_dagger(a):
+    return exp_mixed(sp.conjugate(a), +1)
+
+
+def p_polynomial(rng) -> PhasePoly:
+    poly = random_poly(rng, max_terms=3, max_x=2)
+    return PhasePoly({(xd, abs(pd), hd): c for (xd, pd, hd), c in poly.terms.items()})
+
+
+def random_exponent(rng) -> PhasePoly:
+    slots = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    return PhasePoly(
+        {(xd, pd, rng.randint(-1, 1)): random_gr(rng, span=2) for xd, pd in rng.sample(slots, 3)}
+    )
+
+
+def test_star_matches_sympy():
+    rng = random.Random(41)
+    for _ in range(15):
+        a = random_poly(rng)
+        b = random_poly(rng, p_span=3)  # negative p powers on the right operand
+        assert same(to_sympy(star(a, b)), moyal(to_sympy(a), to_sympy(b)))
+
+
+def test_dagger_matches_sympy():
+    rng = random.Random(42)
+    for _ in range(15):
+        a = random_poly(rng)
+        assert same(to_sympy(dagger(a)), sym_dagger(to_sympy(a)))
+
+
+def test_is_hermitian_matches_sympy():
+    rng = random.Random(43)
+    verdicts = []
+    for _ in range(10):
+        b = random_poly(rng)
+        for a in (b, b + dagger(b)):
+            expr = to_sympy(a)
+            expected = same(sp.conjugate(expr), exp_mixed(expr, -1))
+            assert is_hermitian(a) == expected
+            verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_star_poly_expquad_matches_sympy(side):
+    rng = random.Random(44 if side == "left" else 45)
+    for _ in range(6):
+        a = random_poly(rng, max_terms=3, max_x=2) if side == "left" else p_polynomial(rng)
+        e = ExpQuadForm(random_poly(rng, max_terms=2, max_x=1), random_exponent(rng))
+        out = star_poly_expquad(a, e, side)
+        assert out.exponent == e.exponent
+        q = to_sympy(e.exponent)
+        full = to_sympy(e.prefactor) * sp.exp(q)
+        if side == "left":
+            expected = moyal(to_sympy(a), full)
+        else:
+            expected = moyal(full, to_sympy(a))
+        assert same(to_sympy(out.prefactor), sp.expand(expected * sp.exp(-q)))
+
+
+MODELS = ("ix3", "quadratic", "shifted", "random1", "random2")
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_pde_operator_matches_sympy_residual(name):
+    rng = random.Random(MODELS.index(name))
+    if name.startswith("random"):
+        spec = HamiltonianSpec(p_polynomial(rng))
+    else:
+        spec = load_model(bundled_model_path(name)).spec
+    h = to_sympy(spec.symbolic_total())
+    op = pde_operator(spec)
+    for _ in range(4):
+        theta = random_poly(rng)
+        t = to_sympy(theta)
+        residual = moyal(h, t) - moyal(t, sym_dagger(h))
+        assert same(to_sympy(op.apply(theta)), residual)

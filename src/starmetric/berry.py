@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .phasepoly import PhasePoly
+from .phasepoly import ModelParams, PhasePoly
 from .scalars import (
     GaussianRational,
     ParamPoly,
@@ -409,14 +409,11 @@ def singular_locus(conn: MoyalConnection) -> ParamPoly:
 
 
 def oscillator_parameters(omega, alpha, beta) -> Tuple[Fraction, Fraction]:
-    """(q1, q2) = (b/a, c/a) for a = (omega-alpha-beta)/2 etc."""
-    omega, alpha, beta = (Fraction(v) for v in (omega, alpha, beta))
-    a = (omega - alpha - beta) / 2
-    if a == 0:
+    """(q1, q2) = (b/a, c/a) for the (a, b, c) of `ModelParams.from_oscillator`."""
+    params = ModelParams.from_oscillator(*(Fraction(v) for v in (omega, alpha, beta)))
+    if params.a.is_zero:
         raise ZeroDivisionError("omega - alpha - beta = 0: q-parameters undefined")
-    b = (omega + alpha + beta) / 2
-    c = alpha - beta
-    return b / a, c / a
+    return (params.b / params.a).re, (params.c / params.a).re
 
 
 def locus_value(q1, q2) -> Fraction:

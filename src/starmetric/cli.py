@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -424,10 +425,6 @@ def _scan_record(q1: Fraction, q2: Fraction) -> dict:
     }
 
 
-def _scan_chunk(points):
-    return [_scan_record(q1, q2) for q1, q2 in points]
-
-
 def cmd_scan_locus(args):
     if args.omega is not None:
         _require(
@@ -442,17 +439,11 @@ def cmd_scan_locus(args):
         record["omega"], record["alpha"], record["beta"] = args.omega, args.alpha, args.beta
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
+    # each point is one exact 4 q1 + q2^2, so --jobs is accepted but a
+    # process pool would only add start-up time
     q1s = _parse_range(args.q1 or "-3:3:25")
     q2s = _parse_range(args.q2 or "-3:3:25")
-    points = [(q1, q2) for q1 in q1s for q2 in q2s]
-    if args.jobs > 1:
-        chunks = [points[i :: args.jobs] for i in range(args.jobs)]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
-        records = [rec for part in parts for rec in part]
-        records.sort(key=lambda r: (r["q1"], r["q2"]))
-    else:
-        records = _scan_chunk(points)
+    records = [_scan_record(q1, q2) for q1 in q1s for q2 in q2s]
     return {"count": len(records), "records": records}, True
 
 
@@ -536,8 +527,15 @@ def main(argv=None) -> int:
     except (CliInputError, ModelError, ExprError, PoleAtPoint, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    print(json.dumps(payload, indent=2))
-    return 0 if ok else 1
+    status = 0 if ok else 1
+    try:
+        print(json.dumps(payload, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the rest of the output, and the flush
+        # at exit, to devnull (the recipe of the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

@@ -6,13 +6,15 @@ and hermiticity/positivity certification.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, ONE, ParamPoly
+from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, check_keys
 from .star import (
     ExpQuadForm,
+    NonTerminating,
     dagger,
     dagger_series,
     derivative_chain,
@@ -97,9 +99,7 @@ class HamiltonianSpec:
 
     @classmethod
     def from_json(cls, obj) -> "HamiltonianSpec":
-        extra = set(obj) - {"terms", "coupling", "params"}
-        if extra:
-            raise ValueError(f"unknown keys in Hamiltonian JSON: {sorted(extra)}")
+        check_keys(obj, {"terms", "coupling", "params"}, "Hamiltonian JSON")
         if "terms" not in obj:
             raise ValueError("Hamiltonian JSON needs a 'terms' list")
         params = obj.get("params")
@@ -107,9 +107,7 @@ class HamiltonianSpec:
         coupling = None
         if "coupling" in obj:
             cobj = obj["coupling"]
-            cextra = set(cobj) - {"name", "V"}
-            if cextra:
-                raise ValueError(f"unknown keys in coupling JSON: {sorted(cextra)}")
+            check_keys(cobj, {"name", "V"}, "coupling JSON")
             if "name" not in cobj or "V" not in cobj:
                 raise ValueError("coupling JSON needs 'name' and 'V'")
             coupling = (cobj["name"], _poly_from_model_terms(cobj["V"], params))
@@ -123,11 +121,9 @@ class HamiltonianSpec:
 
 def _poly_from_model_terms(entries, params: Optional[Sequence[str]]) -> PhasePoly:
     """Model-file term list; entries may carry symbolic parameter powers."""
-    terms: dict = {}
-    for entry in entries:
-        extra = set(entry) - {"x", "p", "hbar", "coeff", "params"}
-        if extra:
-            raise ValueError(f"unknown keys in term: {sorted(extra)}")
+
+    def term(entry):
+        check_keys(entry, {"x", "p", "hbar", "coeff", "params"}, "term")
         if "coeff" not in entry:
             raise ValueError(f"term without a coefficient: {entry!r}")
         coeff = GaussianRational.from_json(entry["coeff"])
@@ -144,11 +140,9 @@ def _poly_from_model_terms(entries, params: Optional[Sequence[str]]) -> PhasePol
             value = ParamPoly.constant(tuple(params), coeff)
         else:
             value = coeff
-        k = (int(entry.get("x", 0)), int(entry.get("p", 0)), int(entry.get("hbar", 0)))
-        if k in terms:
-            value = terms[k] + value
-        terms[k] = value
-    return PhasePoly(terms)
+        return (entry.get("x", 0), entry.get("p", 0), entry.get("hbar", 0)), value
+
+    return PhasePoly(map(term, entries))
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +195,10 @@ class PDEOperator:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Dict[Tuple[int, int], PhasePoly]):
-        clean = {k: v for k, v in coeffs.items() if not v.is_zero}
-        object.__setattr__(self, "coeffs", clean)
+    def __init__(self, coeffs):
+        """``coeffs`` maps (i, j) to the PhasePoly of dx^i dp^j, or lists such pairs."""
+        pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        object.__setattr__(self, "coeffs", accumulate(pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("PDEOperator is immutable")
@@ -245,27 +240,25 @@ class PDEOperator:
         Uses (c1 dx^i dp^j)(c2 dx^k dp^l) =
         c1 * sum_{m<=i, n<=j} C(i,m) C(j,n) (dx^m dp^n c2) dx^{i-m+k} dp^{j-n+l}.
         """
-        acc: Dict[Tuple[int, int], PhasePoly] = {}
-        for (i, j), c1 in self.coeffs.items():
-            for (k, l), c2 in other.coeffs.items():
-                dm = c2
-                for m in range(i + 1):
-                    dn = dm
-                    for n in range(j + 1):
-                        coeff = c1 * dn * (Fraction(comb(i, m) * comb(j, n)))
-                        key = (i - m + k, j - n + l)
-                        acc[key] = acc.get(key, PhasePoly.zero()) + coeff
-                        dn = dn.derivative("p")
-                    dm = dm.derivative("x")
-        return PDEOperator(acc)
+
+        def terms():
+            for (i, j), c1 in self.coeffs.items():
+                for (k, l), c2 in other.coeffs.items():
+                    dm = c2
+                    for m in range(i + 1):
+                        dn = dm
+                        for n in range(j + 1):
+                            coeff = c1 * dn * (Fraction(comb(i, m) * comb(j, n)))
+                            yield (i - m + k, j - n + l), coeff
+                            dn = dn.derivative("p")
+                        dm = dm.derivative("x")
+
+        return PDEOperator(terms())
 
     def __add__(self, other):
         if not isinstance(other, PDEOperator):
             return NotImplemented
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            acc[k] = acc.get(k, PhasePoly.zero()) + v
-        return PDEOperator(acc)
+        return PDEOperator(chain(self.coeffs.items(), other.coeffs.items()))
 
     def __neg__(self):
         return PDEOperator({k: -v for k, v in self.coeffs.items()})
@@ -304,14 +297,21 @@ def pde_operator(spec: HamiltonianSpec) -> PDEOperator:
     Both star sums truncate on the polynomial Hamiltonian:
     H * Theta contributes (i hbar)^k/k! dx^k H at slot (0, k) and
     Theta * dagger(H) contributes (i hbar)^k/k! dp^k dagger(H) at slot (k, 0).
+    The second sum needs dagger(H) polynomial in p; negative p powers raise
+    NonTerminating.
     """
     h = spec.symbolic_total()
-    acc: Dict[Tuple[int, int], PhasePoly] = {}
-    for k, t in enumerate(moyal_terms(derivative_chain(h, lambda f: f.derivative("x")))):
-        acc[(0, k)] = t
-    for k, t in enumerate(moyal_terms(derivative_chain(dagger(h), lambda f: f.derivative("p")))):
-        acc[(k, 0)] = acc.get((k, 0), PhasePoly.zero()) - t
-    return PDEOperator(acc)
+    hd = dagger(h)
+    if not hd.is_p_polynomial():
+        raise NonTerminating("dagger(H) has negative p powers")
+    left = moyal_terms(derivative_chain(h, lambda f: f.derivative("x")))
+    right = moyal_terms(derivative_chain(hd, lambda f: f.derivative("p")))
+    return PDEOperator(
+        chain(
+            (((0, k), t) for k, t in enumerate(left)),
+            (((k, 0), -t) for k, t in enumerate(right)),
+        )
+    )
 
 
 def pde_mixed_conjugation(op: PDEOperator) -> PDEOperator:
@@ -319,8 +319,7 @@ def pde_mixed_conjugation(op: PDEOperator) -> PDEOperator:
     p -> p - i hbar dx inside the coefficients (the images commute)."""
     x_op = PDEOperator({(0, 0): PhasePoly.x(), (0, 1): PhasePoly.monomial(-I, 0, 0, 1)})
     p_op = PDEOperator({(0, 0): PhasePoly.p(), (1, 0): PhasePoly.monomial(-I, 0, 0, 1)})
-    total: Dict[Tuple[int, int], PhasePoly] = {}
-    out = PDEOperator(total)
+    out = PDEOperator({})
     for (i, j), coeff in op.coeffs.items():
         for (xd, pd, hd), scalar in coeff.terms.items():
             piece = PDEOperator({(0, 0): PhasePoly.monomial(scalar, 0, 0, hd)})

@@ -10,18 +10,37 @@ Coefficients are `GaussianRational` by default.  The same container also
 works over `ParamPoly` (symbolic model parameters) and `RatFunc2`
 (connection coefficients); the coefficient ring is duck-typed and constants
 coerce automatically through the numeric protocol.
+
+The terms are always in the one normal form of `scalars.accumulate`.  The
+public constructor (and so `from_json`) checks its input once: three
+integer exponents with x >= 0 and a coefficient of one of `COEFF_TYPES`.
+Ring operations, whose terms are valid by construction, go through
+`PhasePoly._of`, which only calls `accumulate`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence, Tuple, Union
 
-from .scalars import GaussianRational, ParamPoly, RatFunc2, ONE, ZERO, as_fraction
+from .scalars import (
+    GaussianRational,
+    ParamPoly,
+    RatFunc2,
+    ONE,
+    ZERO,
+    accumulate,
+    as_fraction,
+    check_keys,
+    power,
+)
 
 Key = Tuple[int, int, int]
-CoeffLike = Union[int, Fraction, GaussianRational, ParamPoly, RatFunc2]
+# the types a scalar operand of PhasePoly arithmetic may have
+COEFF_TYPES = (int, Fraction, GaussianRational, ParamPoly, RatFunc2)
+CoeffLike = Union[COEFF_TYPES]
 
 
 class CouplingMismatch(ValueError):
@@ -36,27 +55,30 @@ def _coerce_coeff(value):
     raise TypeError(f"cannot use {value!r} as a PhasePoly coefficient")
 
 
+def _checked(key, coeff) -> Tuple[Key, object]:
+    """A term given to the public constructor, checked and coerced."""
+    xd, pd, hd = (int(e) for e in key)
+    if xd < 0:
+        raise ValueError("x degree must be nonnegative")
+    return (xd, pd, hd), _coerce_coeff(coeff)
+
+
 class PhasePoly:
     """Phase-space function: sparse Laurent polynomial in (x, p, hbar)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Key, CoeffLike] | None = None):
-        clean: dict = {}
-        if terms:
-            for key, coeff in terms.items():
-                xd, pd, hd = key
-                if xd < 0:
-                    raise ValueError("x degree must be nonnegative")
-                coeff = _coerce_coeff(coeff)
-                key = (int(xd), int(pd), int(hd))
-                if key in clean:
-                    coeff = clean[key] + coeff
-                if coeff.is_zero:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = coeff
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms: Mapping[Key, CoeffLike] | Iterable | None = None):
+        """``terms`` maps (x, p, hbar) degrees to coefficients, or lists such pairs."""
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
+        object.__setattr__(self, "terms", accumulate(_checked(*pair) for pair in pairs))
+
+    @classmethod
+    def _of(cls, pairs) -> "PhasePoly":
+        """The PhasePoly of pairs that are already valid terms."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", accumulate(pairs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("PhasePoly is immutable")
@@ -120,28 +142,18 @@ class PhasePoly:
 
     def __add__(self, other):
         if isinstance(other, PhasePoly):
-            merged = dict(self.terms)
-            for key, coeff in other.terms.items():
-                if key in merged:
-                    val = merged[key] + coeff
-                    if val.is_zero:
-                        del merged[key]
-                    else:
-                        merged[key] = val
-                else:
-                    merged[key] = coeff
-            return PhasePoly(merged)
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly, RatFunc2)):
+            return PhasePoly._of(chain(self.terms.items(), other.terms.items()))
+        if isinstance(other, COEFF_TYPES):
             return self + PhasePoly.const(other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PhasePoly({k: -c for k, c in self.terms.items()})
+        return PhasePoly._of((k, -c) for k, c in self.terms.items())
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly, RatFunc2)):
+        if isinstance(other, COEFF_TYPES):
             other = PhasePoly.const(other)
         if isinstance(other, PhasePoly):
             return self + (-other)
@@ -152,19 +164,12 @@ class PhasePoly:
 
     def __mul__(self, other):
         if isinstance(other, PhasePoly):
-            out: dict = {}
-            for (x1, p1, h1), c1 in self.terms.items():
-                for (x2, p2, h2), c2 in other.terms.items():
-                    key = (x1 + x2, p1 + p2, h1 + h2)
-                    val = c1 * c2
-                    if key in out:
-                        val = out[key] + val
-                    if val.is_zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = val
-            return PhasePoly(out)
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly, RatFunc2)):
+            return PhasePoly._of(
+                ((x1 + x2, p1 + p2, h1 + h2), c1 * c2)
+                for (x1, p1, h1), c1 in self.terms.items()
+                for (x2, p2, h2), c2 in other.terms.items()
+            )
+        if isinstance(other, COEFF_TYPES):
             return self.scaled(other)
         return NotImplemented
 
@@ -172,63 +177,45 @@ class PhasePoly:
 
     def scaled(self, scalar: CoeffLike) -> "PhasePoly":
         scalar = _coerce_coeff(scalar)
-        if scalar.is_zero:
-            return PhasePoly.zero()
-        return PhasePoly({k: c * scalar for k, c in self.terms.items()})
+        return PhasePoly._of((k, c * scalar) for k, c in self.terms.items())
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = PhasePoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, PhasePoly.one())
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, var: str) -> "PhasePoly":
         """Exact partial derivative with respect to ``"x"`` or ``"p"``."""
-        axis = {"x": 0, "p": 1}[var]
-        out: dict = {}
-        for key, coeff in self.terms.items():
-            e = key[axis]
-            if e == 0:
-                continue
-            new = list(key)
-            new[axis] = e - 1
-            out[tuple(new)] = coeff * e
-        return PhasePoly(out)
+        if var == "x":
+            return PhasePoly._of(
+                ((xd - 1, pd, hd), c * xd) for (xd, pd, hd), c in self.terms.items() if xd
+            )
+        if var == "p":
+            return PhasePoly._of(
+                ((xd, pd - 1, hd), c * pd) for (xd, pd, hd), c in self.terms.items() if pd
+            )
+        raise KeyError(var)
 
     def integrate_x(self) -> "PhasePoly":
         """Antiderivative in x with the integration function of p set to zero."""
-        out = {}
-        for (xd, pd, hd), coeff in self.terms.items():
-            out[(xd + 1, pd, hd)] = coeff * Fraction(1, xd + 1)
-        return PhasePoly(out)
+        return PhasePoly._of(
+            ((xd + 1, pd, hd), c * Fraction(1, xd + 1)) for (xd, pd, hd), c in self.terms.items()
+        )
 
     def conjugate(self) -> "PhasePoly":
         """Coefficientwise complex conjugation; x, p and hbar are real."""
-        return PhasePoly({k: c.conjugate() for k, c in self.terms.items()})
+        return PhasePoly._of((k, c.conjugate()) for k, c in self.terms.items())
 
     def shift_hbar(self, k: int) -> "PhasePoly":
-        return PhasePoly({(xd, pd, hd + k): c for (xd, pd, hd), c in self.terms.items()})
+        return PhasePoly._of(((xd, pd, hd + k), c) for (xd, pd, hd), c in self.terms.items())
 
     def subs_hbar(self, value) -> "PhasePoly":
         """Evaluate the hbar degree at a fixed exact rational value."""
         if not isinstance(value, GaussianRational):
             value = GaussianRational.coerce(as_fraction(value))
-        acc: dict = {}
-        for (xd, pd, hd), coeff in self.terms.items():
-            scaled = coeff * value**hd
-            key = (xd, pd, 0)
-            if key in acc:
-                scaled = acc[key] + scaled
-            acc[key] = scaled
-        return PhasePoly(acc)
+        return PhasePoly._of(
+            ((xd, pd, 0), c * value**hd) for (xd, pd, hd), c in self.terms.items()
+        )
 
     def map_coeffs(self, fn) -> "PhasePoly":
         return PhasePoly({k: fn(c) for k, c in self.terms.items()})
@@ -237,13 +224,13 @@ class PhasePoly:
         """Group terms by x degree: {x_deg: PhasePoly in (p, hbar) only}."""
         slices: dict = {}
         for (xd, pd, hd), coeff in self.terms.items():
-            slices.setdefault(xd, {})[(0, pd, hd)] = coeff
-        return {xd: PhasePoly(t) for xd, t in slices.items()}
+            slices.setdefault(xd, []).append(((0, pd, hd), coeff))
+        return {xd: PhasePoly._of(t) for xd, t in slices.items()}
 
     # -- equality -----------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ParamPoly, RatFunc2)):
+        if isinstance(other, COEFF_TYPES):
             other = PhasePoly.const(other)
         if isinstance(other, PhasePoly):
             if set(self.terms) != set(other.terms):
@@ -266,17 +253,13 @@ class PhasePoly:
     def from_json(cls, obj) -> "PhasePoly":
         if not isinstance(obj, Sequence):
             raise ValueError("PhasePoly JSON must be a list of terms")
-        terms: dict = {}
-        for entry in obj:
-            extra = set(entry) - {"x", "p", "hbar", "coeff"}
-            if extra:
-                raise ValueError(f"unknown keys in PhasePoly term: {sorted(extra)}")
-            coeff = coeff_from_json(entry["coeff"])
-            key = (int(entry.get("x", 0)), int(entry.get("p", 0)), int(entry.get("hbar", 0)))
-            if key in terms:
-                coeff = terms[key] + coeff
-            terms[key] = coeff
-        return cls(terms)
+
+        def term(entry):
+            check_keys(entry, {"x", "p", "hbar", "coeff"}, "PhasePoly term")
+            key = (entry.get("x", 0), entry.get("p", 0), entry.get("hbar", 0))
+            return key, coeff_from_json(entry["coeff"])
+
+        return cls(map(term, obj))
 
     def __repr__(self):
         if self.is_zero:
@@ -423,9 +406,7 @@ class CouplingSeries:
 
     @classmethod
     def from_json(cls, obj) -> "CouplingSeries":
-        extra = set(obj) - {"coupling", "order", "coeffs"}
-        if extra:
-            raise ValueError(f"unknown keys in series JSON: {sorted(extra)}")
+        check_keys(obj, {"coupling", "order", "coeffs"}, "series JSON")
         coeffs = [PhasePoly.from_json(c) for c in obj["coeffs"]]
         series = cls(obj["coupling"], coeffs)
         if "order" in obj and int(obj["order"]) != series.order:

@@ -3,11 +3,20 @@ real parameters, and rational functions of two real parameters.
 
 Everything in this module is immutable and exact; no floating point enters
 at this layer.
+
+Every sparse container of the package (`ParamPoly` here, `PhasePoly` and
+`PDEOperator` above) has one normal form, built by `accumulate`: a dict from
+key to nonzero coefficient, with the coefficients of equal keys summed.
+Inputs are checked once, by the public constructors (key shape and
+coefficient type); results of arithmetic on valid terms go straight to
+`accumulate`.  `power` is the one repeated-squaring loop behind every
+``__pow__``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Tuple, Union
 
 RatLike = Union[int, Fraction, str]
@@ -27,6 +36,41 @@ def as_fraction(value: RatLike) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def check_keys(obj, allowed, what: str):
+    """Reject JSON input that is not an object or has keys outside ``allowed``."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{what} must be an object: {obj!r}")
+    extra = set(obj) - allowed
+    if extra:
+        raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
+
+
+def accumulate(pairs) -> dict:
+    """Sum the coefficients of equal keys in ``(key, coefficient)`` pairs and
+    drop the keys whose sum is zero: the one normal form of sparse terms."""
+    out: dict = {}
+    for key, coeff in pairs:
+        prev = out.get(key)
+        out[key] = coeff if prev is None else prev + coeff
+    return {key: coeff for key, coeff in out.items() if not coeff.is_zero}
+
+
+def power(base, n: int, one):
+    """base**n for an integer n >= 0 by repeated squaring; ``one`` is base**0."""
+    if not isinstance(n, int):
+        raise TypeError("exponent must be an integer")
+    if n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def fraction_str(value: Fraction) -> str:
@@ -133,18 +177,7 @@ class GaussianRational:
         return GaussianRational(self.re / norm, -self.im / norm)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self.inverse(), -n, ONE) if n < 0 else power(self, n, ONE)
 
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
@@ -199,22 +232,27 @@ class ParamPoly:
 
     __slots__ = ("params", "terms")
 
-    def __init__(self, params: Iterable[str], terms: Mapping[Tuple[int, ...], object]):
+    def __init__(self, params: Iterable[str], terms):
+        """``terms`` maps exponent tuples to coefficients, or lists such pairs."""
         params = tuple(params)
-        clean: dict = {}
-        for key, coeff in terms.items():
+
+        def checked(key, coeff):
             key = tuple(key)
             if len(key) != len(params):
                 raise ValueError("exponent tuple does not match parameter list")
-            coeff = GaussianRational.coerce(coeff)
-            if key in clean:
-                coeff = clean[key] + coeff
-            if coeff.is_zero:
-                clean.pop(key, None)
-            else:
-                clean[key] = coeff
+            return key, GaussianRational.coerce(coeff)
+
+        pairs = terms.items() if isinstance(terms, Mapping) else terms
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", accumulate(checked(*pair) for pair in pairs))
+
+    @classmethod
+    def _of(cls, params: Tuple[str, ...], pairs) -> "ParamPoly":
+        """The ParamPoly of pairs that are already valid terms."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "params", params)
+        object.__setattr__(poly, "terms", accumulate(pairs))
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
@@ -278,19 +316,12 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            val = merged.get(key, ZERO) + coeff
-            if val.is_zero:
-                merged.pop(key, None)
-            else:
-                merged[key] = val
-        return ParamPoly(self.params, merged)
+        return ParamPoly._of(self.params, chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ParamPoly(self.params, {k: -c for k, c in self.terms.items()})
+        return ParamPoly._of(self.params, ((k, -c) for k, c in self.terms.items()))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -305,16 +336,14 @@ class ParamPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                val = out.get(key, ZERO) + c1 * c2
-                if val.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = val
-        return ParamPoly(self.params, out)
+        return ParamPoly._of(
+            self.params,
+            (
+                (tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in other.terms.items()
+            ),
+        )
 
     __rmul__ = __mul__
 
@@ -332,33 +361,22 @@ class ParamPoly:
         return ParamPoly(self.params, {tuple(-e for e in key): coeff.inverse()})
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.monomial_inverse() ** (-n)
-        out = self.const_like(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        one = self.const_like(1)
+        return power(self.monomial_inverse(), -n, one) if n < 0 else power(self, n, one)
 
     def conjugate(self) -> "ParamPoly":
-        return ParamPoly(self.params, {k: c.conjugate() for k, c in self.terms.items()})
+        return ParamPoly._of(self.params, ((k, c.conjugate()) for k, c in self.terms.items()))
 
     def derivative(self, name: str) -> "ParamPoly":
         i = self.params.index(name)
-        out: dict = {}
-        for key, coeff in self.terms.items():
-            e = key[i]
-            if e == 0:
-                continue
-            new = list(key)
-            new[i] = e - 1
-            out[tuple(new)] = coeff * e
-        return ParamPoly(self.params, out)
+        return ParamPoly._of(
+            self.params,
+            (
+                (key[:i] + (key[i] - 1,) + key[i + 1 :], coeff * key[i])
+                for key, coeff in self.terms.items()
+                if key[i]
+            ),
+        )
 
     def eval(self, values: Mapping[str, GaussianRational]) -> GaussianRational:
         missing = set(self.params) - set(values)
@@ -399,16 +417,19 @@ class ParamPoly:
 
     @classmethod
     def from_json(cls, obj) -> "ParamPoly":
+        check_keys(obj, {"params", "terms"}, "ParamPoly JSON")
         params = tuple(obj["params"])
-        terms = {}
-        for entry in obj["terms"]:
+
+        def term(entry):
+            check_keys(entry, {"powers", "coeff"}, "ParamPoly term")
             powers = entry.get("powers", {})
             bad = set(powers) - set(params)
             if bad:
                 raise ValueError(f"unknown parameters {sorted(bad)}")
             key = tuple(int(powers.get(name, 0)) for name in params)
-            terms[key] = GaussianRational.from_json(entry["coeff"])
-        return cls(params, terms)
+            return key, GaussianRational.from_json(entry["coeff"])
+
+        return cls(params, map(term, obj["terms"]))
 
     def __repr__(self):
         if self.is_zero:
@@ -545,12 +566,8 @@ class RatFunc2:
         return other / self
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (RatFunc2(1) / self) ** (-n)
-        out = RatFunc2(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        one = RatFunc2(1)
+        return power(one / self, -n, one) if n < 0 else power(self, n, one)
 
     def conjugate(self) -> "RatFunc2":
         return RatFunc2(self.num.conjugate(), self.den.conjugate())
@@ -588,6 +605,7 @@ class RatFunc2:
 
     @classmethod
     def from_json(cls, obj) -> "RatFunc2":
+        check_keys(obj, {"num", "den"}, "RatFunc2 JSON")
         return cls(ParamPoly.from_json(obj["num"]), ParamPoly.from_json(obj["den"]))
 
     def __repr__(self):

@@ -33,7 +33,7 @@ from fractions import Fraction
 from math import factorial
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import I
+from .scalars import I, check_keys
 
 __all__ = [
     "derivative_chain",
@@ -223,9 +223,7 @@ class ExpQuadForm:
 
     @classmethod
     def from_json(cls, obj) -> "ExpQuadForm":
-        extra = set(obj) - {"prefactor", "exponent"}
-        if extra:
-            raise ValueError(f"unknown keys in ExpQuadForm JSON: {sorted(extra)}")
+        check_keys(obj, {"prefactor", "exponent"}, "ExpQuadForm JSON")
         return cls(PhasePoly.from_json(obj["prefactor"]), PhasePoly.from_json(obj["exponent"]))
 
     def __repr__(self):

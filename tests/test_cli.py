@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,9 @@ from starmetric.modelio import bundled_model_path, load_model, ModelError
 from starmetric.phasepoly import CouplingSeries
 
 GOLDENS = Path(__file__).parent / "goldens"
+# the CLI in a fresh interpreter that imports this checkout
+CLI = [sys.executable, "-m", "starmetric.cli"]
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 IX3 = str(bundled_model_path("ix3"))
 SHIFTED = str(bundled_model_path("shifted"))
 QUADRATIC = str(bundled_model_path("quadratic"))
@@ -34,6 +40,24 @@ class TestSolveAndLog:
             golden = CouplingSeries.from_json(json.load(fh))
         assert produced == golden
         assert payload["residual_zero"] is True
+
+    def test_starlog_series_sums_parampoly_entries(self, capsys, tmp_path):
+        # one PhasePoly term whose ParamPoly coefficient lists a twice: 1 a + 2 a
+        entry = lambda re: {"powers": {"a": 1}, "coeff": {"re": re, "im": "0"}}
+        coeff = {"params": ["a"], "terms": [entry("1"), entry("2")]}
+        series = {
+            "coupling": "g",
+            "coeffs": [
+                [{"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}],
+                [{"x": 1, "p": 0, "hbar": 0, "coeff": coeff}],
+            ],
+        }
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series), encoding="utf-8")
+        code, payload = run_json(capsys, "starlog", "--series", str(path))
+        assert code == 0
+        (term,) = payload["log"]["coeffs"][1]
+        assert term["coeff"]["terms"] == [{"powers": {"a": 1}, "coeff": {"re": "3", "im": "0"}}]
 
     def test_starlog_matches_golden_file(self, capsys):
         code, payload = run_json(capsys, "starlog", "--model", IX3, "--order", "3")
@@ -222,6 +246,38 @@ class TestErrorHandling:
         )
         assert code == 2 and not out
         assert "error" in json.loads(err)
+
+    def test_pde_with_negative_p_power_in_dagger_exits_2(self, tmp_path):
+        # H = p^2 + i x/p: the p-derivative chain of dagger(H) never vanishes
+        model = {
+            "name": "inverse-p",
+            "hamiltonian": {
+                "terms": [
+                    {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}},
+                    {"x": 1, "p": -1, "hbar": 0, "coeff": {"re": "0", "im": "1"}},
+                ]
+            },
+        }
+        path = tmp_path / "inverse_p.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        proc = subprocess.run(
+            CLI + ["pde", "--model", str(path)], env=CLI_ENV, capture_output=True, timeout=30
+        )
+        assert proc.returncode == 2 and not proc.stdout
+        assert "p powers" in json.loads(proc.stderr)["error"]
+
+    def test_closed_stdout_is_not_a_traceback(self):
+        argv = CLI + ["star", "--model", SHIFTED, "--theta", "expquad:exp(-2p)"]
+        with subprocess.Popen(
+            argv, env=CLI_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            proc.stdout.close()  # before the child has printed anything
+            try:
+                _, err = proc.communicate(timeout=30)
+            finally:
+                proc.kill()
+        assert proc.returncode == 0
+        assert b"Traceback" not in err and b"Exception ignored" not in err
 
     @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
     def test_scan_locus_range_count_below_two(self, capsys, spec):

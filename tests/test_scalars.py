@@ -150,3 +150,33 @@ class TestParamPoly:
         poly = (q1 + q2 * q2 * Fraction(1, 4)) * Fraction(-2, 3)
         norm = primitive_real_poly(poly)
         assert norm == q1 * 4 + q2 * q2
+
+
+class TestFromJson:
+    def test_parampoly_sums_entries_with_equal_powers(self):
+        obj = {
+            "params": ["a"],
+            "terms": [
+                {"powers": {"a": 1}, "coeff": {"re": "1", "im": "0"}},
+                {"powers": {"a": 1}, "coeff": {"re": "2", "im": "0"}},
+            ],
+        }
+        (a,) = ParamPoly.generators("a")
+        assert ParamPoly.from_json(obj) == a * 3
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"params": ["a"], "terms": [], "bogus": 1},
+            {"params": ["a"], "terms": [{"powers": {"a": 1}, "coeff": {"re": "1"}, "bogus": 1}]},
+        ],
+    )
+    def test_parampoly_rejects_unknown_keys(self, obj):
+        with pytest.raises(ValueError, match="bogus"):
+            ParamPoly.from_json(obj)
+
+    def test_ratfunc2_rejects_unknown_keys(self):
+        q1, _ = RatFunc2.generators()
+        obj = dict(q1.to_json(), bogus=1)
+        with pytest.raises(ValueError, match="bogus"):
+            RatFunc2.from_json(obj)

@@ -11,7 +11,7 @@ from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, check_keys
+from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, as_exponent, check_keys
 from .star import (
     ExpQuadForm,
     NonTerminating,
@@ -99,17 +99,13 @@ class HamiltonianSpec:
 
     @classmethod
     def from_json(cls, obj) -> "HamiltonianSpec":
-        check_keys(obj, {"terms", "coupling", "params"}, "Hamiltonian JSON")
-        if "terms" not in obj:
-            raise ValueError("Hamiltonian JSON needs a 'terms' list")
+        check_keys(obj, {"terms", "coupling", "params"}, "Hamiltonian JSON", required=("terms",))
         params = obj.get("params")
         h0 = _poly_from_model_terms(obj["terms"], params)
         coupling = None
         if "coupling" in obj:
             cobj = obj["coupling"]
-            check_keys(cobj, {"name", "V"}, "coupling JSON")
-            if "name" not in cobj or "V" not in cobj:
-                raise ValueError("coupling JSON needs 'name' and 'V'")
+            check_keys(cobj, {"name", "V"}, "coupling JSON", required=("name", "V"))
             coupling = (cobj["name"], _poly_from_model_terms(cobj["V"], params))
         return cls(h0, coupling)
 
@@ -123,9 +119,7 @@ def _poly_from_model_terms(entries, params: Optional[Sequence[str]]) -> PhasePol
     """Model-file term list; entries may carry symbolic parameter powers."""
 
     def term(entry):
-        check_keys(entry, {"x", "p", "hbar", "coeff", "params"}, "term")
-        if "coeff" not in entry:
-            raise ValueError(f"term without a coefficient: {entry!r}")
+        check_keys(entry, {"x", "p", "hbar", "coeff", "params"}, "term", required=("coeff",))
         coeff = GaussianRational.from_json(entry["coeff"])
         powers = entry.get("params")
         if powers is not None:
@@ -134,7 +128,7 @@ def _poly_from_model_terms(entries, params: Optional[Sequence[str]]) -> PhasePol
             bad = set(powers) - set(params)
             if bad:
                 raise ValueError(f"undeclared parameters {sorted(bad)}")
-            key = tuple(int(powers.get(name, 0)) for name in params)
+            key = tuple(as_exponent(powers.get(name, 0)) for name in params)
             value = ParamPoly(tuple(params), {key: coeff})
         elif params:
             value = ParamPoly.constant(tuple(params), coeff)

@@ -32,6 +32,7 @@ from .scalars import (
     ONE,
     ZERO,
     accumulate,
+    as_exponent,
     as_fraction,
     check_keys,
     power,
@@ -57,7 +58,7 @@ def _coerce_coeff(value):
 
 def _checked(key, coeff) -> Tuple[Key, object]:
     """A term given to the public constructor, checked and coerced."""
-    xd, pd, hd = (int(e) for e in key)
+    xd, pd, hd = map(as_exponent, key)
     if xd < 0:
         raise ValueError("x degree must be nonnegative")
     return (xd, pd, hd), _coerce_coeff(coeff)
@@ -255,7 +256,7 @@ class PhasePoly:
             raise ValueError("PhasePoly JSON must be a list of terms")
 
         def term(entry):
-            check_keys(entry, {"x", "p", "hbar", "coeff"}, "PhasePoly term")
+            check_keys(entry, {"x", "p", "hbar", "coeff"}, "PhasePoly term", required=("coeff",))
             key = (entry.get("x", 0), entry.get("p", 0), entry.get("hbar", 0))
             return key, coeff_from_json(entry["coeff"])
 
@@ -406,7 +407,9 @@ class CouplingSeries:
 
     @classmethod
     def from_json(cls, obj) -> "CouplingSeries":
-        check_keys(obj, {"coupling", "order", "coeffs"}, "series JSON")
+        check_keys(
+            obj, {"coupling", "order", "coeffs"}, "series JSON", required=("coupling", "coeffs")
+        )
         coeffs = [PhasePoly.from_json(c) for c in obj["coeffs"]]
         series = cls(obj["coupling"], coeffs)
         if "order" in obj and int(obj["order"]) != series.order:

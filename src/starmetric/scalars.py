@@ -2,7 +2,9 @@
 real parameters, and rational functions of two real parameters.
 
 Everything in this module is immutable and exact; no floating point enters
-at this layer.
+at this layer.  A `GaussianRational` is three integers (a, b, d) meaning
+(a + b i)/d, kept canonical (d > 0, gcd(a, b, d) == 1): each ring operation
+is integer arithmetic plus one gcd, and no `Fraction` is built on the way.
 
 Every sparse container of the package (`ParamPoly` here, `PhasePoly` and
 `PDEOperator` above) has one normal form, built by `accumulate`: a dict from
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 from typing import Iterable, Mapping, Tuple, Union
 
 RatLike = Union[int, Fraction, str]
@@ -38,13 +41,30 @@ def as_fraction(value: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def check_keys(obj, allowed, what: str):
-    """Reject JSON input that is not an object or has keys outside ``allowed``."""
+def as_exponent(value) -> int:
+    """An exponent read from input: an int, or a number or numeric string
+    with an integral value; anything else is a ValueError."""
+    try:
+        e = int(value)
+        integral = isinstance(value, str) or e == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"exponent must be an integer: {value!r}")
+    return e
+
+
+def check_keys(obj, allowed, what: str, required=()):
+    """Reject JSON input that is not an object, has keys outside ``allowed``
+    or lacks one of the ``required`` keys."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{what} must be an object: {obj!r}")
     extra = set(obj) - allowed
     if extra:
         raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} needs the key {key!r}")
 
 
 def accumulate(pairs) -> dict:
@@ -81,115 +101,131 @@ def fraction_str(value: Fraction) -> str:
 
 
 class GaussianRational:
-    """Exact complex number re + im*i with arbitrary-precision rational parts.
+    """Exact complex number (a + b i)/d stored as three integers.
 
-    `Fraction` keeps each part normalized (positive denominator, reduced),
-    so equality is structural.
+    The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equality is
+    structural.  Ring operations work on integers only and reduce their
+    result with one gcd; `re` and `im` give the parts as reduced `Fraction`s.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
-    def __init__(self, re: RatLike = 0, im: RatLike = 0):
-        object.__setattr__(self, "re", as_fraction(re))
-        object.__setattr__(self, "im", as_fraction(im))
+    def __new__(cls, re: RatLike = 0, im: RatLike = 0):
+        re, im = as_fraction(re), as_fraction(im)
+        return _reduced(
+            re.numerator * im.denominator,
+            im.numerator * re.denominator,
+            re.denominator * im.denominator,
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot coerce {value!r} to GaussianRational")
+        z = _operand(value)
+        if z is None:
+            raise TypeError(f"cannot coerce {value!r} to GaussianRational")
+        return z
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     # -- predicates ------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self.b
 
     def sign_is_negative(self) -> bool:
         """Canonical sign: negative when re < 0, or re == 0 and im < 0."""
-        if self.re:
-            return self.re < 0
-        return self.im < 0
+        if self.a:
+            return self.a < 0
+        return self.b < 0
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d, f = self.d, other.d
+        if d == f:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * f + other.a * d, self.b * f + other.b * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        d, f = self.d, other.d
+        if d == f:
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * f - other.a * d, self.b * f - other.b * d, d * f)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        try:
-            other = GaussianRational.coerce(other)
-        except TypeError:
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         return other * self.inverse()
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
+        # d/(a + b i) = d (a - b i)/(a^2 + b^2)
+        a, b, d = self.a, self.b, self.d
+        norm = a * a + b * b
         if not norm:
             raise ZeroDivisionError("inverse of zero GaussianRational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _reduced(a * d, -b * d, norm)
 
     def __pow__(self, n: int):
         return power(self.inverse(), -n, ONE) if n < 0 else power(self, n, ONE)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _new(self.a, -self.b, self.d)
 
     # -- equality / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussianRational(other)
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        if type(other) is not GaussianRational:
+            other = _operand(other)
+            if other is None:
+                return NotImplemented
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -209,11 +245,46 @@ class GaussianRational:
         return cls(Fraction(obj.get("re", "0")), Fraction(obj.get("im", "0")))
 
     def __repr__(self):
-        if self.is_real:
-            return fraction_str(self.re)
-        if not self.re:
-            return f"{fraction_str(self.im)}*i"
-        return f"({fraction_str(self.re)}{'+' if self.im > 0 else '-'}{fraction_str(abs(self.im))}*i)"
+        re, im = self.re, self.im
+        if not im:
+            return fraction_str(re)
+        if not re:
+            return f"{fraction_str(im)}*i"
+        return f"({fraction_str(re)}{'+' if im > 0 else '-'}{fraction_str(abs(im))}*i)"
+
+
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _new(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational of a triple that is already canonical."""
+    z = object.__new__(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The GaussianRational (a + b i)/d for integers a, b and d > 0."""
+    g = gcd(a, b, d)
+    if g == 1:
+        return _new(a, b, d)
+    return _new(a // g, b // g, d // g)
+
+
+def _operand(value):
+    """``value`` as a GaussianRational, or None for a type other than
+    GaussianRational, int and Fraction."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, int):
+        return _new(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _new(value.numerator, 0, value.denominator)
+    return None
 
 
 GR = GaussianRational
@@ -417,16 +488,16 @@ class ParamPoly:
 
     @classmethod
     def from_json(cls, obj) -> "ParamPoly":
-        check_keys(obj, {"params", "terms"}, "ParamPoly JSON")
+        check_keys(obj, {"params", "terms"}, "ParamPoly JSON", required=("params", "terms"))
         params = tuple(obj["params"])
 
         def term(entry):
-            check_keys(entry, {"powers", "coeff"}, "ParamPoly term")
+            check_keys(entry, {"powers", "coeff"}, "ParamPoly term", required=("coeff",))
             powers = entry.get("powers", {})
             bad = set(powers) - set(params)
             if bad:
                 raise ValueError(f"unknown parameters {sorted(bad)}")
-            key = tuple(int(powers.get(name, 0)) for name in params)
+            key = tuple(as_exponent(powers.get(name, 0)) for name in params)
             return key, GaussianRational.from_json(entry["coeff"])
 
         return cls(params, map(term, obj["terms"]))
@@ -605,7 +676,7 @@ class RatFunc2:
 
     @classmethod
     def from_json(cls, obj) -> "RatFunc2":
-        check_keys(obj, {"num", "den"}, "RatFunc2 JSON")
+        check_keys(obj, {"num", "den"}, "RatFunc2 JSON", required=("num", "den"))
         return cls(ParamPoly.from_json(obj["num"]), ParamPoly.from_json(obj["den"]))
 
     def __repr__(self):
@@ -623,21 +694,10 @@ def primitive_real_poly(poly: ParamPoly) -> ParamPoly:
     """
     if poly.is_zero:
         return poly
-    from math import gcd
-
-    denlcm = 1
-    for coeff in poly.terms.values():
-        for part in (coeff.re, coeff.im):
-            denlcm = denlcm * part.denominator // gcd(denlcm, part.denominator)
-    nums = []
-    for coeff in poly.terms.values():
-        for part in (coeff.re, coeff.im):
-            if part:
-                nums.append(abs(int(part * denlcm)))
-    g = 0
-    for n in nums:
-        g = gcd(g, n)
-    scale = Fraction(denlcm, g if g else 1)
+    # a coefficient's d is the lcm of the denominators of its re and im parts
+    coeffs = poly.terms.values()
+    denlcm = lcm(*(c.d for c in coeffs))
+    scale = Fraction(denlcm, gcd(*(n * (denlcm // c.d) for c in coeffs for n in (c.a, c.b))))
     out = poly * scale
     if out.terms[max(out.terms)].sign_is_negative():
         out = -out

@@ -223,7 +223,9 @@ class ExpQuadForm:
 
     @classmethod
     def from_json(cls, obj) -> "ExpQuadForm":
-        check_keys(obj, {"prefactor", "exponent"}, "ExpQuadForm JSON")
+        check_keys(
+            obj, {"prefactor", "exponent"}, "ExpQuadForm JSON", required=("prefactor", "exponent")
+        )
         return cls(PhasePoly.from_json(obj["prefactor"]), PhasePoly.from_json(obj["exponent"]))
 
     def __repr__(self):

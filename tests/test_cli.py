@@ -191,6 +191,22 @@ class TestOtherCommands:
         rec = payload["records"][0]
         assert rec["locus_value"] == 4.0 and rec["region_sign"] == 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="--omega, --alpha and --beta are parsed as floats; the benchmark's own "
+        "tracer test still counts this point as a known failure",
+    )
+    def test_scan_locus_oscillator_point_on_locus(self, capsys):
+        # alpha * beta = 0.09 * 0.25 = 0.3^2 / 4 = omega^2 / 4 exactly
+        code, payload = run_json(
+            capsys, "scan-locus", "--omega=0.3", "--alpha=0.09", "--beta=0.25"
+        )
+        assert code == 0
+        (rec,) = payload["records"]
+        assert rec["region_sign"] == 0 and rec["locus_value"] == 0.0
+        assert (rec["q1"], rec["q2"]) == (-16.0, 8.0)
+        assert (rec["omega"], rec["alpha"], rec["beta"]) == (0.3, 0.09, 0.25)
+
     def test_finite_oracle(self, capsys):
         code, payload = run_json(
             capsys, "finite-oracle", "--n", "3", "--trials", "5", "--seed", "9"
@@ -278,6 +294,56 @@ class TestErrorHandling:
                 proc.kill()
         assert proc.returncode == 0
         assert b"Traceback" not in err and b"Exception ignored" not in err
+
+    @pytest.mark.parametrize(
+        "series, key",
+        [
+            ({"coupling": "g", "coeffs": [[{"x": 0, "p": 0, "hbar": 0}]]}, "coeff"),
+            ({"coupling": "g", "coeffs": [[{"coeff": {"params": ["a"]}}]]}, "terms"),
+            ({"coupling": "g", "coeffs": [[{"coeff": {"params": ["a"], "terms": [{}]}}]]}, "coeff"),
+            ({"coupling": "g"}, "coeffs"),
+            ({"coeffs": [[]]}, "coupling"),
+        ],
+    )
+    def test_series_without_required_key_exits_2(self, capsys, tmp_path, series, key):
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series), encoding="utf-8")
+        code, out, err = run(capsys, "starlog", "--series", str(path))
+        assert code == 2 and not out
+        assert repr(key) in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"x": 1.5, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}},
+            {"x": 0, "p": "1/2", "hbar": 0, "coeff": {"re": "1", "im": "0"}},
+            {"x": 0, "p": 0, "hbar": None, "coeff": {"re": "1", "im": "0"}},
+            {"coeff": {"params": ["a"], "terms": [{"powers": {"a": 0.5}, "coeff": {"re": "1"}}]}},
+        ],
+    )
+    def test_series_with_non_integer_exponent_exits_2(self, capsys, tmp_path, term):
+        one = {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"coupling": "g", "coeffs": [[one], [term]]}), encoding="utf-8")
+        code, out, err = run(capsys, "starlog", "--series", str(path))
+        assert code == 2 and not out
+        assert "exponent" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            {"x": 2.5, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}},
+            {"x": 2, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}, "params": {"a": 1.5}},
+        ],
+    )
+    def test_model_with_non_integer_exponent_exits_2(self, capsys, tmp_path, term):
+        p2 = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        model = {"name": "m", "hamiltonian": {"params": ["a"], "terms": [p2, term]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "dagger", "--model", str(path))
+        assert code == 2 and not out
+        assert "exponent" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
     def test_scan_locus_range_count_below_two(self, capsys, spec):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,94 @@ class TestGaussianRational:
         assert fraction_str(Fraction(5)) == "5"
         with pytest.raises(ValueError):
             GaussianRational.from_json({"re": "1", "imag": "2"})
+
+
+def _with_ref(drawn):
+    """An operand drawn as a pair (re, im) of Fractions, an int or a Fraction,
+    and its reference pair."""
+    if isinstance(drawn, tuple):
+        return GaussianRational(*drawn), drawn
+    return drawn, (Fraction(drawn), Fraction(0))
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_inverse(x):
+    norm = x[0] * x[0] + x[1] * x[1]
+    return x[0] / norm, -x[1] / norm
+
+
+def _ref_pow(x, n):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(n)):
+        out = _ref_mul(out, x)
+    return _ref_inverse(out) if n < 0 else out
+
+
+def assert_matches(z, ref):
+    """z is the canonical triple of the value ``ref`` = (re, im)."""
+    assert type(z) is GaussianRational
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    for part, want in ((z.re, ref[0]), (z.im, ref[1])):
+        assert type(part) is Fraction and part == want
+        assert part.denominator > 0 and gcd(part.numerator, part.denominator) == 1
+    re, im = ref
+    if im:
+        assert z != re and re != z
+    else:
+        assert z == re and re == z
+        if re.denominator == 1:
+            assert z == int(re) and int(re) == z
+
+
+wide_fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+wide_pairs = st.tuples(wide_fractions, wide_fractions)
+operands = st.one_of(wide_pairs, st.integers(-30, 30), wide_fractions)
+
+
+class TestGaussianRationalAgainstFractionPairs:
+    @given(wide_pairs, operands)
+    def test_ring_operations(self, x, w):
+        (z, x), (w, y) = _with_ref(x), _with_ref(w)
+        assert_matches(z, x)
+        assert_matches(z + w, (x[0] + y[0], x[1] + y[1]))
+        assert_matches(w + z, (x[0] + y[0], x[1] + y[1]))
+        assert_matches(z - w, (x[0] - y[0], x[1] - y[1]))
+        assert_matches(w - z, (y[0] - x[0], y[1] - x[1]))
+        assert_matches(-z, (-x[0], -x[1]))
+        assert_matches(z * w, _ref_mul(x, y))
+        assert_matches(w * z, _ref_mul(x, y))
+        assert_matches(z.conjugate(), (x[0], -x[1]))
+
+    @given(wide_pairs, operands)
+    def test_division_and_inverse(self, x, w):
+        (z, x), (w, y) = _with_ref(x), _with_ref(w)
+        if any(y):
+            assert_matches(z / w, _ref_mul(x, _ref_inverse(y)))
+        if any(x):
+            assert_matches(z.inverse(), _ref_inverse(x))
+            assert_matches(w / z, _ref_mul(y, _ref_inverse(x)))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z.inverse()
+
+    @given(wide_pairs, st.integers(-5, 6))
+    def test_power(self, x, n):
+        z, x = _with_ref(x)
+        if n < 0 and not any(x):
+            with pytest.raises(ZeroDivisionError):
+                z**n
+        else:
+            assert_matches(z**n, _ref_pow(x, n))
+
+    def test_constructor_reduces(self):
+        z = GaussianRational(Fraction(2, 6), Fraction(-4, 6))
+        assert (z.a, z.b, z.d) == (1, -2, 3)
+        zero = GaussianRational()
+        assert (zero.a, zero.b, zero.d) == (0, 0, 1)
+        assert_matches(GaussianRational("3/4", "-5/6"), (Fraction(3, 4), Fraction(-5, 6)))
 
 
 class TestRatFunc2:

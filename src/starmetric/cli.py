@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -172,39 +171,25 @@ def cmd_starlog(args):
     return payload, True
 
 
-def _certify_payload(path: str, order, latex: bool = False) -> dict:
-    model = load_model(path)
-    theta = solve_perturbative(
-        model.spec.h0,
-        model.spec.v,
-        order if order is not None else (model.order if model.order is not None else 3),
-        coupling=model.spec.coupling_name,
-    )
-    report = certify_metric(theta)
-    residual_zero = metric_residual(model.spec, theta).is_zero
+def _certify_payload(args, model: Model) -> dict:
+    theta = _solved_series(args, model)
     out = {"model": model.name}
-    out.update(report.to_json())
-    out["residual_zero"] = residual_zero
-    if latex:
+    out.update(certify_metric(theta).to_json())
+    out["residual_zero"] = metric_residual(model.spec, theta).is_zero
+    if args.latex:
         out["latex"] = series_latex(theta)
     return out
 
 
 def cmd_certify(args):
     _require(args.model, "certify needs at least one --model PATH")
-    paths = args.model
-    for path in paths:
-        if load_model(path).spec.coupling_name is None:
-            raise CliInputError(f"model {path!r} has no coupling; certify works on series metrics")
-    if args.jobs > 1 and len(paths) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(
-                pool.map(
-                    _certify_payload, paths, [args.order] * len(paths), [args.latex] * len(paths)
-                )
-            )
-    else:
-        reports = [_certify_payload(path, args.order, args.latex) for path in paths]
+    models = []
+    for path in args.model:
+        model = load_model(path)
+        message = f"model {path!r} has no coupling; certify works on series metrics"
+        _require(model.spec.has_coupling, message)
+        models.append(model)
+    reports = [_certify_payload(args, model) for model in models]
     ok = all(r["hermitian"] and r["positive"] and r["residual_zero"] for r in reports)
     payload = {"reports": reports} if len(reports) > 1 else reports[0]
     return payload, ok
@@ -433,7 +418,7 @@ def cmd_scan_locus(args):
         )
         try:
             q1, q2 = berry.oscillator_parameters(args.omega, args.alpha, args.beta)
-        except ZeroDivisionError as exc:
+        except (ZeroDivisionError, OverflowError) as exc:
             raise CliInputError(str(exc)) from exc
         record = _scan_record(q1, q2)
         record["omega"], record["alpha"], record["beta"] = args.omega, args.alpha, args.beta
@@ -474,7 +459,7 @@ _COMMANDS = {
     "residual": (cmd_residual, ("model", "theta")),
     "solve": (cmd_solve, ("model", "order", "latex")),
     "starlog": (cmd_starlog, ("model", "series", "order", "latex")),
-    "certify": (cmd_certify, ("model", "order", "jobs", "latex")),
+    "certify": (cmd_certify, ("model", "order", "latex")),
     "family": (cmd_family, ("model", "observable", "order")),
     "berry2x2": (cmd_berry2x2, ("trials", "seed")),
     "berry-osc": (cmd_berry_osc, ("q1", "q2")),

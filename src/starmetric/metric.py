@@ -13,6 +13,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, as_exponent, check_keys
 from .star import (
+    BadConstantTerm,
     ExpQuadForm,
     NonTerminating,
     dagger,
@@ -517,7 +518,12 @@ def solve_perturbative(
 
 
 class CertReport:
-    """Outcome of hermiticity/positivity certification of a series metric."""
+    """Outcome of hermiticity/positivity certification of a series metric.
+
+    ``positive`` is the hermiticity of the star-logarithm, which for a
+    series with constant term 1 always equals ``hermitian``; see
+    `certify_metric`.
+    """
 
     __slots__ = ("hermitian", "positive", "order")
 
@@ -540,16 +546,18 @@ def certify_metric(theta: CouplingSeries) -> CertReport:
     """Criterion-based hermiticity of the series and of its star-logarithm.
 
     The hermiticity criterion is linear, so a series is hermitian iff every
-    coefficient is; positivity holds when the star-log coefficients are.
+    coefficient is.  Positivity holds when the star-log coefficients are
+    hermitian, and that is the same test: dagger is conjugate-linear and
+    reverses star products, (A*B)^dagger = B^dagger * A^dagger (Zachos,
+    Fairlie and Curtright, Quantum Mechanics in Phase Space, 2005), and the
+    coefficients of star_log and star_exp are real.  So log_*(Theta) is
+    hermitian exactly when Theta = exp_*(log_*(Theta)) is, order by order,
+    and the log is never built.
     """
-    from .star import BadConstantTerm
-
     if theta.coeffs[0] != PhasePoly.one():
         raise BadConstantTerm("certification expects a series with constant term 1")
     hermitian = all(is_hermitian(c) for c in theta.coeffs)
-    log = star_log(theta)
-    positive = all(is_hermitian(c) for c in log.coeffs)
-    return CertReport(hermitian, positive, theta.order)
+    return CertReport(hermitian, hermitian, theta.order)
 
 
 def solution_family_closure(

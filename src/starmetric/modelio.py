@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from .metric import HamiltonianSpec
+from .scalars import as_exponent, as_fraction
 
 _TOP_KEYS = {"name", "hamiltonian", "options"}
 _OPTION_KEYS = {"order", "observables", "hbar", "numeric"}
@@ -49,7 +49,7 @@ def model_from_obj(obj) -> Model:
         raise ModelError(f"unknown option keys: {sorted(extra)}")
     order = options.get("order")
     if order is not None:
-        order = int(order)
+        order = as_exponent(order)
         if order < 0:
             raise ModelError("order must be >= 0")
     observables = options.get("observables", [])
@@ -58,8 +58,8 @@ def model_from_obj(obj) -> Model:
         raise ModelError(f"unknown observables: {sorted(bad)}")
     hbar = options.get("hbar")
     if hbar is not None:
-        hbar = Fraction(hbar)
-    numeric = {k: Fraction(v) for k, v in options.get("numeric", {}).items()}
+        hbar = as_fraction(hbar)
+    numeric = {k: as_fraction(v) for k, v in options.get("numeric", {}).items()}
     return Model(obj["name"], spec, order, observables, hbar, numeric)
 
 

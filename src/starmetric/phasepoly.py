@@ -412,7 +412,7 @@ class CouplingSeries:
         )
         coeffs = [PhasePoly.from_json(c) for c in obj["coeffs"]]
         series = cls(obj["coupling"], coeffs)
-        if "order" in obj and int(obj["order"]) != series.order:
+        if "order" in obj and as_exponent(obj["order"]) != series.order:
             raise ValueError("series order does not match coefficient count")
         return series
 

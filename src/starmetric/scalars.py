@@ -34,11 +34,14 @@ class ZeroDenominator(ValueError):
 
 
 def as_fraction(value: RatLike) -> Fraction:
+    """An exact rational: a Fraction, an int or a numeric string.  A float or
+    a bool is a ValueError, so no JSON number but an integer reaches the
+    exact layer."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
 def as_exponent(value) -> int:
@@ -242,7 +245,7 @@ class GaussianRational:
     def from_json(cls, obj) -> "GaussianRational":
         if not isinstance(obj, Mapping) or set(obj) - {"re", "im"}:
             raise ValueError(f"bad GaussianRational JSON: {obj!r}")
-        return cls(Fraction(obj.get("re", "0")), Fraction(obj.get("im", "0")))
+        return cls(obj.get("re", "0"), obj.get("im", "0"))
 
     def __repr__(self):
         re, im = self.re, self.im

@@ -79,12 +79,32 @@ class TestCertifyResidual:
         assert code == 0
         assert payload["hermitian"] is True and payload["positive"] is True
 
-    def test_certify_multiple_with_jobs(self, capsys):
-        code, payload = run_json(
-            capsys, "certify", "--model", IX3, "--model", IX3, "--order", "1", "--jobs", "2"
-        )
+    def test_certify_matches_golden_bytes(self, capsys):
+        code, out, _ = run(capsys, "certify", "--model", IX3, "--order", "4", "--latex")
+        assert code == 0
+        assert out == (GOLDENS / "certify_ix3_order4.json").read_text(encoding="utf-8")
+
+    def test_certify_multiple_models(self, capsys):
+        code, payload = run_json(capsys, "certify", "--model", IX3, "--model", IX3, "--order", "1")
         assert code == 0
         assert len(payload["reports"]) == 2
+
+    def test_certify_non_pt_potential_fails(self, capsys, tmp_path):
+        # V = i x^2 is not PT-symmetric: the solved metric is not hermitian
+        term = lambda x, p, re, im: {"x": x, "p": p, "hbar": 0, "coeff": {"re": re, "im": im}}
+        model = {
+            "name": "ix2",
+            "hamiltonian": {
+                "terms": [term(0, 2, "1", "0")],
+                "coupling": {"name": "g", "V": [term(2, 0, "0", "1")]},
+            },
+        }
+        path = tmp_path / "ix2.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, payload = run_json(capsys, "certify", "--model", str(path))
+        assert code == 1
+        assert payload["hermitian"] is False and payload["positive"] is False
+        assert payload["residual_zero"] is True
 
     def test_certify_rejects_uncoupled_model(self, capsys):
         code, out, err = run(capsys, "certify", "--model", SHIFTED)
@@ -263,6 +283,68 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--omega", "1e400", "--alpha", "0", "--beta", "0"),
+            ("--omega", "1", "--alpha", "inf", "--beta", "0"),
+        ],
+    )
+    def test_scan_locus_infinite_oscillator_parameter_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "scan-locus", *flags)
+        assert code == 2 and not out
+        assert "error" in json.loads(err)
+
+    @pytest.mark.parametrize(
+        "coeff, options",
+        [
+            ({"re": 0.1, "im": "0"}, {}),
+            ({"re": "1", "im": True}, {}),
+            ({"re": "1", "im": "0"}, {"hbar": 0.5}),
+            ({"re": "1", "im": "0"}, {"numeric": {"a": "3/2", "b": 0.5}}),
+        ],
+    )
+    def test_model_with_non_exact_rational_exits_2(self, capsys, tmp_path, coeff, options):
+        term = {"x": 0, "p": 2, "hbar": 0, "coeff": coeff}
+        model = {"name": "m", "hamiltonian": {"terms": [term]}, "options": options}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "dagger", "--model", str(path))
+        assert code == 2 and not out
+        assert "exact rational" in json.loads(err)["error"]
+
+    def test_series_with_float_coefficient_exits_2(self, capsys, tmp_path):
+        one = {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        x = {"x": 1, "p": 0, "hbar": 0, "coeff": {"re": "0", "im": 0.5}}
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"coupling": "g", "coeffs": [[one], [x]]}), encoding="utf-8")
+        code, out, err = run(capsys, "starlog", "--series", str(path))
+        assert code == 2 and not out
+        assert "exact rational" in json.loads(err)["error"]
+
+    def test_model_with_non_integral_order_exits_2(self, capsys, tmp_path):
+        p2 = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        ix3 = {"x": 3, "p": 0, "hbar": 0, "coeff": {"re": "0", "im": "1"}}
+        model = {
+            "name": "m",
+            "hamiltonian": {"terms": [p2], "coupling": {"name": "g", "V": [ix3]}},
+            "options": {"order": 2.7},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--model", str(path))
+        assert code == 2 and not out
+        assert "2.7" in json.loads(err)["error"]
+
+    def test_series_with_non_integral_order_exits_2(self, capsys, tmp_path):
+        one = {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        series = {"coupling": "g", "order": 2.7, "coeffs": [[one], [], []]}
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps(series), encoding="utf-8")
+        code, out, err = run(capsys, "starlog", "--series", str(path))
+        assert code == 2 and not out
+        assert "2.7" in json.loads(err)["error"]
+
     def test_pde_with_negative_p_power_in_dagger_exits_2(self, tmp_path):
         # H = p^2 + i x/p: the p-derivative chain of dagger(H) never vanishes
         model = {
@@ -366,6 +448,7 @@ class TestErrorHandling:
             ("pde", "--model", IX3, "--order", "2"),
             ("finite-oracle", "--latex"),
             ("star", "--model", SHIFTED, "--theta", "p^2", "--jobs", "2"),
+            ("certify", "--model", IX3, "--jobs", "2"),
         ],
     )
     def test_command_rejects_flags_it_does_not_read(self, capsys, argv):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starmetric import (
     DegenerateParams,
@@ -11,6 +12,7 @@ from starmetric import (
     PhasePoly,
     certify_metric,
     cubic_pt,
+    dagger,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
     gaussian_family_constraint,
@@ -241,6 +243,19 @@ class TestCertify:
         bad = CouplingSeries("g", [PhasePoly.one(), PhasePoly.monomial(I, 1, 0, 0)])
         report = certify_metric(bad)
         assert not report.hermitian
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(0, 2**32), st.lists(st.booleans(), min_size=1, max_size=4))
+    def test_star_log_hermitian_iff_series_hermitian(self, seed, hermitian):
+        # coefficient n is a random Laurent-in-p polynomial, or its hermitian part
+        rng = random.Random(seed)
+        coeffs = [PhasePoly.one()]
+        for make_hermitian in hermitian:
+            c = random_poly(rng, max_terms=3, max_x=2)
+            coeffs.append((c + dagger(c)).scaled(Fraction(1, 2)) if make_hermitian else c)
+        s = CouplingSeries("g", coeffs)
+        by_log = all(is_hermitian(c) for c in star_log(s).coeffs)
+        assert by_log == all(is_hermitian(c) for c in s.coeffs) == certify_metric(s).positive
 
 
 class TestLogLinearInN:

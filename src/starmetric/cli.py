@@ -487,22 +487,29 @@ _FLAGS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subparser of the command that
+    ``argv[0]`` names, or with all of them when it names none (``-h``, an
+    unknown command).  The metavar keeps the top-level usage listing every
+    command either way."""
     parser = argparse.ArgumentParser(
         prog="starmetric",
         description="Exact star-product calculus for metric operators and Berry connections",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (_, flags) in _COMMANDS.items():
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
         p = sub.add_parser(name)
-        for flag in flags:
+        for flag in _COMMANDS[name][1]:
             spec = {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
             p.add_argument(f"--{flag}", **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         payload, ok = _COMMANDS[args.cmd][0](args)
     except json.JSONDecodeError as exc:

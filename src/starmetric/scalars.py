@@ -46,7 +46,9 @@ def as_fraction(value: RatLike) -> Fraction:
 
 def as_exponent(value) -> int:
     """An exponent read from input: an int, or a number or numeric string
-    with an integral value; anything else is a ValueError."""
+    with an integral value; anything else, a bool included, is a ValueError."""
+    if isinstance(value, bool):
+        raise ValueError(f"exponent must be an integer: {value!r}")
     try:
         e = int(value)
         integral = isinstance(value, str) or e == value

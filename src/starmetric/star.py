@@ -10,30 +10,49 @@ operator ordering exp(i t p_hat) exp(i s x_hat) used to expand operators
 into functions.  Every sign in this module hangs off this choice; do not
 "fix" one occurrence in isolation.
 
-Every truncating hbar-sum in the package goes through one kernel:
-`derivative_chain` lists f, step(f), step(step(f)), ... and stops at the
-first zero, and `moyal_terms` puts the factor (sign * i hbar)^k / k! on the
-k-th term.  The star product zips the x chain of the left operand with the
-p chain of the right one, so the sum stops as soon as either chain
-vanishes; it always stops because the x degree of the left operand is
-finite by the PhasePoly type invariant.  The adjoint map and hermiticity
-criterion
+The star product and the adjoint work monomial by monomial.  For
+A = c1 x^x1 p^p1 hbar^h1 and B = c2 x^x2 p^p2 hbar^h2 the k-th term of the
+sum is
+
+    i^k C(x1, k) ff(p2, k) c1 c2  x^(x1+x2-k) p^(p1+p2-k) hbar^(h1+h2+k),
+
+where ff(p2, k) = p2 (p2 - 1) ... (p2 - k + 1) is an integer for negative p2
+too.  The weight w_k = C(x1, k) ff(p2, k) is an integer: w_0 = 1 and
+w_{k+1} = w_k (x1 - k)(p2 - k)/(k + 1), an exact division.  The sum stops
+after k = x1, or when w reaches 0 (0 <= p2 < k); it always stops because the
+x degree is finite by the PhasePoly type invariant.  The adjoint map and
+hermiticity criterion
 
     A_dagger = exp(+i hbar dx dp) conj(A)
     A hermitian  iff  conj(A) = exp(-i hbar dx dp) A
 
-are the same kernel over the dx dp chain, and `star_poly_expquad` and
-`metric.pde_operator` use it too.
+are the same loop over one term at a time, with (x1, p2) the term's own
+(x, p) and (sign i)^k as the unit.
+
+When every coefficient of both operands is a `GaussianRational`, each
+operand is scaled to Gaussian-integer numerators over one denominator (the
+lcm of its d's).  The kernel then sums plain integer pairs per output
+monomial and builds each output coefficient with one gcd, over the product
+of the two denominators (Knuth, TAOCP vol. 2, 4.6.1, content and primitive
+part).  Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands)
+takes the same loop with the ring's own product, merged by
+`scalars.accumulate`.
+
+`derivative_chain` (f, step(f), ... up to the first zero) and `moyal_terms`
+(the factor (sign i hbar)^k / k! on the k-th term) remain for the sums that
+need a real chain of derivatives: the prefactor recursion of
+`star_poly_expquad` and `metric.pde_operator`.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, lcm
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import I, check_keys
+from .scalars import GaussianRational, I, _reduced, check_keys
 
 __all__ = [
     "derivative_chain",
@@ -95,9 +114,89 @@ def _dp(f: PhasePoly) -> PhasePoly:
     return f.derivative("p")
 
 
+@lru_cache(maxsize=1024)
+def _weights(x1: int, p2: int) -> tuple:
+    """C(x1, k) ff(p2, k) for k = 0, 1, ... up to k = x1 or the first zero.
+
+    w_{k+1} = w_k (x1 - k)(p2 - k)/(k + 1) is an exact division, since
+    C(x1, k)(x1 - k) = C(x1, k + 1)(k + 1); w reaches 0 once k > p2 >= 0.
+    """
+    out = [1]
+    for k in range(x1):
+        w = out[k] * (x1 - k) * (p2 - k) // (k + 1)
+        if not w:
+            break
+        out.append(w)
+    return tuple(out)
+
+
+def _moyal(products, sign: int, den: int | None = None) -> PhasePoly:
+    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c x^(x-k) p^(p-k) hbar^(h+k)
+    over the items (x1, p2, (x, p, h), c) of ``products``.
+
+    Given a denominator ``den``, each c is a Gaussian integer (re, im) over
+    it: the sums are plain integers and each output term costs one gcd.
+    Without one, c is any coefficient, scaled by (sign i)^k w once per k and
+    merged by `accumulate`.
+    """
+    if den is None:
+        unit = I * sign
+
+        def terms():
+            for x1, p2, (x, p, h), c in products:
+                for k, w in enumerate(_weights(x1, p2)):
+                    yield (x - k, p - k, h + k), c * (unit**k * w) if k else c
+
+        return PhasePoly._of(terms())
+    acc: dict = {}
+    get = acc.get
+    for x1, p2, (x, p, h), (re, im) in products:
+        for k, w in enumerate(_weights(x1, p2)):
+            if k:
+                # multiply by sign * i, one k at a time
+                re, im = -sign * im, sign * re
+            key = (x - k, p - k, h + k)
+            sums = get(key)
+            if sums is None:
+                acc[key] = [re * w, im * w]
+            else:
+                sums[0] += re * w
+                sums[1] += im * w
+    return PhasePoly._of(
+        (key, _reduced(re, im, den)) for key, (re, im) in acc.items() if re or im
+    )
+
+
+def _numerators(a: PhasePoly):
+    """The terms of a as (key, (re, im)) Gaussian-integer numerators over one
+    common denominator, and that denominator; None unless every coefficient
+    is a GaussianRational."""
+    coeffs = a.terms.values()
+    if not all(type(c) is GaussianRational for c in coeffs):
+        return None
+    # a list, not a generator: a tuple unpacked from a generator is built with
+    # ten slots and shrunk, which leaves one more tuple on CPython's free list
+    # for its final size on every call
+    den = lcm(*[c.d for c in coeffs])
+    return [(key, (c.a * (den // c.d), c.b * (den // c.d))) for key, c in a.terms.items()], den
+
+
 def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    pairs = zip(derivative_chain(a, _dx), derivative_chain(b, _dp))
-    return sum(moyal_terms(da * db for da, db in pairs), PhasePoly.zero())
+    na, nb = _numerators(a), _numerators(b)
+    if na is None or nb is None:
+        products = (
+            (x1, p2, (x1 + x2, p1 + p2, h1 + h2), c1 * c2)
+            for (x1, p1, h1), c1 in a.terms.items()
+            for (x2, p2, h2), c2 in b.terms.items()
+        )
+        return _moyal(products, 1)
+    (ta, da), (tb, db) = na, nb
+    products = (
+        (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (r1 * r2 - m1 * m2, r1 * m2 + m1 * r2))
+        for (x1, p1, h1), (r1, m1) in ta
+        for (x2, p2, h2), (r2, m2) in tb
+    )
+    return _moyal(products, 1, da * db)
 
 
 def dagger(a: PhasePoly) -> PhasePoly:
@@ -107,8 +206,11 @@ def dagger(a: PhasePoly) -> PhasePoly:
 
 def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
     """Apply exp(sign * i hbar dx dp) to a; terminates on the x degree."""
-    chain = derivative_chain(a, lambda f: _dp(_dx(f)))
-    return sum(moyal_terms(chain, sign), PhasePoly.zero())
+    na = _numerators(a)
+    if na is None:
+        return _moyal(((k[0], k[1], k, c) for k, c in a.terms.items()), sign)
+    ta, den = na
+    return _moyal(((k[0], k[1], k, c) for k, c in ta), sign, den)
 
 
 def is_hermitian(a: PhasePoly) -> bool:

@@ -336,6 +336,30 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "2.7" in json.loads(err)["error"]
 
+    def test_model_with_bool_order_exits_2(self, capsys, tmp_path):
+        p2 = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        ix3 = {"x": 3, "p": 0, "hbar": 0, "coeff": {"re": "0", "im": "1"}}
+        model = {
+            "name": "m",
+            "hamiltonian": {"terms": [p2], "coupling": {"name": "g", "V": [ix3]}},
+            "options": {"order": True},
+        }
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--model", str(path))
+        assert code == 2 and not out
+        assert "exponent" in json.loads(err)["error"]
+
+    def test_model_with_bool_exponent_exits_2(self, capsys, tmp_path):
+        p2 = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        term = {"x": True, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+        model = {"name": "m", "hamiltonian": {"terms": [p2, term]}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "dagger", "--model", str(path))
+        assert code == 2 and not out
+        assert "exponent" in json.loads(err)["error"]
+
     def test_series_with_non_integral_order_exits_2(self, capsys, tmp_path):
         one = {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
         series = {"coupling": "g", "order": 2.7, "coeffs": [[one], [], []]}
@@ -455,6 +479,62 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+
+class TestParser:
+    """Usage and error texts at 80 columns: they must not depend on which
+    subparsers a call builds."""
+
+    COMMANDS = (
+        "{star,dagger,check-hermitian,pde,residual,solve,starlog,certify,family,"
+        "berry2x2,berry-osc,scan-locus,finite-oracle,emit-latex}"
+    )
+    USAGE = f"usage: starmetric [-h]\n                  {COMMANDS}\n                  ...\n"
+
+    def parse(self, capsys, monkeypatch, *argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def test_unread_flag_of_a_known_command(self, capsys, monkeypatch):
+        code, out, err = self.parse(capsys, monkeypatch, "solve", "--jobs", "2")
+        assert (code, out) == (2, "")
+        assert err == self.USAGE + "starmetric: error: unrecognized arguments: --jobs 2\n"
+
+    def test_unknown_command(self, capsys, monkeypatch):
+        code, out, err = self.parse(capsys, monkeypatch, "frobnicate")
+        assert (code, out) == (2, "")
+        choices = ", ".join(f"'{c}'" for c in self.COMMANDS.strip("{}").split(","))
+        assert err == (
+            self.USAGE
+            + "starmetric: error: argument cmd: invalid choice: 'frobnicate' "
+            + f"(choose from {choices})\n"
+        )
+
+    def test_top_level_help_lists_every_command(self, capsys, monkeypatch):
+        code, out, err = self.parse(capsys, monkeypatch, "-h")
+        assert (code, err) == (0, "")
+        assert out == (
+            self.USAGE
+            + "\nExact star-product calculus for metric operators and Berry connections\n"
+            + f"\npositional arguments:\n  {self.COMMANDS}\n"
+            + "\noptions:\n  -h, --help            show this help message and exit\n"
+        )
+
+    def test_subcommand_usage(self, capsys, monkeypatch):
+        code, out, err = self.parse(capsys, monkeypatch, "certify", "--order", "x")
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: starmetric certify [-h] [--model MODEL] [--order ORDER] [--latex]\n"
+            "starmetric certify: error: argument --order: invalid int value: 'x'\n"
+        )
+
+    def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["starmetric", "dagger", "--model", SHIFTED])
+        assert main() == 0
+        assert "dagger" in json.loads(capsys.readouterr().out)
 
 
 class TestBundledModels:

@@ -118,6 +118,31 @@ class TestDagger:
             assert is_hermitian(a) == (dagger(a) == a)
 
 
+class TestCoefficientPaths:
+    def test_gaussian_and_parampoly_coefficients_agree(self):
+        # star and the adjoint take an integer-numerator path when every
+        # coefficient is a GaussianRational and a generic one otherwise;
+        # lifting the coefficients to ParamPoly constants must not change
+        # any result
+        def lift(poly):
+            return poly.map_coeffs(lambda c: ParamPoly.constant(("a",), c))
+
+        rng = random.Random(11)
+        verdicts = []
+        for _ in range(30):
+            a = random_poly(rng, max_x=5)
+            b = random_poly(rng, p_span=3, h_span=2)
+            expected = lift(star(a, b))
+            assert star(lift(a), lift(b)) == expected
+            assert star(a, lift(b)) == expected
+            assert star(lift(a), b) == expected
+            assert lift(dagger(a)) == dagger(lift(a))
+            for h in (a, a + dagger(a)):
+                verdicts.append(is_hermitian(h))
+                assert is_hermitian(lift(h)) == verdicts[-1]
+        assert any(verdicts) and not all(verdicts)
+
+
 class TestHermiticity:
     def test_examples(self):
         assert is_hermitian(p**2 + x**2)

@@ -118,6 +118,52 @@ def test_is_hermitian_matches_sympy():
     assert any(verdicts) and not all(verdicts)
 
 
+def param_poly(rng, **kw) -> PhasePoly:
+    """A random PhasePoly whose coefficients are Laurent polynomials in a, b."""
+    poly = random_poly(rng, **kw)
+    params = ("a", "b")
+
+    def lift(c):
+        key = (rng.randint(-1, 2), rng.randint(0, 1))
+        return ParamPoly(params, {key: c, (0, 0): random_gr(rng, span=2)})
+
+    return PhasePoly({k: lift(c) for k, c in poly.terms.items()})
+
+
+# both coefficient paths of the kernel: all Gaussian rationals, all ParamPoly,
+# and each mix; x degree up to 5 on the left, negative p and hbar powers on
+# the right
+OPERANDS = {
+    "gr": lambda rng, **kw: random_poly(rng, **kw),
+    "param": param_poly,
+}
+
+
+@pytest.mark.parametrize("left", sorted(OPERANDS))
+@pytest.mark.parametrize("right", sorted(OPERANDS))
+def test_star_matches_sympy_on_both_coefficient_paths(left, right):
+    rng = random.Random(f"{left}-{right}")
+    for _ in range(6):
+        a = OPERANDS[left](rng, max_terms=3, max_x=5)
+        b = OPERANDS[right](rng, max_terms=3, p_span=3, h_span=2)
+        assert same(to_sympy(star(a, b)), moyal(to_sympy(a), to_sympy(b)))
+
+
+@pytest.mark.parametrize("kind", sorted(OPERANDS))
+def test_adjoint_matches_sympy_on_both_coefficient_paths(kind):
+    rng = random.Random(f"adjoint-{kind}")
+    verdicts = []
+    for _ in range(6):
+        b = OPERANDS[kind](rng, max_terms=3, max_x=5, p_span=3, h_span=2)
+        assert same(to_sympy(dagger(b)), sym_dagger(to_sympy(b)))
+        for a in (b, b + dagger(b)):
+            expr = to_sympy(a)
+            expected = same(sp.conjugate(expr), exp_mixed(expr, -1))
+            assert is_hermitian(a) == expected
+            verdicts.append(expected)
+    assert any(verdicts) and not all(verdicts)
+
+
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_star_poly_expquad_matches_sympy(side):
     rng = random.Random(44 if side == "left" else 45)

@@ -242,15 +242,7 @@ def holonomy_exceptional() -> np.ndarray:
 def holonomy_product_form(n: int) -> np.ndarray:
     """(1 + 2 pi A_phi / n)^n; converges to the exact monodromy as n grows."""
     step = np.eye(2, dtype=complex) + (2.0 * np.pi / n) * AZIMUTHAL_LIMIT
-    out = np.eye(2, dtype=complex)
-    base = step
-    k = n
-    while k:
-        if k & 1:
-            out = out @ base
-        base = base @ base
-        k >>= 1
-    return out
+    return np.linalg.matrix_power(step, n)
 
 
 def coalescing_eigenvectors(w: complex) -> Tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from .metric import (
 )
 from .modelio import Model, ModelError, load_model
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import ParamPoly, PoleAtPoint
+from .scalars import ParamPoly, PoleAtPoint, as_fraction
 from .star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
 
 
@@ -369,7 +369,7 @@ def cmd_berry_osc(args):
         "locus_latex": param_poly_latex(locus),
     }
     if args.q1 is not None and args.q2 is not None:
-        q1, q2 = Fraction(args.q1), Fraction(args.q2)
+        q1, q2 = as_fraction(args.q1), as_fraction(args.q2)
         value = berry.locus_value(q1, q2)
         point = {"q1": str(q1), "q2": str(q2), "locus_value": str(value)}
         if value == 0:
@@ -392,11 +392,11 @@ def cmd_berry_osc(args):
 def _parse_range(spec: str):
     if ":" in spec:
         lo, hi, count = spec.split(":")
-        lo, hi, count = Fraction(lo), Fraction(hi), int(count)
+        lo, hi, count = as_fraction(lo), as_fraction(hi), int(count)
         _require(count >= 2, f"range {spec!r}: count must be at least 2")
         step = (hi - lo) / (count - 1)
         return [lo + k * step for k in range(count)]
-    return [Fraction(spec)]
+    return [as_fraction(spec)]
 
 
 def _scan_record(q1: Fraction, q2: Fraction) -> dict:

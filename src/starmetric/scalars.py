@@ -34,13 +34,17 @@ class ZeroDenominator(ValueError):
 
 
 def as_fraction(value: RatLike) -> Fraction:
-    """An exact rational: a Fraction, an int or a numeric string.  A float or
-    a bool is a ValueError, so no JSON number but an integer reaches the
-    exact layer."""
+    """An exact rational: a Fraction, an int or a numeric string.  A float, a
+    bool or a zero denominator is a ValueError, so no JSON number but an
+    integer reaches the exact layer."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            msg = f"cannot interpret {value!r} as an exact rational: zero denominator"
+            raise ValueError(msg) from None
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 

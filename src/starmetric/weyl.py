@@ -9,6 +9,17 @@ deliberate; exactness lives in the continuum modules, cross-validation here.
 The discrete phase phi = 2 pi / N plays the role of hbar (the basis rule
 e^{-i phi m n'} mirrors the continuum monomial rule); no formal limit is
 taken anywhere.
+
+Every kernel is an array expression over one cached table per N, the phase
+matrix P[j, k] = e^{-i phi jk}, plus the index table (a - k) mod N.  In
+Schwinger's unitary operator basis (PNAS 46 (1960) 570), g^n h^m has the
+entries w^{nk} on the shift diagonal (k, k - m), so the operator <-> torus
+transform is a DFT (a product with P) along each shift diagonal.
+`discrete_star` never goes through the operator product: it is the twisted
+convolution of the Fourier data with the phase P[m, n'], written as one
+contraction.  `isomorphism_trial` compares it with op_to_fun(A B), and a
+shared operator product would make that check a tautology; the two sides
+share only the tables.
 """
 
 from __future__ import annotations
@@ -66,33 +77,31 @@ def clock_shift(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def _basis_ops(n: int) -> np.ndarray:
-    g, h = clock_shift(n)
-    gs = [np.linalg.matrix_power(g, k) for k in range(n)]
-    hs = [np.linalg.matrix_power(h, k) for k in range(n)]
-    return np.array([[gs[i] @ hs[j] for j in range(n)] for i in range(n)])
+def _tables(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The phase table P[j, k] = e^{-2 pi i jk/N} and the difference table
+    D[a, k] = (a - k) mod N that every kernel below indexes with.  Both are
+    shared by every caller, so they are read-only."""
+    if n < 2:
+        raise ValueError("N must be at least 2")
+    k = np.arange(n)
+    p = np.exp(-2j * np.pi / n * (np.outer(k, k) % n))
+    d = (k[:, None] - k) % n
+    p.flags.writeable = d.flags.writeable = False
+    return p, d
 
 
 def op_to_fun(a: np.ndarray) -> TorusFunction:
-    """Fourier coefficients a_{n,m} = tr((g^n h^m)^dagger A) / N."""
+    """Fourier coefficients a_{n,m} = tr((g^n h^m)^dagger A) / N: the DFT of
+    the shift diagonal A[k, k - m] along k."""
     n = a.shape[0]
-    basis = _basis_ops(n)
-    grid = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            grid[i, j] = np.trace(basis[i, j].conj().T @ a) / n
-    return TorusFunction(n, grid)
+    p, d = _tables(n)
+    return TorusFunction(n, p @ np.take_along_axis(a, d, axis=1) / n)
 
 
 def fun_to_op(f: TorusFunction) -> np.ndarray:
-    basis = _basis_ops(f.n)
-    out = np.zeros((f.n, f.n), dtype=complex)
-    for i in range(f.n):
-        for j in range(f.n):
-            c = f.fourier[i, j]
-            if c:
-                out += c * basis[i, j]
-    return out
+    """The inverse DFT of each column m, put back on the diagonal A[k, k - m]."""
+    p, d = _tables(f.n)
+    return np.take_along_axis(p.conj() @ f.fourier, d, axis=1)
 
 
 def discrete_star(f: TorusFunction, g: TorusFunction) -> TorusFunction:
@@ -103,35 +112,23 @@ def discrete_star(f: TorusFunction, g: TorusFunction) -> TorusFunction:
 
     exponents reduced mod N (g^N = h^N = 1 exactly).  The phase matches the
     reordering g^n h^m g^{n'} h^{m'} = e^{-i phi m n'} g^{n+n'} h^{m+m'}.
+    Output (a, b) sums f[a - n', m] P[m, n'] g[n', b - m] over m and n'.
     """
     if f.n != g.n:
         raise SizeMismatch(f"N = {f.n} vs {g.n}")
-    n = f.n
-    phi = 2.0 * np.pi / n
-    out = np.zeros((n, n), dtype=complex)
-    fi, fj = np.nonzero(f.fourier)
-    gi, gj = np.nonzero(g.fourier)
-    for i1, j1 in zip(fi, fj):
-        c1 = f.fourier[i1, j1]
-        for i2, j2 in zip(gi, gj):
-            phase = np.exp(-1j * phi * j1 * i2)
-            out[(i1 + i2) % n, (j1 + j2) % n] += c1 * g.fourier[i2, j2] * phase
-    return TorusFunction(n, out)
+    p, d = _tables(f.n)
+    left = f.fourier[d].transpose(0, 2, 1) * p  # [a, m, n'] = f[a - n', m] P[m, n']
+    right = g.fourier.T[d]  # [b, m, n'] = g[n', b - m]
+    return TorusFunction(f.n, np.tensordot(left, right, axes=([1, 2], [1, 2])))
 
 
 def discrete_dagger(f: TorusFunction) -> TorusFunction:
     """Image of the operator adjoint: entry (n, m) goes to the conjugate at
     (-n mod N, -m mod N) with phase e^{-i phi n m} from reordering
     (g^n h^m)^dagger = e^{-i phi n m} g^{-n} h^{-m}."""
-    n = f.n
-    phi = 2.0 * np.pi / n
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            c = f.fourier[i, j]
-            if c:
-                out[(-i) % n, (-j) % n] += np.conj(c) * np.exp(-1j * phi * i * j)
-    return TorusFunction(n, out)
+    p, d = _tables(f.n)
+    neg = d[0]  # -k mod N
+    return TorusFunction(f.n, (np.conj(f.fourier) * p)[np.ix_(neg, neg)])
 
 
 def discrete_is_hermitian(f: TorusFunction, tol: float = 1e-10) -> bool:

@@ -302,6 +302,8 @@ class TestErrorHandling:
             ({"re": "1", "im": True}, {}),
             ({"re": "1", "im": "0"}, {"hbar": 0.5}),
             ({"re": "1", "im": "0"}, {"numeric": {"a": "3/2", "b": 0.5}}),
+            ({"re": "1/0", "im": "0"}, {}),
+            ({"re": "1", "im": "0"}, {"hbar": "1/0"}),
         ],
     )
     def test_model_with_non_exact_rational_exits_2(self, capsys, tmp_path, coeff, options):
@@ -450,6 +452,25 @@ class TestErrorHandling:
         code, out, err = run(capsys, "dagger", "--model", str(path))
         assert code == 2 and not out
         assert "exponent" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("berry-osc", "--q1=1/0", "--q2=0"),
+            ("scan-locus", "--q1=1/0", "--q2=0"),
+            ("scan-locus", "--q1=0:1:2", "--q2=1/0"),
+        ],
+    )
+    def test_zero_denominator_flag_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert "denominator" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_finite_oracle_below_two_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "finite-oracle", "--n", n, "--trials", "2")
+        assert code == 2 and not out
+        assert "at least 2" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
     def test_scan_locus_range_count_below_two(self, capsys, spec):

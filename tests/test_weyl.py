@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,49 @@ class TestDiscreteDagger:
         report = oracle_run(3, 15, seed=42)
         assert report["failures"] == 0
         assert report["max_deviation"] <= 1e-10
+
+
+class TestBasisRules:
+    """The rules pinned entry by entry, with phases computed here rather than
+    through matrix multiplication."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_star_of_every_basis_pair(self, n):
+        phi = 2 * np.pi / n
+        for i1, j1, i2, j2 in itertools.product(range(n), repeat=4):
+            got = discrete_star(TorusFunction.basis(n, i1, j1), TorusFunction.basis(n, i2, j2))
+            rule = TorusFunction.basis(n, i1 + i2, j1 + j2).fourier
+            want = TorusFunction(n, np.exp(-1j * phi * j1 * i2) * rule)
+            assert got.max_abs_diff(want) <= 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dagger_of_every_basis_element(self, n):
+        phi = 2 * np.pi / n
+        for i in range(n):
+            for j in range(n):
+                rule = TorusFunction.basis(n, -i, -j).fourier
+                want = TorusFunction(n, np.exp(-1j * phi * i * j) * rule)
+                assert discrete_dagger(TorusFunction.basis(n, i, j)).max_abs_diff(want) <= 1e-12
+
+    def test_clock_shift_words_map_to_basis(self):
+        n = 5
+        g, h = clock_shift(n)
+        for i in range(n):
+            for j in range(n):
+                word = np.linalg.matrix_power(g, i) @ np.linalg.matrix_power(h, j)
+                assert op_to_fun(word).max_abs_diff(TorusFunction.basis(n, i, j)) <= 1e-12
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_isomorphism_and_adjoint(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            assert isomorphism_trial(n, rng) <= 1e-10
+            a = random_operator(n, rng)
+            assert discrete_dagger(op_to_fun(a)).max_abs_diff(op_to_fun(a.conj().T)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_round_trip(self, n):
+        a = random_operator(n, np.random.default_rng(n + 1))
+        assert np.max(np.abs(fun_to_op(op_to_fun(a)) - a)) <= 1e-10

@@ -20,7 +20,7 @@ import numpy as np
 
 from .phasepoly import ModelParams, PhasePoly
 from .scalars import (
-    GaussianRational,
+    I,
     ParamPoly,
     PoleAtPoint,
     RatFunc2,
@@ -299,14 +299,14 @@ class MoyalConnection:
 def oscillator_hamiltonian() -> PhasePoly:
     """H = p^2 + q1 x^2 + i q2 x p over RatFunc2 coefficients."""
     q1, q2 = RatFunc2.generators()
-    i = RatFunc2(ParamPoly.constant(RatFunc2.PARAMS, GaussianRational(0, 1)))
+    i = RatFunc2(I)
     return PhasePoly({(0, 2, 0): RatFunc2(1), (2, 0, 0): q1, (1, 1, 0): i * q2})
 
 
 def oscillator_parameter_partials() -> Tuple[PhasePoly, PhasePoly]:
     """dH/dq1 = x^2, dH/dq2 = i x p."""
     one = RatFunc2(1)
-    i = RatFunc2(ParamPoly.constant(RatFunc2.PARAMS, GaussianRational(0, 1)))
+    i = RatFunc2(I)
     return PhasePoly({(2, 0, 0): one}), PhasePoly({(1, 1, 0): i})
 
 

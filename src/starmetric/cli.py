@@ -20,6 +20,7 @@ from . import berry, weyl
 from .exprparse import ExprError, parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
 from .metric import (
+    HamiltonianSpec,
     certify_metric,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
@@ -33,7 +34,7 @@ from .metric import (
 )
 from .modelio import Model, ModelError, load_model
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import ParamPoly, PoleAtPoint, as_fraction
+from .scalars import GaussianRational, I, ParamPoly, PoleAtPoint, as_fraction
 from .star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
 
 
@@ -101,18 +102,13 @@ def cmd_dagger(args):
 
 def cmd_check_hermitian(args):
     model = _model(args)
-    h = model.spec.symbolic_total()
-    if model.hbar is not None:
-        h = h.subs_hbar(model.hbar)
-    result = is_hermitian(h)
+    result = is_hermitian(_maybe_hbar(model, model.spec.symbolic_total()))
     return {"model": model.name, "hermitian": result}, result
 
 
 def cmd_pde(args):
     model = _model(args)
-    op = pde_operator(model.spec)
-    if model.hbar is not None:
-        op = op.subs_hbar(model.hbar)
+    op = _maybe_hbar(model, pde_operator(model.spec))
     payload = {"model": model.name, "coefficients": op.normalized().to_json()}
     return payload, True
 
@@ -121,17 +117,10 @@ def cmd_residual(args):
     model = _model(args)
     _require(args.theta, "residual needs --theta SPEC")
     kind, theta = parse_theta(args.theta)
-    res = metric_residual(model.spec, theta)
+    zero = _maybe_hbar(model, metric_residual(model.spec, theta)).is_zero
     payload = {"model": model.name, "theta_kind": kind}
     if kind == "series":
         payload["order"] = theta.order
-        res = res if model.hbar is None else res.subs_hbar(model.hbar)
-        zero = res.is_zero
-    elif kind == "expquad":
-        pref = _maybe_hbar(model, res).prefactor
-        zero = pref.is_zero
-    else:
-        zero = _maybe_hbar(model, res).is_zero
     payload["residual_zero"] = zero
     return payload, zero
 
@@ -218,8 +207,8 @@ def cmd_family(args):
         payload = {
             "observable": "p",
             "exponent": "r p^2 with r = -c/(2 b hbar)",
-            "metric_residual_zero": metric_residual(spec, e).prefactor.is_zero,
-            "observable_residual_zero": observable_residual(p_poly, e).prefactor.is_zero,
+            "metric_residual_zero": metric_residual(spec, e).is_zero,
+            "observable_residual_zero": observable_residual(p_poly, e).is_zero,
             "branch_identities_zero": all(i.is_zero for i in ids),
         }
         ok = all(payload[k] for k in payload if k.endswith("zero"))
@@ -234,12 +223,12 @@ def cmd_family(args):
         payload = {
             "observable": "x",
             "exponent": "t x^2 with t = c/(2 a hbar)",
-            "metric_residual_zero": metric_residual(spec, e).prefactor.is_zero,
-            "observable_residual_zero": observable_residual(x_poly, e).prefactor.is_zero,
+            "metric_residual_zero": metric_residual(spec, e).is_zero,
+            "observable_residual_zero": observable_residual(x_poly, e).is_zero,
             "branch_identities_zero": all(i.is_zero for i in ids),
             "alternative_t_c_over_2b_residual_zero": metric_residual(
                 spec, e_printed
-            ).prefactor.is_zero,
+            ).is_zero,
         }
         ok = (
             payload["metric_residual_zero"]
@@ -275,9 +264,6 @@ def cmd_family(args):
 
 
 def _numeric_quadratic_spec(av: Fraction, bv: Fraction):
-    from .metric import HamiltonianSpec
-    from .scalars import GaussianRational, I
-
     h0 = PhasePoly.monomial(GaussianRational(av), 0, 2, 0) + PhasePoly.monomial(
         GaussianRational(bv), 2, 0, 0
     )
@@ -439,9 +425,7 @@ def cmd_finite_oracle(args):
 
 def cmd_emit_latex(args):
     model = _model(args)
-    h = model.spec.symbolic_total()
-    if model.hbar is not None:
-        h = h.subs_hbar(model.hbar)
+    h = _maybe_hbar(model, model.spec.symbolic_total())
     payload = {"model": model.name, "hamiltonian": poly_latex(h)}
     if model.spec.has_coupling and (args.order is not None or model.order is not None):
         theta = _solved_series(args, model)

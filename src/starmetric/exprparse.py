@@ -14,11 +14,13 @@ anything richer belongs in a JSON model file.
 
 from __future__ import annotations
 
+import json
 import re
 from typing import List, Tuple
 
-from .phasepoly import PhasePoly
+from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, I
+from .star import ExpQuadForm
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\^|\*|/|\+|-|\(|\))")
 
@@ -119,6 +121,8 @@ class _Parser:
 
 
 def _divide(num: PhasePoly, den: PhasePoly) -> PhasePoly:
+    if den.is_zero:
+        raise ExprError("division by zero")
     if len(den.terms) != 1:
         raise ExprError("division only by monomial subexpressions")
     ((xd, pd, hd), coeff) = next(iter(den.terms.items()))
@@ -138,10 +142,6 @@ def parse_poly(text: str) -> PhasePoly:
 
 def parse_theta(spec: str) -> Tuple[str, object]:
     """Parse a --theta option into ("poly" | "expquad" | "series", value)."""
-    import json
-    from .phasepoly import CouplingSeries
-    from .star import ExpQuadForm
-
     if spec in ("1", "one"):
         return "poly", PhasePoly.one()
     if spec.startswith("expquad:"):

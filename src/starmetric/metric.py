@@ -11,16 +11,15 @@ from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, as_exponent, check_keys
+from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, as_exponent, check_keys, power
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
     NonTerminating,
     dagger,
     dagger_series,
-    derivative_chain,
     is_hermitian,
-    moyal_terms,
+    moyal_coefficients,
     power_sum,
     series_exp_pointwise,
     star,
@@ -222,19 +221,18 @@ class PDEOperator:
             return PDEOperator({k: -v for k, v in self.coeffs.items()})
         return self
 
-    def scaled(self, scalar) -> "PDEOperator":
-        return PDEOperator({k: v.scaled(scalar) for k, v in self.coeffs.items()})
-
     def conjugate_coeffs(self) -> "PDEOperator":
         """The complex-conjugate operator L* (x, p, hbar and derivatives real)."""
         return PDEOperator({k: v.conjugate() for k, v in self.coeffs.items()})
 
-    def compose(self, other: "PDEOperator") -> "PDEOperator":
+    def __mul__(self, other):
         """Operator product, normal ordered with coefficients to the left.
 
         Uses (c1 dx^i dp^j)(c2 dx^k dp^l) =
         c1 * sum_{m<=i, n<=j} C(i,m) C(j,n) (dx^m dp^n c2) dx^{i-m+k} dp^{j-n+l}.
         """
+        if not isinstance(other, PDEOperator):
+            return NotImplemented
 
         def terms():
             for (i, j), c1 in self.coeffs.items():
@@ -257,11 +255,6 @@ class PDEOperator:
 
     def __neg__(self):
         return PDEOperator({k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, PDEOperator):
-            return NotImplemented
-        return self + (-other)
 
     def __eq__(self, other):
         if not isinstance(other, PDEOperator):
@@ -299,12 +292,10 @@ def pde_operator(spec: HamiltonianSpec) -> PDEOperator:
     hd = dagger(h)
     if not hd.is_p_polynomial():
         raise NonTerminating("dagger(H) has negative p powers")
-    left = moyal_terms(derivative_chain(h, lambda f: f.derivative("x")))
-    right = moyal_terms(derivative_chain(hd, lambda f: f.derivative("p")))
     return PDEOperator(
         chain(
-            (((0, k), t) for k, t in enumerate(left)),
-            (((k, 0), -t) for k, t in enumerate(right)),
+            (((0, k), t) for k, t in enumerate(moyal_coefficients(h, "x"))),
+            (((k, 0), -t) for k, t in enumerate(moyal_coefficients(hd, "p"))),
         )
     )
 
@@ -314,16 +305,13 @@ def pde_mixed_conjugation(op: PDEOperator) -> PDEOperator:
     p -> p - i hbar dx inside the coefficients (the images commute)."""
     x_op = PDEOperator({(0, 0): PhasePoly.x(), (0, 1): PhasePoly.monomial(-I, 0, 0, 1)})
     p_op = PDEOperator({(0, 0): PhasePoly.p(), (1, 0): PhasePoly.monomial(-I, 0, 0, 1)})
+    one = PDEOperator({(0, 0): PhasePoly.one()})
     out = PDEOperator({})
     for (i, j), coeff in op.coeffs.items():
         for (xd, pd, hd), scalar in coeff.terms.items():
             piece = PDEOperator({(0, 0): PhasePoly.monomial(scalar, 0, 0, hd)})
-            for _ in range(xd):
-                piece = piece.compose(x_op)
-            for _ in range(pd):
-                piece = piece.compose(p_op)
-            piece = piece.compose(PDEOperator({(i, j): PhasePoly.one()}))
-            out = out + piece
+            piece = piece * power(x_op, xd, one) * power(p_op, pd, one)
+            out = out + piece * PDEOperator({(i, j): PhasePoly.one()})
     return out
 
 

@@ -296,7 +296,6 @@ def _operand(value):
     return None
 
 
-GR = GaussianRational
 ONE = GaussianRational(1)
 ZERO = GaussianRational(0)
 I = GaussianRational(0, 1)

@@ -38,10 +38,11 @@ part).  Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands)
 takes the same loop with the ring's own product, merged by
 `scalars.accumulate`.
 
-`derivative_chain` (f, step(f), ... up to the first zero) and `moyal_terms`
-(the factor (sign i hbar)^k / k! on the k-th term) remain for the sums that
-need a real chain of derivatives: the prefactor recursion of
-`star_poly_expquad` and `metric.pde_operator`.
+One-sided sums, where only one operand is differentiated, use
+`moyal_coefficients`: the factors (i hbar)^k / k! d^k A / dv^k for v = x or
+p, built term by term as i^k C(n, k) c v^(n-k) hbar^k for a term c v^n.
+They serve `star_poly_expquad`, whose other factor is the prefactor
+recursion (d + dQ)^k P, and `metric.pde_operator`.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, I, _reduced, check_keys
 
 __all__ = [
-    "derivative_chain",
-    "moyal_terms",
+    "moyal_coefficients",
     "star",
     "dagger",
     "is_hermitian",
@@ -92,26 +92,27 @@ class MixedExponent(ValueError):
     """The Gaussian exponent mixes x and p, so the pointwise-log shortcut fails."""
 
 
-def derivative_chain(f: PhasePoly, step):
-    """f, step(f), step(step(f)), ... up to, not including, the first zero."""
-    while not f.is_zero:
-        yield f
-        f = step(f)
+def moyal_coefficients(a: PhasePoly, var: str) -> list:
+    """[(i hbar)^k / k! d^k a / dvar^k for k = 0, 1, ...] up to the last
+    nonzero one, for var "x" or "p".  A negative power of var would make the
+    list infinite and raises NonTerminating.
 
-
-def moyal_terms(terms, sign: int = 1):
-    """(sign * i hbar)^k / k! * t_k for the k-th term t_k of ``terms``."""
-    unit = I * sign
-    for k, t in enumerate(terms):
-        yield t.shift_hbar(k).scaled(unit**k * Fraction(1, factorial(k))) if k else t
-
-
-def _dx(f: PhasePoly) -> PhasePoly:
-    return f.derivative("x")
-
-
-def _dp(f: PhasePoly) -> PhasePoly:
-    return f.derivative("p")
+    A term c v^n contributes i^k C(n, k) c v^(n-k) hbar^k to the k-th entry.
+    For a fixed k distinct terms land on distinct keys, so entry k is nonzero
+    for every k up to the degree of a in var.
+    """
+    pos = ("x", "p").index(var)
+    out = [[] for _ in range(max((key[pos] for key in a.terms), default=-1) + 1)]
+    for key, c in a.terms.items():
+        n = key[pos]
+        if n < 0:
+            raise NonTerminating(f"negative powers of {var}")
+        for k in range(n + 1):
+            shifted = list(key)
+            shifted[pos] -= k
+            shifted[2] += k
+            out[k].append((tuple(shifted), c * (I**k * comb(n, k)) if k else c))
+    return [PhasePoly._of(terms) for terms in out]
 
 
 @lru_cache(maxsize=1024)
@@ -342,20 +343,20 @@ def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
     NonTerminating.
     """
     if side == "left":
-        q_p = _dp(e.exponent)
-        # (d/dp + dQ/dp)^k applied to the prefactor
-        chain = derivative_chain(e.prefactor, lambda g: _dp(g) + q_p * g)
-        terms = (da * g for da, g in zip(derivative_chain(a, _dx), chain))
+        var, dvar = "x", "p"
     elif side == "right":
         if not a.is_p_polynomial():
             raise NonTerminating("right operand has negative p powers")
-        q_x = _dx(e.exponent)
-        # (d/dx + dQ/dx)^k applied to the prefactor
-        chain = derivative_chain(e.prefactor, lambda h: _dx(h) + q_x * h)
-        terms = (h * db for db, h in zip(derivative_chain(a, _dp), chain))
+        var, dvar = "p", "x"
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return ExpQuadForm(sum(moyal_terms(terms), PhasePoly.zero()), e.exponent)
+    q = e.exponent.derivative(dvar)
+    # sum_k t_k (d + dQ)^k P, t_k the k-th Moyal coefficient of a, d = d/ddvar
+    g, out = e.prefactor, PhasePoly.zero()
+    for t in moyal_coefficients(a, var):
+        out = out + t * g
+        g = g.derivative(dvar) + q * g
+    return ExpQuadForm(out, e.exponent)
 
 
 def eqf_is_positive_hermitian(e: ExpQuadForm) -> bool:

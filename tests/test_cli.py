@@ -84,6 +84,30 @@ class TestCertifyResidual:
         assert code == 0
         assert out == (GOLDENS / "certify_ix3_order4.json").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("pde_ix3.json", ("pde", "--model", IX3)),
+            ("pde_quadratic.json", ("pde", "--model", QUADRATIC)),
+            ("pde_shifted.json", ("pde", "--model", SHIFTED)),
+            (
+                "star_shifted_expquad.json",
+                ("star", "--model", SHIFTED, "--theta", "expquad:exp(-2p)"),
+            ),
+            (
+                "residual_shifted_expquad.json",
+                ("residual", "--model", SHIFTED, "--theta", "expquad:exp(-2p)"),
+            ),
+            ("family_quadratic_p.json", ("family", "--model", QUADRATIC, "--observable", "p")),
+            ("family_quadratic_x.json", ("family", "--model", QUADRATIC, "--observable", "x")),
+        ],
+    )
+    def test_moyal_coefficient_commands_match_golden_bytes(self, capsys, golden, argv):
+        # the one-sided Moyal sums: the PDE form and the ExpQuadForm products
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDENS / golden).read_text(encoding="utf-8")
+
     def test_certify_multiple_models(self, capsys):
         code, payload = run_json(capsys, "certify", "--model", IX3, "--model", IX3, "--order", "1")
         assert code == 0
@@ -274,6 +298,12 @@ class TestErrorHandling:
     def test_bad_theta_expression(self, capsys):
         code, out, err = run(capsys, "residual", "--model", SHIFTED, "--theta", "exp(-2p")
         assert code == 2
+
+    @pytest.mark.parametrize("theta", ["x/0", "1/(0)", "x/(p-p)"])
+    def test_division_by_zero_in_theta_names_it(self, capsys, theta):
+        code, out, err = run(capsys, "star", "--model", SHIFTED, "--theta", theta)
+        assert code == 2 and not out
+        assert json.loads(err) == {"error": "division by zero"}
 
     def test_scan_locus_degenerate_oscillator_point(self, capsys):
         # omega = alpha + beta makes a = 0, so (q1, q2) is undefined

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -23,7 +24,7 @@ from starmetric import (
     star_series,
 )
 from starmetric.scalars import I, ParamPoly
-from starmetric.star import dagger_series
+from starmetric.star import dagger_series, moyal_coefficients
 
 from _helpers import random_poly
 
@@ -241,6 +242,38 @@ class TestExpQuadForm:
         with pytest.raises(NonTerminating):
             star_poly_expquad(PhasePoly.p(-1), e, "right")
 
+    def test_zero_exponent_matches_star(self):
+        # with exponent 0, E is its prefactor P, so the one-sided sums must
+        # give the two-sided star product; the two kernels share no code
+        (r,) = ParamPoly.generators("r")
+        zero = PhasePoly.zero()
+        rng = random.Random(12)
+        laurent = 0
+        for _ in range(30):
+            a = random_poly(rng, max_x=4)
+            pre = random_poly(rng, p_span=3, h_span=2).map_coeffs(lambda c: r * c + c)
+            laurent += any(k[1] < 0 for k in pre.terms)
+            e = ExpQuadForm(pre, zero)
+            assert star_poly_expquad(a, e, "left") == ExpQuadForm(star(a, pre), zero)
+            b = a * p**2  # p powers >= 0, as the right side needs
+            assert star_poly_expquad(b, e, "right") == ExpQuadForm(star(pre, b), zero)
+        assert laurent
+
+    def test_moyal_coefficients_follow_their_definition(self):
+        # (i hbar)^k / k! d^k a / dv^k, by repeated derivatives
+        rng = random.Random(13)
+        for _ in range(20):
+            a = random_poly(rng, max_x=4)
+            for var, b in (("x", a), ("p", a * p**2)):
+                d, expected = b, []
+                while not d.is_zero:
+                    k = len(expected)
+                    expected.append(d.shift_hbar(k).scaled(I**k * Fraction(1, factorial(k))))
+                    d = d.derivative(var)
+                assert moyal_coefficients(b, var) == expected
+        with pytest.raises(NonTerminating):
+            moyal_coefficients(PhasePoly.p(-1), "p")
+
     def test_exponent_degree_guard(self):
         with pytest.raises(ValueError):
             ExpQuadForm.pure_exponent(PhasePoly.x(3))
@@ -269,3 +302,11 @@ def test_dagger_series_termwise():
     s = CouplingSeries("g", [PhasePoly.one(), PhasePoly.monomial(I, 3, 0, 0)])
     d = dagger_series(s)
     assert d.coeffs[1] == PhasePoly.monomial(-I, 3, 0, 0)
+
+
+@pytest.mark.parametrize("module", ["starmetric.star", "starmetric"])
+def test_star_import_resolves(module):
+    # a stale __all__ entry fails here rather than in a user's import
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert "star_poly_expquad" in namespace

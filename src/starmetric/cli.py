@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import berry, weyl
-from .exprparse import ExprError, parse_theta
+from .exprparse import parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
 from .metric import (
     HamiltonianSpec,
@@ -32,7 +32,7 @@ from .metric import (
     pde_operator,
     solve_perturbative,
 )
-from .modelio import Model, ModelError, load_model
+from .modelio import Model, load_model
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, I, ParamPoly, PoleAtPoint, as_fraction
 from .star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
@@ -500,7 +500,7 @@ def main(argv=None) -> int:
         msg = f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         print(json.dumps({"error": msg}), file=sys.stderr)
         return 2
-    except (CliInputError, ModelError, ExprError, PoleAtPoint, OSError, ValueError) as exc:
+    except (ValueError, PoleAtPoint, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     status = 0 if ok else 1

@@ -1,6 +1,7 @@
 """Metric-operator machinery: the exchange equation H * Theta = Theta * H_dagger
 as residuals, its finite-order PDE form, perturbative and Gaussian solutions,
-and hermiticity/positivity certification.
+and hermiticity/positivity certification.  Nothing here reads or writes
+JSON; `modelio` is the one reader of model files.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, as_exponent, check_keys, power
+from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, power
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
@@ -91,52 +92,10 @@ class HamiltonianSpec:
                 raise ValueError("order 0 series cannot carry the coupling term")
         return CouplingSeries(coupling, coeffs)
 
-    def to_json(self) -> dict:
-        out = {"terms": self.h0.to_json()}
-        if self.has_coupling:
-            out["coupling"] = {"name": self.coupling_name, "V": self.v.to_json()}
-        return out
-
-    @classmethod
-    def from_json(cls, obj) -> "HamiltonianSpec":
-        check_keys(obj, {"terms", "coupling", "params"}, "Hamiltonian JSON", required=("terms",))
-        params = obj.get("params")
-        h0 = _poly_from_model_terms(obj["terms"], params)
-        coupling = None
-        if "coupling" in obj:
-            cobj = obj["coupling"]
-            check_keys(cobj, {"name", "V"}, "coupling JSON", required=("name", "V"))
-            coupling = (cobj["name"], _poly_from_model_terms(cobj["V"], params))
-        return cls(h0, coupling)
-
     def __repr__(self):
         if self.has_coupling:
             return f"HamiltonianSpec({self.h0!r} + {self.coupling_name}*({self.v!r}))"
         return f"HamiltonianSpec({self.h0!r})"
-
-
-def _poly_from_model_terms(entries, params: Optional[Sequence[str]]) -> PhasePoly:
-    """Model-file term list; entries may carry symbolic parameter powers."""
-
-    def term(entry):
-        check_keys(entry, {"x", "p", "hbar", "coeff", "params"}, "term", required=("coeff",))
-        coeff = GaussianRational.from_json(entry["coeff"])
-        powers = entry.get("params")
-        if powers is not None:
-            if not params:
-                raise ValueError("term uses parameters but none are declared")
-            bad = set(powers) - set(params)
-            if bad:
-                raise ValueError(f"undeclared parameters {sorted(bad)}")
-            key = tuple(as_exponent(powers.get(name, 0)) for name in params)
-            value = ParamPoly(tuple(params), {key: coeff})
-        elif params:
-            value = ParamPoly.constant(tuple(params), coeff)
-        else:
-            value = coeff
-        return (entry.get("x", 0), entry.get("p", 0), entry.get("hbar", 0)), value
-
-    return PhasePoly(map(term, entries))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Mapping, Tuple, Union
 
 from .scalars import (
     GaussianRational,
@@ -35,6 +35,8 @@ from .scalars import (
     as_exponent,
     as_fraction,
     check_keys,
+    check_list,
+    check_name,
     power,
 )
 
@@ -252,15 +254,12 @@ class PhasePoly:
 
     @classmethod
     def from_json(cls, obj) -> "PhasePoly":
-        if not isinstance(obj, Sequence):
-            raise ValueError("PhasePoly JSON must be a list of terms")
-
         def term(entry):
             check_keys(entry, {"x", "p", "hbar", "coeff"}, "PhasePoly term", required=("coeff",))
             key = (entry.get("x", 0), entry.get("p", 0), entry.get("hbar", 0))
             return key, coeff_from_json(entry["coeff"])
 
-        return cls(map(term, obj))
+        return cls(map(term, check_list(obj, "PhasePoly JSON")))
 
     def __repr__(self):
         if self.is_zero:
@@ -327,11 +326,6 @@ class CouplingSeries:
             raise CouplingMismatch(
                 f"cannot combine series in {self.coupling!r} and {other.coupling!r}"
             )
-
-    def truncated(self, order: int) -> "CouplingSeries":
-        if order >= self.order:
-            return self
-        return CouplingSeries(self.coupling, self.coeffs[: order + 1])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -410,8 +404,8 @@ class CouplingSeries:
         check_keys(
             obj, {"coupling", "order", "coeffs"}, "series JSON", required=("coupling", "coeffs")
         )
-        coeffs = [PhasePoly.from_json(c) for c in obj["coeffs"]]
-        series = cls(obj["coupling"], coeffs)
+        coeffs = [PhasePoly.from_json(c) for c in check_list(obj["coeffs"], "series coeffs")]
+        series = cls(check_name(obj["coupling"], "series coupling"), coeffs)
         if "order" in obj and as_exponent(obj["order"]) != series.order:
             raise ValueError("series order does not match coefficient count")
         return series

@@ -65,15 +65,43 @@ def as_exponent(value) -> int:
 
 def check_keys(obj, allowed, what: str, required=()):
     """Reject JSON input that is not an object, has keys outside ``allowed``
-    or lacks one of the ``required`` keys."""
+    (None allows any key) or lacks one of the ``required`` keys."""
     if not isinstance(obj, Mapping):
         raise ValueError(f"{what} must be an object: {obj!r}")
-    extra = set(obj) - allowed
+    extra = () if allowed is None else obj.keys() - allowed
     if extra:
         raise ValueError(f"unknown keys in {what}: {sorted(extra)}")
     for key in required:
         if key not in obj:
             raise ValueError(f"{what} needs the key {key!r}")
+
+
+def check_list(obj, what: str) -> list:
+    """Reject JSON input that is not an array; a string is not one."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list: {obj!r}")
+    return obj
+
+
+def check_name(obj, what: str) -> str:
+    """Reject JSON input that is not a string."""
+    if not isinstance(obj, str):
+        raise ValueError(f"{what} must be a string: {obj!r}")
+    return obj
+
+
+def check_names(obj, what: str) -> Tuple[str, ...]:
+    """A JSON array of distinct strings, as a tuple."""
+    names = tuple(check_list(obj, what))
+    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        raise ValueError(f"{what} must be distinct strings: {obj!r}")
+    return names
+
+
+def read_powers(powers, params: Tuple[str, ...], what: str) -> Tuple[int, ...]:
+    """The exponent tuple over ``params`` of a ``{name: power}`` JSON map."""
+    check_keys(powers, set(params), what)
+    return tuple(as_exponent(powers.get(name, 0)) for name in params)
 
 
 def accumulate(pairs) -> dict:
@@ -249,8 +277,7 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":
-        if not isinstance(obj, Mapping) or set(obj) - {"re", "im"}:
-            raise ValueError(f"bad GaussianRational JSON: {obj!r}")
+        check_keys(obj, {"re", "im"}, "GaussianRational JSON")
         return cls(obj.get("re", "0"), obj.get("im", "0"))
 
     def __repr__(self):
@@ -497,18 +524,14 @@ class ParamPoly:
     @classmethod
     def from_json(cls, obj) -> "ParamPoly":
         check_keys(obj, {"params", "terms"}, "ParamPoly JSON", required=("params", "terms"))
-        params = tuple(obj["params"])
+        params = check_names(obj["params"], "ParamPoly params")
 
         def term(entry):
             check_keys(entry, {"powers", "coeff"}, "ParamPoly term", required=("coeff",))
-            powers = entry.get("powers", {})
-            bad = set(powers) - set(params)
-            if bad:
-                raise ValueError(f"unknown parameters {sorted(bad)}")
-            key = tuple(as_exponent(powers.get(name, 0)) for name in params)
+            key = read_powers(entry.get("powers", {}), params, "ParamPoly powers")
             return key, GaussianRational.from_json(entry["coeff"])
 
-        return cls(params, map(term, obj["terms"]))
+        return cls(params, map(term, check_list(obj["terms"], "ParamPoly terms")))
 
     def __repr__(self):
         if self.is_zero:

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -5,10 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starmetric.cli import main
-from starmetric.modelio import bundled_model_path, load_model, ModelError
+from starmetric.modelio import bundled_model_path, load_model, model_from_obj, ModelError
 from starmetric.phasepoly import CouplingSeries
+from starmetric.star import ExpQuadForm
 
 GOLDENS = Path(__file__).parent / "goldens"
 # the CLI in a fresh interpreter that imports this checkout
@@ -593,3 +596,152 @@ class TestBundledModels:
         for name in ("ix3", "shifted", "quadratic"):
             model = load_model(bundled_model_path(name))
             assert model.name
+
+
+# ---------------------------------------------------------------------------
+# the JSON readers: any one malformed node is a ValueError, never a traceback
+
+ONE_TERM = {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}
+PARAMPOLY_COEFF = {
+    "params": ["a", "b"],
+    "terms": [{"powers": {"a": 1, "b": -2}, "coeff": {"re": "1/2", "im": "3"}}],
+}
+RATFUNC_COEFF = {
+    "num": {"params": ["q1", "q2"], "terms": [{"powers": {"q1": 1}, "coeff": {"re": "1"}}]},
+    "den": {
+        "params": ["q1", "q2"],
+        "terms": [{"powers": {"q2": 2}, "coeff": {"re": "1"}}, {"coeff": {"re": "4"}}],
+    },
+}
+SERIES_DOC = {
+    "coupling": "g",
+    "order": 2,
+    "coeffs": [
+        [ONE_TERM],
+        [{"x": 1, "p": 0, "hbar": 0, "coeff": PARAMPOLY_COEFF}],
+        [{"x": 0, "p": 2, "hbar": -1, "coeff": RATFUNC_COEFF}],
+    ],
+}
+EXPQUAD_DOC = {
+    "prefactor": [ONE_TERM],
+    "exponent": [{"x": 0, "p": 1, "hbar": -1, "coeff": {"re": "-2", "im": "0"}}],
+}
+def _bundled(name):
+    return json.loads(bundled_model_path(name).read_text(encoding="utf-8"))
+
+
+READERS = {
+    **{name: (model_from_obj, _bundled(name)) for name in ("ix3", "shifted", "quadratic")},
+    "series": (CouplingSeries.from_json, SERIES_DOC),
+    "expquad": (ExpQuadForm.from_json, EXPQUAD_DOC),
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, path=()):
+    """The key path of ``node`` and of every node below it."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _node_paths(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _run_replaced(capsys, tmp_path, doc, path, value, command=()):
+    """Run ``command`` (by default dagger on a model, starlog on a series) on
+    the bundled model ``doc``, or on SERIES_DOC, with the node at ``path``
+    replaced by ``value``."""
+    series = doc == "series"
+    file = tmp_path / "doc.json"
+    text = json.dumps(_replaced(SERIES_DOC if series else _bundled(doc), path, value))
+    file.write_text(text, encoding="utf-8")
+    command = command or (("starlog",) if series else ("dagger",))
+    return run(capsys, *command, "--series" if series else "--model", str(file))
+
+
+class TestReaders:
+    @pytest.mark.parametrize("reader, doc", READERS.values(), ids=list(READERS))
+    def test_valid_documents_read(self, reader, doc):
+        reader(doc)
+
+    @pytest.mark.parametrize("reader, doc", READERS.values(), ids=list(READERS))
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(data=st.data())
+    def test_one_replaced_node_reads_or_raises_value_error(self, reader, doc, data):
+        path = data.draw(st.sampled_from(list(_node_paths(doc))), label="path")
+        value = data.draw(json_values, label="value")
+        try:
+            reader(_replaced(doc, path, value))
+        except ValueError:
+            pass
+
+    @pytest.mark.parametrize(
+        "doc, path, value",
+        [
+            ("quadratic", ("options",), []),
+            ("quadratic", ("options",), None),
+            ("quadratic", ("options", "numeric"), 5),
+            ("ix3", ("hamiltonian", "terms"), 5),
+            ("quadratic", ("hamiltonian", "params"), 5),
+            ("quadratic", ("hamiltonian", "terms", 0, "params"), 5),
+            ("ix3", ("hamiltonian", "coupling", "V"), 5),
+            ("series", ("coeffs",), 5),
+            ("series", ("coeffs", 1, 0, "coeff", "params"), 5),
+            ("series", ("coeffs", 1, 0, "coeff", "terms"), 5),
+            ("series", ("coeffs", 1, 0, "coeff", "terms", 0, "powers"), 5),
+        ],
+    )
+    def test_wrong_container_exits_2(self, capsys, tmp_path, doc, path, value):
+        code, out, err = _run_replaced(capsys, tmp_path, doc, path, value)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "doc, path, value, command, message",
+        [
+            ("quadratic", ("hamiltonian", "params"), "abc", (), "must be a list"),
+            ("quadratic", ("hamiltonian", "params"), ["a", "b", 3], (), "distinct strings"),
+            ("quadratic", ("hamiltonian", "params"), ["a", "b", "c", "a"], (), "distinct strings"),
+            ("ix3", ("hamiltonian", "coupling", "name"), 7, ("dagger", "--latex"), "a string"),
+            ("ix3", ("hamiltonian", "coupling", "name"), 7, ("emit-latex",), "a string"),
+            ("series", ("coupling",), 7, ("starlog", "--latex"), "a string"),
+            ("series", ("coeffs", 1, 0, "coeff", "params"), "ab", (), "must be a list"),
+            ("series", ("coeffs", 1, 0, "coeff", "params"), ["a", "a"], (), "distinct strings"),
+        ],
+    )
+    def test_names_must_be_strings(self, capsys, tmp_path, doc, path, value, command, message):
+        code, out, err = _run_replaced(capsys, tmp_path, doc, path, value, command)
+        assert code == 2 and not out
+        assert message in json.loads(err)["error"]
+
+    def test_zero_hbar_rejected(self, capsys, tmp_path):
+        term = {"p": 2, "hbar": -1, "coeff": {"re": "1"}}
+        model = {"name": "m", "hamiltonian": {"terms": [term]}, "options": {"hbar": "0"}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "dagger", "--model", str(path))
+        assert code == 2 and not out
+        assert "hbar must be nonzero" in json.loads(err)["error"]
+
+    def test_readme_model_block_reads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Model files", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        model = model_from_obj(json.loads(block))
+        assert model.name == "ix3" and model.order == 3 and model.spec.has_coupling

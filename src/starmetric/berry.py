@@ -13,7 +13,7 @@ and the curvature vanishes as a polynomial identity, not just numerically.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import sqrt
+from math import lcm, sqrt
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -411,6 +411,16 @@ def oscillator_parameters(omega, alpha, beta) -> Tuple[Fraction, Fraction]:
 def locus_value(q1, q2) -> Fraction:
     q1, q2 = Fraction(q1), Fraction(q2)
     return 4 * q1 + q2 * q2
+
+
+def locus_grid(q1s: Sequence[Fraction], q2s: Sequence[Fraction]):
+    """4 q1 + q2^2 on the grid q1s x q2s, one row per q1, as integer numerators
+    over one denominator l1 l2^2, where l1 and l2 are the lcms of each range's
+    denominators: 4 q1 + q2^2 = (4 l2^2 (l1 q1) + l1 (l2 q2)^2) / (l1 l2^2)."""
+    l1, l2 = (lcm(*(q.denominator for q in qs)) for qs in (q1s, q2s))
+    lefts = [4 * l2 * l2 * (q.numerator * (l1 // q.denominator)) for q in q1s]
+    rights = [l1 * (q.numerator * (l2 // q.denominator)) ** 2 for q in q2s]
+    return [[left + right for right in rights] for left in lefts], l1 * l2 * l2
 
 
 def locus_distance_from_origin(omega) -> float:

@@ -410,11 +410,17 @@ def cmd_scan_locus(args):
         record["omega"], record["alpha"], record["beta"] = args.omega, args.alpha, args.beta
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
-    # each point is one exact 4 q1 + q2^2, so --jobs is accepted but a
-    # process pool would only add start-up time
+    # one integer numerator per point over the grid's common denominator: its
+    # sign is the region, and int / int rounds as float(Fraction); --jobs is unused
     q1s = _parse_range(args.q1 or "-3:3:25")
     q2s = _parse_range(args.q2 or "-3:3:25")
-    records = [_scan_record(q1, q2) for q1 in q1s for q2 in q2s]
+    rows, den = berry.locus_grid(q1s, q2s)
+    f2s = [float(q2) for q2 in q2s]
+    records = [
+        {"q1": f1, "q2": f2, "locus_value": n / den, "region_sign": (n > 0) - (n < 0)}
+        for f1, row in zip(map(float, q1s), rows)
+        for f2, n in zip(f2s, row)
+    ]
     return {"count": len(records), "records": records}, True
 
 

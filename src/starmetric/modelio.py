@@ -78,7 +78,7 @@ def model_from_obj(obj) -> Model:
             if hbar == 0:
                 raise ValueError("hbar must be nonzero")
         numeric = options.get("numeric", {})
-        check_keys(numeric, None, "numeric")
+        check_keys(numeric, set(obj["hamiltonian"].get("params", [])), "numeric")
         numeric = {k: as_fraction(v) for k, v in numeric.items()}
     except ValueError as exc:
         raise ModelError(str(exc)) from exc

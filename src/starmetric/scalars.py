@@ -552,6 +552,10 @@ class RatFunc2:
     leading monomial (so its leading coefficient has positive real part).
     Numerator and denominator are reduced only by monomial/numeric content,
     never by a polynomial gcd, so equality is decided by cross multiplication.
+    Two functions over the same denominator add and compare over it, so sums
+    of terms that share a denominator keep it instead of squaring it.  A
+    product with an int, Fraction or GaussianRational scales the numerator
+    and keeps the denominator; a zero product is the canonical zero, 0/1.
     """
 
     PARAMS = ("q1", "q2")
@@ -582,6 +586,14 @@ class RatFunc2:
                 den = den / lead
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _of(cls, num: ParamPoly, den: ParamPoly) -> "RatFunc2":
+        """The RatFunc2 of a numerator and denominator already in canonical form."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc2 is immutable")
@@ -629,12 +641,14 @@ class RatFunc2:
         other = self._coerce_op(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RatFunc2(self.num + other.num, self.den)
         return RatFunc2(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc2(-self.num, self.den)
+        return RatFunc2._of(-self.num, self.den)
 
     def __sub__(self, other):
         other = self._coerce_op(other)
@@ -646,6 +660,9 @@ class RatFunc2:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            # scaling keeps the numerator's support, so the form stays canonical
+            return RatFunc2._of(self.num * other, self.den) if other else RatFunc2(0)
         other = self._coerce_op(other)
         if other is None:
             return NotImplemented
@@ -672,7 +689,7 @@ class RatFunc2:
         return power(one / self, -n, one) if n < 0 else power(self, n, one)
 
     def conjugate(self) -> "RatFunc2":
-        return RatFunc2(self.num.conjugate(), self.den.conjugate())
+        return RatFunc2._of(self.num.conjugate(), self.den.conjugate())
 
     def partial(self, which: int) -> "RatFunc2":
         """Exact quotient-rule derivative with respect to q1 (which=1) or q2."""
@@ -697,6 +714,8 @@ class RatFunc2:
         other = self._coerce_op(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):

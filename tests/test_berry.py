@@ -37,7 +37,7 @@ from starmetric.berry import (
     oscillator_parameters,
     plaquette_defect,
 )
-from starmetric.scalars import ParamPoly
+from starmetric.scalars import ParamPoly, primitive_real_poly
 from starmetric.star import star_commutator
 
 F_EXPECTED = np.array([[-1.0, -2j], [0.0, 1.0]])
@@ -298,6 +298,20 @@ class TestMoyalConnection:
         q1p, q2p = ParamPoly.generators("q1", "q2")
         assert singular_locus(self.conn) == q1p * 4 + q2p * q2p
 
+    @pytest.mark.xfail(strict=True, reason="needs the bivariate gcd of ROADMAP item 7")
+    def test_singular_locus_of_d_and_q1_d_is_q1_d(self):
+        q1p, q2p = ParamPoly.generators("q1", "q2")
+        one, zero = RatFunc2(1), RatFunc2(0)
+        conn = MoyalConnection(one / self.delta, one / (self.q1 * self.delta), zero, zero)
+        assert singular_locus(conn) == primitive_real_poly(q1p * (q1p * 4 + q2p * q2p))
+
+    def test_double_bracket_keeps_the_locus_denominator(self):
+        # sums over one shared denominator stay over it: degree 2, not 22
+        h = oscillator_hamiltonian()
+        for a in self.conn.components():
+            for coeff in berry._double_bracket(a, h).terms.values():
+                assert max(sum(key) for key in coeff.den.terms) <= 2
+
     def test_locus_examples(self):
         # hermitian oscillator point is regular
         q = oscillator_parameters(1, 0, 0)
@@ -306,6 +320,14 @@ class TestMoyalConnection:
         q = oscillator_parameters(2, 2, Fraction(1, 2))
         assert locus_value(*q) == 0
         assert abs(locus_distance_from_origin(1) - 2**-0.5) < 1e-15
+
+    def test_locus_grid_matches_locus_value(self):
+        q1s = [Fraction(-7, 13) + k * Fraction(1, 17) for k in range(5)]
+        q2s = [Fraction(-5, 19), Fraction(0), Fraction(23, 29), Fraction(4)]
+        rows, den = berry.locus_grid(q1s, q2s)
+        assert [[Fraction(n, den) for n in row] for row in rows] == [
+            [locus_value(q1, q2) for q2 in q2s] for q1 in q1s
+        ]
 
     def test_pole_on_locus(self):
         with pytest.raises(PoleAtPoint):

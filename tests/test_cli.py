@@ -111,6 +111,20 @@ class TestCertifyResidual:
         assert code == 0
         assert out == (GOLDENS / golden).read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            # the connection does not depend on the point, so this pins every
+            # RatFunc2 that berry-osc prints
+            ("berry_osc_point.json", ("berry-osc", "--q1=1/2", "--q2=3")),
+            ("scan_locus_ranges.json", ("scan-locus", "--q1=-1/3:7/5:9", "--q2=0:2:5")),
+        ],
+    )
+    def test_berry_commands_match_golden_bytes(self, capsys, golden, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (GOLDENS / golden).read_text(encoding="utf-8")
+
     def test_certify_multiple_models(self, capsys):
         code, payload = run_json(capsys, "certify", "--model", IX3, "--model", IX3, "--order", "1")
         assert code == 0
@@ -341,12 +355,22 @@ class TestErrorHandling:
     )
     def test_model_with_non_exact_rational_exits_2(self, capsys, tmp_path, coeff, options):
         term = {"x": 0, "p": 2, "hbar": 0, "coeff": coeff}
-        model = {"name": "m", "hamiltonian": {"terms": [term]}, "options": options}
+        hamiltonian = {"params": ["a", "b"], "terms": [term]}
+        model = {"name": "m", "hamiltonian": hamiltonian, "options": options}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model), encoding="utf-8")
         code, out, err = run(capsys, "dagger", "--model", str(path))
         assert code == 2 and not out
         assert "exact rational" in json.loads(err)["error"]
+
+    def test_numeric_value_for_an_undeclared_parameter_exits_2(self, capsys, tmp_path):
+        model = json.loads(Path(IX3).read_text(encoding="utf-8"))
+        model.setdefault("options", {})["numeric"] = {"z": "1"}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "dagger", "--model", str(path))
+        assert code == 2 and not out
+        assert "numeric" in json.loads(err)["error"]
 
     def test_series_with_float_coefficient_exits_2(self, capsys, tmp_path):
         one = {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from starmetric import (
     GaussianRational,
@@ -206,6 +206,59 @@ class TestRatFunc2:
     def test_json_round_trip(self):
         f = (self.q2 + 3) / self.delta
         assert RatFunc2.from_json(f.to_json()) == f
+
+    def test_equal_denominators_that_cancel_a_monomial_reduce(self):
+        f = (self.q1 + 1) / self.q1 + RatFunc2(-1) / self.q1
+        assert f.num == ParamPoly.constant(Q_PARAMS, 1) and f.den == f.num
+
+
+Q_PARAMS = ("q1", "q2")
+q_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), gaussians, max_size=3
+).map(lambda terms: ParamPoly(Q_PARAMS, terms))
+q_scalars = st.one_of(st.just(0), st.integers(-6, 6), small_fractions, gaussians)
+
+
+def assert_canonical(f):
+    """A monic denominator, no shared monomial content, and 1 under zero."""
+    if f.is_zero:
+        assert f.den == ParamPoly.constant(Q_PARAMS, 1)
+        return
+    assert f.den.terms[max(f.den.terms)] == ONE
+    keys = list(f.num.terms) + list(f.den.terms)
+    assert all(min(key[i] for key in keys) == 0 for i in range(2))
+
+
+def assert_same_function(f, num, den):
+    """f == num/den, decided by cross multiplication of the ParamPolys."""
+    assert f.num * den == num * f.den
+
+
+class TestRatFunc2AgainstCrossMultiplication:
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(q_polys, q_polys, q_polys, q_polys, st.booleans())
+    def test_add_and_equality(self, n1, d1, n2, d2, shared):
+        d1 = d1 if not d1.is_zero else ParamPoly.constant(Q_PARAMS, 1)
+        f = RatFunc2(n1, d1)
+        g = RatFunc2(n2, f.den if shared or d2.is_zero else d2)
+        for total in (f + g, g + f):
+            assert_same_function(total, f.num * g.den + g.num * f.den, f.den * g.den)
+            assert_canonical(total)
+        difference = f - g
+        assert_same_function(difference, f.num * g.den - g.num * f.den, f.den * g.den)
+        assert_canonical(difference)
+        assert (f == g) is (f.num * g.den == g.num * f.den)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(q_polys, q_polys, q_scalars)
+    def test_scalar_product_and_conjugate(self, num, den, c):
+        f = RatFunc2(num, den if not den.is_zero else ParamPoly.constant(Q_PARAMS, 1))
+        for product in (f * c, c * f):
+            assert isinstance(product, RatFunc2)
+            assert_same_function(product, f.num * c, f.den)
+            assert_canonical(product)
+        assert_same_function(f.conjugate(), f.num.conjugate(), f.den.conjugate())
+        assert_canonical(f.conjugate())
 
 
 class TestParamPoly:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, sqrt
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -262,23 +262,17 @@ def coalescing_eigenvectors(w: complex) -> Tuple[np.ndarray, np.ndarray]:
 # Moyal-level connection for H = p^2 + q1 x^2 + i q2 x p
 
 
-class MoyalConnection:
+class MoyalConnection(NamedTuple):
     """A_i = (s_i xp + t_i x^2) / hbar with exact RatFunc2 coefficients.
 
     The p^2 coefficients are gauged to zero.  All four coefficients share the
     denominator whose zero set is the singular locus.
     """
 
-    __slots__ = ("s1", "t1", "s2", "t2")
-
-    def __init__(self, s1: RatFunc2, t1: RatFunc2, s2: RatFunc2, t2: RatFunc2):
-        object.__setattr__(self, "s1", s1)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "s2", s2)
-        object.__setattr__(self, "t2", t2)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MoyalConnection is immutable")
+    s1: RatFunc2
+    t1: RatFunc2
+    s2: RatFunc2
+    t2: RatFunc2
 
     def a1(self) -> PhasePoly:
         return PhasePoly({(1, 1, -1): self.s1, (2, 0, -1): self.t1})

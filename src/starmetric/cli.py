@@ -343,6 +343,7 @@ def _cstr(v: complex) -> str:
 
 
 def cmd_berry_osc(args):
+    _require((args.q1 is None) == (args.q2 is None), "a point needs both --q1 and --q2")
     conn = berry.moyal_connection_solve()
     res1, res2 = berry.connection_residual(conn)
     curvature = berry.moyal_curvature(conn)
@@ -354,7 +355,7 @@ def cmd_berry_osc(args):
         "locus": locus.to_json(),
         "locus_latex": param_poly_latex(locus),
     }
-    if args.q1 is not None and args.q2 is not None:
+    if args.q1 is not None:
         q1, q2 = as_fraction(args.q1), as_fraction(args.q2)
         value = berry.locus_value(q1, q2)
         point = {"q1": str(q1), "q2": str(q2), "locus_value": str(value)}
@@ -385,42 +386,40 @@ def _parse_range(spec: str):
     return [as_fraction(spec)]
 
 
-def _scan_record(q1: Fraction, q2: Fraction) -> dict:
-    value = berry.locus_value(q1, q2)
-    sign = 0 if value == 0 else (1 if value > 0 else -1)
-    return {
-        "q1": float(q1),
-        "q2": float(q2),
-        "locus_value": float(value),
-        "region_sign": sign,
-    }
+def _locus_records(q1s, q2s) -> list:
+    """One record per point of the grid q1s x q2s.  Each point is an integer
+    numerator over the grid's common denominator: its sign is the region, and
+    int / int rounds as float(Fraction).  A value past the float range is an
+    input error."""
+    rows, den = berry.locus_grid(q1s, q2s)
+    try:
+        f2s = [float(q2) for q2 in q2s]
+        return [
+            {"q1": f1, "q2": f2, "locus_value": n / den, "region_sign": (n > 0) - (n < 0)}
+            for f1, row in zip(map(float, q1s), rows)
+            for f2, n in zip(f2s, row)
+        ]
+    except OverflowError as exc:
+        raise CliInputError(f"scan value past the float range: {exc}") from exc
 
 
 def cmd_scan_locus(args):
-    if args.omega is not None:
-        _require(
-            args.alpha is not None and args.beta is not None,
-            "oscillator mapping needs --omega, --alpha and --beta",
-        )
+    oscillator = (args.omega, args.alpha, args.beta)
+    if oscillator != (None, None, None):
+        _require(None not in oscillator, "oscillator mapping needs --omega, --alpha and --beta")
+        _require(args.q1 is None and args.q2 is None, "oscillator mapping takes no --q1 or --q2")
         try:
-            q1, q2 = berry.oscillator_parameters(args.omega, args.alpha, args.beta)
+            q1, q2 = berry.oscillator_parameters(*oscillator)
         except (ZeroDivisionError, OverflowError) as exc:
             raise CliInputError(str(exc)) from exc
-        record = _scan_record(q1, q2)
-        record["omega"], record["alpha"], record["beta"] = args.omega, args.alpha, args.beta
+        (record,) = _locus_records([q1], [q2])
+        record.update(omega=args.omega, alpha=args.alpha, beta=args.beta)
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
-    # one integer numerator per point over the grid's common denominator: its
-    # sign is the region, and int / int rounds as float(Fraction); --jobs is unused
+    # --jobs is unused
     q1s = _parse_range(args.q1 or "-3:3:25")
     q2s = _parse_range(args.q2 or "-3:3:25")
-    rows, den = berry.locus_grid(q1s, q2s)
-    f2s = [float(q2) for q2 in q2s]
-    records = [
-        {"q1": f1, "q2": f2, "locus_value": n / den, "region_sign": (n > 0) - (n < 0)}
-        for f1, row in zip(map(float, q1s), rows)
-        for f2, n in zip(f2s, row)
-    ]
+    records = _locus_records(q1s, q2s)
     return {"count": len(records), "records": records}, True
 
 

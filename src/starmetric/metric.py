@@ -9,10 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, ONE, ParamPoly, accumulate, power
+from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate, power
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
@@ -40,23 +40,16 @@ class UnsolvableOrder(ArithmeticError):
     """The triangular system for some x power is inconsistent."""
 
 
-class HamiltonianSpec:
+class HamiltonianSpec(Frozen):
     """A Hamiltonian phase-space function, optionally split as H0 + g*V."""
 
     __slots__ = ("h0", "coupling_name", "v")
 
     def __init__(self, h0: PhasePoly, coupling: Optional[Tuple[str, PhasePoly]] = None):
+        name, v = (None, None) if coupling is None else coupling
         object.__setattr__(self, "h0", h0)
-        if coupling is None:
-            object.__setattr__(self, "coupling_name", None)
-            object.__setattr__(self, "v", None)
-        else:
-            name, v = coupling
-            object.__setattr__(self, "coupling_name", name)
-            object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HamiltonianSpec is immutable")
+        object.__setattr__(self, "coupling_name", name)
+        object.__setattr__(self, "v", v)
 
     @property
     def has_coupling(self) -> bool:
@@ -136,7 +129,7 @@ def _exchange_with_poly(h: PhasePoly, theta: ThetaLike):
 # PDE extraction
 
 
-class PDEOperator:
+class PDEOperator(Frozen):
     """Linear differential operator L = sum coeff_ij(x, p, hbar) dx^i dp^j.
 
     ``apply`` reproduces the metric residual exactly:
@@ -152,9 +145,6 @@ class PDEOperator:
         """``coeffs`` maps (i, j) to the PhasePoly of dx^i dp^j, or lists such pairs."""
         pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         object.__setattr__(self, "coeffs", accumulate(pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PDEOperator is immutable")
 
     def apply(self, theta: PhasePoly) -> PhasePoly:
         out = PhasePoly.zero()
@@ -218,12 +208,7 @@ class PDEOperator:
     def __eq__(self, other):
         if not isinstance(other, PDEOperator):
             return NotImplemented
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in self.coeffs)
-
-    def __hash__(self):
-        raise TypeError("PDEOperator is unhashable")
+        return self.coeffs == other.coeffs
 
     def subs_hbar(self, value) -> "PDEOperator":
         return PDEOperator({k: v.subs_hbar(value) for k, v in self.coeffs.items()})
@@ -464,7 +449,7 @@ def solve_perturbative(
 # certification
 
 
-class CertReport:
+class CertReport(NamedTuple):
     """Outcome of hermiticity/positivity certification of a series metric.
 
     ``positive`` is the hermiticity of the star-logarithm, which for a
@@ -472,21 +457,12 @@ class CertReport:
     `certify_metric`.
     """
 
-    __slots__ = ("hermitian", "positive", "order")
-
-    def __init__(self, hermitian: bool, positive: bool, order: int):
-        object.__setattr__(self, "hermitian", hermitian)
-        object.__setattr__(self, "positive", positive)
-        object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CertReport is immutable")
+    hermitian: bool
+    positive: bool
+    order: int
 
     def to_json(self) -> dict:
-        return {"hermitian": self.hermitian, "positive": self.positive, "order": self.order}
-
-    def __repr__(self):
-        return f"CertReport(hermitian={self.hermitian}, positive={self.positive}, order={self.order})"
+        return self._asdict()
 
 
 def certify_metric(theta: CouplingSeries) -> CertReport:

@@ -26,6 +26,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Tuple, Union
 
 from .scalars import (
+    Frozen,
     GaussianRational,
     ParamPoly,
     RatFunc2,
@@ -66,7 +67,7 @@ def _checked(key, coeff) -> Tuple[Key, object]:
     return (xd, pd, hd), _coerce_coeff(coeff)
 
 
-class PhasePoly:
+class PhasePoly(Frozen):
     """Phase-space function: sparse Laurent polynomial in (x, p, hbar)."""
 
     __slots__ = ("terms",)
@@ -82,9 +83,6 @@ class PhasePoly:
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", accumulate(pairs))
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PhasePoly is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -236,13 +234,8 @@ class PhasePoly:
         if isinstance(other, COEFF_TYPES):
             other = PhasePoly.const(other)
         if isinstance(other, PhasePoly):
-            if set(self.terms) != set(other.terms):
-                return False
-            return all(self.terms[k] == other.terms[k] for k in self.terms)
+            return self.terms == other.terms
         return NotImplemented
-
-    def __hash__(self):
-        raise TypeError("PhasePoly is unhashable")
 
     # -- serialization -------------------------------------------------------
 
@@ -287,7 +280,7 @@ def coeff_from_json(obj):
     raise ValueError(f"bad coefficient JSON: {obj!r}")
 
 
-class CouplingSeries:
+class CouplingSeries(Frozen):
     """Truncated power series in one formal coupling with PhasePoly coefficients.
 
     ``coeffs[k]`` is the coefficient of ``coupling**k``; the truncation order is
@@ -305,9 +298,6 @@ class CouplingSeries:
             raise TypeError("series coefficients must be PhasePoly values")
         object.__setattr__(self, "coupling", coupling)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CouplingSeries is immutable")
 
     @property
     def order(self) -> int:
@@ -389,9 +379,6 @@ class CouplingSeries:
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __hash__(self):
-        raise TypeError("CouplingSeries is unhashable")
-
     def to_json(self) -> dict:
         return {
             "coupling": self.coupling,
@@ -415,7 +402,7 @@ class CouplingSeries:
         return " + ".join(bits) + f" + O({self.coupling}^{self.order + 1})"
 
 
-class ModelParams:
+class ModelParams(Frozen):
     """Real parameters (a, b, c) of the quadratic model, optionally tracked
     back to oscillator constants (omega, alpha, beta) with
     a = (omega - alpha - beta)/2, b = (omega + alpha + beta)/2, c = alpha - beta.
@@ -441,9 +428,6 @@ class ModelParams:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "provenance", provenance)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModelParams is immutable")
 
     @classmethod
     def from_oscillator(cls, omega, alpha, beta) -> "ModelParams":

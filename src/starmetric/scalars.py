@@ -13,6 +13,12 @@ Inputs are checked once, by the public constructors (key shape and
 coefficient type); results of arithmetic on valid terms go straight to
 `accumulate`.  `power` is the one repeated-squaring loop behind every
 ``__pow__``.
+
+`Frozen` is the one immutability policy of the package.  Every value class
+(the three here, `PhasePoly`, `CouplingSeries`, `ModelParams`,
+`ExpQuadForm`, `HamiltonianSpec`, `PDEOperator` and `TorusFunction`) derives
+from it, and only its constructors set slots, past its `__setattr__`.  The
+plain records `CertReport` and `MoyalConnection` are `NamedTuple`s.
 """
 
 from __future__ import annotations
@@ -137,7 +143,18 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-class GaussianRational:
+class Frozen:
+    """Base of the immutable value types: attribute assignment raises.
+    Constructors set their slots with ``object.__setattr__`` or a slot
+    descriptor's ``__set__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class GaussianRational(Frozen):
     """Exact complex number (a + b i)/d stored as three integers.
 
     The triple is canonical: d > 0 and gcd(a, b, d) == 1, so equality is
@@ -154,9 +171,6 @@ class GaussianRational:
             im.numerator * re.denominator,
             re.denominator * im.denominator,
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":
@@ -328,7 +342,7 @@ ZERO = GaussianRational(0)
 I = GaussianRational(0, 1)
 
 
-class ParamPoly:
+class ParamPoly(Frozen):
     """Sparse Laurent polynomial in named real parameters over GaussianRational.
 
     Used to keep model coefficients (a, b, c, a coupling, ...) symbolic while
@@ -359,9 +373,6 @@ class ParamPoly:
         object.__setattr__(poly, "params", params)
         object.__setattr__(poly, "terms", accumulate(pairs))
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
 
     # -- constructors ----------------------------------------------------
 
@@ -545,7 +556,7 @@ class ParamPoly:
         return " + ".join(bits)
 
 
-class RatFunc2:
+class RatFunc2(Frozen):
     """Rational function in the two real parameters (q1, q2).
 
     The denominator is normalized to be monic in the lexicographically
@@ -594,9 +605,6 @@ class RatFunc2:
         object.__setattr__(f, "num", num)
         object.__setattr__(f, "den", den)
         return f
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc2 is immutable")
 
     @classmethod
     def _as_poly(cls, value) -> ParamPoly:
@@ -717,9 +725,6 @@ class RatFunc2:
         if self.den == other.den:
             return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        raise TypeError("RatFunc2 is unhashable (equality is by cross multiplication)")
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}

@@ -53,7 +53,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, _reduced, check_keys
+from .scalars import Frozen, GaussianRational, I, _reduced, check_keys
 
 __all__ = [
     "moyal_coefficients",
@@ -270,7 +270,7 @@ def series_exp_pointwise(s: CouplingSeries) -> CouplingSeries:
     return power_sum([Fraction(1, factorial(n)) for n in range(s.order + 1)], s, operator.mul)
 
 
-class ExpQuadForm:
+class ExpQuadForm(Frozen):
     """P(x, p, hbar) * exp(Q(x, p, hbar)) with Q of total (x, p) degree <= 2.
 
     Star products of a polynomial against this class stay in the class: each
@@ -285,9 +285,6 @@ class ExpQuadForm:
             raise ValueError("exponent must have total (x, p) degree <= 2")
         object.__setattr__(self, "prefactor", prefactor)
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpQuadForm is immutable")
 
     @classmethod
     def pure_exponent(cls, exponent: PhasePoly) -> "ExpQuadForm":
@@ -314,9 +311,6 @@ class ExpQuadForm:
         if not isinstance(other, ExpQuadForm):
             return NotImplemented
         return self.prefactor == other.prefactor and self.exponent == other.exponent
-
-    def __hash__(self):
-        raise TypeError("ExpQuadForm is unhashable")
 
     def subs_hbar(self, value) -> "ExpQuadForm":
         return ExpQuadForm(self.prefactor.subs_hbar(value), self.exponent.subs_hbar(value))

@@ -29,12 +29,14 @@ from typing import Tuple
 
 import numpy as np
 
+from .scalars import Frozen
+
 
 class SizeMismatch(ValueError):
     """Two torus functions with different N were combined."""
 
 
-class TorusFunction:
+class TorusFunction(Frozen):
     """Fourier data of an operator: entry (n, m) multiplies e^{i n alpha} e^{i m beta}."""
 
     __slots__ = ("n", "fourier")
@@ -45,9 +47,6 @@ class TorusFunction:
             raise ValueError(f"expected a {n}x{n} grid, got {fourier.shape}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "fourier", fourier)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusFunction is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "TorusFunction":

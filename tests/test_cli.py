@@ -343,6 +343,30 @@ class TestErrorHandling:
         assert "error" in json.loads(err)
 
     @pytest.mark.parametrize(
+        "flags", [("--q1=1e400", "--q2=0"), ("--q1=0", "--q2=1e200"), ("--q1=0:1e400:2", "--q2=0")]
+    )
+    def test_scan_locus_grid_past_float_range_exits_2(self, capsys, flags):
+        code, out, err = run(capsys, "scan-locus", *flags)
+        assert code == 2 and not out
+        assert "float" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("berry-osc", "--q1=1/0"), "--q1 and --q2"),
+            (("berry-osc", "--q2=1"), "--q1 and --q2"),
+            (("scan-locus", "--alpha=1"), "--omega, --alpha and --beta"),
+            (("scan-locus", "--beta=1", "--q1=0"), "--omega, --alpha and --beta"),
+            (("scan-locus", "--omega=1", "--alpha=0.1", "--beta=0.2", "--q1=1"), "--q1"),
+            (("scan-locus", "--omega=1", "--alpha=0.1", "--beta=0.2", "--q2=1"), "--q2"),
+        ],
+    )
+    def test_incomplete_flag_set_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert message in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
         "coeff, options",
         [
             ({"re": 0.1, "im": "0"}, {}),

@@ -14,11 +14,9 @@ coefficient type); results of arithmetic on valid terms go straight to
 `accumulate`.  `power` is the one repeated-squaring loop behind every
 ``__pow__``.
 
-`Frozen` is the one immutability policy of the package.  Every value class
-(the three here, `PhasePoly`, `CouplingSeries`, `ModelParams`,
-`ExpQuadForm`, `HamiltonianSpec`, `PDEOperator` and `TorusFunction`) derives
-from it, and only its constructors set slots, past its `__setattr__`.  The
-plain records `CertReport` and `MoyalConnection` are `NamedTuple`s.
+`Frozen` is the one immutability policy of the package: every value class
+derives from it, and only its constructors set slots, past its
+`__setattr__`.  Plain records are `NamedTuple`s.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ class TestGaussianRational:
         assert gr(0).conjugate() == gr(0)
         assert gr(0, 1).conjugate() == gr(0, -1)
 
-    @settings(derandomize=True, deadline=None, database=None)
     @given(gaussians, gaussians, gaussians)
     def test_field_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
@@ -41,7 +40,6 @@ class TestGaussianRational:
         if not a.is_zero:
             assert a * a.inverse() == ONE
 
-    @settings(derandomize=True, deadline=None, database=None)
     @given(gaussians, gaussians)
     def test_conj_homomorphism(self, a, b):
         assert a.conjugate().conjugate() == a
@@ -115,7 +113,6 @@ operands = st.one_of(wide_pairs, st.integers(-30, 30), wide_fractions)
 
 
 class TestGaussianRationalAgainstFractionPairs:
-    @settings(derandomize=True, deadline=None, database=None)
     @given(wide_pairs, operands)
     def test_ring_operations(self, x, w):
         (z, x), (w, y) = _with_ref(x), _with_ref(w)
@@ -129,7 +126,6 @@ class TestGaussianRationalAgainstFractionPairs:
         assert_matches(w * z, _ref_mul(x, y))
         assert_matches(z.conjugate(), (x[0], -x[1]))
 
-    @settings(derandomize=True, deadline=None, database=None)
     @given(wide_pairs, operands)
     def test_division_and_inverse(self, x, w):
         (z, x), (w, y) = _with_ref(x), _with_ref(w)
@@ -142,7 +138,6 @@ class TestGaussianRationalAgainstFractionPairs:
             with pytest.raises(ZeroDivisionError):
                 z.inverse()
 
-    @settings(derandomize=True, deadline=None, database=None)
     @given(wide_pairs, st.integers(-5, 6))
     def test_power(self, x, n):
         z, x = _with_ref(x)

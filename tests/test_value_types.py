@@ -1,5 +1,5 @@
-"""The value-type contract: every value of the package is immutable, and the
-containers that compare by value but define no hash are unhashable."""
+"""The value-type contract: attribute assignment raises on every value class,
+and the containers that compare by value but define no hash are unhashable."""
 
 import pytest
 

@@ -14,9 +14,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import berry, weyl
 from .exprparse import parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
 from .metric import (
@@ -32,7 +29,7 @@ from .metric import (
     pde_operator,
     solve_perturbative,
 )
-from .modelio import Model, load_model
+from .modelio import Model, load_model, read_json
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, I, ParamPoly, PoleAtPoint, as_fraction
 from .star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
@@ -146,8 +143,7 @@ def cmd_solve(args):
 def cmd_starlog(args):
     model = None
     if args.series:
-        with open(args.series, encoding="utf-8") as fh:
-            theta = CouplingSeries.from_json(json.load(fh))
+        theta = CouplingSeries.from_json(read_json(args.series))
         payload = {"source": args.series}
     else:
         model = _model(args)
@@ -271,6 +267,10 @@ def _numeric_quadratic_spec(av: Fraction, bv: Fraction):
 
 
 def cmd_berry2x2(args):
+    import numpy as np
+
+    from . import berry
+
     rng = np.random.default_rng(args.seed)
     f = berry.holonomy_exceptional()
     f_expected = np.array([[-1.0, -2j], [0.0, 1.0]])
@@ -343,6 +343,8 @@ def _cstr(v: complex) -> str:
 
 
 def cmd_berry_osc(args):
+    from . import berry
+
     _require((args.q1 is None) == (args.q2 is None), "a point needs both --q1 and --q2")
     conn = berry.moyal_connection_solve()
     res1, res2 = berry.connection_residual(conn)
@@ -386,12 +388,12 @@ def _parse_range(spec: str):
     return [as_fraction(spec)]
 
 
-def _locus_records(q1s, q2s) -> list:
-    """One record per point of the grid q1s x q2s.  Each point is an integer
-    numerator over the grid's common denominator: its sign is the region, and
-    int / int rounds as float(Fraction).  A value past the float range is an
-    input error."""
-    rows, den = berry.locus_grid(q1s, q2s)
+def _locus_records(q1s, q2s, grid) -> list:
+    """One record per point of the grid q1s x q2s, whose `berry.locus_grid`
+    is ``grid``.  Each point is an integer numerator over the grid's common
+    denominator: its sign is the region, and int / int rounds as
+    float(Fraction).  A value past the float range is an input error."""
+    rows, den = grid
     try:
         f2s = [float(q2) for q2 in q2s]
         return [
@@ -404,6 +406,8 @@ def _locus_records(q1s, q2s) -> list:
 
 
 def cmd_scan_locus(args):
+    from . import berry
+
     oscillator = (args.omega, args.alpha, args.beta)
     if oscillator != (None, None, None):
         _require(None not in oscillator, "oscillator mapping needs --omega, --alpha and --beta")
@@ -412,18 +416,20 @@ def cmd_scan_locus(args):
             q1, q2 = berry.oscillator_parameters(*oscillator)
         except (ZeroDivisionError, OverflowError) as exc:
             raise CliInputError(str(exc)) from exc
-        (record,) = _locus_records([q1], [q2])
+        (record,) = _locus_records([q1], [q2], berry.locus_grid([q1], [q2]))
         record.update(omega=args.omega, alpha=args.alpha, beta=args.beta)
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
     # --jobs is unused
     q1s = _parse_range(args.q1 or "-3:3:25")
     q2s = _parse_range(args.q2 or "-3:3:25")
-    records = _locus_records(q1s, q2s)
+    records = _locus_records(q1s, q2s, berry.locus_grid(q1s, q2s))
     return {"count": len(records), "records": records}, True
 
 
 def cmd_finite_oracle(args):
+    from . import weyl
+
     report = weyl.oracle_run(args.n, _trials(args), args.seed)
     return report, report["failures"] == 0
 

@@ -14,10 +14,10 @@ anything richer belongs in a JSON model file.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import List, Tuple
 
+from .modelio import read_json
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import GaussianRational, I
 from .star import ExpQuadForm
@@ -134,7 +134,10 @@ def _divide(num: PhasePoly, den: PhasePoly) -> PhasePoly:
 
 def parse_poly(text: str) -> PhasePoly:
     parser = _Parser(_tokenize(text))
-    out = parser.expr()
+    try:
+        out = parser.expr()
+    except RecursionError:
+        raise ExprError("expression nested too deeply") from None
     if parser.peek() is not None:
         raise ExprError(f"trailing tokens: {parser.tokens[parser.pos:]}")
     return out
@@ -147,15 +150,13 @@ def parse_theta(spec: str) -> Tuple[str, object]:
     if spec.startswith("expquad:"):
         rest = spec[len("expquad:") :]
         if rest.endswith(".json"):
-            with open(rest, encoding="utf-8") as fh:
-                return "expquad", ExpQuadForm.from_json(json.load(fh))
+            return "expquad", ExpQuadForm.from_json(read_json(rest))
         m = re.fullmatch(r"exp\((.*)\)", rest)
         if not m:
             raise ExprError("expquad theta must look like expquad:exp(...) or expquad:FILE.json")
         return "expquad", ExpQuadForm.pure_exponent(parse_poly(m.group(1)))
     if spec.startswith("series:"):
-        with open(spec[len("series:") :], encoding="utf-8") as fh:
-            return "series", CouplingSeries.from_json(json.load(fh))
+        return "series", CouplingSeries.from_json(read_json(spec[len("series:") :]))
     if spec.startswith("poly:"):
         return "poly", parse_poly(spec[len("poly:") :])
     return "poly", parse_poly(spec)

@@ -1,6 +1,8 @@
 """Model files: named Hamiltonians with options.  This is the one reader of
 the format; every JSON object goes through `scalars.check_keys` and every
 array through `scalars.check_list`, so any malformed file is a `ModelError`.
+`read_json` opens every JSON file the CLI reads: models, series and
+Gaussian forms.
 """
 
 from __future__ import annotations
@@ -85,10 +87,18 @@ def model_from_obj(obj) -> Model:
     return Model(obj["name"], spec, order, hbar, numeric)
 
 
-def load_model(path: str | Path) -> Model:
+def read_json(path: str | Path):
+    """The JSON document in the UTF-8 file ``path``.  Nesting too deep for
+    the decoder's recursion is an input error."""
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    return model_from_obj(obj)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def load_model(path: str | Path) -> Model:
+    return model_from_obj(read_json(path))
 
 
 def bundled_model_path(name: str) -> Path:

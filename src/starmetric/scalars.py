@@ -277,7 +277,8 @@ class GaussianRational(Frozen):
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def __bool__(self):
         return not self.is_zero
@@ -516,6 +517,9 @@ class ParamPoly(Frozen):
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as the scalar it equals
+        if self.is_constant:
+            return hash(self.constant_value())
         return hash((self.params, frozenset(self.terms.items())))
 
     def canonical_terms(self):

@@ -55,26 +55,6 @@ from math import comb, factorial, lcm
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import Frozen, GaussianRational, I, _reduced, check_keys
 
-__all__ = [
-    "moyal_coefficients",
-    "star",
-    "dagger",
-    "is_hermitian",
-    "star_commutator",
-    "star_series",
-    "star_log",
-    "star_exp",
-    "power_sum",
-    "series_exp_pointwise",
-    "ExpQuadForm",
-    "star_poly_expquad",
-    "eqf_is_positive_hermitian",
-    "BadConstantTerm",
-    "NonzeroConstantTerm",
-    "NonTerminating",
-    "MixedExponent",
-]
-
 
 class BadConstantTerm(ValueError):
     """star_log requires a series with constant term 1."""

@@ -37,14 +37,16 @@ class SizeMismatch(ValueError):
 
 
 class TorusFunction(Frozen):
-    """Fourier data of an operator: entry (n, m) multiplies e^{i n alpha} e^{i m beta}."""
+    """Fourier data of an operator: entry (n, m) multiplies e^{i n alpha} e^{i m beta}.
+    The value owns a read-only copy of the array it is given."""
 
     __slots__ = ("n", "fourier")
 
     def __init__(self, n: int, fourier: np.ndarray):
-        fourier = np.asarray(fourier, dtype=complex)
+        fourier = np.array(fourier, dtype=complex)
         if fourier.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} grid, got {fourier.shape}")
+        fourier.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "fourier", fourier)
 

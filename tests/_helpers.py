@@ -3,8 +3,8 @@
 import random
 from fractions import Fraction
 
-from starmetric import GaussianRational, PhasePoly, RatFunc2
-from starmetric.scalars import ParamPoly
+from starmetric.phasepoly import PhasePoly
+from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
 
 
 def random_gr(rng: random.Random, span: int = 5) -> GaussianRational:

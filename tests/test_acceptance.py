@@ -13,35 +13,34 @@ from pathlib import Path
 
 import numpy as np
 
-from starmetric import (
-    CouplingSeries,
-    ExpQuadForm,
-    GaussianRational,
-    PhasePoly,
+from starmetric.berry import (
     RankDeficient,
+    gauge_fixed_connection,
+    holonomy_exceptional,
+    moyal_connection_solve,
+    moyal_curvature,
+    plaquette_defect,
+    singular_locus,
+    solve_connection_2x2,
+)
+from starmetric.metric import (
     certify_metric,
     cubic_pt,
-    dagger,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
     gaussian_family_constraint,
-    holonomy_exceptional,
     log_linear_in_n_check,
     metric_residual,
-    moyal_connection_solve,
-    moyal_curvature,
     pde_operator,
     shifted_oscillator,
-    singular_locus,
     solution_family_closure,
     solve_perturbative,
-    solve_connection_2x2,
-    star,
-    star_log,
     symbolic_quadratic,
 )
-from starmetric import berry, weyl
-from starmetric.scalars import I, ParamPoly, RatFunc2
+from starmetric.phasepoly import CouplingSeries, PhasePoly
+from starmetric.scalars import GaussianRational, I, ParamPoly, RatFunc2
+from starmetric.star import ExpQuadForm, dagger, star, star_log
+from starmetric.weyl import oracle_run
 
 from _helpers import random_poly
 
@@ -244,7 +243,7 @@ def test_criterion_08_berry_2x2():
                 continue
             found += 1
             solved = solve_connection_2x2(q)
-            printed = berry.gauge_fixed_connection(q)
+            printed = gauge_fixed_connection(q)
             assert max(np.max(np.abs(s - r)) for s, r in zip(solved, printed)) <= 1e-10
         for point in ((0.0, 1.0), (0.0, -1.0)):
             try:
@@ -283,7 +282,7 @@ def test_criterion_10_property_suites():
             a, b = random_poly(rng, max_terms=3, max_x=4), random_poly(rng, max_terms=3, max_x=4)
             assert dagger(star(a, b)) == star(dagger(b), dagger(a))
         for n in range(2, 9):
-            report = weyl.oracle_run(n, 100, seed=1000 + n)
+            report = oracle_run(n, 100, seed=1000 + n)
             assert report["failures"] == 0
             assert report["max_deviation"] <= 1e-10
 
@@ -298,8 +297,8 @@ def test_criterion_10_property_suites():
             )
             return m1, m2
 
-        big = berry.plaquette_defect(field, (0.3, 0.7), 1e-2)
-        small = berry.plaquette_defect(field, (0.3, 0.7), 5e-3)
+        big = plaquette_defect(field, (0.3, 0.7), 1e-2)
+        small = plaquette_defect(field, (0.3, 0.7), 5e-3)
         assert big / small >= 7.0
 
         spec = cubic_pt()

@@ -4,40 +4,43 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from starmetric import (
-    GaussianRational,
-    PhasePoly,
-    PoleAtPoint,
+from starmetric.berry import (
+    MoyalConnection,
     RankDeficient,
-    RatFunc2,
+    _double_bracket,
+    coalescing_eigenvectors,
+    connection_residual,
     curvature_matrix,
+    curvature_of_field,
+    gauge_fixed_connection,
+    gauge_transform_field,
+    general_connection,
     holonomy_exceptional,
+    holonomy_product_form,
+    locus_distance_from_origin,
+    locus_grid,
+    locus_value,
+    matrix_exp_taylor,
+    model_hamiltonian,
+    model_partials,
     moyal_connection_solve,
     moyal_curvature,
+    oscillator_hamiltonian,
+    oscillator_parameters,
+    plaquette_defect,
     plaquette_transport,
     singular_locus,
     solve_connection_2x2,
     verify_connection_matrix,
 )
-from starmetric import berry
-from starmetric.berry import (
-    MoyalConnection,
-    coalescing_eigenvectors,
-    connection_residual,
-    curvature_of_field,
-    gauge_fixed_connection,
-    gauge_transform_field,
-    general_connection,
-    holonomy_product_form,
-    locus_distance_from_origin,
-    locus_value,
-    model_hamiltonian,
-    model_partials,
-    oscillator_hamiltonian,
-    oscillator_parameters,
-    plaquette_defect,
+from starmetric.phasepoly import PhasePoly
+from starmetric.scalars import (
+    GaussianRational,
+    ParamPoly,
+    PoleAtPoint,
+    RatFunc2,
+    primitive_real_poly,
 )
-from starmetric.scalars import ParamPoly, primitive_real_poly
 from starmetric.star import star_commutator
 
 F_EXPECTED = np.array([[-1.0, -2j], [0.0, 1.0]])
@@ -64,7 +67,7 @@ class TestMonodromy:
         assert np.max(np.abs(f - F_EXPECTED)) <= 1e-4
 
     def test_identity_for_zero_generator(self):
-        assert np.allclose(berry.matrix_exp_taylor(np.zeros((2, 2))), np.eye(2))
+        assert np.allclose(matrix_exp_taylor(np.zeros((2, 2))), np.eye(2))
 
     def test_eigenvector_swap_numeric(self):
         f = holonomy_exceptional()
@@ -309,7 +312,7 @@ class TestMoyalConnection:
         # sums over one shared denominator stay over it: degree 2, not 22
         h = oscillator_hamiltonian()
         for a in self.conn.components():
-            for coeff in berry._double_bracket(a, h).terms.values():
+            for coeff in _double_bracket(a, h).terms.values():
                 assert max(sum(key) for key in coeff.den.terms) <= 2
 
     def test_locus_examples(self):
@@ -324,7 +327,7 @@ class TestMoyalConnection:
     def test_locus_grid_matches_locus_value(self):
         q1s = [Fraction(-7, 13) + k * Fraction(1, 17) for k in range(5)]
         q2s = [Fraction(-5, 19), Fraction(0), Fraction(23, 29), Fraction(4)]
-        rows, den = berry.locus_grid(q1s, q2s)
+        rows, den = locus_grid(q1s, q2s)
         assert [[Fraction(n, den) for n in row] for row in rows] == [
             [locus_value(q1, q2) for q2 in q2s] for q1 in q1s
         ]

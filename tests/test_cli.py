@@ -484,6 +484,29 @@ class TestErrorHandling:
         assert proc.returncode == 0
         assert b"Traceback" not in err and b"Exception ignored" not in err
 
+    def test_deeply_nested_theta_exits_2(self, capsys):
+        theta = "(" * 3000 + "x" + ")" * 3000
+        code, out, err = run(capsys, "star", "--model", SHIFTED, "--theta", theta)
+        assert code == 2 and not out
+        assert "nested too deeply" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--model", "{deep}"),
+            ("starlog", "--series", "{deep}"),
+            ("residual", "--model", IX3, "--theta", "series:{deep}"),
+            ("star", "--model", SHIFTED, "--theta", "expquad:{deep}"),
+        ],
+        ids=["model", "starlog-series", "theta-series", "theta-expquad"],
+    )
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(deep=deep) for arg in argv))
+        assert code == 2 and not out
+        assert "nested too deeply" in json.loads(err)["error"]
+
     @pytest.mark.parametrize(
         "series, key",
         [
@@ -637,6 +660,48 @@ class TestParser:
         monkeypatch.setattr(sys, "argv", ["starmetric", "dagger", "--model", SHIFTED])
         assert main() == 0
         assert "dagger" in json.loads(capsys.readouterr().out)
+
+
+# Runs the commands given as a JSON list of argvs in one fresh interpreter and
+# prints, after the import and after each command, the exit code and whether
+# numpy is loaded.
+_NUMPY_PROBE = """\
+import contextlib, io, json, sys
+from starmetric.cli import main
+report = [[None, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report.append([code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def _numpy_probe(*argvs):
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+        env=CLI_ENV, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestImports:
+    def test_exact_commands_load_no_numpy(self):
+        argvs = [[cmd, "--model", IX3, "--order", "3"] for cmd in ("solve", "certify", "starlog")]
+        assert _numpy_probe(*argvs) == [[None, False], [0, False], [0, False], [0, False]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["berry2x2", "--trials", "2"],
+            ["finite-oracle", "--n", "3", "--trials", "2"],
+            ["berry-osc", "--q1=1/2", "--q2=3"],
+            ["scan-locus", "--q1=0:1:2", "--q2=1"],
+        ],
+    )
+    def test_float_commands_run_in_a_fresh_interpreter(self, argv):
+        assert _numpy_probe(argv)[-1] == [0, True]
 
 
 class TestBundledModels:

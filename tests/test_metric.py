@@ -4,37 +4,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starmetric import (
+from starmetric.metric import (
     DegenerateParams,
-    ExpQuadForm,
-    GaussianRational,
     HamiltonianSpec,
-    PhasePoly,
     certify_metric,
     cubic_pt,
-    dagger,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
+    gaussian_exponent,
     gaussian_family_constraint,
-    is_hermitian,
+    hermitian_closure,
     log_linear_in_n_check,
     metric_residual,
     number_observable,
     observable_residual,
+    pde_mixed_conjugation,
     pde_operator,
+    quadratic_from_params,
     shifted_oscillator,
     solution_family_closure,
     solve_perturbative,
-    star_log,
     symbolic_quadratic,
 )
-from starmetric.metric import (
-    gaussian_exponent,
-    hermitian_closure,
-    pde_mixed_conjugation,
-)
-from starmetric.phasepoly import CouplingSeries
-from starmetric.scalars import I, ParamPoly
+from starmetric.phasepoly import CouplingSeries, ModelParams, PhasePoly
+from starmetric.scalars import GaussianRational, I, ParamPoly
+from starmetric.star import ExpQuadForm, dagger, is_hermitian, star_log
 
 from _helpers import random_poly
 
@@ -296,8 +290,6 @@ class TestClosure:
 class TestBuilders:
     def test_quadratic_dagger_matches_printed(self):
         spec, a, b, c = quad_symbols()
-        from starmetric import dagger
-
         hd = dagger(spec.h0)
         expected = (
             PhasePoly.monomial(a, 0, 2, 0)
@@ -308,8 +300,6 @@ class TestBuilders:
         assert hd == expected
 
     def test_cubic_dagger_is_plain_conjugate(self):
-        from starmetric import dagger
-
         h = cubic_pt().symbolic_total()
         assert dagger(h) == h.conjugate()
 
@@ -322,8 +312,6 @@ class TestBoundaryChoices:
     def test_supplied_integration_function(self):
         # an explicit x-independent function of (p, hbar) added at order 1
         # still solves the equation to the requested order
-        from starmetric.metric import cubic_pt, solve_perturbative, metric_residual
-
         spec = cubic_pt()
         c2 = PhasePoly.monomial(Fraction(1, 3), 0, -2, 1)
         theta = solve_perturbative(spec.h0, spec.v, 2, integration_functions={1: c2})
@@ -332,16 +320,11 @@ class TestBoundaryChoices:
         assert metric_residual(spec, theta).is_zero
 
     def test_integration_function_must_be_x_free(self):
-        from starmetric.metric import cubic_pt, solve_perturbative
-
         spec = cubic_pt()
         with pytest.raises(ValueError):
             solve_perturbative(spec.h0, spec.v, 1, integration_functions={1: PhasePoly.x()})
 
     def test_quadratic_from_model_params(self):
-        from starmetric import ModelParams, metric_residual
-        from starmetric.metric import quadratic_from_params
-
         params = ModelParams.from_oscillator(2, Fraction(1, 4), Fraction(1, 8))
         spec = quadratic_from_params(params)
         r = PhasePoly.monomial(-params.c / (params.b * 2), 0, 0, -1)

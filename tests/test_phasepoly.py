@@ -3,14 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from starmetric import (
-    CouplingMismatch,
-    CouplingSeries,
-    GaussianRational,
-    ModelParams,
-    PhasePoly,
-)
-from starmetric.scalars import I, ParamPoly
+from starmetric.phasepoly import CouplingMismatch, CouplingSeries, ModelParams, PhasePoly
+from starmetric.scalars import GaussianRational, I, ParamPoly
 
 from _helpers import random_poly
 

@@ -5,13 +5,16 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starmetric import (
+from starmetric.scalars import (
     GaussianRational,
+    ONE,
+    ParamPoly,
     PoleAtPoint,
     RatFunc2,
     ZeroDenominator,
+    fraction_str,
+    primitive_real_poly,
 )
-from starmetric.scalars import ONE, ParamPoly, fraction_str, primitive_real_poly
 
 from _helpers import random_ratfunc
 

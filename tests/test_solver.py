@@ -4,17 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from starmetric import (
-    CouplingSeries,
-    GaussianRational,
-    PhasePoly,
-    cubic_pt,
-    metric_residual,
-    solve_perturbative,
-    star,
-    star_log,
-)
-from starmetric.scalars import I
+from starmetric.metric import HamiltonianSpec, cubic_pt, metric_residual, solve_perturbative
+from starmetric.phasepoly import CouplingSeries, PhasePoly
+from starmetric.scalars import GaussianRational, I
+from starmetric.star import star, star_log
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -85,8 +78,6 @@ class TestPerturbativeSolver:
         v = PhasePoly.x(2) + PhasePoly.monomial(I, 1, 0, 0)
         spec = cubic_pt()
         theta = solve_perturbative(PhasePoly.p(2), v, 2)
-        from starmetric import HamiltonianSpec
-
         assert metric_residual(HamiltonianSpec(PhasePoly.p(2), ("g", v)), theta).is_zero
 
 

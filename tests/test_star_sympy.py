@@ -14,19 +14,11 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from starmetric import (
-    ExpQuadForm,
-    GaussianRational,
-    HamiltonianSpec,
-    PhasePoly,
-    dagger,
-    is_hermitian,
-    pde_operator,
-    star,
-    star_poly_expquad,
-)
+from starmetric.metric import HamiltonianSpec, pde_operator
 from starmetric.modelio import bundled_model_path, load_model
-from starmetric.scalars import ParamPoly
+from starmetric.phasepoly import PhasePoly
+from starmetric.scalars import GaussianRational, ParamPoly
+from starmetric.star import ExpQuadForm, dagger, is_hermitian, star, star_poly_expquad
 
 from _helpers import random_gr, random_poly
 

@@ -1,6 +1,9 @@
 """The value-type contract: attribute assignment raises on every value class,
 and the containers that compare by value but define no hash are unhashable."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
 from starmetric.berry import MoyalConnection
@@ -63,6 +66,38 @@ def test_hashable_scalars_hash_by_value():
     assert hash(GaussianRational(1, 2)) == hash(GaussianRational("2/2", "4/2"))
     a = ParamPoly.generators("a")[0]
     assert hash(a * 2) == hash(a + a)
+
+
+@pytest.mark.parametrize(
+    "value, equal",
+    [
+        (GaussianRational(2), 2),
+        (GaussianRational(-3, 0), -3),
+        (GaussianRational("1/2"), Fraction(1, 2)),
+        (ParamPoly.constant(("a",), 2), 2),
+        (ParamPoly.constant(("a", "b"), Fraction(-7, 3)), Fraction(-7, 3)),
+        (ParamPoly.constant(("a",), GaussianRational(1, 2)), GaussianRational(1, 2)),
+        (ParamPoly(("a",), {}), 0),
+    ],
+)
+def test_hash_agrees_with_equality(value, equal):
+    assert value == equal
+    assert hash(value) == hash(equal)
+    assert value in {equal} and equal in {value}
+
+
+def test_torus_function_copies_its_array():
+    grid = np.zeros((2, 2), dtype=complex)
+    t = TorusFunction(2, grid)
+    grid[0, 0] = 5
+    assert t.fourier[0, 0] == 0
+
+
+def test_torus_function_array_is_read_only():
+    t = TorusFunction.basis(2, 0, 0)
+    with pytest.raises(ValueError):
+        t.fourier[1, 1] = 3
+    assert t.fourier[1, 1] == 0
 
 
 def test_cert_report_repr_and_json_order():

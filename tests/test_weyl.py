@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from starmetric import (
+from starmetric.weyl import (
     SizeMismatch,
     TorusFunction,
     clock_shift,
@@ -11,9 +11,11 @@ from starmetric import (
     discrete_is_hermitian,
     discrete_star,
     fun_to_op,
+    isomorphism_trial,
     op_to_fun,
+    oracle_run,
+    random_operator,
 )
-from starmetric.weyl import isomorphism_trial, oracle_run, random_operator
 
 # The discrete phase phi = 2 pi / N stands in for hbar: the basis phase rule
 # e^{-i phi m n'} is the finite analogue of the continuum monomial rule

@@ -18,6 +18,7 @@ from .exprparse import parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
 from .metric import (
     HamiltonianSpec,
+    UnsolvableOrder,
     certify_metric,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
@@ -511,9 +512,9 @@ def main(argv=None) -> int:
         msg = f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         print(json.dumps({"error": msg}), file=sys.stderr)
         return 2
-    except (ValueError, PoleAtPoint, OSError) as exc:
+    except (ValueError, PoleAtPoint, OSError, UnsolvableOrder) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UnsolvableOrder) else 2
     status = 0 if ok else 1
     try:
         print(json.dumps(payload, indent=2))

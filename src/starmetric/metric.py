@@ -17,6 +17,8 @@ from .star import (
     BadConstantTerm,
     ExpQuadForm,
     NonTerminating,
+    _joined,
+    _numerators,
     dagger,
     dagger_series,
     is_hermitian,
@@ -397,12 +399,12 @@ def solve_perturbative(
 ) -> CouplingSeries:
     """Series metric for H = p^2 + g V(x).
 
-    Order n reduces to the triangular x-power system
-        2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 = V * Theta_{n-1} - conj(V) Theta_{n-1},
-    solved top-down.  By default every constant of integration (a free
-    function of p at each order) is zero and the normalization is 1; a caller
-    can instead supply integration_functions[n] as an x-independent PhasePoly
-    added at order n.
+    Order n is the exchange equation
+        2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 = V * Theta_{n-1} - Theta_{n-1} conj(V),
+    solved by `_exchange_solution` and checked by recomputing its left side
+    term by term; a mismatch raises UnsolvableOrder.  The normalization is 1,
+    and the integration function (a free function of p) at order n is zero
+    unless integration_functions[n], 1 <= n <= order, supplies one.
     """
     if h0 != PhasePoly.p(2):
         raise ValueError("the perturbative solver requires H0 = p^2 exactly")
@@ -412,6 +414,8 @@ def solve_perturbative(
         raise ValueError("order must be >= 0")
     integration_functions = integration_functions or {}
     for n, func in integration_functions.items():
+        if not 1 <= n <= order:
+            raise ValueError(f"integration function at order {n} is outside 1..{order}")
         if func.depends_on_x():
             raise ValueError(f"integration function at order {n} depends on x")
     v_conj = v.conjugate()
@@ -419,30 +423,43 @@ def solve_perturbative(
     for n in range(1, order + 1):
         prev = thetas[n - 1]
         rhs = star(v, prev) - prev * v_conj
-        slices = rhs.x_slices()
-        if not slices:
-            thetas.append(integration_functions.get(n, PhasePoly.zero()))
-            continue
-        m = max(slices)
-        theta_parts: Dict[int, PhasePoly] = {}
-        for j in range(m, -1, -1):
-            rho = slices.get(j, PhasePoly.zero())
-            upper = theta_parts.get(j + 2, PhasePoly.zero())
-            num = rho + upper.shift_hbar(2) * Fraction((j + 2) * (j + 1))
-            # divide by 2 i hbar p (j + 1)
-            inv = PhasePoly.monomial(-I * Fraction(1, 2 * (j + 1)), 0, -1, -1)
-            theta_parts[j + 1] = num * inv
-        theta_n = integration_functions.get(n, PhasePoly.zero())
-        for j, part in theta_parts.items():
-            theta_n = theta_n + part * PhasePoly.x(j)
-        check = (
-            theta_n.derivative("x").shift_hbar(1) * PhasePoly.p() * (2 * I)
-            - theta_n.derivative("x").derivative("x").shift_hbar(2)
-        )
-        if check != rhs:
+        theta_n = _exchange_solution(rhs, integration_functions.get(n, PhasePoly.zero()))
+        parts, den = _numerators(theta_n)
+        lhs: dict = {}
+        for (x, p, h), (re, im) in parts:  # 2 i hbar p dTheta/dx - hbar^2 d^2Theta/dx^2
+            _add_scaled(lhs, (x - 1, p + 1, h + 1), -im, re, 2 * x)
+            _add_scaled(lhs, (x - 2, p, h + 2), re, im, -x * (x - 1))
+        if PhasePoly._of(_joined(lhs.items(), den)) != rhs:
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
         thetas.append(theta_n)
     return CouplingSeries(coupling, thetas)
+
+
+def _exchange_solution(rhs: PhasePoly, free: PhasePoly) -> PhasePoly:
+    """Theta = free + sum_j t_j x^j for the right side rhs = sum_j r_j x^j.
+    Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j + (j + 2)(j + 1) hbar^2
+    t_{j+2}, is solved from the top j down: each term of the right side is
+    multiplied by -i/(2 (j + 1)), the division going into one running integer
+    scale, and moved to (j + 1, p - 1, h - 1)."""
+    parts, den = _numerators(rhs)
+    slices: dict = {}
+    for (x, p, h), c in parts:
+        slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), c))
+    out, upper, scale = list(free.terms.items()), {}, 1  # upper: the numerators of t_{j+2}
+    for j in range(max(slices, default=-1), -1, -1):
+        acc = {key: [re * scale, im * scale] for key, (re, im) in slices.get(j, ())}
+        for (_, p, h), (re, im) in upper.items():
+            _add_scaled(acc, (j + 1, p - 1, h + 1), re, im, (j + 2) * (j + 1))
+        upper = {key: (im, -re) for key, (re, im) in acc.items()}
+        scale *= 2 * (j + 1)
+        out += _joined(upper.items(), den, scale)
+    return PhasePoly._of(out)
+
+
+def _add_scaled(acc: dict, key, re, im, w: int):
+    sums = acc.setdefault(key, [0, 0])
+    sums[0] += re * w
+    sums[1] += im * w
 
 
 # ---------------------------------------------------------------------------

@@ -221,13 +221,6 @@ class PhasePoly(Frozen):
     def map_coeffs(self, fn) -> "PhasePoly":
         return PhasePoly({k: fn(c) for k, c in self.terms.items()})
 
-    def x_slices(self) -> dict:
-        """Group terms by x degree: {x_deg: PhasePoly in (p, hbar) only}."""
-        slices: dict = {}
-        for (xd, pd, hd), coeff in self.terms.items():
-            slices.setdefault(xd, []).append(((0, pd, hd), coeff))
-        return {xd: PhasePoly._of(t) for xd, t in slices.items()}
-
     # -- equality -----------------------------------------------------------
 
     def __eq__(self, other):

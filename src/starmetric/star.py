@@ -38,6 +38,12 @@ part).  Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands)
 takes the same loop with the ring's own product, merged by
 `scalars.accumulate`.
 
+`star_series`, the Cauchy product of two series, makes one `_moyal` call per
+output order n over all (j, n - j) pairs of nonzero coefficients, over one
+denominator (the lcm of the pairs' denominator products): no PhasePoly, gcd
+or addition per pair.  A series with any other coefficient type sums `star`
+over the pairs.
+
 One-sided sums, where only one operand is differentiated, use
 `moyal_coefficients`: the factors (i hbar)^k / k! d^k A / dv^k for v = x or
 p, built term by term as i^k C(n, k) c v^(n-k) hbar^k for a term c v^n.
@@ -50,6 +56,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, lcm
 
 from .phasepoly import CouplingSeries, PhasePoly
@@ -143,18 +150,17 @@ def _moyal(products, sign: int, den: int | None = None) -> PhasePoly:
             else:
                 sums[0] += re * w
                 sums[1] += im * w
-    return PhasePoly._of(
-        (key, _reduced(re, im, den)) for key, (re, im) in acc.items() if re or im
-    )
+    return PhasePoly._of(_joined(acc.items(), den))
 
 
 def _numerators(a: PhasePoly):
-    """The terms of a as (key, (re, im)) Gaussian-integer numerators over one
-    common denominator, and that denominator; None unless every coefficient
-    is a GaussianRational."""
+    """The terms of a as (key, (re, im)) for coefficients (re + i im)/den, and
+    den.  When every coefficient is a GaussianRational, re and im are Gaussian
+    integer numerators over one common denominator; otherwise each term is
+    (c, 0) and den is None."""
     coeffs = a.terms.values()
     if not all(type(c) is GaussianRational for c in coeffs):
-        return None
+        return [(key, (c, 0)) for key, c in a.terms.items()], None
     # a list, not a generator: a tuple unpacked from a generator is built with
     # ten slots and shrunk, which leaves one more tuple on CPython's free list
     # for its final size on every call
@@ -162,22 +168,36 @@ def _numerators(a: PhasePoly):
     return [(key, (c.a * (den // c.d), c.b * (den // c.d))) for key, c in a.terms.items()], den
 
 
+def _joined(parts, den, scale: int = 1) -> list:
+    """The terms (key, (re + i im)/(den scale)) of the (key, (re, im)) parts,
+    the inverse of `_numerators`; integer sums of zero are dropped."""
+    if den is None:
+        return [(key, (re + im * I) * Fraction(1, scale)) for key, (re, im) in parts]
+    return [(key, _reduced(re, im, den * scale)) for key, (re, im) in parts if re or im]
+
+
+def _products(ta, tb, f: int = 1):
+    """The `_moyal` items of all term pairs of two `_numerators` lists, with
+    the numerators of ta first multiplied by f."""
+    if f != 1:
+        ta = [(key, (r * f, m * f)) for key, (r, m) in ta]
+    return (
+        (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (r1 * r2 - m1 * m2, r1 * m2 + m1 * r2))
+        for (x1, p1, h1), (r1, m1) in ta
+        for (x2, p2, h2), (r2, m2) in tb
+    )
+
+
 def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    na, nb = _numerators(a), _numerators(b)
-    if na is None or nb is None:
+    (ta, da), (tb, db) = _numerators(a), _numerators(b)
+    if da is None or db is None:
         products = (
             (x1, p2, (x1 + x2, p1 + p2, h1 + h2), c1 * c2)
             for (x1, p1, h1), c1 in a.terms.items()
             for (x2, p2, h2), c2 in b.terms.items()
         )
         return _moyal(products, 1)
-    (ta, da), (tb, db) = na, nb
-    products = (
-        (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (r1 * r2 - m1 * m2, r1 * m2 + m1 * r2))
-        for (x1, p1, h1), (r1, m1) in ta
-        for (x2, p2, h2), (r2, m2) in tb
-    )
-    return _moyal(products, 1, da * db)
+    return _moyal(_products(ta, tb), 1, da * db)
 
 
 def dagger(a: PhasePoly) -> PhasePoly:
@@ -187,10 +207,9 @@ def dagger(a: PhasePoly) -> PhasePoly:
 
 def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
     """Apply exp(sign * i hbar dx dp) to a; terminates on the x degree."""
-    na = _numerators(a)
-    if na is None:
+    ta, den = _numerators(a)
+    if den is None:
         return _moyal(((k[0], k[1], k, c) for k, c in a.terms.items()), sign)
-    ta, den = na
     return _moyal(((k[0], k[1], k, c) for k, c in ta), sign, den)
 
 
@@ -205,7 +224,17 @@ def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:
 
 def star_series(a: CouplingSeries, b: CouplingSeries) -> CouplingSeries:
     """Cauchy product with the star product in place of the pointwise one."""
-    return a.cauchy(b, star)
+    na, nb = [_numerators(c) for c in a.coeffs], [_numerators(c) for c in b.coeffs]
+    if any(d is None for _, d in chain(na, nb)):
+        return a.cauchy(b, star)
+    a._check(b)
+    out = []
+    for n in range(min(a.order, b.order) + 1):
+        pairs = [(na[j], nb[n - j]) for j in range(n + 1) if na[j][0] and nb[n - j][0]]
+        den = lcm(*[da * db for (_, da), (_, db) in pairs])
+        products = (_products(ta, tb, den // (da * db)) for (ta, da), (tb, db) in pairs)
+        out.append(_moyal(chain.from_iterable(products), 1, den))
+    return CouplingSeries(a.coupling, out)
 
 
 def dagger_series(s: CouplingSeries) -> CouplingSeries:

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starmetric import cli
 from starmetric.cli import main
+from starmetric.metric import UnsolvableOrder
 from starmetric.modelio import bundled_model_path, load_model, model_from_obj, ModelError
 from starmetric.phasepoly import CouplingSeries
 from starmetric.star import ExpQuadForm
@@ -69,6 +71,28 @@ class TestSolveAndLog:
         with open(GOLDENS / "ix3_log_order3.json", encoding="utf-8") as fh:
             golden = CouplingSeries.from_json(json.load(fh))
         assert produced == golden
+
+    def test_solve_param_model_matches_golden_bytes(self, capsys, tmp_path):
+        # V = i a x^3 with a declared parameter a: every coefficient from order
+        # 1 on is a ParamPoly, so the solver and the series product take the
+        # ring's own arithmetic
+        term = {"x": 3, "p": 0, "hbar": 0, "coeff": {"re": "0", "im": "1"}, "params": {"a": 1}}
+        model = {
+            "name": "param_ix3",
+            "hamiltonian": {
+                "params": ["a"],
+                "terms": [{"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}],
+                "coupling": {"name": "g", "V": [term]},
+            },
+        }
+        path = tmp_path / "param_ix3.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", "--model", str(path), "--order", "3")
+        assert code == 0
+        assert out == (GOLDENS / "solve_param_ix3_order3.json").read_text(encoding="utf-8")
+        code, payload = run_json(capsys, "certify", "--model", str(path), "--order", "3")
+        assert code == 0
+        assert payload["hermitian"] is True and payload["residual_zero"] is True
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "solve", "--model", IX3, "--order", "2")
@@ -283,6 +307,16 @@ class TestOtherCommands:
 
 
 class TestErrorHandling:
+    @pytest.mark.parametrize("command", ["solve", "certify", "starlog"])
+    def test_unsolvable_order_is_a_failed_verification(self, capsys, monkeypatch, command):
+        def unsolvable(*args, **kwargs):
+            raise UnsolvableOrder("triangular system inconsistent at order 1")
+
+        monkeypatch.setattr(cli, "solve_perturbative", unsolvable)
+        code, out, err = run(capsys, command, "--model", IX3, "--order", "1")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "triangular system inconsistent at order 1"}
+
     def test_malformed_json_line_column(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "name": oops\n}', encoding="utf-8")
@@ -667,7 +701,9 @@ class TestParser:
 # numpy is loaded.
 _NUMPY_PROBE = """\
 import contextlib, io, json, sys
+from starmetric import cli
 from starmetric.cli import main
+from starmetric.metric import UnsolvableOrder
 report = [[None, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -324,6 +324,13 @@ class TestBoundaryChoices:
         with pytest.raises(ValueError):
             solve_perturbative(spec.h0, spec.v, 1, integration_functions={1: PhasePoly.x()})
 
+    @pytest.mark.parametrize("n, func", [(0, p), (5, p**3), (-1, p)])
+    def test_integration_function_order_must_be_solved(self, n, func):
+        # order 0 is the normalization 1, and nothing above the order is solved
+        spec = cubic_pt()
+        with pytest.raises(ValueError, match="outside 1..3"):
+            solve_perturbative(spec.h0, spec.v, 3, integration_functions={n: func})
+
     def test_quadratic_from_model_params(self):
         params = ModelParams.from_oscillator(2, Fraction(1, 4), Fraction(1, 8))
         spec = quadratic_from_params(params)

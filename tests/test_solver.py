@@ -1,13 +1,23 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from starmetric.metric import HamiltonianSpec, cubic_pt, metric_residual, solve_perturbative
+from starmetric.metric import (
+    HamiltonianSpec,
+    UnsolvableOrder,
+    cubic_pt,
+    metric_residual,
+    solve_perturbative,
+)
 from starmetric.phasepoly import CouplingSeries, PhasePoly
-from starmetric.scalars import GaussianRational, I
+from starmetric.scalars import GaussianRational, I, ParamPoly
 from starmetric.star import star, star_log
+
+from _helpers import random_gr
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -87,3 +97,67 @@ class TestStarLogOfSolution:
 
     def test_second_order_vanishes(self):
         assert star_log(solved(2)).coeffs[2].is_zero
+
+
+def reference_solve(v: PhasePoly, order: int, integration_functions=None) -> CouplingSeries:
+    """The exchange-equation recursion written with PhasePoly operations: one
+    polynomial per x slice, added into Theta_n slice by slice."""
+    integration_functions = integration_functions or {}
+    v_conj = v.conjugate()
+    thetas = [PhasePoly.one()]
+    for n in range(1, order + 1):
+        prev = thetas[n - 1]
+        rhs = star(v, prev) - prev * v_conj
+        slices = {}
+        for (xd, pd, hd), c in rhs.terms.items():
+            slices[xd] = slices.get(xd, PhasePoly.zero()) + PhasePoly.monomial(c, 0, pd, hd)
+        theta_parts = {}
+        for j in range(max(slices, default=-1), -1, -1):
+            rho = slices.get(j, PhasePoly.zero())
+            upper = theta_parts.get(j + 2, PhasePoly.zero())
+            num = rho + upper.shift_hbar(2) * Fraction((j + 2) * (j + 1))
+            # divide by 2 i hbar p (j + 1)
+            inv = PhasePoly.monomial(-I * Fraction(1, 2 * (j + 1)), 0, -1, -1)
+            theta_parts[j + 1] = num * inv
+        theta_n = integration_functions.get(n, PhasePoly.zero())
+        for j, part in theta_parts.items():
+            theta_n = theta_n + part * PhasePoly.x(j)
+        check = (
+            theta_n.derivative("x").shift_hbar(1) * PhasePoly.p() * (2 * I)
+            - theta_n.derivative("x").derivative("x").shift_hbar(2)
+        )
+        if check != rhs:
+            raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
+        thetas.append(theta_n)
+    return CouplingSeries("g", thetas)
+
+
+class TestAgainstReference:
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 4),
+        st.sampled_from(["gaussian", "param", "mixed"]),
+        st.booleans(),
+    )
+    def test_random_potential(self, seed, order, ring, with_functions):
+        # V: a random polynomial in x and hbar, over GaussianRational, over
+        # ParamPoly in one parameter a, or with both kinds of coefficient
+        rng = random.Random(seed)
+        (a,) = ParamPoly.generators("a")
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            c = random_gr(rng)
+            if ring == "param" or (ring == "mixed" and rng.random() < 0.5):
+                c = a ** rng.randint(0, 2) * c
+            terms[rng.randint(0, 3), 0, rng.randint(-1, 1)] = c
+        v = PhasePoly(terms)
+        functions = {}
+        if with_functions:
+            for n in range(1, order + 1):
+                if rng.random() < 0.5:
+                    functions[n] = PhasePoly({(0, rng.randint(-3, 2), rng.randint(-1, 2)): random_gr(rng)})
+        got = solve_perturbative(PhasePoly.p(2), v, order, integration_functions=functions)
+        assert got == reference_solve(v, order, functions)
+        if order:
+            assert metric_residual(HamiltonianSpec(PhasePoly.p(2), ("g", v)), got).is_zero

@@ -3,8 +3,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from starmetric.phasepoly import CouplingSeries, PhasePoly
+from starmetric.phasepoly import CouplingMismatch, CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
 from starmetric.star import (
     BadConstantTerm,
@@ -167,6 +168,44 @@ class TestSeriesStar:
         plus = CouplingSeries("g", [PhasePoly.one(), a1])
         minus = CouplingSeries("g", [PhasePoly.one(), -a1])
         assert star_series(plus, minus) == CouplingSeries.one("g", 1)
+
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(0, 4),
+        st.integers(0, 4),
+        st.sampled_from(["gaussian", "param", "mixed"]),
+    )
+    def test_equals_sum_of_pairwise_stars(self, seed, order_a, order_b, ring):
+        # zero coefficients, denominators that differ from one coefficient to
+        # the next, ParamPoly coefficients, and both kinds in one polynomial
+        rng = random.Random(seed)
+        (a,) = ParamPoly.generators("a")
+
+        def coeff():
+            if rng.random() < 0.3:
+                return PhasePoly.zero()
+            poly = random_poly(rng, max_terms=3)
+            if ring == "gaussian":
+                return poly
+            lift = lambda c: a ** rng.randint(0, 1) * c
+            keep = 0.5 if ring == "mixed" else 0
+            return PhasePoly({k: c if rng.random() < keep else lift(c) for k, c in poly.terms.items()})
+
+        left = CouplingSeries("g", [coeff() for _ in range(order_a + 1)])
+        right = CouplingSeries("g", [coeff() for _ in range(order_b + 1)])
+        expected = [
+            sum((star(left.coeffs[j], right.coeffs[n - j]) for j in range(n + 1)), PhasePoly.zero())
+            for n in range(min(order_a, order_b) + 1)
+        ]
+        assert star_series(left, right) == CouplingSeries("g", expected)
+
+    @pytest.mark.parametrize("coeff", [1, ParamPoly.generators("a")[0]])
+    def test_couplings_must_match(self, coeff):
+        s = CouplingSeries("g", [PhasePoly.one(), PhasePoly.const(coeff)])
+        with pytest.raises(CouplingMismatch):
+            star_series(s, CouplingSeries("h", [PhasePoly.one(), x]))
 
 
 class TestStarLogExp:

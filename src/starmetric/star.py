@@ -209,7 +209,7 @@ def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
     """Apply exp(sign * i hbar dx dp) to a; terminates on the x degree."""
     ta, den = _numerators(a)
     if den is None:
-        return _moyal(((k[0], k[1], k, c) for k, c in a.terms.items()), sign)
+        return _moyal(((k[0], k[1], k, c) for k, (c, _) in ta), sign)
     return _moyal(((k[0], k[1], k, c) for k, c in ta), sign, den)
 
 

@@ -156,7 +156,8 @@ class TestAgainstReference:
         if with_functions:
             for n in range(1, order + 1):
                 if rng.random() < 0.5:
-                    functions[n] = PhasePoly({(0, rng.randint(-3, 2), rng.randint(-1, 2)): random_gr(rng)})
+                    key = (0, rng.randint(-3, 2), rng.randint(-1, 2))
+                    functions[n] = PhasePoly({key: random_gr(rng)})
         got = solve_perturbative(PhasePoly.p(2), v, order, integration_functions=functions)
         assert got == reference_solve(v, order, functions)
         if order:

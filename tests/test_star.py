@@ -189,9 +189,9 @@ class TestSeriesStar:
             poly = random_poly(rng, max_terms=3)
             if ring == "gaussian":
                 return poly
-            lift = lambda c: a ** rng.randint(0, 1) * c
             keep = 0.5 if ring == "mixed" else 0
-            return PhasePoly({k: c if rng.random() < keep else lift(c) for k, c in poly.terms.items()})
+            lift = lambda c: c if rng.random() < keep else a ** rng.randint(0, 1) * c
+            return poly.map_coeffs(lift)
 
         left = CouplingSeries("g", [coeff() for _ in range(order_a + 1)])
         right = CouplingSeries("g", [coeff() for _ in range(order_b + 1)])

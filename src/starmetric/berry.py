@@ -18,7 +18,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .phasepoly import ModelParams, PhasePoly
+from .phasepoly import PhasePoly
 from .scalars import (
     I,
     ParamPoly,
@@ -395,11 +395,17 @@ def singular_locus(conn: MoyalConnection) -> ParamPoly:
 
 
 def oscillator_parameters(omega, alpha, beta) -> Tuple[Fraction, Fraction]:
-    """(q1, q2) = (b/a, c/a) for the (a, b, c) of `ModelParams.from_oscillator`."""
-    params = ModelParams.from_oscillator(*(Fraction(v) for v in (omega, alpha, beta)))
-    if params.a.is_zero:
+    """(q1, q2) = (b/a, c/a) for the quadratic model a p^2 + b x^2 + i c x p of
+    the oscillator constants, a = (omega - alpha - beta)/2,
+    b = (omega + alpha + beta)/2 and c = alpha - beta:
+    q1 = (omega + alpha + beta)/(omega - alpha - beta) and
+    q2 = 2 (alpha - beta)/(omega - alpha - beta).  omega = alpha + beta raises
+    ZeroDivisionError, and an infinite float the OverflowError of Fraction."""
+    omega, alpha, beta = (Fraction(v) for v in (omega, alpha, beta))
+    twice_a = omega - alpha - beta
+    if twice_a == 0:
         raise ZeroDivisionError("omega - alpha - beta = 0: q-parameters undefined")
-    return (params.b / params.a).re, (params.c / params.a).re
+    return (omega + alpha + beta) / twice_a, 2 * (alpha - beta) / twice_a
 
 
 def locus_value(q1, q2) -> Fraction:

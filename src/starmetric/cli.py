@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .exprparse import parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
@@ -28,11 +27,12 @@ from .metric import (
     number_observable,
     observable_residual,
     pde_operator,
+    quadratic_hamiltonian,
     solve_perturbative,
 )
 from .modelio import Model, load_model, read_json
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I, ParamPoly, PoleAtPoint, as_fraction
+from .scalars import I, ParamPoly, PoleAtPoint, as_fraction
 from .star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
 
 
@@ -194,77 +194,58 @@ def cmd_family(args):
     model = _model(args)
     _require(args.observable, "family needs --observable {p|x|N}")
     a, b, c = _quadratic_generators(model)
-    spec = model.spec
-    x_poly, p_poly = PhasePoly.x(), PhasePoly.p()
-    if args.observable == "p":
-        r = PhasePoly.monomial(c / (b * 2), 0, 0, -1).scaled(-1)
-        zero = PhasePoly.zero()
-        e = ExpQuadForm.pure_exponent(gaussian_exponent(r, zero, zero))
-        ids = gaussian_branch_identities(a, b, c, r, zero, zero)
-        payload = {
-            "observable": "p",
-            "exponent": "r p^2 with r = -c/(2 b hbar)",
-            "metric_residual_zero": metric_residual(spec, e).is_zero,
-            "observable_residual_zero": observable_residual(p_poly, e).is_zero,
-            "branch_identities_zero": all(i.is_zero for i in ids),
-        }
-        ok = all(payload[k] for k in payload if k.endswith("zero"))
-        return payload, ok
-    if args.observable == "x":
-        t = PhasePoly.monomial(c / (a * 2), 0, 0, -1)
-        t_printed = PhasePoly.monomial(c / (b * 2), 0, 0, -1)
-        zero = PhasePoly.zero()
-        e = ExpQuadForm.pure_exponent(gaussian_exponent(zero, zero, t))
-        e_printed = ExpQuadForm.pure_exponent(gaussian_exponent(zero, zero, t_printed))
-        ids = gaussian_branch_identities(a, b, c, zero, zero, t)
-        payload = {
-            "observable": "x",
-            "exponent": "t x^2 with t = c/(2 a hbar)",
-            "metric_residual_zero": metric_residual(spec, e).is_zero,
-            "observable_residual_zero": observable_residual(x_poly, e).is_zero,
-            "branch_identities_zero": all(i.is_zero for i in ids),
-            "alternative_t_c_over_2b_residual_zero": metric_residual(
-                spec, e_printed
-            ).is_zero,
-        }
-        ok = (
-            payload["metric_residual_zero"]
-            and payload["observable_residual_zero"]
-            and payload["branch_identities_zero"]
-        )
-        return payload, ok
     if args.observable == "N":
-        _require(
-            set(model.numeric) >= {"a", "b"},
-            "the N-observable expansion needs numeric rationals for a and b in options.numeric",
-        )
-        order = _order(args, model)
-        av, bv = model.numeric["a"], model.numeric["b"]
-        theta = expand_gaussian_in_coupling(av, bv, order)
-        report = certify_metric(theta)
-        n_obs = number_observable()
-        spec_num = _numeric_quadratic_spec(av, bv)
-        payload = {
-            "observable": "N",
-            "a": str(av),
-            "b": str(bv),
-            "order": order,
-            "hermitian": report.hermitian,
-            "positive": report.positive,
-            "metric_residual_zero": metric_residual(spec_num, theta).is_zero,
-            "observable_residual_zero": observable_residual(n_obs, theta).is_zero,
-            "log_linear_in_N": log_linear_in_n_check(av, bv, order),
-        }
-        ok = all(v is not False for v in payload.values())
-        return payload, ok
-    raise CliInputError(f"unknown observable {args.observable!r}")
+        return _family_number_observable(args, model)
+    zero = PhasePoly.zero()
+    if args.observable == "p":
+        rst = (PhasePoly.monomial(c / (b * 2), 0, 0, -1).scaled(-1), zero, zero)
+        observable, exponent = PhasePoly.p(), "r p^2 with r = -c/(2 b hbar)"
+    else:
+        rst = (zero, zero, PhasePoly.monomial(c / (a * 2), 0, 0, -1))
+        observable, exponent = PhasePoly.x(), "t x^2 with t = c/(2 a hbar)"
+    e = ExpQuadForm.pure_exponent(gaussian_exponent(*rst))
+    payload = {
+        "observable": args.observable,
+        "exponent": exponent,
+        "metric_residual_zero": metric_residual(model.spec, e).is_zero,
+        "observable_residual_zero": observable_residual(observable, e).is_zero,
+        "branch_identities_zero": all(
+            i.is_zero for i in gaussian_branch_identities(a, b, c, *rst)
+        ),
+    }
+    ok = all(payload[k] for k in payload if k.endswith("zero"))
+    if args.observable == "x":
+        # t = c/(2 b hbar) is not in the family: reported, and false by design
+        t = PhasePoly.monomial(c / (b * 2), 0, 0, -1)
+        e = ExpQuadForm.pure_exponent(gaussian_exponent(zero, zero, t))
+        payload["alternative_t_c_over_2b_residual_zero"] = metric_residual(model.spec, e).is_zero
+    return payload, ok
 
 
-def _numeric_quadratic_spec(av: Fraction, bv: Fraction):
-    h0 = PhasePoly.monomial(GaussianRational(av), 0, 2, 0) + PhasePoly.monomial(
-        GaussianRational(bv), 2, 0, 0
+def _family_number_observable(args, model: Model):
+    _require(
+        set(model.numeric) >= {"a", "b"},
+        "the N-observable expansion needs numeric rationals for a and b in options.numeric",
     )
-    return HamiltonianSpec(h0, ("c", PhasePoly.monomial(I, 1, 1, 0)))
+    order = _order(args, model)
+    av, bv = model.numeric["a"], model.numeric["b"]
+    theta = expand_gaussian_in_coupling(av, bv, order)
+    report = certify_metric(theta)
+    spec = HamiltonianSpec(
+        quadratic_hamiltonian(av, bv, 0).h0, ("c", PhasePoly.monomial(I, 1, 1, 0))
+    )
+    payload = {
+        "observable": "N",
+        "a": str(av),
+        "b": str(bv),
+        "order": order,
+        "hermitian": report.hermitian,
+        "positive": report.positive,
+        "metric_residual_zero": metric_residual(spec, theta).is_zero,
+        "observable_residual_zero": observable_residual(number_observable(), theta).is_zero,
+        "log_linear_in_N": log_linear_in_n_check(theta),
+    }
+    return payload, all(v is not False for v in payload.values())
 
 
 def cmd_berry2x2(args):

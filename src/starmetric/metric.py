@@ -58,20 +58,25 @@ class HamiltonianSpec(Frozen):
         return self.coupling_name is not None
 
     def symbolic_total(self) -> PhasePoly:
-        """The full Hamiltonian; a coupling becomes a symbolic real parameter."""
+        """The full Hamiltonian; a coupling becomes a symbolic real parameter,
+        appended to the parameters of ParamPoly coefficients."""
         if not self.has_coupling:
             return self.h0
-        (g,) = ParamPoly.generators(self.coupling_name)
-        lift = lambda c: ParamPoly.constant((self.coupling_name,), 1) * c
-        h0 = self.h0.map_coeffs(lift)
-        v = self.v.map_coeffs(lambda c: g * c)
-        return h0 + v
+        g = self.coupling_name
+
+        def lift(c, power):
+            if isinstance(c, ParamPoly):
+                return ParamPoly(c.params + (g,), ((k + (power,), v) for k, v in c.terms.items()))
+            return ParamPoly((g,), {(power,): c})
+
+        return self.h0.map_coeffs(lambda c: lift(c, 0)) + self.v.map_coeffs(lambda c: lift(c, 1))
 
     def as_exact_series(self, coupling: str, order: int) -> CouplingSeries:
         """The Hamiltonian as an exact series: [H0, V, 0, ...].
 
         This is not truncation padding: the Hamiltonian is exactly polynomial
-        in its coupling, so higher coefficients are genuinely zero.
+        in its coupling, so higher coefficients are genuinely zero.  At order
+        0 the truncation drops V.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -83,8 +88,6 @@ class HamiltonianSpec(Frozen):
                 )
             if order >= 1:
                 coeffs[1] = self.v
-            elif not self.v.is_zero:
-                raise ValueError("order 0 series cannot carry the coupling term")
         return CouplingSeries(coupling, coeffs)
 
     def __repr__(self):
@@ -279,11 +282,6 @@ def symbolic_quadratic() -> Tuple[HamiltonianSpec, Tuple[ParamPoly, ParamPoly, P
     """The quadratic model with symbolic real parameters (a, b, c)."""
     a, b, c = ParamPoly.generators("a", "b", "c")
     return quadratic_hamiltonian(a, b, c), (a, b, c)
-
-
-def quadratic_from_params(params) -> HamiltonianSpec:
-    """Numeric quadratic model from a ModelParams triple."""
-    return quadratic_hamiltonian(params.a, params.b, params.c)
 
 
 def shifted_oscillator() -> HamiltonianSpec:
@@ -532,19 +530,13 @@ def number_observable() -> PhasePoly:
     return PhasePoly.monomial(half, 0, 2, -1) + PhasePoly.monomial(half, 2, 0, -1)
 
 
-def log_linear_in_n_check(a, b, order: int, coupling: str = "c") -> bool:
-    """True iff every star-log coefficient has the shape alpha + beta (p^2 + x^2)
-    with real hbar-Laurent alpha, beta."""
-    theta = expand_gaussian_in_coupling(a, b, order, coupling)
-    log = star_log(theta)
-    for poly in log.coeffs:
+def log_linear_in_n_check(theta: CouplingSeries) -> bool:
+    """True iff every star-log coefficient of theta has the shape
+    alpha + beta (p^2 + x^2) with real hbar-Laurent alpha, beta."""
+    for poly in star_log(theta).coeffs:
         for (xd, pd, hd), coeff in poly.terms.items():
-            if (xd, pd) not in ((0, 0), (2, 0), (0, 2)):
+            if (xd, pd) not in ((0, 0), (2, 0), (0, 2)) or not coeff.is_real:
                 return False
-            if not coeff.is_real:
+            if poly.coeff(2, 0, hd) != poly.coeff(0, 2, hd):
                 return False
-        for (xd, pd, hd) in list(poly.terms):
-            if (xd, pd) == (2, 0):
-                if poly.coeff(2, 0, hd) != poly.coeff(0, 2, hd):
-                    return False
     return True

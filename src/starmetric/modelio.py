@@ -58,7 +58,10 @@ def _hamiltonian(obj) -> HamiltonianSpec:
     if "coupling" in obj:
         cobj = obj["coupling"]
         check_keys(cobj, {"name", "V"}, "coupling", required=("name", "V"))
-        coupling = (check_name(cobj["name"], "coupling name"), _terms(cobj["V"], params, "V"))
+        name = check_name(cobj["name"], "coupling name")
+        if name in params:
+            raise ValueError(f"coupling {name!r} is also a declared parameter")
+        coupling = (name, _terms(cobj["V"], params, "V"))
     return HamiltonianSpec(_terms(obj["terms"], params, "terms"), coupling)
 
 

@@ -197,12 +197,6 @@ class PhasePoly(Frozen):
             )
         raise KeyError(var)
 
-    def integrate_x(self) -> "PhasePoly":
-        """Antiderivative in x with the integration function of p set to zero."""
-        return PhasePoly._of(
-            ((xd + 1, pd, hd), c * Fraction(1, xd + 1)) for (xd, pd, hd), c in self.terms.items()
-        )
-
     def conjugate(self) -> "PhasePoly":
         """Coefficientwise complex conjugation; x, p and hbar are real."""
         return PhasePoly._of((k, c.conjugate()) for k, c in self.terms.items())
@@ -394,44 +388,3 @@ class CouplingSeries(Frozen):
         bits = [f"({c!r})*{self.coupling}^{n}" for n, c in enumerate(self.coeffs)]
         return " + ".join(bits) + f" + O({self.coupling}^{self.order + 1})"
 
-
-class ModelParams(Frozen):
-    """Real parameters (a, b, c) of the quadratic model, optionally tracked
-    back to oscillator constants (omega, alpha, beta) with
-    a = (omega - alpha - beta)/2, b = (omega + alpha + beta)/2, c = alpha - beta.
-    """
-
-    __slots__ = ("a", "b", "c", "provenance")
-
-    def __init__(self, a, b, c, provenance: Tuple | None = None):
-        a, b, c = (GaussianRational.coerce(v if not isinstance(v, (str,)) else Fraction(v)) for v in (a, b, c))
-        for name, val in (("a", a), ("b", b), ("c", c)):
-            if not val.is_real:
-                raise ValueError(f"parameter {name} must be real")
-        if provenance is not None:
-            omega, alpha, beta = (GaussianRational.coerce(v) for v in provenance)
-            if a != (omega - alpha - beta) * Fraction(1, 2):
-                raise ValueError("a != (omega - alpha - beta)/2")
-            if b != (omega + alpha + beta) * Fraction(1, 2):
-                raise ValueError("b != (omega + alpha + beta)/2")
-            if c != alpha - beta:
-                raise ValueError("c != alpha - beta")
-            provenance = (omega, alpha, beta)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "provenance", provenance)
-
-    @classmethod
-    def from_oscillator(cls, omega, alpha, beta) -> "ModelParams":
-        omega, alpha, beta = (GaussianRational.coerce(v) for v in (omega, alpha, beta))
-        half = Fraction(1, 2)
-        return cls(
-            (omega - alpha - beta) * half,
-            (omega + alpha + beta) * half,
-            alpha - beta,
-            provenance=(omega, alpha, beta),
-        )
-
-    def __repr__(self):
-        return f"ModelParams(a={self.a!r}, b={self.b!r}, c={self.c!r})"

@@ -303,14 +303,6 @@ class ExpQuadForm(Frozen):
     def is_zero(self) -> bool:
         return self.prefactor.is_zero
 
-    def __add__(self, other):
-        if not isinstance(other, ExpQuadForm) or other.exponent != self.exponent:
-            return NotImplemented
-        return ExpQuadForm(self.prefactor + other.prefactor, self.exponent)
-
-    def __neg__(self):
-        return ExpQuadForm(-self.prefactor, self.exponent)
-
     def __sub__(self, other):
         if not isinstance(other, ExpQuadForm) or other.exponent != self.exponent:
             return NotImplemented

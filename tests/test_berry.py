@@ -324,6 +324,11 @@ class TestMoyalConnection:
         assert locus_value(*q) == 0
         assert abs(locus_distance_from_origin(1) - 2**-0.5) < 1e-15
 
+    def test_oscillator_parameters_from_constants(self):
+        # a = 5/8, b = 11/8, c = 1/4 for (omega, alpha, beta) = (2, 1/2, 1/4)
+        q = oscillator_parameters(2, Fraction(1, 2), Fraction(1, 4))
+        assert q == (Fraction(11, 5), Fraction(2, 5))
+
     def test_locus_grid_matches_locus_value(self):
         q1s = [Fraction(-7, 13) + k * Fraction(1, 17) for k in range(5)]
         q2s = [Fraction(-5, 19), Fraction(0), Fraction(23, 29), Fraction(4)]

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +16,28 @@ from starmetric.modelio import bundled_model_path, load_model, model_from_obj, M
 from starmetric.phasepoly import CouplingSeries
 from starmetric.star import ExpQuadForm
 
+ROOT = Path(__file__).parents[1]
 GOLDENS = Path(__file__).parent / "goldens"
 # the CLI in a fresh interpreter that imports this checkout
 CLI = [sys.executable, "-m", "starmetric.cli"]
-CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+CLI_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 IX3 = str(bundled_model_path("ix3"))
 SHIFTED = str(bundled_model_path("shifted"))
 QUADRATIC = str(bundled_model_path("quadratic"))
+# ix3 with a declared parameter: V = i a x^3, so ix3 is this model at a = 1
+PARAM_IX3 = {
+    "name": "param_ix3",
+    "hamiltonian": {
+        "params": ["a"],
+        "terms": [{"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}],
+        "coupling": {
+            "name": "g",
+            "V": [
+                {"x": 3, "p": 0, "hbar": 0, "coeff": {"re": "0", "im": "1"}, "params": {"a": 1}}
+            ],
+        },
+    },
+}
 
 
 def run(capsys, *argv):
@@ -73,26 +89,46 @@ class TestSolveAndLog:
         assert produced == golden
 
     def test_solve_param_model_matches_golden_bytes(self, capsys, tmp_path):
-        # V = i a x^3 with a declared parameter a: every coefficient from order
-        # 1 on is a ParamPoly, so the solver and the series product take the
-        # ring's own arithmetic
-        term = {"x": 3, "p": 0, "hbar": 0, "coeff": {"re": "0", "im": "1"}, "params": {"a": 1}}
-        model = {
-            "name": "param_ix3",
-            "hamiltonian": {
-                "params": ["a"],
-                "terms": [{"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}],
-                "coupling": {"name": "g", "V": [term]},
-            },
-        }
+        # every coefficient from order 1 on is a ParamPoly, so the solver and
+        # the series product take the ring's own arithmetic
         path = tmp_path / "param_ix3.json"
-        path.write_text(json.dumps(model), encoding="utf-8")
+        path.write_text(json.dumps(PARAM_IX3), encoding="utf-8")
         code, out, _ = run(capsys, "solve", "--model", str(path), "--order", "3")
         assert code == 0
         assert out == (GOLDENS / "solve_param_ix3_order3.json").read_text(encoding="utf-8")
         code, payload = run_json(capsys, "certify", "--model", str(path), "--order", "3")
         assert code == 0
         assert payload["hermitian"] is True and payload["residual_zero"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dagger"],
+            ["check-hermitian"],
+            ["pde"],
+            ["star", "--theta", "p^2"],
+            ["residual", "--theta", "one"],
+            ["emit-latex", "--order", "2"],
+        ],
+    )
+    def test_param_model_with_coupling_exits_as_ix3(self, capsys, tmp_path, argv):
+        # the Hamiltonian lifts onto the declared parameter a and the coupling g
+        path = tmp_path / "param_ix3.json"
+        path.write_text(json.dumps(PARAM_IX3), encoding="utf-8")
+        code, payload = run_json(capsys, *argv, "--model", str(path))
+        assert code == run_json(capsys, *argv, "--model", IX3)[0]
+        if argv == ["emit-latex", "--order", "2"]:
+            assert payload["hamiltonian"] == "p^{2} + i a g x^{3}"
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_order_zero_is_the_series_one(self, capsys, command):
+        # truncating at g^0 drops V: Theta = 1 solves H0 = p^2
+        code, payload = run_json(capsys, command, "--model", IX3, "--order", "0")
+        assert code == 0 and payload["residual_zero"] is True
+        if command == "solve":
+            assert CouplingSeries.from_json(payload["series"]) == CouplingSeries.one("g", 0)
+        else:
+            assert payload["hermitian"] is True and payload["order"] == 0
 
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "solve", "--model", IX3, "--order", "2")
@@ -214,6 +250,12 @@ class TestFamily:
         assert code == 0
         assert payload["hermitian"] and payload["positive"] and payload["log_linear_in_N"]
 
+    def test_number_observable_at_order_zero(self, capsys):
+        code, payload = run_json(
+            capsys, "family", "--model", QUADRATIC, "--observable", "N", "--order", "0"
+        )
+        assert code == 0 and payload["order"] == 0 and payload["metric_residual_zero"] is True
+
 
 class TestOtherCommands:
     def test_check_hermitian_exit_codes(self, capsys, tmp_path):
@@ -316,6 +358,15 @@ class TestErrorHandling:
         code, out, err = run(capsys, command, "--model", IX3, "--order", "1")
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "triangular system inconsistent at order 1"}
+
+    def test_coupling_named_like_a_declared_parameter_exits_2(self, capsys, tmp_path):
+        model = copy.deepcopy(PARAM_IX3)
+        model["hamiltonian"]["coupling"]["name"] = "a"
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, "solve", "--model", str(path), "--order", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "coupling 'a' is also a declared parameter"}
 
     def test_malformed_json_line_column(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -738,6 +789,25 @@ class TestImports:
     )
     def test_float_commands_run_in_a_fresh_interpreter(self, argv):
         assert _numpy_probe(argv)[-1] == [0, True]
+
+
+def _readme_cli_lines():
+    """The ``starmetric ...`` lines of the README's CLI block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("starmetric ")]
+
+
+class TestReadme:
+    def test_cli_block_is_found(self):
+        assert len(_readme_cli_lines()) >= 16
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_cli_line_runs(self, capsys, monkeypatch, line):
+        # paths in the README are relative to the repository root
+        monkeypatch.chdir(ROOT)
+        code, payload = run_json(capsys, *shlex.split(line)[1:])
+        assert code in (0, 1) and isinstance(payload, dict)
 
 
 class TestBundledModels:

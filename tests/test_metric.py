@@ -20,13 +20,13 @@ from starmetric.metric import (
     observable_residual,
     pde_mixed_conjugation,
     pde_operator,
-    quadratic_from_params,
+    quadratic_hamiltonian,
     shifted_oscillator,
     solution_family_closure,
     solve_perturbative,
     symbolic_quadratic,
 )
-from starmetric.phasepoly import CouplingSeries, ModelParams, PhasePoly
+from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
 from starmetric.star import ExpQuadForm, dagger, is_hermitian, star_log
 
@@ -261,10 +261,19 @@ class TestLogLinearInN:
         assert log.coeffs[3] == (p**2 + x**2).shift_hbar(-1).scaled(Fraction(1, 6))
 
     def test_holds_through_order_six(self):
-        assert log_linear_in_n_check(Fraction(3, 2), Fraction(1, 2), 6)
+        theta = expand_gaussian_in_coupling(Fraction(3, 2), Fraction(1, 2), 6)
+        assert log_linear_in_n_check(theta)
 
     def test_order_zero(self):
-        assert log_linear_in_n_check(Fraction(3, 2), Fraction(1, 2), 0)
+        theta = expand_gaussian_in_coupling(Fraction(3, 2), Fraction(1, 2), 0)
+        assert log_linear_in_n_check(theta)
+
+    @pytest.mark.parametrize("quadratic", [p**2, x**2])
+    def test_unpaired_quadratic_fails(self, quadratic):
+        # log_*(1 + c A) = c A through order 1: p^2/hbar without x^2/hbar, and
+        # the other way round
+        theta = CouplingSeries("c", [PhasePoly.one(), quadratic.shift_hbar(-1)])
+        assert not log_linear_in_n_check(theta)
 
 
 class TestClosure:
@@ -332,8 +341,9 @@ class TestBoundaryChoices:
             solve_perturbative(spec.h0, spec.v, 3, integration_functions={n: func})
 
     def test_quadratic_from_model_params(self):
-        params = ModelParams.from_oscillator(2, Fraction(1, 4), Fraction(1, 8))
-        spec = quadratic_from_params(params)
-        r = PhasePoly.monomial(-params.c / (params.b * 2), 0, 0, -1)
+        # (a, b, c) of the oscillator constants (omega, alpha, beta) = (2, 1/4, 1/8)
+        a, b, c = Fraction(13, 16), Fraction(19, 16), Fraction(1, 8)
+        spec = quadratic_hamiltonian(a, b, c)
+        r = PhasePoly.monomial(-c / (b * 2), 0, 0, -1)
         e = ExpQuadForm.pure_exponent(r * PhasePoly.p(2))
         assert metric_residual(spec, e).prefactor.is_zero

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from starmetric.phasepoly import CouplingMismatch, CouplingSeries, ModelParams, PhasePoly
+from starmetric.phasepoly import CouplingMismatch, CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
 
 from _helpers import random_poly
@@ -30,11 +30,6 @@ class TestPhasePoly:
         assert (x**3).derivative("x") == PhasePoly.monomial(3, 2, 0, 0)
         assert (p**2).derivative("x").is_zero
 
-    def test_integrate_examples(self):
-        assert (x * 2).integrate_x() == x * x
-        assert PhasePoly.p(-2).integrate_x() == PhasePoly.monomial(1, 1, -2, 0)
-        assert PhasePoly.zero().integrate_x().is_zero
-
     def test_conjugate_examples(self):
         assert PhasePoly.monomial(I, 3, 0, 0).conjugate() == PhasePoly.monomial(-I, 3, 0, 0)
         real = p**2 + x**2
@@ -59,12 +54,6 @@ class TestPhasePoly:
         for _ in range(30):
             a = random_poly(rng)
             assert a.derivative("x").derivative("p") == a.derivative("p").derivative("x")
-
-    def test_integrate_then_differentiate(self):
-        rng = random.Random(5)
-        for _ in range(30):
-            a = random_poly(rng)
-            assert a.integrate_x().derivative("x") == a
 
     def test_conjugate_is_involutive_homomorphism(self):
         rng = random.Random(6)
@@ -125,18 +114,3 @@ class TestCouplingSeries:
         with pytest.raises(ValueError):
             CouplingSeries.from_json({"coupling": "c", "order": 5, "coeffs": [[]]})
 
-
-class TestModelParams:
-    def test_from_oscillator(self):
-        mp = ModelParams.from_oscillator(2, Fraction(1, 2), Fraction(1, 4))
-        assert mp.a == Fraction(5, 8)
-        assert mp.b == Fraction(11, 8)
-        assert mp.c == Fraction(1, 4)
-
-    def test_provenance_checked(self):
-        with pytest.raises(ValueError):
-            ModelParams(1, 1, 0, provenance=(1, 1, 1))
-
-    def test_real_required(self):
-        with pytest.raises(ValueError):
-            ModelParams(GaussianRational(0, 1), 1, 0)

@@ -8,7 +8,7 @@ import pytest
 
 from starmetric.berry import MoyalConnection
 from starmetric.metric import CertReport, HamiltonianSpec, PDEOperator
-from starmetric.phasepoly import CouplingSeries, ModelParams, PhasePoly
+from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
 from starmetric.star import ExpQuadForm
 from starmetric.weyl import TorusFunction
@@ -26,7 +26,6 @@ VALUES = [
     (RatFunc2, _ratfunc, "num"),
     (PhasePoly, PhasePoly.x, "terms"),
     (CouplingSeries, lambda: CouplingSeries("g", [PhasePoly.one(), PhasePoly.x()]), "coeffs"),
-    (ModelParams, lambda: ModelParams.from_oscillator(2, 1, 0), "a"),
     (ExpQuadForm, lambda: ExpQuadForm.pure_exponent(PhasePoly.x()), "exponent"),
     (HamiltonianSpec, lambda: HamiltonianSpec(PhasePoly.p(2), ("g", PhasePoly.x())), "v"),
     (PDEOperator, lambda: PDEOperator({(0, 1): PhasePoly.x()}), "coeffs"),

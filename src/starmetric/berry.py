@@ -36,17 +36,63 @@ class RankDeficient(ArithmeticError):
 
 # ---------------------------------------------------------------------------
 # 2x2 model
+#
+# model_hamiltonian, gauge_fixed_connection, solve_connection_2x2 and
+# verify_connection_matrix take one point q = (q1, q2) or a stack of points of
+# shape (..., 2), and return one value per point: a single point is a stack
+# with no leading axes.
+
+# Largest stack of random points that berry2x2 samples and solves at once.
+TRIAL_BLOCK = 128
 
 
-def model_hamiltonian(q: Sequence[float]) -> np.ndarray:
-    z = q[0] + 1j * q[1]
-    return np.array([[1.0, z], [z, -1.0]], dtype=complex)
+def _z(q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    return q[..., 0] + 1j * q[..., 1]
+
+
+def _first_point(q, bad: np.ndarray) -> Tuple[float, ...]:
+    """The first point of the stack q where bad holds, as a tuple of floats."""
+    points = np.asarray(q, dtype=float).reshape(-1, 2)
+    return tuple(float(v) for v in points[int(np.argmax(bad.reshape(-1)))])
+
+
+def _matrices(entries) -> np.ndarray:
+    """Stack [[a, b], [c, d]] of broadcastable arrays into shape (..., 2, 2)."""
+    a, b, c, d = np.broadcast_arrays(*entries)
+    return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2))
+
+
+def model_hamiltonian(q) -> np.ndarray:
+    z = _z(q)
+    return _matrices((1.0 + 0j, z, z, -1.0 + 0j))
 
 
 def model_partials(q: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     d1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     d2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
     return d1, d2
+
+
+def sample_regular_points(
+    rng: np.random.Generator, count: int, box: float = 1.5, margin: float = 0.1
+) -> np.ndarray:
+    """count points of the square |q_i| <= box with |1 + z^2| >= margin, as a
+    (count, 2) array.
+
+    The same points as drawing one uniform pair at a time and dropping the
+    pairs near the exceptional points: each block draws only as many pairs as
+    are still missing, so the generator is left where that loop leaves it.
+    """
+    blocks = [np.empty((0, 2))]
+    missing = count
+    while missing > 0:
+        draw = rng.uniform(-box, box, size=(missing, 2))
+        z = _z(draw)
+        kept = draw[np.abs(1 + z * z) >= margin]
+        blocks.append(kept)
+        missing -= len(kept)
+    return np.concatenate(blocks)
 
 
 def general_connection(
@@ -78,13 +124,14 @@ def general_connection(
     return a1, a2
 
 
-def gauge_fixed_connection(q: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+def gauge_fixed_connection(q) -> Tuple[np.ndarray, np.ndarray]:
     """w1 = 1/2, y1 = y2 = 0; regular at the origin, A1 = -i A2."""
-    z = q[0] + 1j * q[1]
+    z = _z(q)
     den = 1.0 + z * z
-    if abs(den) < 1e-13:
-        raise PoleAtPoint(f"exceptional point at q = {tuple(q)}")
-    a1 = np.array([[z / den, 0.5 - 1.0 / den], [0.5, 0.0]], dtype=complex)
+    pole = np.abs(den) < 1e-13
+    if pole.any():
+        raise PoleAtPoint(f"exceptional point at q = {_first_point(q, pole)}")
+    a1 = _matrices((z / den, 0.5 - 1.0 / den, 0.5 + 0j, 0j))
     return a1, 1j * a1
 
 
@@ -92,47 +139,64 @@ def verify_connection_matrix(
     h: np.ndarray,
     dh: Sequence[np.ndarray],
     a: Sequence[np.ndarray],
-) -> float:
-    """Max-norm residual of [dH_i, H] = [[A_i, H], H] over the components."""
-    worst = 0.0
-    for dhi, ai in zip(dh, a):
-        lhs = _comm(dhi, h)
-        rhs = _comm(_comm(ai, h), h)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+):
+    """Max-norm residual of [dH_i, H] = [[A_i, H], H] over the components,
+    one per point of the stack."""
+    return np.max(
+        [
+            np.max(np.abs(_comm(dhi, h) - _comm(_comm(ai, h), h)), axis=(-2, -1))
+            for dhi, ai in zip(dh, a)
+        ],
+        axis=0,
+    )
 
 
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
+# vec(E_k) = e_k: the columns of the double-commutator map
+_UNIT_MATRICES = np.eye(4, dtype=complex).reshape(4, 2, 2)
+# A[1][1] = 0 and A[1][0] = w1 * kappa: rows picking entries 3 and 2 of vec(A)
+_GAUGE_ROWS = np.array([[0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+
 def solve_connection_2x2(
-    q: Sequence[float], w1: complex = 0.5, rank_tol: float = 1e-8
+    q, w1: complex = 0.5, rank_tol: float = 1e-8
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Solve [[A_i, H], H] = [dH_i, H] with the gauge A_i[1][1] = 0 and
     A_i[1][0] = w1 * kappa_i (kappa = 1, i), unique away from exceptional points.
+
+    Each point's 6x4 system is solved by least squares through one SVD shared
+    by both components, with numpy.linalg.lstsq's rank rule; RankDeficient
+    names the first point whose system is singular or inconsistent.
     """
     h = model_hamiltonian(q)
-    dh = model_partials(q)
-    m = np.zeros((4, 4), dtype=complex)
-    for idx in range(4):
-        basis = np.zeros(4, dtype=complex)
-        basis[idx] = 1.0
-        m[:, idx] = _comm(_comm(basis.reshape(2, 2), h), h).reshape(4)
-    gauge = np.zeros((2, 4), dtype=complex)
-    gauge[0, 3] = 1.0  # entry (1,1)
-    gauge[1, 2] = 1.0  # entry (1,0)
-    out = []
-    for i, kappa in enumerate((1.0, 1j)):
-        rhs = np.concatenate([_comm(dh[i], h).reshape(4), [0.0, w1 * kappa]])
-        full = np.vstack([m, gauge])
-        sol, _, rank, svals = np.linalg.lstsq(full, rhs, rcond=None)
-        if rank < 4 or svals[-1] < rank_tol * svals[0]:
-            raise RankDeficient(f"connection system singular at q = {tuple(q)}")
-        if float(np.max(np.abs(full @ sol - rhs))) > 1e-8:
-            raise RankDeficient(f"gauge incompatible at q = {tuple(q)}")
-        out.append(sol.reshape(2, 2))
-    return out[0], out[1]
+    stack = h.shape[:-2]
+    m = _comm(_comm(_UNIT_MATRICES, h[..., None, :, :]), h[..., None, :, :])
+    full = np.concatenate(
+        [np.swapaxes(m.reshape(stack + (4, 4)), -1, -2),
+         np.broadcast_to(_GAUGE_ROWS, stack + (2, 4))],
+        axis=-2,
+    )
+    rhs = np.zeros(stack + (6, 2), dtype=complex)
+    for i, (dhi, kappa) in enumerate(zip(model_partials(q), (1.0, 1j))):
+        rhs[..., :4, i] = _comm(dhi, h).reshape(stack + (4,))
+        rhs[..., 5, i] = w1 * kappa
+    u, s, vh = np.linalg.svd(full, full_matrices=False)
+    top, low = s[..., 0], s[..., -1]
+    singular = (low <= np.finfo(float).eps * 6 * top) | (low < rank_tol * top)
+    # unit singular values keep the solve finite at the points that raise below
+    s = np.where(singular[..., None], 1.0, s)
+    sol = np.conj(np.swapaxes(vh, -1, -2)) @ (
+        (np.conj(np.swapaxes(u, -1, -2)) @ rhs) / s[..., None]
+    )
+    off = np.max(np.abs(full @ sol - rhs), axis=(-2, -1))
+    bad = singular | (off > 1e-8)
+    if bad.any():
+        what = "connection system singular" if singular[bad][0] else "gauge incompatible"
+        raise RankDeficient(f"{what} at q = {_first_point(q, bad)}")
+    return sol[..., 0].reshape(stack + (2, 2)), sol[..., 1].reshape(stack + (2, 2))
 
 
 ConnectionField = Callable[[Sequence[float]], Tuple[np.ndarray, np.ndarray]]

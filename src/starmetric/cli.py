@@ -265,13 +265,8 @@ def cmd_berry2x2(args):
     worst_solve = 0.0
     worst_residual = 0.0
     trials = _trials(args)
-    done = 0
-    while done < trials:
-        q = rng.uniform(-1.5, 1.5, size=2)
-        z = q[0] + 1j * q[1]
-        if abs(1 + z * z) < 0.1:
-            continue
-        done += 1
+    for done in range(0, trials, berry.TRIAL_BLOCK):
+        q = berry.sample_regular_points(rng, min(berry.TRIAL_BLOCK, trials - done))
         a_solved = berry.solve_connection_2x2(q)
         a_ref = berry.gauge_fixed_connection(q)
         worst_solve = max(
@@ -279,9 +274,9 @@ def cmd_berry2x2(args):
         )
         worst_residual = max(
             worst_residual,
-            berry.verify_connection_matrix(
+            float(np.max(berry.verify_connection_matrix(
                 berry.model_hamiltonian(q), berry.model_partials(q), a_solved
-            ),
+            ))),
         )
     rank_deficient = []
     for point in ((0.0, 1.0), (0.0, -1.0)):

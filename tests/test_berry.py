@@ -29,6 +29,7 @@ from starmetric.berry import (
     oscillator_parameters,
     plaquette_defect,
     plaquette_transport,
+    sample_regular_points,
     singular_locus,
     solve_connection_2x2,
     verify_connection_matrix,
@@ -132,6 +133,33 @@ class TestConnection2x2:
             with pytest.raises(RankDeficient):
                 solve_connection_2x2(point)
 
+    def test_stack_agrees_with_single_points(self):
+        points = np.array(regular_points(seed=21, count=200))
+        stack = points.reshape(10, 20, 2)
+        solved = solve_connection_2x2(stack)
+        printed = gauge_fixed_connection(stack)
+        residuals = verify_connection_matrix(model_hamiltonian(stack), model_partials(stack), solved)
+        assert residuals.shape == (10, 20)
+        for index, q in zip(np.ndindex(10, 20), points):
+            one_solved = solve_connection_2x2(q)
+            one_printed = gauge_fixed_connection(q)
+            for a in range(2):
+                assert np.max(np.abs(solved[a][index] - one_solved[a])) <= 1e-12
+                assert np.max(np.abs(printed[a][index] - one_printed[a])) <= 1e-12
+            one_residual = verify_connection_matrix(model_hamiltonian(q), model_partials(q), one_solved)
+            assert abs(residuals[index] - one_residual) <= 1e-12
+
+    @pytest.mark.parametrize("point", [(0.0, 1.0), (0.0, -1.0)])
+    def test_stack_with_exceptional_point_is_rank_deficient(self, point):
+        stack = np.array(regular_points(seed=22, count=5) + [point, (0.0, 1.0)])
+        with pytest.raises(RankDeficient, match=rf"singular at q = \({point[0]}, {point[1]}\)"):
+            solve_connection_2x2(stack)
+
+    def test_stack_with_pole_raises(self):
+        stack = np.array(regular_points(seed=23, count=5) + [(0.0, -1.0), (0.0, 1.0)])
+        with pytest.raises(PoleAtPoint, match=r"q = \(0.0, -1.0\)"):
+            gauge_fixed_connection(stack)
+
     def test_general_form_poles(self):
         with pytest.raises(PoleAtPoint):
             general_connection((0.0, 0.0), 0.3)
@@ -142,6 +170,22 @@ class TestConnection2x2:
         a1, a2 = gauge_fixed_connection((0.0, 0.0))
         assert np.max(np.abs(a1 - np.array([[0, -0.5], [0.5, 0]]))) <= 1e-14
         assert np.max(np.abs(a2 - 1j * a1)) <= 1e-14
+
+
+class TestSampler:
+    @pytest.mark.parametrize("seed", [0, 7, 14, 2024])
+    @pytest.mark.parametrize("count", [0, 1, 7, 100])
+    def test_same_points_as_drawing_one_pair_at_a_time(self, seed, count):
+        points = sample_regular_points(np.random.default_rng(seed), count)
+        assert points.shape == (count, 2)
+        assert np.array_equal(points, np.array(regular_points(seed, count)).reshape(count, 2))
+
+    @pytest.mark.parametrize("margin", [0.1, 3.0])
+    def test_blocks_continue_the_stream(self, margin):
+        # margin 3 drops most pairs, so one block takes several draws
+        rng = np.random.default_rng(5)
+        blocks = [sample_regular_points(rng, n, margin=margin) for n in (7, 0, 93, 400)]
+        assert np.array_equal(np.concatenate(blocks), np.array(regular_points(5, 500, margin=margin)))
 
 
 class TestCurvature:
@@ -301,7 +345,7 @@ class TestMoyalConnection:
         q1p, q2p = ParamPoly.generators("q1", "q2")
         assert singular_locus(self.conn) == q1p * 4 + q2p * q2p
 
-    @pytest.mark.xfail(strict=True, reason="needs the bivariate gcd of ROADMAP item 7")
+    @pytest.mark.xfail(strict=True, reason="needs the bivariate gcd of ROADMAP item 8")
     def test_singular_locus_of_d_and_q1_d_is_q1_d(self):
         q1p, q2p = ParamPoly.generators("q1", "q2")
         one, zero = RatFunc2(1), RatFunc2(0)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -296,6 +297,41 @@ class TestOtherCommands:
         code, payload = run_json(capsys, "berry2x2", "--trials", "3", "--seed", "11")
         assert code == 0
         assert payload["rank_deficient_at"] == [[0.0, 1.0], [0.0, -1.0]]
+
+    def test_berry2x2_zero_trials(self, capsys):
+        code, payload = run_json(capsys, "berry2x2", "--trials", "0")
+        assert code == 0
+        assert payload["trials"] == 0
+        assert payload["max_connection_mismatch"] == 0.0
+        assert payload["max_equation_residual"] == 0.0
+
+    def test_berry2x2_solves_its_trials_in_one_call(self, capsys, monkeypatch):
+        from starmetric import berry
+
+        solve = berry.solve_connection_2x2
+        stacks = []
+
+        def counting(q, *args, **kwargs):
+            stacks.append(np.shape(q))
+            return solve(q, *args, **kwargs)
+
+        monkeypatch.setattr(berry, "solve_connection_2x2", counting)
+        code, payload = run_json(capsys, "berry2x2", "--trials", "100", "--seed", "7")
+        assert code == 0
+        # the trials, then the two exceptional-point probes
+        assert stacks == [(100, 2), (2,), (2,)]
+        assert payload.pop("max_connection_mismatch") <= 1e-12
+        assert payload.pop("max_equation_residual") <= 1e-12
+        # what the per-point loop printed; the solver's roundoff is not pinned
+        assert payload == {
+            "monodromy": [["-1+3.34438437995e-16j", "-3.34438437995e-16-2j"], ["+0+0j", "+1+0j"]],
+            "monodromy_error": 5.559355134491135e-16,
+            "eigenvector_swap_error": 2.3714374201337736e-16,
+            "product_form_error": 4.9349242254803015e-05,
+            "trials": 100,
+            "rank_deficient_at": [[0.0, 1.0], [0.0, -1.0]],
+            "curvature_norm_at_sample": 2.2020249365036136e-10,
+        }
 
     def test_scan_locus_grid(self, capsys):
         code, payload = run_json(capsys, "scan-locus", "--q1=-1:1:3", "--q2=0:2:2")

@@ -74,10 +74,8 @@ def model_partials(q: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def sample_regular_points(
-    rng: np.random.Generator, count: int, box: float = 1.5, margin: float = 0.1
-) -> np.ndarray:
-    """count points of the square |q_i| <= box with |1 + z^2| >= margin, as a
+def sample_regular_points(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count points of the square |q_i| <= 1.5 with |1 + z^2| >= 0.1, as a
     (count, 2) array.
 
     The same points as drawing one uniform pair at a time and dropping the
@@ -87,9 +85,9 @@ def sample_regular_points(
     blocks = [np.empty((0, 2))]
     missing = count
     while missing > 0:
-        draw = rng.uniform(-box, box, size=(missing, 2))
+        draw = rng.uniform(-1.5, 1.5, size=(missing, 2))
         z = _z(draw)
-        kept = draw[np.abs(1 + z * z) >= margin]
+        kept = draw[np.abs(1 + z * z) >= 0.1]
         blocks.append(kept)
         missing -= len(kept)
     return np.concatenate(blocks)

@@ -180,12 +180,13 @@ class TestSampler:
         assert points.shape == (count, 2)
         assert np.array_equal(points, np.array(regular_points(seed, count)).reshape(count, 2))
 
-    @pytest.mark.parametrize("margin", [0.1, 3.0])
-    def test_blocks_continue_the_stream(self, margin):
-        # margin 3 drops most pairs, so one block takes several draws
-        rng = np.random.default_rng(5)
-        blocks = [sample_regular_points(rng, n, margin=margin) for n in (7, 0, 93, 400)]
-        assert np.array_equal(np.concatenate(blocks), np.array(regular_points(5, 500, margin=margin)))
+    def test_blocks_continue_the_stream(self):
+        expected = np.array(regular_points(0, 500))
+        # seed 0 drops pairs within the first 500 draws, so some block draws twice
+        assert not np.array_equal(expected, np.random.default_rng(0).uniform(-1.5, 1.5, size=(500, 2)))
+        rng = np.random.default_rng(0)
+        blocks = [sample_regular_points(rng, n) for n in (7, 0, 93, 400)]
+        assert np.array_equal(np.concatenate(blocks), expected)
 
 
 class TestCurvature:

@@ -19,16 +19,18 @@ from .star import (
     NonTerminating,
     _joined,
     _numerators,
+    _pair_sums,
     dagger,
     dagger_series,
     is_hermitian,
     moyal_coefficients,
     power_sum,
     series_exp_pointwise,
-    star,
+    star_difference,
     star_log,
     star_poly_expquad,
     star_series,
+    star_series_difference,
 )
 
 ThetaLike = Union[PhasePoly, CouplingSeries, ExpQuadForm]
@@ -104,11 +106,12 @@ def metric_residual(spec: HamiltonianSpec, theta: ThetaLike) -> ThetaLike:
     """H * Theta - Theta * dagger(H); identically zero certifies Theta.
 
     The return value has the same kind as theta.  For a series, "zero" means
-    zero through the truncation order.
+    zero through the truncation order.  Both sides of a series or PhasePoly
+    residual are summed in one pass, so the terms that cancel are never built.
     """
     if isinstance(theta, CouplingSeries):
         h = spec.as_exact_series(theta.coupling, theta.order)
-        return star_series(h, theta) - star_series(theta, dagger_series(h))
+        return star_series_difference(h, theta, theta, dagger_series(h))
     return _exchange_with_poly(spec.symbolic_total(), theta)
 
 
@@ -119,14 +122,14 @@ def observable_residual(a: PhasePoly, theta: ThetaLike) -> ThetaLike:
 
 def _exchange_with_poly(h: PhasePoly, theta: ThetaLike):
     if isinstance(theta, PhasePoly):
-        return star(h, theta) - star(theta, dagger(h))
+        return star_difference(h, theta, theta, dagger(h))
     if isinstance(theta, ExpQuadForm):
         left = star_poly_expquad(h, theta, "left")
         right = star_poly_expquad(dagger(h), theta, "right")
         return left - right
     if isinstance(theta, CouplingSeries):
         hs = CouplingSeries.constant(theta.coupling, h, theta.order)
-        return star_series(hs, theta) - star_series(theta, dagger_series(hs))
+        return star_series_difference(hs, theta, theta, dagger_series(hs))
     raise TypeError(f"unsupported metric candidate {theta!r}")
 
 
@@ -398,11 +401,16 @@ def solve_perturbative(
     """Series metric for H = p^2 + g V(x).
 
     Order n is the exchange equation
-        2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 = V * Theta_{n-1} - Theta_{n-1} conj(V),
-    solved by `_exchange_solution` and checked by recomputing its left side
-    term by term; a mismatch raises UnsolvableOrder.  The normalization is 1,
-    and the integration function (a free function of p) at order n is zero
-    unless integration_functions[n], 1 <= n <= order, supplies one.
+        2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 = V * Theta_{n-1} - Theta_{n-1} conj(V).
+    Its right side is summed in one Moyal pass, the pointwise product
+    Theta_{n-1} conj(V) = Theta_{n-1} * conj(V) (V has no p) entering with
+    negated numerators, and its integer sums go to `_exchange_solution`
+    without building a PhasePoly.  The solution is checked by recomputing
+    its left side term by term and comparing the integer sums exactly, cross
+    multiplied by the two denominators; a mismatch raises UnsolvableOrder.
+    The normalization is 1, and the integration function (a free function of
+    p) at order n is zero unless integration_functions[n], 1 <= n <= order,
+    supplies one.
     """
     if h0 != PhasePoly.p(2):
         raise ValueError("the perturbative solver requires H0 = p^2 exactly")
@@ -417,31 +425,51 @@ def solve_perturbative(
         if func.depends_on_x():
             raise ValueError(f"integration function at order {n} depends on x")
     v_conj = v.conjugate()
+    nv, nv_conj = _numerators(v), _numerators(v_conj)
     thetas: List[PhasePoly] = [PhasePoly.one()]
     for n in range(1, order + 1):
         prev = thetas[n - 1]
-        rhs = star(v, prev) - prev * v_conj
-        theta_n = _exchange_solution(rhs, integration_functions.get(n, PhasePoly.zero()))
+        nprev = _numerators(prev)
+        if nv[1] is None or nprev[1] is None:
+            rhs, rhs_den = _numerators(star_difference(v, prev, prev, v_conj))
+        else:
+            sums, rhs_den = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
+            rhs = sums.items()
+        theta_n = _exchange_solution(rhs, rhs_den, integration_functions.get(n, PhasePoly.zero()))
         parts, den = _numerators(theta_n)
         lhs: dict = {}
         for (x, p, h), (re, im) in parts:  # 2 i hbar p dTheta/dx - hbar^2 d^2Theta/dx^2
             _add_scaled(lhs, (x - 1, p + 1, h + 1), -im, re, 2 * x)
             _add_scaled(lhs, (x - 2, p, h + 2), re, im, -x * (x - 1))
-        if PhasePoly._of(_joined(lhs.items(), den)) != rhs:
+        if not _same_sums(lhs.items(), den, rhs, rhs_den):
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
         thetas.append(theta_n)
     return CouplingSeries(coupling, thetas)
 
 
-def _exchange_solution(rhs: PhasePoly, free: PhasePoly) -> PhasePoly:
-    """Theta = free + sum_j t_j x^j for the right side rhs = sum_j r_j x^j.
-    Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j + (j + 2)(j + 1) hbar^2
-    t_{j+2}, is solved from the top j down: each term of the right side is
-    multiplied by -i/(2 (j + 1)), the division going into one running integer
-    scale, and moved to (j + 1, p - 1, h - 1)."""
-    parts, den = _numerators(rhs)
+def _same_sums(a, da, b, db) -> bool:
+    """Whether the (key, (re, im)) parts a over da and b over db are the same
+    terms: integer sums cross-multiplied by the two denominators, and
+    PhasePolys when a denominator is None."""
+    if da is None or db is None:
+        return PhasePoly._of(_joined(a, da)) == PhasePoly._of(_joined(b, db))
+    a, b, zero = dict(a), dict(b), (0, 0)
+    for key in a.keys() | b.keys():
+        (ra, ma), (rb, mb) = a.get(key, zero), b.get(key, zero)
+        if ra * db != rb * da or ma * db != mb * da:
+            return False
+    return True
+
+
+def _exchange_solution(rhs, den, free: PhasePoly) -> PhasePoly:
+    """Theta = free + sum_j t_j x^j for the right side rhs = sum_j r_j x^j,
+    given as `_numerators` parts over den (integer sums that cancel to zero
+    may be among them).  Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j +
+    (j + 2)(j + 1) hbar^2 t_{j+2}, is solved from the top j down: each term
+    of the right side is multiplied by -i/(2 (j + 1)), the division going into
+    one running integer scale, and moved to (j + 1, p - 1, h - 1)."""
     slices: dict = {}
-    for (x, p, h), c in parts:
+    for (x, p, h), c in rhs:
         slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), c))
     out, upper, scale = list(free.terms.items()), {}, 1  # upper: the numerators of t_{j+2}
     for j in range(max(slices, default=-1), -1, -1):

@@ -449,6 +449,9 @@ class ParamPoly(Frozen):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, GaussianRational)):
+            # a scalar scales each coefficient; no constant ParamPoly is built
+            return ParamPoly._of(self.params, ((k, c * other) for k, c in self.terms.items()))
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -38,11 +38,18 @@ part).  Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands)
 takes the same loop with the ring's own product, merged by
 `scalars.accumulate`.
 
-`star_series`, the Cauchy product of two series, makes one `_moyal` call per
-output order n over all (j, n - j) pairs of nonzero coefficients, over one
-denominator (the lcm of the pairs' denominator products): no PhasePoly, gcd
-or addition per pair.  A series with any other coefficient type sums `star`
-over the pairs.
+Differences are summed in one pass.  `star_difference(a, b, c, d)`, A * B -
+C * D, is one `_moyal` call over the products of both pairs, over the lcm of
+the two denominator products; the products of C * D enter with negated
+numerators, so terms that cancel stay integer sums of zero and are never
+built as coefficients.  In the ring path the sign is folded into the scale
+(sign i)^k w.  `star_commutator` is star_difference(a, b, b, a) without the
+term pairs that commute, and `is_hermitian` sums conj(A) - exp(-i hbar dx
+dp) A the same way.  `star_series`, the Cauchy product of two series, and
+`star_series_difference` share one loop: one `_moyal` call per output order
+n over all (j, n - j) pairs of nonzero coefficients of every product,
+over one denominator (the lcm of the pairs' denominator products): no
+PhasePoly, gcd or addition per pair.
 
 One-sided sums, where only one operand is differentiated, use
 `moyal_coefficients`: the factors (i hbar)^k / k! d^k A / dv^k for v = x or
@@ -120,22 +127,29 @@ def _weights(x1: int, p2: int) -> tuple:
 
 def _moyal(products, sign: int, den: int | None = None) -> PhasePoly:
     """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c x^(x-k) p^(p-k) hbar^(h+k)
-    over the items (x1, p2, (x, p, h), c) of ``products``.
+    over the items of ``products``.
 
-    Given a denominator ``den``, each c is a Gaussian integer (re, im) over
-    it: the sums are plain integers and each output term costs one gcd.
-    Without one, c is any coefficient, scaled by (sign i)^k w once per k and
-    merged by `accumulate`.
+    Given a denominator ``den``, the items are (x1, p2, (x, p, h), c) with c a
+    Gaussian integer (re, im) over it: the sums are plain integers (see
+    `_moyal_sums`) and each nonzero output term costs one gcd.  Without one,
+    the items are (x1, p2, (x, p, h), c, f) with c any coefficient and f = +-1,
+    c scaled by (sign i)^k w f once per k and merged by `accumulate`.
     """
-    if den is None:
-        unit = I * sign
+    if den is not None:
+        return PhasePoly._of(_joined(_moyal_sums(products, sign).items(), den))
+    unit = I * sign
 
-        def terms():
-            for x1, p2, (x, p, h), c in products:
-                for k, w in enumerate(_weights(x1, p2)):
-                    yield (x - k, p - k, h + k), c * (unit**k * w) if k else c
+    def terms():
+        for x1, p2, (x, p, h), c, f in products:
+            for k, w in enumerate(_weights(x1, p2)):
+                yield (x - k, p - k, h + k), c * (unit**k * (w * f)) if k or f != 1 else c
 
-        return PhasePoly._of(terms())
+    return PhasePoly._of(terms())
+
+
+def _moyal_sums(products, sign: int) -> dict:
+    """The integer sums of `_moyal` as a dict (x, p, h) -> [re, im]; a sum
+    that cancels to zero is kept."""
     acc: dict = {}
     get = acc.get
     for x1, p2, (x, p, h), (re, im) in products:
@@ -150,7 +164,7 @@ def _moyal(products, sign: int, den: int | None = None) -> PhasePoly:
             else:
                 sums[0] += re * w
                 sums[1] += im * w
-    return PhasePoly._of(_joined(acc.items(), den))
+    return acc
 
 
 def _numerators(a: PhasePoly):
@@ -188,16 +202,44 @@ def _products(ta, tb, f: int = 1):
     )
 
 
-def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    (ta, da), (tb, db) = _numerators(a), _numerators(b)
-    if da is None or db is None:
+def _pair_sums(pairs):
+    """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results
+    with integer numerators, as (`_moyal_sums` dict, den).  den is the lcm of
+    the pairs' denominator products, and the products of a pair enter with
+    their numerators scaled by f den / (dA dB)."""
+    den = lcm(*[da * db for (_, da), (_, db), _ in pairs])
+    products = (_products(ta, tb, f * (den // (da * db))) for (ta, da), (tb, db), f in pairs)
+    return _moyal_sums(chain.from_iterable(products), 1), den
+
+
+def _coefficients(parts, den) -> list:
+    """The (key, coefficient) terms of a `_numerators` result."""
+    return [(key, c) for key, (c, _) in parts] if den is None else _joined(parts, den)
+
+
+def _star_sum(pairs) -> PhasePoly:
+    """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
+    in one `_moyal` pass.  With any coefficient other than a GaussianRational
+    the pairs take the ring's own product, f folded into the scale."""
+    if any(da is None or db is None for (_, da), (_, db), _ in pairs):
         products = (
-            (x1, p2, (x1 + x2, p1 + p2, h1 + h2), c1 * c2)
-            for (x1, p1, h1), c1 in a.terms.items()
-            for (x2, p2, h2), c2 in b.terms.items()
+            (x1, p2, (x1 + x2, p1 + p2, h1 + h2), c1 * c2, f)
+            for a, b, f in pairs
+            for (x1, p1, h1), c1 in _coefficients(*a)
+            for (x2, p2, h2), c2 in _coefficients(*b)
         )
         return _moyal(products, 1)
-    return _moyal(_products(ta, tb), 1, da * db)
+    sums, den = _pair_sums(pairs)
+    return PhasePoly._of(_joined(sums.items(), den))
+
+
+def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
+    return _star_sum([(_numerators(a), _numerators(b), 1)])
+
+
+def star_difference(a: PhasePoly, b: PhasePoly, c: PhasePoly, d: PhasePoly) -> PhasePoly:
+    """A * B - C * D, summed in one pass: terms that cancel are never built."""
+    return _star_sum([(_numerators(a), _numerators(b), 1), (_numerators(c), _numerators(d), -1)])
 
 
 def dagger(a: PhasePoly) -> PhasePoly:
@@ -209,32 +251,79 @@ def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
     """Apply exp(sign * i hbar dx dp) to a; terminates on the x degree."""
     ta, den = _numerators(a)
     if den is None:
-        return _moyal(((k[0], k[1], k, c) for k, (c, _) in ta), sign)
+        return _moyal(((k[0], k[1], k, c, 1) for k, (c, _) in ta), sign)
     return _moyal(((k[0], k[1], k, c) for k, c in ta), sign, den)
 
 
 def is_hermitian(a: PhasePoly) -> bool:
-    """conj(A) == exp(-i hbar dx dp) A, exactly."""
-    return a.conjugate() == _exp_mixed(a, -1)
+    """conj(A) == exp(-i hbar dx dp) A, exactly.
+
+    conj(A) - exp(-i hbar dx dp) A is summed in one pass, the terms of conj(A)
+    as items with x1 = 0, so k = 0 only.
+    """
+    ta, den = _numerators(a)
+    if den is None:
+        conj = ((0, 0, k, c.conjugate(), 1) for k, (c, _) in ta)
+        return _moyal(chain(conj, ((k[0], k[1], k, c, -1) for k, (c, _) in ta)), -1).is_zero
+    conj = ((0, 0, k, (re, -im)) for k, (re, im) in ta)
+    sums = _moyal_sums(chain(conj, ((k[0], k[1], k, (-re, -im)) for k, (re, im) in ta)), -1)
+    return not any(re or im for re, im in sums.values())
 
 
 def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    return star(a, b) - star(b, a)
+    """A * B - B * A, that is star_difference(a, b, b, a), in one pass.
+
+    A term pair whose weights are (1,) both ways (x1 = 0 or p2 = 0 in A * B,
+    and in B * A) contributes only its k = 0 terms, which cancel: such pairs
+    are skipped.  The terms of each operand are split by (x > 0, p != 0),
+    which decides that.
+    """
+    (ta, da), (tb, db) = _numerators(a), _numerators(b)
+    sa, sb = {}, {}
+    for parts, split in ((ta, sa), (tb, sb)):
+        for (x, p, h), c in parts:
+            split.setdefault((x > 0, p != 0), []).append(((x, p, h), c))
+    pairs = []
+    for (ax, ap), pa in sa.items():
+        for (bx, bp), pb in sb.items():
+            if (ax and bp) or (bx and ap):
+                pairs += [((pa, da), (pb, db), 1), ((pb, db), (pa, da), -1)]
+    return _star_sum(pairs)
+
+
+def _cauchy_star(terms) -> CouplingSeries:
+    """sum f A * B over the (A, B, f) of terms, series in one coupling, with
+    the star product in the Cauchy product, truncated to the smallest order.
+    Each output order n is one `_star_sum` over all (j, n - j) pairs of
+    nonzero coefficients of every term."""
+    first = terms[0][0]
+    for a, b, _ in terms:
+        first._check(a)
+        a._check(b)
+    nums = [([_numerators(c) for c in a.coeffs], [_numerators(c) for c in b.coeffs], f)
+            for a, b, f in terms]
+    out = []
+    for n in range(min(min(a.order, b.order) for a, b, _ in terms) + 1):
+        pairs = [
+            (na[j], nb[n - j], f)
+            for na, nb, f in nums
+            for j in range(n + 1)
+            if na[j][0] and nb[n - j][0]
+        ]
+        out.append(_star_sum(pairs))
+    return CouplingSeries(first.coupling, out)
 
 
 def star_series(a: CouplingSeries, b: CouplingSeries) -> CouplingSeries:
     """Cauchy product with the star product in place of the pointwise one."""
-    na, nb = [_numerators(c) for c in a.coeffs], [_numerators(c) for c in b.coeffs]
-    if any(d is None for _, d in chain(na, nb)):
-        return a.cauchy(b, star)
-    a._check(b)
-    out = []
-    for n in range(min(a.order, b.order) + 1):
-        pairs = [(na[j], nb[n - j]) for j in range(n + 1) if na[j][0] and nb[n - j][0]]
-        den = lcm(*[da * db for (_, da), (_, db) in pairs])
-        products = (_products(ta, tb, den // (da * db)) for (ta, da), (tb, db) in pairs)
-        out.append(_moyal(chain.from_iterable(products), 1, den))
-    return CouplingSeries(a.coupling, out)
+    return _cauchy_star([(a, b, 1)])
+
+
+def star_series_difference(
+    a: CouplingSeries, b: CouplingSeries, c: CouplingSeries, d: CouplingSeries
+) -> CouplingSeries:
+    """A * B - C * D for series, each order summed in one pass."""
+    return _cauchy_star([(a, b, 1), (c, d, -1)])
 
 
 def dagger_series(s: CouplingSeries) -> CouplingSeries:

@@ -40,6 +40,19 @@ PARAM_IX3 = {
     },
 }
 
+_term = lambda x, re, im: {"x": x, "p": 0, "hbar": 0, "coeff": {"re": re, "im": im}}
+# V = i (x + x^3) + x^2 is PT-symmetric, and its real part makes conj(V) != -V
+PT_MIXED = {
+    "name": "pt_mixed",
+    "hamiltonian": {
+        "terms": [{"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1", "im": "0"}}],
+        "coupling": {
+            "name": "g",
+            "V": [_term(1, "0", "1"), _term(2, "1", "0"), _term(3, "0", "1")],
+        },
+    },
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -100,6 +113,22 @@ class TestSolveAndLog:
         code, payload = run_json(capsys, "certify", "--model", str(path), "--order", "3")
         assert code == 0
         assert payload["hermitian"] is True and payload["residual_zero"] is True
+
+    def test_solve_ix3_order_six_matches_golden_bytes(self, capsys):
+        code, out, _ = run(capsys, "solve", "--model", IX3, "--order", "6")
+        assert code == 0
+        assert out == (GOLDENS / "solve_ix3_order6.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "golden, command",
+        [("solve_pt_mixed_order3.json", "solve"), ("certify_pt_mixed_order3.json", "certify")],
+    )
+    def test_pt_model_with_real_part_matches_golden_bytes(self, capsys, tmp_path, golden, command):
+        path = tmp_path / "pt_mixed.json"
+        path.write_text(json.dumps(PT_MIXED), encoding="utf-8")
+        code, out, _ = run(capsys, command, "--model", str(path), "--order", "3")
+        assert code == 0
+        assert out == (GOLDENS / golden).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize(
         "argv",

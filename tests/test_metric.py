@@ -28,7 +28,7 @@ from starmetric.metric import (
 )
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
-from starmetric.star import ExpQuadForm, dagger, is_hermitian, star_log
+from starmetric.star import ExpQuadForm, dagger, dagger_series, is_hermitian, star_log, star_series
 
 from _helpers import random_poly
 
@@ -145,6 +145,21 @@ class TestMetricResidual:
         theta = solve_perturbative(spec.h0, spec.v, 1)
         assert metric_residual(spec, theta).is_zero
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_perturbed_series_residual_is_both_sides(self, n):
+        # the one-pass residual of a wrong Theta equals the two series products
+        spec = cubic_pt()
+        coeffs = list(solve_perturbative(spec.h0, spec.v, 3).coeffs)
+        coeffs[n] = coeffs[n] + PhasePoly.monomial(gr(Fraction(1, 3), 2), 2, -1, 0)
+        theta = CouplingSeries("g", coeffs)
+        h = spec.as_exact_series("g", 3)
+        expected = star_series(h, theta) - star_series(theta, dagger_series(h))
+        residual = metric_residual(spec, theta)
+        assert not residual.is_zero
+        assert residual.order == expected.order == 3
+        for got, want in zip(residual.coeffs, expected.coeffs):
+            assert got.terms == want.terms
+
 
 class TestObservableResidual:
     def test_momentum_with_p_gaussian(self):
@@ -232,6 +247,22 @@ class TestCertify:
     def test_quadratic_expansion_certified(self):
         report = certify_metric(expand_gaussian_in_coupling(Fraction(3, 2), Fraction(1, 2), 3))
         assert report.hermitian and report.positive
+
+    @pytest.mark.parametrize("ring", ["gaussian", "param"])
+    def test_hermitian_part_with_one_perturbed_term(self, ring):
+        # a + dagger(a) is hermitian; adding i c to one of its coefficients,
+        # c real and nonzero, is not
+        rng = random.Random(ring)
+        (q,) = ParamPoly.generators("q")
+        for _ in range(10):
+            a = random_poly(rng, max_terms=3, nonzero=True)
+            if ring == "param":
+                a = a.map_coeffs(lambda c: q * c + 1)
+            h = a + dagger(a)
+            assert is_hermitian(h)
+            key = sorted(h.terms)[rng.randrange(len(h.terms))] if h.terms else (0, 0, 0)
+            bump = gr(0, rng.choice([-2, 1, 3])) * (q if ring == "param" else 1)
+            assert not is_hermitian(h + PhasePoly({key: bump}))
 
     def test_non_hermitian_candidate_flagged(self):
         bad = CouplingSeries("g", [PhasePoly.one(), PhasePoly.monomial(I, 1, 0, 0)])

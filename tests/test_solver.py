@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starmetric import metric
 from starmetric.metric import (
     HamiltonianSpec,
     UnsolvableOrder,
@@ -89,6 +90,34 @@ class TestPerturbativeSolver:
         spec = cubic_pt()
         theta = solve_perturbative(PhasePoly.p(2), v, 2)
         assert metric_residual(HamiltonianSpec(PhasePoly.p(2), ("g", v)), theta).is_zero
+
+
+class TestSolutionCheck:
+    @pytest.mark.parametrize(
+        "v",
+        [
+            PhasePoly.monomial(I, 3, 0, 0),
+            PhasePoly.monomial(ParamPoly(("a",), {(1,): I}), 3, 0, 0),
+        ],
+        ids=["gaussian", "param"],
+    )
+    @pytest.mark.parametrize("top", [True, False], ids=["double-top-term", "real-x-term"])
+    def test_corrupted_solution_raises(self, monkeypatch, v, top):
+        # the left side recomputed from a wrong Theta_n must not match the
+        # right side; the x-free part of Theta_n is free, so an x term changes.
+        # A real x^1 term changes only the imaginary part of the left side.
+        solution = metric._exchange_solution
+
+        def corrupted(*args):
+            theta = solution(*args)
+            key = max(theta.terms) if top else (1, 0, 0)
+            assert key[0] > 0
+            return theta + PhasePoly({key: theta.terms[key] if top else 1})
+
+        assert solve_perturbative(PhasePoly.p(2), v, 2).order == 2
+        monkeypatch.setattr(metric, "_exchange_solution", corrupted)
+        with pytest.raises(UnsolvableOrder):
+            solve_perturbative(PhasePoly.p(2), v, 2)
 
 
 class TestStarLogOfSolution:

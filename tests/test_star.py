@@ -20,10 +20,12 @@ from starmetric.star import (
     moyal_coefficients,
     star,
     star_commutator,
+    star_difference,
     star_exp,
     star_log,
     star_poly_expquad,
     star_series,
+    star_series_difference,
 )
 
 from _helpers import random_poly
@@ -36,6 +38,23 @@ ih = PhasePoly.monomial(I, 0, 0, 1)
 
 def gr(re, im=0):
     return GaussianRational(Fraction(re), Fraction(im))
+
+
+def ring_poly(rng, ring: str) -> PhasePoly:
+    """A random PhasePoly, zero 30% of the time, over Gaussian rationals
+    ("gaussian"), ParamPoly in a ("param"), or both in one polynomial
+    ("mixed")."""
+    if rng.random() < 0.3:
+        return PhasePoly.zero()
+    poly = random_poly(rng, max_terms=3)
+    if ring == "gaussian":
+        return poly
+    (a,) = ParamPoly.generators("a")
+    keep = 0.5 if ring == "mixed" else 0
+    return poly.map_coeffs(lambda c: c if rng.random() < keep else a ** rng.randint(0, 1) * c)
+
+
+RING_CASES = given(st.integers(0, 2**32), st.sampled_from(["gaussian", "param", "mixed"]))
 
 
 class TestStar:
@@ -181,31 +200,55 @@ class TestSeriesStar:
         # zero coefficients, denominators that differ from one coefficient to
         # the next, ParamPoly coefficients, and both kinds in one polynomial
         rng = random.Random(seed)
-        (a,) = ParamPoly.generators("a")
-
-        def coeff():
-            if rng.random() < 0.3:
-                return PhasePoly.zero()
-            poly = random_poly(rng, max_terms=3)
-            if ring == "gaussian":
-                return poly
-            keep = 0.5 if ring == "mixed" else 0
-            lift = lambda c: c if rng.random() < keep else a ** rng.randint(0, 1) * c
-            return poly.map_coeffs(lift)
-
-        left = CouplingSeries("g", [coeff() for _ in range(order_a + 1)])
-        right = CouplingSeries("g", [coeff() for _ in range(order_b + 1)])
+        left = CouplingSeries("g", [ring_poly(rng, ring) for _ in range(order_a + 1)])
+        right = CouplingSeries("g", [ring_poly(rng, ring) for _ in range(order_b + 1)])
         expected = [
             sum((star(left.coeffs[j], right.coeffs[n - j]) for j in range(n + 1)), PhasePoly.zero())
             for n in range(min(order_a, order_b) + 1)
         ]
         assert star_series(left, right) == CouplingSeries("g", expected)
+        assert star_series_difference(left, right, right, left) == star_series(
+            left, right
+        ) - star_series(right, left)
 
     @pytest.mark.parametrize("coeff", [1, ParamPoly.generators("a")[0]])
     def test_couplings_must_match(self, coeff):
         s = CouplingSeries("g", [PhasePoly.one(), PhasePoly.const(coeff)])
         with pytest.raises(CouplingMismatch):
             star_series(s, CouplingSeries("h", [PhasePoly.one(), x]))
+
+
+class TestFusedDifference:
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @RING_CASES
+    def test_equals_difference_of_two_stars(self, seed, ring):
+        rng = random.Random(seed)
+        a, b, c, d = (ring_poly(rng, ring) for _ in range(4))
+        assert star_difference(a, b, c, d) == star(a, b) - star(c, d)
+        assert star_difference(a, b, a, b).is_zero
+        assert star_commutator(a, b) == star(a, b) - star(b, a)
+
+    @pytest.mark.parametrize("ring", ["gaussian", "param", "mixed"])
+    def test_most_differences_are_nonzero(self, ring):
+        # the property above is not carried by results that cancel to zero
+        rng = random.Random(ring)
+        results = []
+        for _ in range(40):
+            a, b, c, d = (ring_poly(rng, ring) for _ in range(4))
+            fused, commutator = star_difference(a, b, c, d), star_commutator(a, b)
+            assert fused == star(a, b) - star(c, d)
+            assert commutator == star(a, b) - star(b, a)
+            results += [fused, commutator]
+        assert sum(not r.is_zero for r in results) > len(results) // 3
+
+    def test_commutator_skips_only_commuting_pairs(self):
+        # x^2 and p^2 do not commute, though each pair of x-only or p-only
+        # terms does
+        a = x**2 + gr(3) * x + p.scaled(gr(0, 2))
+        b = p**2 + x * gr(5)
+        assert star_commutator(a, b) == star(a, b) - star(b, a)
+        assert star_commutator(x, p) == ih
+        assert star_commutator(x**3, x).is_zero and star_commutator(PhasePoly.p(-2), p).is_zero
 
 
 class TestStarLogExp:

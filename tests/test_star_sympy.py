@@ -1,8 +1,8 @@
 """sympy as an independent oracle for the Moyal kernel.
 
 Every expected value here is built from sympy derivatives of the operands
-written out as sympy expressions: the star product, the adjoint, the
-hermiticity criterion, star products against P exp(Q), and the PDE form of
+written out as sympy expressions: the star product and commutator, the
+adjoint, the hermiticity criterion, star products against P exp(Q), and the PDE form of
 the metric residual.  Nothing but the conversion of the operands to sympy
 touches starmetric code.
 """
@@ -18,7 +18,14 @@ from starmetric.metric import HamiltonianSpec, pde_operator
 from starmetric.modelio import bundled_model_path, load_model
 from starmetric.phasepoly import PhasePoly
 from starmetric.scalars import GaussianRational, ParamPoly
-from starmetric.star import ExpQuadForm, dagger, is_hermitian, star, star_poly_expquad
+from starmetric.star import (
+    ExpQuadForm,
+    dagger,
+    is_hermitian,
+    star,
+    star_commutator,
+    star_poly_expquad,
+)
 
 from _helpers import random_gr, random_poly
 
@@ -139,6 +146,17 @@ def test_star_matches_sympy_on_both_coefficient_paths(left, right):
         a = OPERANDS[left](rng, max_terms=3, max_x=5)
         b = OPERANDS[right](rng, max_terms=3, p_span=3, h_span=2)
         assert same(to_sympy(star(a, b)), moyal(to_sympy(a), to_sympy(b)))
+
+
+@pytest.mark.parametrize("left", sorted(OPERANDS))
+@pytest.mark.parametrize("right", sorted(OPERANDS))
+def test_commutator_matches_sympy_on_both_coefficient_paths(left, right):
+    rng = random.Random(f"commutator-{left}-{right}")
+    for _ in range(6):
+        a = OPERANDS[left](rng, max_terms=3, max_x=5)
+        b = OPERANDS[right](rng, max_terms=3, max_x=5, p_span=3, h_span=2)
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert same(to_sympy(star_commutator(a, b)), moyal(sa, sb) - moyal(sb, sa))
 
 
 @pytest.mark.parametrize("kind", sorted(OPERANDS))

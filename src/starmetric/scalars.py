@@ -141,6 +141,13 @@ def fraction_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def ratio_str(num: int, den: int) -> str:
+    """``fraction_str(Fraction(num, den))`` for den > 0, reduced with one gcd."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 class Frozen:
     """Base of the immutable value types: attribute assignment raises.
     Constructors set their slots with ``object.__setattr__`` or a slot
@@ -286,7 +293,7 @@ class GaussianRational(Frozen):
     # -- serialization ---------------------------------------------------
 
     def to_json(self) -> dict:
-        return {"re": fraction_str(self.re), "im": fraction_str(self.im)}
+        return {"re": ratio_str(self.a, self.d), "im": ratio_str(self.b, self.d)}
 
     @classmethod
     def from_json(cls, obj) -> "GaussianRational":

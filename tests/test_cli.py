@@ -406,6 +406,14 @@ class TestOtherCommands:
         assert code == 0
         assert payload["failures"] == 0
 
+    def test_finite_oracle_without_trials(self, capsys):
+        code, out, err = run(capsys, "finite-oracle", "--n", "3", "--trials", "0")
+        assert (code, err) == (0, "")
+        assert out == (
+            '{\n  "n": 3,\n  "trials": 0,\n  "passes": 0,\n  "failures": 0,\n'
+            '  "max_deviation": 0.0,\n  "tolerance": 1e-10\n}\n'
+        )
+
     def test_emit_latex(self, capsys):
         code, payload = run_json(capsys, "emit-latex", "--model", IX3, "--order", "1")
         assert code == 0
@@ -720,11 +728,12 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "denominator" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("n", ["1", "0"])
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
     def test_finite_oracle_below_two_exits_2(self, capsys, n):
-        code, out, err = run(capsys, "finite-oracle", "--n", n, "--trials", "2")
-        assert code == 2 and not out
-        assert "at least 2" in json.loads(err)["error"]
+        for trials in ("2", "0"):
+            code, out, err = run(capsys, "finite-oracle", "--n", n, "--trials", trials)
+            assert code == 2 and not out
+            assert "at least 2" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
     def test_scan_locus_range_count_below_two(self, capsys, spec):

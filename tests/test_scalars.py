@@ -14,6 +14,7 @@ from starmetric.scalars import (
     ZeroDenominator,
     fraction_str,
     primitive_real_poly,
+    ratio_str,
 )
 
 from _helpers import random_ratfunc
@@ -68,6 +69,16 @@ class TestGaussianRational:
         assert fraction_str(Fraction(5)) == "5"
         with pytest.raises(ValueError):
             GaussianRational.from_json({"re": "1", "imag": "2"})
+
+    @given(st.integers(-10**30, 10**30), st.one_of(st.just(1), st.integers(1, 10**30)))
+    def test_ratio_str_matches_fraction_str(self, num, den):
+        assert ratio_str(num, den) == fraction_str(Fraction(num, den))
+        assert ratio_str(0, den) == "0"
+
+    @given(st.integers(-10**20, 10**20), st.integers(-10**20, 10**20), st.integers(1, 10**20))
+    def test_to_json_matches_fraction_parts(self, a, b, d):
+        z = GaussianRational(Fraction(a, d), Fraction(b, d))
+        assert z.to_json() == {"re": fraction_str(Fraction(a, d)), "im": fraction_str(Fraction(b, d))}
 
 
 def _with_ref(drawn):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from starmetric.weyl import (
+    ORACLE_BLOCK,
     SizeMismatch,
     TorusFunction,
     clock_shift,
@@ -188,3 +189,87 @@ class TestLargeN:
     def test_round_trip(self, n):
         a = random_operator(n, np.random.default_rng(n + 1))
         assert np.max(np.abs(fun_to_op(op_to_fun(a)) - a)) <= 1e-10
+
+
+def per_trial_oracle(n, trials, seed, tol=1e-10):
+    """oracle_run as one trial per iteration through the single-grid API: each
+    trial draws A, B and C, each as its real part and then its imaginary part."""
+    rng = np.random.default_rng(seed)
+    draw = lambda: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    worst, passes = 0.0, 0
+    for _ in range(trials):
+        a, b, c = draw(), draw(), draw()
+        dev = max(
+            op_to_fun(a @ b).max_abs_diff(discrete_star(op_to_fun(a), op_to_fun(b))),
+            op_to_fun(c.conj().T).max_abs_diff(discrete_dagger(op_to_fun(c))),
+        )
+        worst = max(worst, dev)
+        passes += dev <= tol
+    return {
+        "n": n,
+        "trials": trials,
+        "passes": passes,
+        "failures": trials - passes,
+        "max_deviation": worst,
+        "tolerance": tol,
+    }
+
+
+class TestStacks:
+    """Every kernel takes a stack of operators or torus functions, and
+    oracle_run checks a block of trials per stacked pass."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("trials", [0, 1, 12, 20])
+    def test_oracle_run_equals_per_trial_loop(self, n, trials):
+        assert oracle_run(n, trials, seed=n + trials) == per_trial_oracle(n, trials, n + trials)
+
+    def test_blocks_carry_the_random_stream(self):
+        n = 32
+        block = ORACLE_BLOCK // n**3
+        assert block > 1
+        for trials in (block - 1, block, block + 1, 2 * block + 1):
+            assert oracle_run(n, trials, seed=trials) == per_trial_oracle(n, trials, trials)
+
+    def test_empty_stack(self):
+        report = oracle_run(3, 0, seed=1)
+        assert (report["passes"], report["failures"], report["max_deviation"]) == (0, 0, 0.0)
+        empty = op_to_fun(np.zeros((0, 3, 3), dtype=complex))
+        assert empty.fourier.shape == (0, 3, 3)
+        assert empty.max_abs_diff(discrete_dagger(empty)).shape == (0,)
+
+    def test_random_operator_stack_is_the_trial_stream(self):
+        one, many = np.random.default_rng(8), np.random.default_rng(8)
+        stack = random_operator(4, many, (2, 3))
+        assert stack.shape == (2, 3, 4, 4)
+        for i, j in itertools.product(range(2), range(3)):
+            assert np.array_equal(stack[i, j], random_operator(4, one))
+
+    def test_kernels_on_a_stack_match_each_grid(self):
+        rng = np.random.default_rng(9)
+        a, b = random_operator(5, rng, (2, 2, 3))
+        fa, fb = op_to_fun(a), op_to_fun(b)
+        star, dagger, back = discrete_star(fa, fb), discrete_dagger(fa), fun_to_op(fa)
+        broadcast = discrete_star(op_to_fun(a[0, 0]), fb)
+        deviations = fa.max_abs_diff(fb)
+        assert deviations.shape == (2, 3)
+        for i, j in itertools.product(range(2), range(3)):
+            fi, gi = op_to_fun(a[i, j]), op_to_fun(b[i, j])
+            assert np.max(np.abs(fa.fourier[i, j] - fi.fourier)) <= 1e-13
+            assert np.max(np.abs(star.fourier[i, j] - discrete_star(fi, gi).fourier)) <= 1e-13
+            assert np.max(np.abs(dagger.fourier[i, j] - discrete_dagger(fi).fourier)) <= 1e-13
+            assert np.max(np.abs(back[i, j] - fun_to_op(fi))) <= 1e-13
+            want = discrete_star(op_to_fun(a[0, 0]), gi).fourier
+            assert np.max(np.abs(broadcast.fourier[i, j] - want)) <= 1e-13
+            assert abs(deviations[i, j] - fi.max_abs_diff(gi)) <= 1e-13
+
+    def test_stack_hermitian_predicate(self):
+        a = random_operator(3, np.random.default_rng(10), (2,))
+        f = op_to_fun(np.stack([a[0] + a[0].conj().T, a[1]]))
+        assert discrete_is_hermitian(f).tolist() == [True, False]
+
+    def test_grid_shape_is_checked(self):
+        with pytest.raises(ValueError):
+            TorusFunction(3, np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            TorusFunction(3, np.zeros(3))

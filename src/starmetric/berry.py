@@ -6,14 +6,22 @@ with explicit tolerances; the interesting statements (residuals, vanishing
 curvature, monodromy) are float checks.
 
 Phase-space level: the quadratic oscillator H = p^2 + q1 x^2 + i q2 x p.
-Here the connection is solved exactly over rational functions of (q1, q2)
-and the curvature vanishes as a polynomial identity, not just numerically.
+Here the connection is solved exactly and the curvature vanishes as a
+polynomial identity, not just numerically.  H, its parameter partials and
+the brackets of the solve have polynomial (`ParamPoly`) coefficients in
+(q1, q2); only the two pivot divisions of the solve make `RatFunc2`
+coefficients.  The residual and curvature checks clear the denominators
+first: with D the product of the connection's distinct denominators they
+test D times the residual and D^2 times the curvature, again over
+`ParamPoly`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import lcm, sqrt
+from operator import mul
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -324,6 +332,11 @@ def coalescing_eigenvectors(w: complex) -> Tuple[np.ndarray, np.ndarray]:
 # Moyal-level connection for H = p^2 + q1 x^2 + i q2 x p
 
 
+def _xp_xx(s, t) -> PhasePoly:
+    """(s xp + t x^2) / hbar."""
+    return PhasePoly({(1, 1, -1): s, (2, 0, -1): t})
+
+
 class MoyalConnection(NamedTuple):
     """A_i = (s_i xp + t_i x^2) / hbar with exact RatFunc2 coefficients.
 
@@ -337,10 +350,10 @@ class MoyalConnection(NamedTuple):
     t2: RatFunc2
 
     def a1(self) -> PhasePoly:
-        return PhasePoly({(1, 1, -1): self.s1, (2, 0, -1): self.t1})
+        return _xp_xx(self.s1, self.t1)
 
     def a2(self) -> PhasePoly:
-        return PhasePoly({(1, 1, -1): self.s2, (2, 0, -1): self.t2})
+        return _xp_xx(self.s2, self.t2)
 
     def components(self) -> Tuple[PhasePoly, PhasePoly]:
         return self.a1(), self.a2()
@@ -353,43 +366,44 @@ class MoyalConnection(NamedTuple):
 
 
 def oscillator_hamiltonian() -> PhasePoly:
-    """H = p^2 + q1 x^2 + i q2 x p over RatFunc2 coefficients."""
-    q1, q2 = RatFunc2.generators()
-    i = RatFunc2(I)
-    return PhasePoly({(0, 2, 0): RatFunc2(1), (2, 0, 0): q1, (1, 1, 0): i * q2})
+    """H = p^2 + q1 x^2 + i q2 x p over ParamPoly coefficients in (q1, q2)."""
+    q1, q2 = ParamPoly.generators(*RatFunc2.PARAMS)
+    return PhasePoly({(0, 2, 0): q1.const_like(1), (2, 0, 0): q1, (1, 1, 0): q2 * I})
 
 
 def oscillator_parameter_partials() -> Tuple[PhasePoly, PhasePoly]:
-    """dH/dq1 = x^2, dH/dq2 = i x p."""
-    one = RatFunc2(1)
-    i = RatFunc2(I)
-    return PhasePoly({(2, 0, 0): one}), PhasePoly({(1, 1, 0): i})
+    """dH/dq1 = x^2, dH/dq2 = i x p, over ParamPoly coefficients in (q1, q2)."""
+    one = ParamPoly.constant(RatFunc2.PARAMS, 1)
+    return PhasePoly({(2, 0, 0): one}), PhasePoly({(1, 1, 0): one * I})
 
 
 def _double_bracket(a: PhasePoly, h: PhasePoly) -> PhasePoly:
     return star_commutator(star_commutator(a, h), h)
 
 
-def _solve_two_unknowns_exact(rows: List[Tuple[RatFunc2, RatFunc2, RatFunc2]]):
-    """Exact Gaussian elimination for a (possibly overdetermined) 2-unknown
-    system over the rational-function field; verifies full consistency."""
+def _solve_two_unknowns_exact(rows: List[Tuple[ParamPoly, ParamPoly, ParamPoly]]):
+    """s and t with d1 s + d2 t = dr for every row (d1, d2, dr) of a
+    (possibly overdetermined) system over polynomials in (q1, q2).
+
+    The first row (c1, c2, rhs) with c1 != 0 and the first row independent
+    of it (c1 d2 - d1 c2 != 0) are the pivots.  s and t are solved from them
+    over RatFunc2 by Gaussian elimination; RatFunc2 is not gcd-reduced, so
+    the order of these operations fixes the printed numerators and
+    denominators.  Every row is then checked fraction-free, as
+    d1 num_s den_t + d2 num_t den_s - dr den_s den_t = 0.
+    """
     pivot1 = next((r for r in rows if not r[0].is_zero), None)
     if pivot1 is None:
         raise RankDeficient("no equation determines the first unknown")
     c1, c2, rhs = pivot1
-    reduced = []
-    for row in rows:
-        if row is pivot1:
-            continue
-        d1, d2, dr = row
-        reduced.append((d2 - d1 * c2 / c1, dr - d1 * rhs / c1))
-    pivot2 = next((r for r in reduced if not r[0].is_zero), None)
+    pivot2 = next((r for r in rows if not (c1 * r[1] - r[0] * c2).is_zero), None)
     if pivot2 is None:
         raise RankDeficient("no equation determines the second unknown")
-    t = pivot2[1] / pivot2[0]
+    c1, c2, rhs, d1, d2, dr = (RatFunc2(v) for v in pivot1 + pivot2)
+    t = (dr - d1 * rhs / c1) / (d2 - d1 * c2 / c1)
     s = (rhs - c2 * t) / c1
-    for d2, dr in reduced:
-        if not (d2 * t - dr).is_zero:
+    for d1, d2, dr in rows:
+        if not (d1 * s.num * t.den + (d2 * t.num - dr * t.den) * s.den).is_zero:
             raise RankDeficient("inconsistent connection system")
     return s, t
 
@@ -398,21 +412,20 @@ def moyal_connection_solve() -> MoyalConnection:
     """Exact connection for the oscillator model in the no-p^2 gauge.
 
     Matches phase-space monomial coefficients of
-    [dH/dq_i, H]_star = [[A_i, H]_star, H]_star with A_i = (s_i xp + t_i x^2)/hbar
-    and solves the resulting linear system over RatFunc2.
+    [dH/dq_i, H]_star = [[A_i, H]_star, H]_star with A_i = (s_i xp + t_i x^2)/hbar.
+    H, dH/dq_i and the basis xp/hbar, x^2/hbar have polynomial coefficients,
+    so the brackets are star commutators over ParamPoly and every equation is
+    a row of polynomials; only the two pivot rows are divided, over RatFunc2.
     """
     h = oscillator_hamiltonian()
-    dh1, dh2 = oscillator_parameter_partials()
-    one = RatFunc2(1)
-    basis_s = PhasePoly({(1, 1, -1): one})
-    basis_t = PhasePoly({(2, 0, -1): one})
-    resp_s = _double_bracket(basis_s, h)
-    resp_t = _double_bracket(basis_t, h)
+    one = ParamPoly.constant(RatFunc2.PARAMS, 1)
+    zero = ParamPoly(RatFunc2.PARAMS, {})
+    resp_s = _double_bracket(_xp_xx(one, zero), h)
+    resp_t = _double_bracket(_xp_xx(zero, one), h)
     out = []
-    for dh in (dh1, dh2):
+    for dh in oscillator_parameter_partials():
         rhs = star_commutator(dh, h)
         keys = set(resp_s.terms) | set(resp_t.terms) | set(rhs.terms)
-        zero = RatFunc2(0)
         rows = [
             (resp_s.terms.get(k, zero), resp_t.terms.get(k, zero), rhs.terms.get(k, zero))
             for k in sorted(keys)
@@ -422,38 +435,67 @@ def moyal_connection_solve() -> MoyalConnection:
     return MoyalConnection(s1, t1, s2, t2)
 
 
+def _common_denominator(conn: MoyalConnection) -> Tuple[ParamPoly, List[ParamPoly]]:
+    """D, the product of the distinct denominators of conn's nonzero
+    coefficients, each taken once, and the list of those denominators.
+    D = 1 when every coefficient is zero."""
+    dens: List[ParamPoly] = []
+    for coeff in conn:
+        if not coeff.is_zero and coeff.den not in dens:
+            dens.append(coeff.den)
+    return (reduce(mul, dens) if dens else ParamPoly.constant(RatFunc2.PARAMS, 1)), dens
+
+
+def _cleared(conn: MoyalConnection) -> Tuple[ParamPoly, PhasePoly, PhasePoly]:
+    """(D, N1, N2) with D from `_common_denominator` and N_i = D A_i, whose
+    coefficients are polynomials: a coefficient's numerator times the
+    distinct denominators other than its own."""
+    d, dens = _common_denominator(conn)
+
+    def cleared(coeff: RatFunc2) -> ParamPoly:
+        return reduce(mul, (e for e in dens if e != coeff.den), coeff.num)
+
+    n1, n2 = (_xp_xx(cleared(s), cleared(t)) for s, t in ((conn.s1, conn.t1), (conn.s2, conn.t2)))
+    return d, n1, n2
+
+
 def connection_residual(conn: MoyalConnection) -> Tuple[PhasePoly, PhasePoly]:
-    """Exact residuals of the double-commutator equation; zero for a solution."""
+    """Residuals of the double-commutator equation with the denominator
+    cleared: [[N_i, H]_star, H]_star - D [dH/dq_i, H]_star, which is D times
+    [[A_i, H], H] - [dH/dq_i, H] (D and N_i as in `_cleared`).  They are
+    computed over ParamPoly and vanish exactly when the connection solves the
+    equation, since D != 0."""
     h = oscillator_hamiltonian()
-    dh1, dh2 = oscillator_parameter_partials()
-    a1, a2 = conn.components()
-    return (
-        _double_bracket(a1, h) - star_commutator(dh1, h),
-        _double_bracket(a2, h) - star_commutator(dh2, h),
+    d, n1, n2 = _cleared(conn)
+    return tuple(
+        _double_bracket(n, h) - star_commutator(dh, h) * d
+        for n, dh in zip((n1, n2), oscillator_parameter_partials())
     )
 
 
 def moyal_curvature(conn: MoyalConnection) -> PhasePoly:
-    """F_12 = dA1/dq2 - dA2/dq1 + [A1, A2]_star, exactly."""
-    a1, a2 = conn.components()
-    d_a1 = a1.map_coeffs(lambda c: c.partial(2))
-    d_a2 = a2.map_coeffs(lambda c: c.partial(1))
-    return d_a1 - d_a2 + star_commutator(a1, a2)
+    """D^2 F_12 with F_12 = dA1/dq2 - dA2/dq1 + [A1, A2]_star, computed over
+    ParamPoly from D and N_i = D A_i (see `_cleared`) as
+    D (dN1/dq2 - dN2/dq1) - N1 dD/dq2 + N2 dD/dq1 + [N1, N2]_star.
+    It vanishes exactly when F_12 does, since D != 0."""
+    d, n1, n2 = _cleared(conn)
+
+    def partial(a: PhasePoly, name: str) -> PhasePoly:
+        return a.map_coeffs(lambda c: c.derivative(name))
+
+    return (
+        (partial(n1, "q2") - partial(n2, "q1")) * d
+        - n1 * d.derivative("q2")
+        + n2 * d.derivative("q1")
+        + star_commutator(n1, n2)
+    )
 
 
 def singular_locus(conn: MoyalConnection) -> ParamPoly:
-    """The reduced common denominator of the connection coefficients."""
-    dens = []
-    for coeff in (conn.s1, conn.t1, conn.s2, conn.t2):
-        if not coeff.is_zero:
-            dens.append(coeff.den)
-    if not dens:
-        return ParamPoly.constant(RatFunc2.PARAMS, 1)
-    locus = dens[0]
-    for den in dens[1:]:
-        if den != locus:
-            locus = locus * den
-    return primitive_real_poly(locus)
+    """The product of the distinct denominators of the connection
+    coefficients (`_common_denominator`), in primitive integer form.  It is
+    not gcd-reduced: denominators D and q1 D give q1 D^2."""
+    return primitive_real_poly(_common_denominator(conn)[0])
 
 
 def oscillator_parameters(omega, alpha, beta) -> Tuple[Fraction, Fraction]:

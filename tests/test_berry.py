@@ -8,6 +8,7 @@ from starmetric.berry import (
     MoyalConnection,
     RankDeficient,
     _double_bracket,
+    _solve_two_unknowns_exact,
     coalescing_eigenvectors,
     connection_residual,
     curvature_matrix,
@@ -316,7 +317,8 @@ class TestMoyalConnection:
     def test_residual_at_sample_point(self):
         # substitute (q1, q2) = (1, 1) and expand with exact arithmetic
         a1 = self.conn.a1().map_coeffs(lambda c: c.eval(1, 1))
-        h = oscillator_hamiltonian().map_coeffs(lambda c: c.eval(1, 1))
+        point = {"q1": GaussianRational(1), "q2": GaussianRational(1)}
+        h = oscillator_hamiltonian().map_coeffs(lambda c: c.eval(point))
         dh1 = PhasePoly.x(2)
         lhs = star_commutator(dh1, h)
         rhs = star_commutator(star_commutator(a1, h), h)
@@ -328,6 +330,27 @@ class TestMoyalConnection:
     def test_perturbed_connection_has_curvature(self):
         bad = MoyalConnection(self.conn.s1 * 2, self.conn.t1, self.conn.s2, self.conn.t2)
         assert not moyal_curvature(bad).is_zero
+
+    @pytest.mark.parametrize("field", MoyalConnection._fields)
+    def test_perturbed_coefficient_leaves_a_residual(self, field):
+        bad = self.conn._replace(**{field: getattr(self.conn, field) + self.q1})
+        r1, r2 = connection_residual(bad)
+        perturbed, other = (r1, r2) if field.endswith("1") else (r2, r1)
+        assert not perturbed.is_zero
+        assert other.is_zero
+
+    @pytest.mark.parametrize("field", MoyalConnection._fields)
+    def test_unequal_denominators_keep_the_checks_zero(self, field):
+        # the same value over the denominator (q1 + 1) D: D is then the
+        # product of two distinct denominators
+        coeff = getattr(self.conn, field)
+        factor = (self.q1 + 1).num
+        scaled = RatFunc2(coeff.num * factor, coeff.den * factor)
+        assert scaled == coeff and scaled.den != coeff.den
+        conn = self.conn._replace(**{field: scaled})
+        r1, r2 = connection_residual(conn)
+        assert r1.is_zero and r2.is_zero
+        assert moyal_curvature(conn).is_zero
 
     def test_zero_connection_curvature(self):
         zero = RatFunc2(0)
@@ -352,6 +375,17 @@ class TestMoyalConnection:
         one, zero = RatFunc2(1), RatFunc2(0)
         conn = MoyalConnection(one / self.delta, one / (self.q1 * self.delta), zero, zero)
         assert singular_locus(conn) == primitive_real_poly(q1p * (q1p * 4 + q2p * q2p))
+
+    def test_singular_locus_takes_a_repeated_denominator_once(self):
+        q1p, q2p = ParamPoly.generators("q1", "q2")
+        one, zero = RatFunc2(1), RatFunc2(0)
+        d, q1_d, other = one / self.delta, one / (self.q1 * self.delta), one / (self.q1 + 1)
+        assert singular_locus(MoyalConnection(d, q1_d, d, zero)) == singular_locus(
+            MoyalConnection(d, q1_d, zero, zero)
+        )
+        assert singular_locus(MoyalConnection(d, other, d, other)) == primitive_real_poly(
+            (q1p * 4 + q2p * q2p) * (q1p + 1)
+        )
 
     def test_double_bracket_keeps_the_locus_denominator(self):
         # sums over one shared denominator stay over it: degree 2, not 22
@@ -385,3 +419,43 @@ class TestMoyalConnection:
     def test_pole_on_locus(self):
         with pytest.raises(PoleAtPoint):
             self.conn.s1.eval(Fraction(-1, 4), 1)
+
+
+class TestExactElimination:
+    """_solve_two_unknowns_exact on rows (d1, d2, dr) meaning d1 s + d2 t = dr."""
+
+    def setup_method(self):
+        self.q1, self.q2 = ParamPoly.generators("q1", "q2")
+        self.one = self.q1.const_like(1)
+        self.zero = self.q1.const_like(0)
+
+    def solvable_rows(self):
+        # s = q2 and t = q1; the second row is the first times q2, so the
+        # second pivot is the third row
+        q1, q2, one, zero = self.q1, self.q2, self.one, self.zero
+        first = (q1, one, q1 * q2 + q1)
+        return [
+            first,
+            tuple(v * q2 for v in first),
+            (one, q2, q2 + q1 * q2),
+            (zero, q1, q1 * q1),
+        ]
+
+    def test_solves_an_overdetermined_system(self):
+        s, t = _solve_two_unknowns_exact(self.solvable_rows())
+        assert s == RatFunc2(self.q2) and t == RatFunc2(self.q1)
+
+    def test_no_first_pivot(self):
+        rows = [(self.zero, self.q1, self.q1), (self.zero, self.one, self.one)]
+        with pytest.raises(RankDeficient, match="first unknown"):
+            _solve_two_unknowns_exact(rows)
+
+    def test_no_second_pivot(self):
+        rows = self.solvable_rows()[:2] + [(self.zero, self.zero, self.zero)]
+        with pytest.raises(RankDeficient, match="second unknown"):
+            _solve_two_unknowns_exact(rows)
+
+    def test_one_inconsistent_row(self):
+        rows = self.solvable_rows() + [(self.one, self.one, self.zero)]
+        with pytest.raises(RankDeficient, match="inconsistent"):
+            _solve_two_unknowns_exact(rows)

@@ -207,6 +207,7 @@ class TestCertifyResidual:
             # the connection does not depend on the point, so this pins every
             # RatFunc2 that berry-osc prints
             ("berry_osc_point.json", ("berry-osc", "--q1=1/2", "--q2=3")),
+            ("berry_osc.json", ("berry-osc",)),
             ("scan_locus_ranges.json", ("scan-locus", "--q1=-1/3:7/5:9", "--q2=0:2:5")),
         ],
     )

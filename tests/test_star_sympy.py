@@ -2,8 +2,9 @@
 
 Every expected value here is built from sympy derivatives of the operands
 written out as sympy expressions: the star product and commutator, the
-adjoint, the hermiticity criterion, star products against P exp(Q), and the PDE form of
-the metric residual.  Nothing but the conversion of the operands to sympy
+adjoint, the hermiticity criterion, star products against P exp(Q), the PDE form of
+the metric residual, and the oscillator's Berry connection equation and
+curvature.  Nothing but the conversion of the operands to sympy
 touches starmetric code.
 """
 
@@ -14,10 +15,11 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from starmetric.berry import moyal_connection_solve
 from starmetric.metric import HamiltonianSpec, pde_operator
 from starmetric.modelio import bundled_model_path, load_model
 from starmetric.phasepoly import PhasePoly
-from starmetric.scalars import GaussianRational, ParamPoly
+from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
 from starmetric.star import (
     ExpQuadForm,
     dagger,
@@ -44,6 +46,8 @@ def _coeff(c):
         return sp.Add(
             *[_coeff(v) * sp.Mul(*[s**e for s, e in zip(syms, key)]) for key, v in c.terms.items()]
         )
+    if isinstance(c, RatFunc2):
+        return _coeff(c.num) / _coeff(c.den)
     raise TypeError(f"no sympy image for {c!r}")
 
 
@@ -208,3 +212,17 @@ def test_pde_operator_matches_sympy_residual(name):
         t = to_sympy(theta)
         residual = moyal(h, t) - moyal(t, sym_dagger(h))
         assert same(to_sympy(op.apply(theta)), residual)
+
+
+def test_berry_connection_matches_sympy():
+    # H = p^2 + q1 x^2 + i q2 x p written out here, not taken from starmetric
+    q1, q2 = sp.symbols("q1 q2", real=True)
+    h = P**2 + q1 * X**2 + sp.I * q2 * X * P
+    a1, a2 = (to_sympy(a) for a in moyal_connection_solve().components())
+
+    def bracket(a, b):
+        return moyal(a, b) - moyal(b, a)
+
+    for a, q in ((a1, q1), (a2, q2)):
+        assert sp.cancel(bracket(bracket(a, h), h) - bracket(sp.diff(h, q), h)) == 0
+    assert sp.cancel(sp.diff(a1, q2) - sp.diff(a2, q1) + bracket(a1, a2)) == 0

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every command reads UTF-8 JSON (model files) and prints a JSON report to
-stdout.  Exit codes: 0 success, 1 verification failure, 2 input error.
-Output is deterministic for fixed inputs and seed: containers are built in
-canonical term order.
+stdout: the ``json.dumps(payload, indent=2)`` text, built by one direct
+writer (`_json_text`).  Exit codes: 0 success, 1 verification failure, 2
+input error.  Output is deterministic for fixed inputs and seed: containers
+are built in canonical term order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .exprparse import parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
@@ -355,14 +357,28 @@ def cmd_berry_osc(args):
     return payload, ok
 
 
+# the most points one scan-locus grid may have, and so one range
+MAX_GRID_POINTS = 10**6
+
+
 def _parse_range(spec: str):
-    if ":" in spec:
-        lo, hi, count = spec.split(":")
-        lo, hi, count = as_fraction(lo), as_fraction(hi), int(count)
-        _require(count >= 2, f"range {spec!r}: count must be at least 2")
-        step = (hi - lo) / (count - 1)
-        return [lo + k * step for k in range(count)]
-    return [as_fraction(spec)]
+    if ":" not in spec:
+        return [as_fraction(spec)]
+    parts = spec.split(":")
+    _require(len(parts) == 3, f"range {spec!r}: expected the form min:max:count")
+    lo, hi = as_fraction(parts[0]), as_fraction(parts[1])
+    try:
+        count = int(parts[2])
+    except ValueError:
+        message = f"range {spec!r}: count {parts[2]!r} is not an integer in min:max:count"
+        raise CliInputError(message) from None
+    _require(count >= 2, f"range {spec!r}: count must be at least 2")
+    _require(
+        count <= MAX_GRID_POINTS,
+        f"range {spec!r}: count is past the limit of {MAX_GRID_POINTS} grid points",
+    )
+    step = (hi - lo) / (count - 1)
+    return [lo + k * step for k in range(count)]
 
 
 def _locus_records(q1s, q2s, grid) -> list:
@@ -400,6 +416,10 @@ def cmd_scan_locus(args):
     # --jobs is unused
     q1s = _parse_range(args.q1 or "-3:3:25")
     q2s = _parse_range(args.q2 or "-3:3:25")
+    _require(
+        len(q1s) * len(q2s) <= MAX_GRID_POINTS,
+        f"grid of {len(q1s)} x {len(q2s)} points is past the limit of {MAX_GRID_POINTS} points",
+    )
     records = _locus_records(q1s, q2s, berry.locus_grid(q1s, q2s))
     return {"count": len(records), "records": records}, True
 
@@ -479,6 +499,105 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     return parser
 
 
+_int_text = int.__repr__
+_float_repr = float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    text = _float_repr(value)
+    return _NONFINITE.get(text, text)
+
+
+def _scalar_text(value):
+    """The JSON text of a str, None, bool, int or float (or a subclass), as
+    json writes it; None for any other value."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return _int_text(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """A dict key as json converts it to a string before quoting it."""
+    if isinstance(key, str):
+        return key
+    text = _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return text
+
+
+def _write_json(out: list, value, newline: str) -> None:
+    """Append to ``out`` the ``json.dumps(value, indent=2)`` text of
+    ``value``, which sits at the level whose line break and indent is
+    ``newline``.  The loops write exact str, int and float items in place
+    and recurse for any other item.  Being module-level recursion over one
+    list, a call builds no closure and leaves no reference cycle."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key, item in value.items():
+            key = _quote(key if type(key) is str else _key_text(key))
+            kind = type(item)
+            if kind is str:
+                out.append(f"{sep}{key}: {_quote(item)}")
+            elif kind is int:
+                out.append(f"{sep}{key}: {_int_text(item)}")
+            elif kind is float:
+                out.append(f"{sep}{key}: {_float_text(item)}")
+            else:
+                out.append(f"{sep}{key}: ")
+                _write_json(out, item, inner)
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                out.append(sep + _quote(item))
+            elif kind is int:
+                out.append(sep + _int_text(item))
+            elif kind is float:
+                out.append(sep + _float_text(item))
+            else:
+                out.append(sep)
+                _write_json(out, item, inner)
+            sep = comma
+        out.append(newline + "]")
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        out.append(text)
+
+
+def _json_text(payload) -> str:
+    """Exactly ``json.dumps(payload, indent=2)``.  With an indent, json
+    drops its C encoder for pure-Python generators; this writer calls the C
+    string quoter, ``int.__repr__`` and ``float.__repr__`` directly."""
+    out = []
+    _write_json(out, payload, "\n")
+    return "".join(out)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser(argv).parse_args(argv)
@@ -493,7 +612,7 @@ def main(argv=None) -> int:
         return 1 if isinstance(exc, UnsolvableOrder) else 2
     status = 0 if ok else 1
     try:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away: send the rest of the output, and the flush

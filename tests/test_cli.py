@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -643,6 +644,20 @@ class TestErrorHandling:
         assert proc.returncode == 0
         assert b"Traceback" not in err and b"Exception ignored" not in err
 
+    def test_reader_closing_a_long_report_is_not_an_error(self):
+        # about 4 MB: more than a pipe holds, so the write itself breaks
+        argv = CLI + ["scan-locus", "--q1=-3:3:200", "--q2=-3:3:200"]
+        with subprocess.Popen(
+            argv, env=CLI_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        ) as proc:
+            try:
+                assert proc.stdout.readline() == b"{\n"
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (0, b"")
+
     def test_deeply_nested_theta_exits_2(self, capsys):
         theta = "(" * 3000 + "x" + ")" * 3000
         code, out, err = run(capsys, "star", "--model", SHIFTED, "--theta", theta)
@@ -741,6 +756,40 @@ class TestErrorHandling:
         code, out, err = run(capsys, "scan-locus", f"--q1={spec}", "--q2=0")
         assert code == 2 and not out
         assert "count" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ("--q1=0:1:1000000000000",),
+                "range '0:1:1000000000000': count is past the limit of {} grid points",
+            ),
+            (
+                ("--q1=0:1:1001", "--q2=0:1:1001"),
+                "grid of 1001 x 1001 points is past the limit of {} points",
+            ),
+        ],
+    )
+    def test_scan_locus_grid_past_the_point_limit_exits_2(self, capsys, flags, message):
+        # the first range alone would be 10^12 Fractions: refused before any is built
+        code, out, err = run(capsys, "scan-locus", *flags)
+        assert code == 2 and not out
+        assert json.loads(err) == {"error": message.format(cli.MAX_GRID_POINTS)}
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1:2", "expected the form min:max:count"),
+            ("0:1:3:4", "expected the form min:max:count"),
+            ("0:1:x", "count 'x' is not an integer in min:max:count"),
+            ("0:1:2.5", "count '2.5' is not an integer in min:max:count"),
+        ],
+    )
+    def test_malformed_range_names_the_form(self, capsys, spec, message):
+        for flags in ((f"--q1={spec}",), ("--q1=0", f"--q2={spec}")):
+            code, out, err = run(capsys, "scan-locus", *flags)
+            assert code == 2 and not out
+            assert json.loads(err) == {"error": f"range {spec!r}: {message}"}
 
     @pytest.mark.parametrize(
         "argv", [("berry2x2", "--trials", "-3"), ("finite-oracle", "--n", "3", "--trials", "-2")]
@@ -881,8 +930,93 @@ class TestReadme:
     def test_cli_line_runs(self, capsys, monkeypatch, line):
         # paths in the README are relative to the repository root
         monkeypatch.chdir(ROOT)
-        code, payload = run_json(capsys, *shlex.split(line)[1:])
-        assert code in (0, 1) and isinstance(payload, dict)
+        code, out, _ = run(capsys, *shlex.split(line)[1:])
+        assert code in (0, 1) and isinstance(json.loads(out), dict)
+        assert_indent_2_text(out)
+
+
+def assert_indent_2_text(out):
+    """stdout is the ``json.dumps(indent=2)`` text of what it parses to:
+    floats and every other report value survive the round trip exactly."""
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+class _Str(str):
+    def __str__(self):
+        return "ignored"
+
+
+class _Int(int):
+    def __repr__(self):
+        return "ignored"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "ignored"
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+# every code point (controls and lone surrogates too), and LaTeX backslashes
+_texts = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["\\frac{1}{2}", "x^{-1} \\hbar", "\x00\x1f\x7f\"", "\u00e9\u2202\u2028\U0001d54f"]
+)
+_ints = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+_floats = st.floats() | st.sampled_from(
+    [-0.0, 1e-300, 1e16, float("nan"), float("inf"), float("-inf")]
+)
+_scalars = st.none() | st.booleans() | _ints | _floats | _texts
+_subclassed = _texts.map(_Str) | _ints.map(_Int) | _floats.map(_Float)
+json_trees = st.recursive(
+    _scalars | _subclassed,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(inner, max_size=4).map(_List)
+    | st.dictionaries(_scalars | _subclassed, inner, max_size=4)
+    | st.dictionaries(_texts, inner, max_size=4).map(_Dict),
+    max_leaves=24,
+)
+
+
+class TestJsonText:
+    """`cli._json_text` is ``json.dumps(indent=2)``, byte for byte."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(json_trees)
+    def test_equals_json_dumps_indent_2(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [{1, 2}, 1j, Fraction(1, 2), b"x", [0, {"a": 1j}], {"a": [Fraction(1)]},
+         {(1, 2): 0}, {"a": {frozenset(): 0}}],
+    )
+    def test_raises_type_error_where_json_does(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(value)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("berry2x2", "--trials", "5"),
+            ("finite-oracle", "--n", "3", "--trials", "2"),
+            ("scan-locus", "--omega", "2", "--alpha", "0.5", "--beta", "0.25"),
+        ],
+    )
+    def test_reports_without_a_golden_are_indent_2_text(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert_indent_2_text(out)
 
 
 class TestBundledModels:

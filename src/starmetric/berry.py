@@ -101,35 +101,6 @@ def sample_regular_points(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def general_connection(
-    q: Sequence[float], w1: complex = 0.5, y1: complex = 0.0, y2: complex = 0.0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The two-parameter family of solutions of the double-commutator equation.
-
-    The homogeneous part is arranged to give zero curvature.  Raises
-    PoleAtPoint at z = 0 and 1 + z^2 = 0 where the written form is singular.
-    """
-    z = q[0] + 1j * q[1]
-    den = 1.0 + z * z
-    if abs(z) < 1e-13 or abs(den) < 1e-13:
-        raise PoleAtPoint(f"general connection form is singular at q = {tuple(q)}")
-    a1 = np.array(
-        [
-            [2.0 * w1 / z - 1.0 / (z * den) + y1, w1 - 1.0 / den],
-            [w1, y1],
-        ],
-        dtype=complex,
-    )
-    a2 = np.array(
-        [
-            [2j * w1 / z - 1j / (z * den) + y2, 1j * w1 - 1j / den],
-            [1j * w1, y2],
-        ],
-        dtype=complex,
-    )
-    return a1, a2
-
-
 def gauge_fixed_connection(q) -> Tuple[np.ndarray, np.ndarray]:
     """w1 = 1/2, y1 = y2 = 0; regular at the origin, A1 = -i A2."""
     z = _z(q)
@@ -240,26 +211,6 @@ def curvature_of_field(
     return curvature_matrix(a1, a2, d[0][1], d[1][0])
 
 
-def gauge_transform_field(
-    field: ConnectionField,
-    s_func: Callable[[Sequence[float]], np.ndarray],
-    lam_func: Callable[[Sequence[float]], np.ndarray],
-    dlam_func: Callable[[Sequence[float], int], np.ndarray],
-) -> ConnectionField:
-    """A_i -> A_i + S (dLambda/dq_i) Lambda^{-1} S^{-1} for diagonal Lambda."""
-
-    def transformed(q):
-        a1, a2 = field(q)
-        s = s_func(q)
-        s_inv = np.linalg.inv(s)
-        lam_inv = np.linalg.inv(lam_func(q))
-        b1 = s @ dlam_func(q, 0) @ lam_inv @ s_inv
-        b2 = s @ dlam_func(q, 1) @ lam_inv @ s_inv
-        return a1 + b1, a2 + b2
-
-    return transformed
-
-
 def plaquette_transport(
     field: ConnectionField, q: Sequence[float], dq: float, step: float = 1e-5
 ) -> np.ndarray:
@@ -354,9 +305,6 @@ class MoyalConnection(NamedTuple):
 
     def a2(self) -> PhasePoly:
         return _xp_xx(self.s2, self.t2)
-
-    def components(self) -> Tuple[PhasePoly, PhasePoly]:
-        return self.a1(), self.a2()
 
     def to_json(self) -> dict:
         return {

@@ -424,9 +424,15 @@ def cmd_scan_locus(args):
     return {"count": len(records), "records": records}, True
 
 
+# the largest finite-oracle N, checked before any N x N table is built: a
+# trial's N^3 complex star intermediates are then near 32 MB each
+MAX_ORACLE_N = 128
+
+
 def cmd_finite_oracle(args):
     from . import weyl
 
+    _require(args.n <= MAX_ORACLE_N, f"--n {args.n} is past the limit of N = {MAX_ORACLE_N}")
     report = weyl.oracle_run(args.n, _trials(args), args.seed)
     return report, report["failures"] == 0
 

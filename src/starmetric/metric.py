@@ -8,11 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import comb
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate, power
+from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
@@ -178,41 +177,6 @@ class PDEOperator(Frozen):
             return PDEOperator({k: -v for k, v in self.coeffs.items()})
         return self
 
-    def conjugate_coeffs(self) -> "PDEOperator":
-        """The complex-conjugate operator L* (x, p, hbar and derivatives real)."""
-        return PDEOperator({k: v.conjugate() for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        """Operator product, normal ordered with coefficients to the left.
-
-        Uses (c1 dx^i dp^j)(c2 dx^k dp^l) =
-        c1 * sum_{m<=i, n<=j} C(i,m) C(j,n) (dx^m dp^n c2) dx^{i-m+k} dp^{j-n+l}.
-        """
-        if not isinstance(other, PDEOperator):
-            return NotImplemented
-
-        def terms():
-            for (i, j), c1 in self.coeffs.items():
-                for (k, l), c2 in other.coeffs.items():
-                    dm = c2
-                    for m in range(i + 1):
-                        dn = dm
-                        for n in range(j + 1):
-                            coeff = c1 * dn * (Fraction(comb(i, m) * comb(j, n)))
-                            yield (i - m + k, j - n + l), coeff
-                            dn = dn.derivative("p")
-                        dm = dm.derivative("x")
-
-        return PDEOperator(terms())
-
-    def __add__(self, other):
-        if not isinstance(other, PDEOperator):
-            return NotImplemented
-        return PDEOperator(chain(self.coeffs.items(), other.coeffs.items()))
-
-    def __neg__(self):
-        return PDEOperator({k: -v for k, v in self.coeffs.items()})
-
     def __eq__(self, other):
         if not isinstance(other, PDEOperator):
             return NotImplemented
@@ -252,21 +216,6 @@ def pde_operator(spec: HamiltonianSpec) -> PDEOperator:
     )
 
 
-def pde_mixed_conjugation(op: PDEOperator) -> PDEOperator:
-    """exp(-i hbar dx dp) L exp(+i hbar dx dp), via x -> x - i hbar dp,
-    p -> p - i hbar dx inside the coefficients (the images commute)."""
-    x_op = PDEOperator({(0, 0): PhasePoly.x(), (0, 1): PhasePoly.monomial(-I, 0, 0, 1)})
-    p_op = PDEOperator({(0, 0): PhasePoly.p(), (1, 0): PhasePoly.monomial(-I, 0, 0, 1)})
-    one = PDEOperator({(0, 0): PhasePoly.one()})
-    out = PDEOperator({})
-    for (i, j), coeff in op.coeffs.items():
-        for (xd, pd, hd), scalar in coeff.terms.items():
-            piece = PDEOperator({(0, 0): PhasePoly.monomial(scalar, 0, 0, hd)})
-            piece = piece * power(x_op, xd, one) * power(p_op, pd, one)
-            out = out + piece * PDEOperator({(i, j): PhasePoly.one()})
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Gaussian family for the quadratic model
 
@@ -281,30 +230,6 @@ def quadratic_hamiltonian(a, b, c) -> HamiltonianSpec:
     return HamiltonianSpec(h)
 
 
-def symbolic_quadratic() -> Tuple[HamiltonianSpec, Tuple[ParamPoly, ParamPoly, ParamPoly]]:
-    """The quadratic model with symbolic real parameters (a, b, c)."""
-    a, b, c = ParamPoly.generators("a", "b", "c")
-    return quadratic_hamiltonian(a, b, c), (a, b, c)
-
-
-def shifted_oscillator() -> HamiltonianSpec:
-    """H = p^2/2 + x^2/2 + i x (to be evaluated at hbar = 1)."""
-    half = Fraction(1, 2)
-    h = (
-        PhasePoly.monomial(half, 0, 2, 0)
-        + PhasePoly.monomial(half, 2, 0, 0)
-        + PhasePoly.monomial(I, 1, 0, 0)
-    )
-    return HamiltonianSpec(h)
-
-
-def cubic_pt(coupling: str = "g") -> HamiltonianSpec:
-    """H = p^2 + g * (i x^3)."""
-    return HamiltonianSpec(
-        PhasePoly.p(2), (coupling, PhasePoly.monomial(I, 3, 0, 0))
-    )
-
-
 def gaussian_exponent(r, s, t) -> PhasePoly:
     """Q = r p^2 + s p x + t x^2 from hbar-Laurent scalar PhasePolys."""
     r, s, t = (_as_scalar_poly(v) for v in (r, s, t))
@@ -317,15 +242,6 @@ def _as_scalar_poly(v) -> PhasePoly:
             raise ValueError("exponent coefficients must be hbar-Laurent scalars")
         return v
     return PhasePoly.const(v)
-
-
-def gaussian_family_constraint(spec: HamiltonianSpec, r, s, t) -> PhasePoly:
-    """Residual prefactor of the metric equation on exp(r p^2 + s p x + t x^2).
-
-    Zero iff (r, s, t) lies in the solution family of the quadratic model.
-    """
-    e = ExpQuadForm.pure_exponent(gaussian_exponent(r, s, t))
-    return metric_residual(spec, e).prefactor
 
 
 def gaussian_branch_identities(a, b, c, r, s, t) -> Tuple[PhasePoly, PhasePoly, PhasePoly]:
@@ -541,15 +457,6 @@ def solution_family_closure(
     fh = power_sum(f_coeffs, h, star_series)
     ghd = power_sum(g_coeffs, dagger_series(h), star_series)
     return star_series(star_series(fh, theta), ghd)
-
-
-def hermitian_closure(
-    spec: HamiltonianSpec, theta: CouplingSeries, g_coeffs: Sequence
-) -> CouplingSeries:
-    """g(H) * Theta * dagger(g(H)): preserves hermiticity of the candidate."""
-    h = spec.as_exact_series(theta.coupling, theta.order)
-    gh = power_sum(g_coeffs, h, star_series)
-    return star_series(star_series(gh, theta), dagger_series(gh))
 
 
 def number_observable() -> PhasePoly:

@@ -102,7 +102,3 @@ def read_json(path: str | Path):
 
 def load_model(path: str | Path) -> Model:
     return model_from_obj(read_json(path))
-
-
-def bundled_model_path(name: str) -> Path:
-    return Path(__file__).parent / "models" / f"{name}.json"

@@ -201,9 +201,6 @@ class PhasePoly(Frozen):
         """Coefficientwise complex conjugation; x, p and hbar are real."""
         return PhasePoly._of((k, c.conjugate()) for k, c in self.terms.items())
 
-    def shift_hbar(self, k: int) -> "PhasePoly":
-        return PhasePoly._of(((xd, pd, hd + k), c) for (xd, pd, hd), c in self.terms.items())
-
     def subs_hbar(self, value) -> "PhasePoly":
         """Evaluate the hbar degree at a fixed exact rational value."""
         if not isinstance(value, GaussianRational):

@@ -628,17 +628,6 @@ class RatFunc2(Frozen):
             return ParamPoly.constant(cls.PARAMS, value)
         raise TypeError(f"cannot interpret {value!r} as a (q1, q2) polynomial")
 
-    @classmethod
-    def coerce(cls, value) -> "RatFunc2":
-        if isinstance(value, RatFunc2):
-            return value
-        return cls(value)
-
-    @classmethod
-    def generators(cls) -> Tuple["RatFunc2", "RatFunc2"]:
-        q1, q2 = ParamPoly.generators(*cls.PARAMS)
-        return cls(q1), cls(q2)
-
     # -- predicates ------------------------------------------------------
 
     @property

@@ -82,10 +82,6 @@ class NonTerminating(ValueError):
     """The requested star expansion would not terminate."""
 
 
-class MixedExponent(ValueError):
-    """The Gaussian exponent mixes x and p, so the pointwise-log shortcut fails."""
-
-
 def moyal_coefficients(a: PhasePoly, var: str) -> list:
     """[(i hbar)^k / k! d^k a / dvar^k for k = 0, 1, ...] up to the last
     nonzero one, for var "x" or "p".  A negative power of var would make the
@@ -441,20 +437,3 @@ def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
         out = out + t * g
         g = g.derivative(dvar) + q * g
     return ExpQuadForm(out, e.exponent)
-
-
-def eqf_is_positive_hermitian(e: ExpQuadForm) -> bool:
-    """Hermiticity of the exponent for x-only or p-only Gaussians.
-
-    When the exponent depends on x only or on p only, the star products in
-    exp and log degenerate to pointwise products, so positivity of the metric
-    reduces to the hermiticity criterion on the exponent itself (realness of
-    its coefficients).  A mixed exponent has no such shortcut; callers must
-    fall back to order-by-order series certification.
-    """
-    if e.prefactor != PhasePoly.one():
-        raise ValueError("shortcut applies to prefactor 1 only")
-    q = e.exponent
-    if q.depends_on_x() and q.depends_on_p():
-        raise MixedExponent("exponent depends on both x and p")
-    return is_hermitian(q)

@@ -55,10 +55,6 @@ class TorusFunction(Frozen):
         object.__setattr__(self, "fourier", fourier)
 
     @classmethod
-    def zero(cls, n: int) -> "TorusFunction":
-        return cls(n, np.zeros((n, n), dtype=complex))
-
-    @classmethod
     def basis(cls, n: int, i: int, j: int) -> "TorusFunction":
         grid = np.zeros((n, n), dtype=complex)
         grid[i % n, j % n] = 1.0

@@ -1,10 +1,37 @@
-"""Shared random generators for the exact property tests (seeded, not flaky)."""
+"""Shared test inputs: the bundled models, read from their files, and seeded
+random generators for the exact property tests (not flaky)."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import starmetric
+from starmetric.modelio import Model, load_model
 from starmetric.phasepoly import PhasePoly
 from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
+
+MODELS = Path(starmetric.__file__).parent / "models"
+
+
+def model_path(name: str) -> str:
+    """The file of the bundled model ``name``: ix3, shifted or quadratic."""
+    return str(MODELS / f"{name}.json")
+
+
+def bundled(name: str) -> Model:
+    """The bundled model ``name``, read as the CLI reads it."""
+    return load_model(model_path(name))
+
+
+def quadratic():
+    """The bundled quadratic model's spec, a p^2 + b x^2 + i c x p, and its
+    symbolic parameters (a, b, c)."""
+    return bundled("quadratic").spec, ParamPoly.generators("a", "b", "c")
+
+
+def ratfunc_generators():
+    """q1 and q2 as RatFunc2s."""
+    return tuple(RatFunc2(q) for q in ParamPoly.generators(*RatFunc2.PARAMS))
 
 
 def random_gr(rng: random.Random, span: int = 5) -> GaussianRational:

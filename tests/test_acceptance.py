@@ -19,30 +19,29 @@ from starmetric.berry import (
     holonomy_exceptional,
     moyal_connection_solve,
     moyal_curvature,
+    oscillator_hamiltonian,
     plaquette_defect,
     singular_locus,
     solve_connection_2x2,
 )
+from starmetric.cli import main
 from starmetric.metric import (
     certify_metric,
-    cubic_pt,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
-    gaussian_family_constraint,
+    gaussian_exponent,
     log_linear_in_n_check,
     metric_residual,
     pde_operator,
-    shifted_oscillator,
     solution_family_closure,
     solve_perturbative,
-    symbolic_quadratic,
 )
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly, RatFunc2
-from starmetric.star import ExpQuadForm, dagger, star, star_log
+from starmetric.star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
 from starmetric.weyl import oracle_run
 
-from _helpers import random_poly
+from _helpers import bundled, quadratic, random_poly, ratfunc_generators
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -70,7 +69,7 @@ def _golden(name):
 
 
 def _solved(order):
-    spec = cubic_pt()
+    spec = bundled("ix3").spec
     return solve_perturbative(spec.h0, spec.v, order)
 
 
@@ -108,15 +107,16 @@ def test_criterion_03_cubic_certification():
 
 def test_criterion_04_quadratic_model_symbolic():
     def body():
-        spec, (a, b, c) = symbolic_quadratic()
+        spec, (a, b, c) = quadratic()
         p2, x2 = PhasePoly.p(2), PhasePoly.x(2)
         zero = PhasePoly.zero()
         r = PhasePoly.monomial(c / (b * 2), 0, 0, -1).scaled(-1)
         t = PhasePoly.monomial(c / (a * 2), 0, 0, -1)
         assert metric_residual(spec, ExpQuadForm.pure_exponent(r * p2)).prefactor.is_zero
         assert metric_residual(spec, ExpQuadForm.pure_exponent(t * x2)).prefactor.is_zero
-        assert gaussian_family_constraint(spec, r, zero, zero).is_zero
-        assert gaussian_family_constraint(spec, zero, zero, t).is_zero
+        for rst in ((r, zero, zero), (zero, zero, t)):
+            e = ExpQuadForm.pure_exponent(gaussian_exponent(*rst))
+            assert metric_residual(spec, e).prefactor.is_zero
         assert all(z.is_zero for z in gaussian_branch_identities(a, b, c, r, zero, zero))
         assert all(z.is_zero for z in gaussian_branch_identities(a, b, c, zero, zero, t))
         # regression: the printed x-observable value t = c/(2 b hbar) is a typo
@@ -131,21 +131,21 @@ def test_criterion_05_number_observable_expansion():
         a, b = Fraction(3, 2), Fraction(1, 2)  # a - b = 1
         theta = expand_gaussian_in_coupling(a, b, 3)
         p2, x2 = PhasePoly.p(2), PhasePoly.x(2)
-        n_poly = (p2 + x2).shift_hbar(-1)
+        n_poly = (p2 + x2) * PhasePoly.hbar(-1)
         a1 = n_poly.scaled(Fraction(1, 2))
         a2 = (
             PhasePoly.p(4)
             + PhasePoly.monomial(4 * I, 1, 1, 1)
             + (x2 * p2).scaled(2)
             + PhasePoly.x(4)
-        ).shift_hbar(-2).scaled(Fraction(1, 8))
+        ) * PhasePoly.hbar(-2) * Fraction(1, 8)
         inner = (
             PhasePoly.p(4)
             + PhasePoly.monomial(12 * I, 1, 1, 1)
             + (x2 * p2).scaled(2)
             + PhasePoly.x(4)
         )
-        a3 = ((p2 + x2) * inner).shift_hbar(-3).scaled(Fraction(1, 48))
+        a3 = (p2 + x2) * inner * PhasePoly.hbar(-3) * Fraction(1, 48)
         assert theta.coeffs[1] == a1
         assert theta.coeffs[2] == a2
         assert theta.coeffs[3] == a3
@@ -160,7 +160,7 @@ def test_criterion_05_number_observable_expansion():
 
 def test_criterion_06_shifted_oscillator():
     def body():
-        spec = shifted_oscillator()
+        spec = bundled("shifted").spec
         e = ExpQuadForm.pure_exponent(PhasePoly.monomial(-2, 0, 1, 0))
         assert metric_residual(spec, e).prefactor.subs_hbar(1).is_zero
 
@@ -169,7 +169,7 @@ def test_criterion_06_shifted_oscillator():
 
 def test_criterion_07_pde_extraction():
     def body():
-        spec, (a, b, c) = symbolic_quadratic()
+        spec, (a, b, c) = quadratic()
         L = pde_operator(spec).normalized()
         expected_quadratic = {
             (0, 0): PhasePoly.monomial(c, 0, 0, 1) + PhasePoly.monomial(c, 1, 1, 0).scaled(-2 * I),
@@ -181,7 +181,7 @@ def test_criterion_07_pde_extraction():
         assert set(L.coeffs) == set(expected_quadratic)
         assert all(L.coeffs[k] == v for k, v in expected_quadratic.items())
 
-        Lc = pde_operator(cubic_pt()).normalized()
+        Lc = pde_operator(bundled("ix3").spec).normalized()
         (g,) = ParamPoly.generators("g")
         one_g = ParamPoly.constant(("g",), 1)
         expected_cubic = {
@@ -195,7 +195,7 @@ def test_criterion_07_pde_extraction():
         assert set(Lc.coeffs) == set(expected_cubic)
         assert all(Lc.coeffs[k] == v for k, v in expected_cubic.items())
 
-        Ls = pde_operator(shifted_oscillator()).subs_hbar(1).normalized()
+        Ls = pde_operator(bundled("shifted").spec).subs_hbar(1).normalized()
         expected_shifted = {
             (0, 0): PhasePoly.monomial(2 * I, 1, 0, 0),
             (0, 1): PhasePoly.monomial(I, 1, 0, 0) - PhasePoly.one(),
@@ -258,7 +258,7 @@ def test_criterion_08_berry_2x2():
 def test_criterion_09_berry_oscillator():
     def body():
         conn = moyal_connection_solve()
-        q1, q2 = RatFunc2.generators()
+        q1, q2 = ratfunc_generators()
         delta = q1 * 4 + q2 * q2
         i = RatFunc2(ParamPoly.constant(("q1", "q2"), GaussianRational(0, 1)))
         assert conn.s1 == i / delta
@@ -301,9 +301,46 @@ def test_criterion_10_property_suites():
         small = plaquette_defect(field, (0.3, 0.7), 5e-3)
         assert big / small >= 7.0
 
-        spec = cubic_pt()
+        spec = bundled("ix3").spec
         theta = solve_perturbative(spec.h0, spec.v, 2)
         moved = solution_family_closure(spec, theta, [0, 1], [1])
         assert metric_residual(spec, moved).is_zero
 
     _check(10, "property suites: associativity, adjoints, finite oracle, transport", 60.0, body)
+
+
+def test_criterion_11_berry_locus_is_where_the_partner_loses_its_frequency(capsys):
+    # H = p^2 + q1 x^2 + i q2 x p has the metric exp(r p^2), r = -q2/(2 q1 hbar),
+    # and E = exp((r/2) p^2) is its pointwise square root.  H * E = h E, and
+    # E^-1 is p-only, so E^-1 * H * E = h: h is the metric's hermitian partner.
+    def body():
+        q1, q2 = ParamPoly.generators("q1", "q2")
+        inv_q1 = q1.monomial_inverse()
+        e = ExpQuadForm.pure_exponent(PhasePoly.monomial(q2 * inv_q1 * Fraction(-1, 4), 0, 2, -1))
+        h = star_poly_expquad(oscillator_hamiltonian(), e, "left").prefactor
+        expected = {
+            (0, 2, 0): q2 * q2 * inv_q1 * Fraction(1, 4) + 1,
+            (2, 0, 0): q1,
+            (0, 0, 1): q2 * Fraction(1, 2),
+        }
+        assert h == PhasePoly(expected)
+        assert is_hermitian(h)
+        # h = A p^2 + B x^2 + const has squared frequency 4 A B: the locus
+        squared_frequency = h.coeff(0, 2, 0) * h.coeff(2, 0, 0) * 4
+        assert squared_frequency == singular_locus(moyal_connection_solve())
+        # scan-locus's region_sign is its sign, on each side of the locus
+        for constants, sign in ((("2", "0.5", "0.25"), 1), (("1", "1", "0.5"), -1)):
+            # a p^2 + b x^2 + i c x p for the oscillator constants, as q1 = b/a, q2 = c/a
+            omega, alpha, beta = map(Fraction, constants)
+            a, b, c = (omega - alpha - beta) / 2, (omega + alpha + beta) / 2, alpha - beta
+            point = {"q1": b / a, "q2": c / a}
+            assert point["q1"] != 0
+            flags = [f"--{k}={v}" for k, v in zip(("omega", "alpha", "beta"), constants)]
+            assert main(["scan-locus", *flags]) == 0
+            (record,) = json.loads(capsys.readouterr().out)["records"]
+            assert (record["q1"], record["q2"]) == (float(point["q1"]), float(point["q2"]))
+            value = squared_frequency.eval({k: GaussianRational(v) for k, v in point.items()})
+            assert value.is_real
+            assert (value.re > 0) - (value.re < 0) == record["region_sign"] == sign
+
+    _check(11, "Berry singular locus = zero frequency of the metric's hermitian partner", 1.0, body)

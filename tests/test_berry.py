@@ -14,8 +14,6 @@ from starmetric.berry import (
     curvature_matrix,
     curvature_of_field,
     gauge_fixed_connection,
-    gauge_transform_field,
-    general_connection,
     holonomy_exceptional,
     holonomy_product_form,
     locus_distance_from_origin,
@@ -44,6 +42,8 @@ from starmetric.scalars import (
     primitive_real_poly,
 )
 from starmetric.star import star_commutator
+
+from _helpers import ratfunc_generators
 
 F_EXPECTED = np.array([[-1.0, -2j], [0.0, 1.0]])
 
@@ -105,12 +105,6 @@ class TestConnection2x2:
         )
         assert res <= 1e-10
 
-    def test_general_solution_satisfies_equation(self):
-        q = (0.5, 1.0 / 3.0)
-        a = general_connection(q, 0.3, 1.1, -0.2)
-        res = verify_connection_matrix(model_hamiltonian(q), model_partials(q), a)
-        assert res <= 1e-10
-
     def test_zero_connection_for_constant_hermitian(self):
         h = np.diag([1.0, 2.0]).astype(complex)
         zero = np.zeros((2, 2), dtype=complex)
@@ -162,10 +156,11 @@ class TestConnection2x2:
             gauge_fixed_connection(stack)
 
     def test_general_form_poles(self):
-        with pytest.raises(PoleAtPoint):
-            general_connection((0.0, 0.0), 0.3)
-        with pytest.raises(PoleAtPoint):
-            gauge_fixed_connection((0.0, 1.0))
+        # the general form at w1 = 1/2, y1 = y2 = 0 is singular at both
+        # exceptional points
+        for point in ((0.0, 1.0), (0.0, -1.0)):
+            with pytest.raises(PoleAtPoint):
+                gauge_fixed_connection(point)
 
     def test_regular_at_origin(self):
         a1, a2 = gauge_fixed_connection((0.0, 0.0))
@@ -242,7 +237,12 @@ class TestCurvature:
             lam = lam_func(q)
             return np.diag([coeffs[0][i], coeffs[1][i]]) @ lam
 
-        transformed = gauge_transform_field(connection, eig_s, lam_func, dlam_func)
+        def transformed(q):
+            # A_i -> A_i + S (dLambda/dq_i) Lambda^{-1} S^{-1}
+            s, lam_inv = eig_s(q), np.linalg.inv(lam_func(q))
+            shift = [s @ dlam_func(q, i) @ lam_inv @ np.linalg.inv(s) for i in range(2)]
+            return tuple(a + b for a, b in zip(connection(q), shift))
+
         q = (0.7, 0.2)
         res = verify_connection_matrix(model_hamiltonian(q), model_partials(q), connection(q))
         assert res <= 1e-9
@@ -300,7 +300,7 @@ class TestPlaquette:
 class TestMoyalConnection:
     def setup_method(self):
         self.conn = moyal_connection_solve()
-        self.q1, self.q2 = RatFunc2.generators()
+        self.q1, self.q2 = ratfunc_generators()
         self.delta = self.q1 * 4 + self.q2 * self.q2
         self.i = RatFunc2(ParamPoly.constant(("q1", "q2"), GaussianRational(0, 1)))
 
@@ -390,7 +390,7 @@ class TestMoyalConnection:
     def test_double_bracket_keeps_the_locus_denominator(self):
         # sums over one shared denominator stay over it: degree 2, not 22
         h = oscillator_hamiltonian()
-        for a in self.conn.components():
+        for a in (self.conn.a1(), self.conn.a2()):
             for coeff in _double_bracket(a, h).terms.values():
                 assert max(sum(key) for key in coeff.den.terms) <= 2
 

@@ -11,21 +11,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starmetric import cli
+from starmetric import cli, weyl
 from starmetric.cli import main
 from starmetric.metric import UnsolvableOrder
-from starmetric.modelio import bundled_model_path, load_model, model_from_obj, ModelError
+from starmetric.modelio import load_model, model_from_obj, ModelError
 from starmetric.phasepoly import CouplingSeries
 from starmetric.star import ExpQuadForm
+
+from _helpers import bundled, model_path
 
 ROOT = Path(__file__).parents[1]
 GOLDENS = Path(__file__).parent / "goldens"
 # the CLI in a fresh interpreter that imports this checkout
 CLI = [sys.executable, "-m", "starmetric.cli"]
 CLI_ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-IX3 = str(bundled_model_path("ix3"))
-SHIFTED = str(bundled_model_path("shifted"))
-QUADRATIC = str(bundled_model_path("quadratic"))
+IX3 = model_path("ix3")
+SHIFTED = model_path("shifted")
+QUADRATIC = model_path("quadratic")
 # ix3 with a declared parameter: V = i a x^3, so ix3 is this model at a = 1
 PARAM_IX3 = {
     "name": "param_ix3",
@@ -751,6 +753,17 @@ class TestErrorHandling:
             assert code == 2 and not out
             assert "at least 2" in json.loads(err)["error"]
 
+    def test_finite_oracle_past_the_size_limit_exits_2(self, capsys, monkeypatch):
+        # N = 10^5 would need 10^10-entry tables: refused before any is built
+        def no_tables(n):
+            raise AssertionError(f"the N = {n} tables were built")
+
+        monkeypatch.setattr(weyl, "_tables", no_tables)
+        code, out, err = run(capsys, "finite-oracle", "--n", "100000")
+        assert code == 2 and not out
+        message = f"--n 100000 is past the limit of N = {cli.MAX_ORACLE_N}"
+        assert json.loads(err) == {"error": message}
+
     @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
     def test_scan_locus_range_count_below_two(self, capsys, spec):
         code, out, err = run(capsys, "scan-locus", f"--q1={spec}", "--q2=0")
@@ -1022,7 +1035,7 @@ class TestJsonText:
 class TestBundledModels:
     def test_all_bundled_models_load(self):
         for name in ("ix3", "shifted", "quadratic"):
-            model = load_model(bundled_model_path(name))
+            model = bundled(name)
             assert model.name
 
 
@@ -1055,7 +1068,7 @@ EXPQUAD_DOC = {
     "exponent": [{"x": 0, "p": 1, "hbar": -1, "coeff": {"re": "-2", "im": "0"}}],
 }
 def _bundled(name):
-    return json.loads(bundled_model_path(name).read_text(encoding="utf-8"))
+    return json.loads(Path(model_path(name)).read_text(encoding="utf-8"))
 
 
 READERS = {

@@ -8,32 +8,28 @@ from starmetric.metric import (
     DegenerateParams,
     HamiltonianSpec,
     certify_metric,
-    cubic_pt,
     expand_gaussian_in_coupling,
     gaussian_branch_identities,
     gaussian_exponent,
-    gaussian_family_constraint,
-    hermitian_closure,
     log_linear_in_n_check,
     metric_residual,
     number_observable,
     observable_residual,
-    pde_mixed_conjugation,
     pde_operator,
     quadratic_hamiltonian,
-    shifted_oscillator,
     solution_family_closure,
     solve_perturbative,
-    symbolic_quadratic,
 )
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
 from starmetric.star import ExpQuadForm, dagger, dagger_series, is_hermitian, star_log, star_series
 
-from _helpers import random_poly
+from _helpers import bundled, quadratic, random_poly
 
 x = PhasePoly.x()
 p = PhasePoly.p()
+IX3 = bundled("ix3").spec
+SHIFTED = bundled("shifted").spec
 
 
 def gr(re, im=0):
@@ -41,8 +37,14 @@ def gr(re, im=0):
 
 
 def quad_symbols():
-    spec, (a, b, c) = symbolic_quadratic()
+    spec, (a, b, c) = quadratic()
     return spec, a, b, c
+
+
+def family_residual(spec, r, s, t) -> PhasePoly:
+    """The residual prefactor of exp(r p^2 + s p x + t x^2): zero iff (r, s, t)
+    is in the quadratic model's solution family."""
+    return metric_residual(spec, ExpQuadForm.pure_exponent(gaussian_exponent(r, s, t))).prefactor
 
 
 def exp_r_p2(b, c):
@@ -69,7 +71,7 @@ class TestPdeOperator:
             assert L.coeffs[key] == value
 
     def test_cubic_model_printed_coefficients(self):
-        L = pde_operator(cubic_pt()).normalized()
+        L = pde_operator(IX3).normalized()
         (g,) = ParamPoly.generators("g")
         one_g = ParamPoly.constant(("g",), 1)
         expected = {
@@ -85,7 +87,7 @@ class TestPdeOperator:
             assert L.coeffs[key] == value
 
     def test_shifted_model_printed_coefficients(self):
-        L = pde_operator(shifted_oscillator()).subs_hbar(1).normalized()
+        L = pde_operator(SHIFTED).subs_hbar(1).normalized()
         expected = {
             (0, 0): PhasePoly.monomial(2 * I, 1, 0, 0),
             (0, 1): PhasePoly.monomial(I, 1, 0, 0) - PhasePoly.one(),
@@ -99,18 +101,22 @@ class TestPdeOperator:
 
     def test_apply_matches_direct_residual(self):
         rng = random.Random(21)
-        for spec in (quad_symbols()[0], cubic_pt(), shifted_oscillator()):
+        for spec in (quad_symbols()[0], IX3, SHIFTED):
             L = pde_operator(spec)
             for _ in range(17):
                 theta = random_poly(rng, max_terms=3, max_x=3)
                 assert L.apply(theta) == metric_residual(spec, theta)
 
     def test_mixed_exponential_conjugation_identity(self):
-        # the similarity transform that proves hermiticity of solutions:
-        # exp(-i hbar dx dp) L exp(i hbar dx dp) = -conj(L)
-        for spec in (quad_symbols()[0], cubic_pt()):
+        # the similarity transform that proves hermiticity of solutions,
+        # exp(-i hbar dx dp) L exp(i hbar dx dp) = -conj(L), says that
+        # dagger(L(theta)) = -L(dagger(theta)) for every theta
+        rng = random.Random(5)
+        for spec in (quad_symbols()[0], IX3, SHIFTED):
             L = pde_operator(spec)
-            assert pde_mixed_conjugation(L) == -L.conjugate_coeffs()
+            for _ in range(15):
+                theta = random_poly(rng)
+                assert dagger(L.apply(theta)) == -L.apply(dagger(theta))
 
 
 class TestMetricResidual:
@@ -134,27 +140,24 @@ class TestMetricResidual:
         assert not metric_residual(spec, wrong).prefactor.is_zero
 
     def test_shifted_oscillator_exponential(self):
-        spec = shifted_oscillator()
         e = ExpQuadForm.pure_exponent(PhasePoly.monomial(-2, 0, 1, 0))
-        res = metric_residual(spec, e)
+        res = metric_residual(SHIFTED, e)
         assert res.prefactor.subs_hbar(1).is_zero
         assert not res.prefactor.is_zero  # the solution is tied to hbar = 1
 
     def test_cubic_series_residual(self):
-        spec = cubic_pt()
-        theta = solve_perturbative(spec.h0, spec.v, 1)
-        assert metric_residual(spec, theta).is_zero
+        theta = solve_perturbative(IX3.h0, IX3.v, 1)
+        assert metric_residual(IX3, theta).is_zero
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_perturbed_series_residual_is_both_sides(self, n):
         # the one-pass residual of a wrong Theta equals the two series products
-        spec = cubic_pt()
-        coeffs = list(solve_perturbative(spec.h0, spec.v, 3).coeffs)
+        coeffs = list(solve_perturbative(IX3.h0, IX3.v, 3).coeffs)
         coeffs[n] = coeffs[n] + PhasePoly.monomial(gr(Fraction(1, 3), 2), 2, -1, 0)
         theta = CouplingSeries("g", coeffs)
-        h = spec.as_exact_series("g", 3)
+        h = IX3.as_exact_series("g", 3)
         expected = star_series(h, theta) - star_series(theta, dagger_series(h))
-        residual = metric_residual(spec, theta)
+        residual = metric_residual(IX3, theta)
         assert not residual.is_zero
         assert residual.order == expected.order == 3
         for got, want in zip(residual.coeffs, expected.coeffs):
@@ -181,7 +184,7 @@ class TestObservableResidual:
         rng = random.Random(22)
         for _ in range(10):
             theta = random_poly(rng)
-            expected = theta.derivative("x").shift_hbar(1).scaled(-I)
+            expected = theta.derivative("x") * PhasePoly.hbar() * -I
             assert observable_residual(p, theta) == expected
 
 
@@ -190,20 +193,20 @@ class TestGaussianFamily:
         spec, a, b, c = quad_symbols()
         r = PhasePoly.monomial(c / (b * 2), 0, 0, -1).scaled(-1)
         zero = PhasePoly.zero()
-        assert gaussian_family_constraint(spec, r, zero, zero).is_zero
+        assert family_residual(spec, r, zero, zero).is_zero
         assert all(i.is_zero for i in gaussian_branch_identities(a, b, c, r, zero, zero))
 
     def test_x_branch_in_family(self):
         spec, a, b, c = quad_symbols()
         t = PhasePoly.monomial(c / (a * 2), 0, 0, -1)
         zero = PhasePoly.zero()
-        assert gaussian_family_constraint(spec, zero, zero, t).is_zero
+        assert family_residual(spec, zero, zero, t).is_zero
         assert all(i.is_zero for i in gaussian_branch_identities(a, b, c, zero, zero, t))
 
     def test_generic_point_not_in_family(self):
         spec, a, b, c = quad_symbols()
         one = PhasePoly.one()
-        assert not gaussian_family_constraint(spec, one, PhasePoly.zero(), one).is_zero
+        assert not family_residual(spec, one, PhasePoly.zero(), one).is_zero
 
     def test_n_branch_identities_numeric(self):
         # r = t = c/(2 hbar (a-b)) with s the series root, checked at a
@@ -225,7 +228,7 @@ class TestExpansion:
 
     def test_order_one(self):
         theta = expand_gaussian_in_coupling(Fraction(3, 2), Fraction(1, 2), 1)
-        expected = (p**2 + x**2).shift_hbar(-1).scaled(Fraction(1, 2))
+        expected = (p**2 + x**2) * PhasePoly.hbar(-1) * Fraction(1, 2)
         assert theta.coeffs[1] == expected
 
     def test_order_two_cross_term(self):
@@ -239,8 +242,7 @@ class TestExpansion:
 
 class TestCertify:
     def test_cubic_metric_certified(self):
-        spec = cubic_pt()
-        theta = solve_perturbative(spec.h0, spec.v, 3)
+        theta = solve_perturbative(IX3.h0, IX3.v, 3)
         report = certify_metric(theta)
         assert report.hermitian and report.positive and report.order == 3
 
@@ -288,8 +290,8 @@ class TestLogLinearInN:
         a, b = Fraction(3, 2), Fraction(1, 2)  # a - b = 1
         log = star_log(expand_gaussian_in_coupling(a, b, 3))
         assert log.coeffs[2] == PhasePoly.const(gr(Fraction(1, 4)))
-        assert log.coeffs[1] == (p**2 + x**2).shift_hbar(-1).scaled(Fraction(1, 2))
-        assert log.coeffs[3] == (p**2 + x**2).shift_hbar(-1).scaled(Fraction(1, 6))
+        assert log.coeffs[1] == (p**2 + x**2) * PhasePoly.hbar(-1) * Fraction(1, 2)
+        assert log.coeffs[3] == (p**2 + x**2) * PhasePoly.hbar(-1) * Fraction(1, 6)
 
     def test_holds_through_order_six(self):
         theta = expand_gaussian_in_coupling(Fraction(3, 2), Fraction(1, 2), 6)
@@ -303,27 +305,26 @@ class TestLogLinearInN:
     def test_unpaired_quadratic_fails(self, quadratic):
         # log_*(1 + c A) = c A through order 1: p^2/hbar without x^2/hbar, and
         # the other way round
-        theta = CouplingSeries("c", [PhasePoly.one(), quadratic.shift_hbar(-1)])
+        theta = CouplingSeries("c", [PhasePoly.one(), quadratic * PhasePoly.hbar(-1)])
         assert not log_linear_in_n_check(theta)
 
 
 class TestClosure:
     def test_trivial_closure_is_identity(self):
-        spec = cubic_pt()
-        theta = solve_perturbative(spec.h0, spec.v, 2)
-        assert solution_family_closure(spec, theta, [1], [1]) == theta
+        theta = solve_perturbative(IX3.h0, IX3.v, 2)
+        assert solution_family_closure(IX3, theta, [1], [1]) == theta
 
     def test_h_times_solution_still_solves(self):
-        spec = cubic_pt()
-        theta = solve_perturbative(spec.h0, spec.v, 2)
-        moved = solution_family_closure(spec, theta, [0, 1], [1])
-        assert metric_residual(spec, moved).is_zero
+        theta = solve_perturbative(IX3.h0, IX3.v, 2)
+        moved = solution_family_closure(IX3, theta, [0, 1], [1])
+        assert metric_residual(IX3, moved).is_zero
 
     def test_hermitian_variant_preserves_hermiticity(self):
-        spec = cubic_pt()
-        theta = solve_perturbative(spec.h0, spec.v, 2)
-        moved = hermitian_closure(spec, theta, [1, Fraction(1, 3)])
-        assert metric_residual(spec, moved).is_zero
+        # with real coefficients, g(dagger(H)) = dagger(g(H))
+        theta = solve_perturbative(IX3.h0, IX3.v, 2)
+        coeffs = [1, Fraction(1, 3)]
+        moved = solution_family_closure(IX3, theta, coeffs, coeffs)
+        assert metric_residual(IX3, moved).is_zero
         assert all(is_hermitian(coeff) for coeff in moved.coeffs)
 
 
@@ -340,7 +341,7 @@ class TestBuilders:
         assert hd == expected
 
     def test_cubic_dagger_is_plain_conjugate(self):
-        h = cubic_pt().symbolic_total()
+        h = IX3.symbolic_total()
         assert dagger(h) == h.conjugate()
 
     def test_exponent_builder_rejects_phase_space_coeffs(self):
@@ -352,24 +353,21 @@ class TestBoundaryChoices:
     def test_supplied_integration_function(self):
         # an explicit x-independent function of (p, hbar) added at order 1
         # still solves the equation to the requested order
-        spec = cubic_pt()
         c2 = PhasePoly.monomial(Fraction(1, 3), 0, -2, 1)
-        theta = solve_perturbative(spec.h0, spec.v, 2, integration_functions={1: c2})
-        default = solve_perturbative(spec.h0, spec.v, 2)
+        theta = solve_perturbative(IX3.h0, IX3.v, 2, integration_functions={1: c2})
+        default = solve_perturbative(IX3.h0, IX3.v, 2)
         assert theta.coeffs[1] == default.coeffs[1] + c2
-        assert metric_residual(spec, theta).is_zero
+        assert metric_residual(IX3, theta).is_zero
 
     def test_integration_function_must_be_x_free(self):
-        spec = cubic_pt()
         with pytest.raises(ValueError):
-            solve_perturbative(spec.h0, spec.v, 1, integration_functions={1: PhasePoly.x()})
+            solve_perturbative(IX3.h0, IX3.v, 1, integration_functions={1: PhasePoly.x()})
 
     @pytest.mark.parametrize("n, func", [(0, p), (5, p**3), (-1, p)])
     def test_integration_function_order_must_be_solved(self, n, func):
         # order 0 is the normalization 1, and nothing above the order is solved
-        spec = cubic_pt()
         with pytest.raises(ValueError, match="outside 1..3"):
-            solve_perturbative(spec.h0, spec.v, 3, integration_functions={n: func})
+            solve_perturbative(IX3.h0, IX3.v, 3, integration_functions={n: func})
 
     def test_quadratic_from_model_params(self):
         # (a, b, c) of the oscillator constants (omega, alpha, beta) = (2, 1/4, 1/8)

@@ -17,7 +17,7 @@ from starmetric.scalars import (
     ratio_str,
 )
 
-from _helpers import random_ratfunc
+from _helpers import random_ratfunc, ratfunc_generators
 
 
 def gr(re, im=0):
@@ -171,7 +171,7 @@ class TestGaussianRationalAgainstFractionPairs:
 
 class TestRatFunc2:
     def setup_method(self):
-        self.q1, self.q2 = RatFunc2.generators()
+        self.q1, self.q2 = ratfunc_generators()
         self.delta = self.q1 * 4 + self.q2 * self.q2
 
     def test_eval_examples(self):
@@ -332,7 +332,7 @@ class TestFromJson:
             ParamPoly.from_json(obj)
 
     def test_ratfunc2_rejects_unknown_keys(self):
-        q1, _ = RatFunc2.generators()
+        q1, _ = ratfunc_generators()
         obj = dict(q1.to_json(), bogus=1)
         with pytest.raises(ValueError, match="bogus"):
             RatFunc2.from_json(obj)

@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starmetric import metric
-from starmetric.metric import (
-    HamiltonianSpec,
-    UnsolvableOrder,
-    cubic_pt,
-    metric_residual,
-    solve_perturbative,
-)
+from starmetric.metric import HamiltonianSpec, UnsolvableOrder, metric_residual, solve_perturbative
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
 from starmetric.star import star, star_log
 
-from _helpers import random_gr
+from _helpers import bundled, random_gr
+
+IX3 = bundled("ix3").spec
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -33,8 +29,7 @@ def golden_series(name: str) -> CouplingSeries:
 
 
 def solved(order: int) -> CouplingSeries:
-    spec = cubic_pt()
-    return solve_perturbative(spec.h0, spec.v, order)
+    return solve_perturbative(IX3.h0, IX3.v, order)
 
 
 class TestPerturbativeSolver:
@@ -56,7 +51,7 @@ class TestPerturbativeSolver:
         assert solved(3) == golden_series("ix3_theta_order3.json")
 
     def test_residual_vanishes_to_order(self):
-        spec = cubic_pt()
+        spec = IX3
         for order in (1, 2, 3):
             theta = solve_perturbative(spec.h0, spec.v, order)
             assert metric_residual(spec, theta).is_zero
@@ -87,7 +82,6 @@ class TestPerturbativeSolver:
     def test_other_cubic_potential(self):
         # the solver is not tied to the bundled potential; any x polynomial works
         v = PhasePoly.x(2) + PhasePoly.monomial(I, 1, 0, 0)
-        spec = cubic_pt()
         theta = solve_perturbative(PhasePoly.p(2), v, 2)
         assert metric_residual(HamiltonianSpec(PhasePoly.p(2), ("g", v)), theta).is_zero
 
@@ -144,7 +138,7 @@ def reference_solve(v: PhasePoly, order: int, integration_functions=None) -> Cou
         for j in range(max(slices, default=-1), -1, -1):
             rho = slices.get(j, PhasePoly.zero())
             upper = theta_parts.get(j + 2, PhasePoly.zero())
-            num = rho + upper.shift_hbar(2) * Fraction((j + 2) * (j + 1))
+            num = rho + upper * PhasePoly.hbar(2) * Fraction((j + 2) * (j + 1))
             # divide by 2 i hbar p (j + 1)
             inv = PhasePoly.monomial(-I * Fraction(1, 2 * (j + 1)), 0, -1, -1)
             theta_parts[j + 1] = num * inv
@@ -152,8 +146,8 @@ def reference_solve(v: PhasePoly, order: int, integration_functions=None) -> Cou
         for j, part in theta_parts.items():
             theta_n = theta_n + part * PhasePoly.x(j)
         check = (
-            theta_n.derivative("x").shift_hbar(1) * PhasePoly.p() * (2 * I)
-            - theta_n.derivative("x").derivative("x").shift_hbar(2)
+            theta_n.derivative("x") * PhasePoly.monomial(2 * I, 0, 1, 1)
+            - theta_n.derivative("x").derivative("x") * PhasePoly.hbar(2)
         )
         if check != rhs:
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")

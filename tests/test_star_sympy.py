@@ -17,7 +17,6 @@ sp = pytest.importorskip("sympy")
 
 from starmetric.berry import moyal_connection_solve
 from starmetric.metric import HamiltonianSpec, pde_operator
-from starmetric.modelio import bundled_model_path, load_model
 from starmetric.phasepoly import PhasePoly
 from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
 from starmetric.star import (
@@ -29,7 +28,7 @@ from starmetric.star import (
     star_poly_expquad,
 )
 
-from _helpers import random_gr, random_poly
+from _helpers import bundled, random_gr, random_poly
 
 X, P, HBAR = sp.symbols("x p hbar", real=True)
 
@@ -204,7 +203,7 @@ def test_pde_operator_matches_sympy_residual(name):
     if name.startswith("random"):
         spec = HamiltonianSpec(p_polynomial(rng))
     else:
-        spec = load_model(bundled_model_path(name)).spec
+        spec = bundled(name).spec
     h = to_sympy(spec.symbolic_total())
     op = pde_operator(spec)
     for _ in range(4):
@@ -218,7 +217,8 @@ def test_berry_connection_matches_sympy():
     # H = p^2 + q1 x^2 + i q2 x p written out here, not taken from starmetric
     q1, q2 = sp.symbols("q1 q2", real=True)
     h = P**2 + q1 * X**2 + sp.I * q2 * X * P
-    a1, a2 = (to_sympy(a) for a in moyal_connection_solve().components())
+    conn = moyal_connection_solve()
+    a1, a2 = to_sympy(conn.a1()), to_sympy(conn.a2())
 
     def bracket(a, b):
         return moyal(a, b) - moyal(b, a)

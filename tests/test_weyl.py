@@ -74,7 +74,7 @@ class TestTransforms:
             assert np.max(np.abs(fun_to_op(op_to_fun(a)) - a)) <= 1e-12
 
     def test_zero_grid(self):
-        assert np.max(np.abs(fun_to_op(TorusFunction.zero(3)))) == 0.0
+        assert np.max(np.abs(fun_to_op(TorusFunction(3, np.zeros((3, 3)))))) == 0.0
 
     def test_single_entries(self):
         g, h = clock_shift(5)
@@ -119,7 +119,7 @@ class TestDiscreteStar:
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
-            discrete_star(TorusFunction.zero(2), TorusFunction.zero(3))
+            discrete_star(TorusFunction(2, np.zeros((2, 2))), TorusFunction(3, np.zeros((3, 3))))
 
 
 class TestDiscreteDagger:

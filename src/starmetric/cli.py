@@ -4,7 +4,8 @@ Every command reads UTF-8 JSON (model files) and prints a JSON report to
 stdout: the ``json.dumps(payload, indent=2)`` text, built by one direct
 writer (`_json_text`).  Exit codes: 0 success, 1 verification failure, 2
 input error.  Output is deterministic for fixed inputs and seed: containers
-are built in canonical term order.
+are built in canonical term order.  Each command's argument parser is built
+once per process, on the first call that names it (`_build_parser`).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .exprparse import parse_theta
@@ -56,11 +58,21 @@ def _maybe_hbar(model: Model, value):
     return value if model.hbar is None else value.subs_hbar(model.hbar)
 
 
+# the highest series order, from --order, options.order or a series file,
+# checked before any series is computed
+MAX_ORDER = 256
+
+
+def _limited(order: int) -> int:
+    _require(order <= MAX_ORDER, f"order {order} is past the limit of order {MAX_ORDER}")
+    return order
+
+
 def _order(args, model: Model, default=3) -> int:
     if args.order is not None:
-        return args.order
+        return _limited(args.order)
     if model.order is not None:
-        return model.order
+        return _limited(model.order)
     return default
 
 
@@ -147,6 +159,7 @@ def cmd_starlog(args):
     model = None
     if args.series:
         theta = CouplingSeries.from_json(read_json(args.series))
+        _limited(theta.order)
         payload = {"source": args.series}
     else:
         model = _model(args)
@@ -485,16 +498,17 @@ _FLAGS = {
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``: with only the subparser of the command that
-    ``argv[0]`` names, or with all of them when it names none (``-h``, an
-    unknown command).  The metavar keeps the top-level usage listing every
-    command either way."""
+@lru_cache(maxsize=None)
+def _build_parser(command) -> argparse.ArgumentParser:
+    """The parser with only the subparser of ``command``, or with all of them
+    for None (``-h``, an unknown command).  The metavar keeps the top-level
+    usage listing every command either way.  Built on first use and kept for
+    the process: parsing leaves a parser as it was, and its help formatter,
+    which reads the terminal width, is made afresh for each text."""
     parser = argparse.ArgumentParser(
         prog="starmetric",
         description="Exact star-product calculus for metric operators and Berry connections",
     )
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
     for name in [command] if command else _COMMANDS:
@@ -606,7 +620,8 @@ def _json_text(payload) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         payload, ok = _COMMANDS[args.cmd][0](args)
     except json.JSONDecodeError as exc:

@@ -26,8 +26,8 @@ from .star import (
     power_sum,
     series_exp_pointwise,
     star_difference,
+    star_expquad_difference,
     star_log,
-    star_poly_expquad,
     star_series,
     star_series_difference,
 )
@@ -123,9 +123,7 @@ def _exchange_with_poly(h: PhasePoly, theta: ThetaLike):
     if isinstance(theta, PhasePoly):
         return star_difference(h, theta, theta, dagger(h))
     if isinstance(theta, ExpQuadForm):
-        left = star_poly_expquad(h, theta, "left")
-        right = star_poly_expquad(dagger(h), theta, "right")
-        return left - right
+        return star_expquad_difference(h, theta, dagger(h))
     if isinstance(theta, CouplingSeries):
         hs = CouplingSeries.constant(theta.coupling, h, theta.order)
         return star_series_difference(hs, theta, theta, dagger_series(hs))

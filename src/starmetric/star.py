@@ -55,7 +55,8 @@ One-sided sums, where only one operand is differentiated, use
 `moyal_coefficients`: the factors (i hbar)^k / k! d^k A / dv^k for v = x or
 p, built term by term as i^k C(n, k) c v^(n-k) hbar^k for a term c v^n.
 They serve `star_poly_expquad`, whose other factor is the prefactor
-recursion (d + dQ)^k P, and `metric.pde_operator`.
+recursion (d + dQ)^k P, and `metric.pde_operator`.  `star_expquad_difference`,
+A * E - E * D, sums the products of both sides in one accumulation.
 """
 
 from __future__ import annotations
@@ -388,11 +389,6 @@ class ExpQuadForm(Frozen):
     def is_zero(self) -> bool:
         return self.prefactor.is_zero
 
-    def __sub__(self, other):
-        if not isinstance(other, ExpQuadForm) or other.exponent != self.exponent:
-            return NotImplemented
-        return ExpQuadForm(self.prefactor - other.prefactor, self.exponent)
-
     def __eq__(self, other):
         if not isinstance(other, ExpQuadForm):
             return NotImplemented
@@ -415,8 +411,11 @@ class ExpQuadForm(Frozen):
         return f"({self.prefactor!r}) * exp({self.exponent!r})"
 
 
-def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
-    """A * E (side="left") or E * A (side="right") as an ExpQuadForm.
+def _expquad_pairs(a: PhasePoly, e: ExpQuadForm, side: str) -> list:
+    """The pairs (t_k, (d + dQ)^k P) whose products sum to the prefactor of
+    A * E (side="left") or E * A (side="right"): t_k is the k-th Moyal
+    coefficient of a, P and Q the prefactor and exponent of e, and d = d/dp
+    on the left, d/dx on the right.
 
     side="left" terminates on the finite x degree of A.  side="right" walks
     p derivatives of A, so A must be polynomial in p; negative p powers raise
@@ -431,9 +430,33 @@ def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
     else:
         raise ValueError("side must be 'left' or 'right'")
     q = e.exponent.derivative(dvar)
-    # sum_k t_k (d + dQ)^k P, t_k the k-th Moyal coefficient of a, d = d/ddvar
-    g, out = e.prefactor, PhasePoly.zero()
+    pairs, g = [], e.prefactor
     for t in moyal_coefficients(a, var):
-        out = out + t * g
-        g = g.derivative(dvar) + q * g
-    return ExpQuadForm(out, e.exponent)
+        if pairs:
+            g = g.derivative(dvar) + q * g
+        pairs.append((t, g))
+    return pairs
+
+
+def _prefactor_sum(pairs) -> PhasePoly:
+    """sum t g over the (t, g) of pairs, in one accumulation."""
+    return PhasePoly._of(
+        ((x1 + x2, p1 + p2, h1 + h2), c1 * c2)
+        for t, g in pairs
+        for (x1, p1, h1), c1 in t.terms.items()
+        for (x2, p2, h2), c2 in g.terms.items()
+    )
+
+
+def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
+    """A * E (side="left") or E * A (side="right") as an ExpQuadForm; see
+    `_expquad_pairs` for when it terminates."""
+    return ExpQuadForm(_prefactor_sum(_expquad_pairs(a, e, side)), e.exponent)
+
+
+def star_expquad_difference(a: PhasePoly, e: ExpQuadForm, d: PhasePoly) -> ExpQuadForm:
+    """A * E - E * D as an ExpQuadForm.  The products of both sides, those of
+    E * D with their Moyal coefficient negated, are summed in one
+    accumulation: neither side's prefactor is built."""
+    right = [(-t, g) for t, g in _expquad_pairs(d, e, "right")]
+    return ExpQuadForm(_prefactor_sum(_expquad_pairs(a, e, "left") + right), e.exponent)

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -764,6 +765,60 @@ class TestErrorHandling:
         message = f"--n 100000 is past the limit of N = {cli.MAX_ORACLE_N}"
         assert json.loads(err) == {"error": message}
 
+    @pytest.mark.parametrize(
+        "command, model",
+        [
+            (("solve",), IX3),
+            (("certify",), IX3),
+            (("starlog",), IX3),
+            (("emit-latex",), IX3),
+            (("family", "--observable", "N"), QUADRATIC),
+        ],
+    )
+    def test_order_past_the_size_limit_exits_2(
+        self, capsys, monkeypatch, tmp_path, command, model
+    ):
+        # an order of 10^8 runs unbounded: refused, from --order or from
+        # options.order, before any series is built
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(cli, "solve_perturbative", no_series)
+        monkeypatch.setattr(cli, "expand_gaussian_in_coupling", no_series)
+        obj = json.loads(Path(model).read_text(encoding="utf-8"))
+        obj.setdefault("options", {})["order"] = 10**8
+        in_options = tmp_path / "model.json"
+        in_options.write_text(json.dumps(obj), encoding="utf-8")
+        message = f"order 100000000 is past the limit of order {cli.MAX_ORDER}"
+        for flags in (("--model", model, "--order", "100000000"), ("--model", str(in_options))):
+            code, out, err = run(capsys, *command, *flags)
+            assert code == 2 and not out
+            assert json.loads(err) == {"error": message}
+
+    def test_series_file_past_the_size_limit_exits_2(self, capsys, monkeypatch, tmp_path):
+        def no_log(theta):
+            raise AssertionError("the star-log was computed")
+
+        monkeypatch.setattr(cli, "star_log", no_log)
+        series = tmp_path / "series.json"
+        coeffs = [[{"coeff": {"re": "1", "im": "0"}}]] + [[] for _ in range(1000)]
+        series.write_text(json.dumps({"coupling": "g", "coeffs": coeffs}), encoding="utf-8")
+        code, out, err = run(capsys, "starlog", "--series", str(series))
+        assert code == 2 and not out
+        assert json.loads(err) == {"error": f"order 1000 is past the limit of order {cli.MAX_ORDER}"}
+
+    def test_order_at_the_size_limit_reaches_the_solver(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(h0, v, order, coupling):
+            raise Reached(order)
+
+        monkeypatch.setattr(cli, "solve_perturbative", reached)
+        with pytest.raises(Reached) as exc:
+            main(["solve", "--model", IX3, "--order", str(cli.MAX_ORDER)])
+        assert exc.value.args == (cli.MAX_ORDER,)
+
     @pytest.mark.parametrize("spec", ["1:2:0", "1:2:1", "1:2:-3"])
     def test_scan_locus_range_count_below_two(self, capsys, spec):
         code, out, err = run(capsys, "scan-locus", f"--q1={spec}", "--q2=0")
@@ -883,6 +938,60 @@ class TestParser:
         assert main() == 0
         assert "dagger" in json.loads(capsys.readouterr().out)
 
+    def test_usage_wraps_at_the_width_of_each_call(self, capsys, monkeypatch):
+        # both parsers are first built, and their usage written, at 200
+        # columns, where it fits on one line
+        cli._build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "200")
+        for argv in (["frobnicate"], ["solve", "--jobs", "2"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            usage = f"usage: starmetric [-h] {self.COMMANDS} ...\n"
+            assert capsys.readouterr().err.startswith(usage)
+        self.test_unknown_command(capsys, monkeypatch)
+        self.test_unread_flag_of_a_known_command(capsys, monkeypatch)
+
+
+class TestParserCache:
+    """Each command's parser is built once per process: a call must not see
+    what an earlier call parsed."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        cli._build_parser.cache_clear()
+
+    def test_one_parser_per_command_with_only_its_subparser(self, capsys):
+        def subcommands(parser):
+            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            return list(action._name_parser_map)
+
+        parser = cli._build_parser("certify")
+        assert cli._build_parser("certify") is parser
+        assert subcommands(parser) == ["certify"]
+        assert cli._build_parser(None) is cli._build_parser(None)
+        assert subcommands(cli._build_parser(None)) == list(cli._COMMANDS)
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert run(capsys, "dagger", "--model", SHIFTED)[0] == 0
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_certify_models_do_not_carry_over(self, capsys, tmp_path):
+        pt = tmp_path / "pt_mixed.json"
+        pt.write_text(json.dumps(PT_MIXED), encoding="utf-8")
+        _, both = run_json(capsys, "certify", "--model", IX3, "--model", str(pt), "--order", "2")
+        assert [r["model"] for r in both["reports"]] == ["ix3", "pt_mixed"]
+        code, one = run_json(capsys, "certify", "--model", IX3, "--order", "2")
+        assert code == 0 and "reports" not in one and one["model"] == "ix3"
+
+    def test_failed_parse_leaves_the_next_call_as_if_alone(self, capsys):
+        good = ("certify", "--model", IX3, "--order", "2")
+        alone = run(capsys, *good)
+        cli._build_parser.cache_clear()
+        with pytest.raises(SystemExit):
+            main(["certify", "--order", "x"])
+        capsys.readouterr()
+        assert run(capsys, *good) == alone
+
 
 # Runs the commands given as a JSON list of argvs in one fresh interpreter and
 # prints, after the import and after each command, the exit code and whether
@@ -943,9 +1052,14 @@ class TestReadme:
     def test_cli_line_runs(self, capsys, monkeypatch, line):
         # paths in the README are relative to the repository root
         monkeypatch.chdir(ROOT)
-        code, out, _ = run(capsys, *shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        first = run(capsys, *argv)
+        code, out, _ = first
         assert code in (0, 1) and isinstance(json.loads(out), dict)
         assert_indent_2_text(out)
+        # a second run in the same process, after whatever the first one
+        # cached, gives the same exit code, stdout and stderr
+        assert run(capsys, *argv) == first
 
 
 def assert_indent_2_text(out):

@@ -20,13 +20,14 @@ from starmetric.star import (
     star_commutator,
     star_difference,
     star_exp,
+    star_expquad_difference,
     star_log,
     star_poly_expquad,
     star_series,
     star_series_difference,
 )
 
-from _helpers import random_poly
+from _helpers import random_gr, random_poly
 
 x = PhasePoly.x()
 p = PhasePoly.p()
@@ -352,6 +353,24 @@ class TestExpQuadForm:
                 assert moyal_coefficients(b, var) == expected
         with pytest.raises(NonTerminating):
             moyal_coefficients(PhasePoly.p(-1), "p")
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @RING_CASES
+    def test_difference_equals_the_two_sided_form(self, seed, ring):
+        # A * E - E * D summed in one accumulation, against the two one-sided
+        # products subtracted; D = dagger(A) is the metric residual's case
+        rng = random.Random(seed)
+        a, d = (ring_poly(rng, ring) * p**2 for _ in range(2))  # p powers >= 0
+        exponent = PhasePoly(
+            {(i, j, rng.randint(-1, 0)): random_gr(rng)
+             for i in range(3) for j in range(3 - i) if rng.random() < 0.5}
+        )
+        e = ExpQuadForm(random_poly(rng, p_span=2, h_span=1), exponent)
+        for right in (d, dagger(a)):
+            left_side = star_poly_expquad(a, e, "left").prefactor
+            right_side = star_poly_expquad(right, e, "right").prefactor
+            expected = ExpQuadForm(left_side - right_side, exponent)
+            assert star_expquad_difference(a, e, right) == expected
 
     def test_exponent_degree_guard(self):
         with pytest.raises(ValueError):

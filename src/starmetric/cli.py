@@ -4,8 +4,8 @@ Every command reads UTF-8 JSON (model files) and prints a JSON report to
 stdout: the ``json.dumps(payload, indent=2)`` text, built by one direct
 writer (`_json_text`).  Exit codes: 0 success, 1 verification failure, 2
 input error.  Output is deterministic for fixed inputs and seed: containers
-are built in canonical term order.  Each command's argument parser is built
-once per process, on the first call that names it (`_build_parser`).
+are built in canonical term order.  A call that names a command is parsed
+by that command's parser alone (`_parse_args`), built for the call.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
 from .exprparse import parse_theta
@@ -58,8 +57,9 @@ def _maybe_hbar(model: Model, value):
     return value if model.hbar is None else value.subs_hbar(model.hbar)
 
 
-# the highest series order, from --order, options.order or a series file,
-# checked before any series is computed
+# the highest series order, from --order, options.order or a series file
+# (starlog --series, residual --theta series:FILE), checked before any series
+# is computed
 MAX_ORDER = 256
 
 
@@ -129,6 +129,8 @@ def cmd_residual(args):
     model = _model(args)
     _require(args.theta, "residual needs --theta SPEC")
     kind, theta = parse_theta(args.theta)
+    if kind == "series":
+        _limited(theta.order)
     zero = _maybe_hbar(model, metric_residual(model.spec, theta)).is_zero
     payload = {"model": model.name, "theta_kind": kind}
     if kind == "series":
@@ -189,6 +191,7 @@ def cmd_certify(args):
         model = load_model(path)
         message = f"model {path!r} has no coupling; certify works on series metrics"
         _require(model.spec.has_coupling, message)
+        _order(args, model)  # every model's order is checked before any is solved
         models.append(model)
     reports = [_certify_payload(args, model) for model in models]
     ok = all(r["hermitian"] and r["positive"] and r["residual_zero"] for r in reports)
@@ -498,25 +501,44 @@ _FLAGS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _build_parser(command) -> argparse.ArgumentParser:
-    """The parser with only the subparser of ``command``, or with all of them
-    for None (``-h``, an unknown command).  The metavar keeps the top-level
-    usage listing every command either way.  Built on first use and kept for
-    the process: parsing leaves a parser as it was, and its help formatter,
-    which reads the terminal width, is made afresh for each text."""
+def _add_flags(parser: argparse.ArgumentParser, name) -> argparse.ArgumentParser:
+    for flag in _COMMANDS[name][1]:
+        spec = {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
+        parser.add_argument(f"--{flag}", **spec)
+    return parser
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``: with only the subparser of the command that
+    ``argv[0]`` names, or with all of them when it names none (``-h``, an
+    unknown command).  The metavar keeps the top-level usage listing every
+    command either way."""
     parser = argparse.ArgumentParser(
         prog="starmetric",
         description="Exact star-product calculus for metric operators and Berry connections",
     )
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
     for name in [command] if command else _COMMANDS:
-        p = sub.add_parser(name)
-        for flag in _COMMANDS[name][1]:
-            spec = {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
-            p.add_argument(f"--{flag}", **spec)
+        _add_flags(sub.add_parser(name), name)
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse ``argv``.  When ``argv[0]`` names a command, that command's
+    parser parses the rest, as the top-level parser would hand it on, and
+    prints the same help and errors.  Arguments it leaves over are reported
+    by the top-level parser, so ``argv`` is then parsed again in full, as is
+    any ``argv`` that names no command."""
+    if argv and argv[0] in _COMMANDS:
+        # the subparser `_build_parser` would make, without the top level
+        parser = _add_flags(argparse.ArgumentParser(prog=f"starmetric {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.cmd = argv[0]
+            return args
+    return _build_parser(argv).parse_args(argv)
 
 
 _int_text = int.__repr__
@@ -620,8 +642,7 @@ def _json_text(payload) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    args = _parse_args(argv)
     try:
         payload, ok = _COMMANDS[args.cmd][0](args)
     except json.JSONDecodeError as exc:

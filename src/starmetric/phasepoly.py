@@ -163,13 +163,18 @@ class PhasePoly(Frozen):
     def __rsub__(self, other):
         return (-self) + other
 
+    @staticmethod
+    def _product_terms(a: "PhasePoly", b: "PhasePoly"):
+        """The (monomial, coefficient) pairs of a * b, like terms unsummed."""
+        return (
+            ((x1 + x2, p1 + p2, h1 + h2), c1 * c2)
+            for (x1, p1, h1), c1 in a.terms.items()
+            for (x2, p2, h2), c2 in b.terms.items()
+        )
+
     def __mul__(self, other):
         if isinstance(other, PhasePoly):
-            return PhasePoly._of(
-                ((x1 + x2, p1 + p2, h1 + h2), c1 * c2)
-                for (x1, p1, h1), c1 in self.terms.items()
-                for (x2, p2, h2), c2 in other.terms.items()
-            )
+            return PhasePoly._of(PhasePoly._product_terms(self, other))
         if isinstance(other, COEFF_TYPES):
             return self.scaled(other)
         return NotImplemented

@@ -440,12 +440,7 @@ def _expquad_pairs(a: PhasePoly, e: ExpQuadForm, side: str) -> list:
 
 def _prefactor_sum(pairs) -> PhasePoly:
     """sum t g over the (t, g) of pairs, in one accumulation."""
-    return PhasePoly._of(
-        ((x1 + x2, p1 + p2, h1 + h2), c1 * c2)
-        for t, g in pairs
-        for (x1, p1, h1), c1 in t.terms.items()
-        for (x2, p2, h2), c2 in g.terms.items()
-    )
+    return PhasePoly._of(chain.from_iterable(PhasePoly._product_terms(t, g) for t, g in pairs))
 
 
 def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:

@@ -1,5 +1,7 @@
-import argparse
+import contextlib
 import copy
+import io
+import itertools
 import json
 import os
 import shlex
@@ -796,16 +798,36 @@ class TestErrorHandling:
             assert json.loads(err) == {"error": message}
 
     def test_series_file_past_the_size_limit_exits_2(self, capsys, monkeypatch, tmp_path):
-        def no_log(theta):
-            raise AssertionError("the star-log was computed")
+        def not_computed(*args):
+            raise AssertionError("a series was computed")
 
-        monkeypatch.setattr(cli, "star_log", no_log)
+        monkeypatch.setattr(cli, "star_log", not_computed)
+        monkeypatch.setattr(cli, "metric_residual", not_computed)
         series = tmp_path / "series.json"
         coeffs = [[{"coeff": {"re": "1", "im": "0"}}]] + [[] for _ in range(1000)]
         series.write_text(json.dumps({"coupling": "g", "coeffs": coeffs}), encoding="utf-8")
-        code, out, err = run(capsys, "starlog", "--series", str(series))
+        message = f"order 1000 is past the limit of order {cli.MAX_ORDER}"
+        for argv in (
+            ("starlog", "--series", str(series)),
+            ("residual", "--model", IX3, "--theta", f"series:{series}"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and not out
+            assert json.loads(err) == {"error": message}
+
+    def test_certify_checks_every_order_before_solving(self, capsys, monkeypatch, tmp_path):
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(cli, "solve_perturbative", no_series)
+        obj = json.loads(Path(IX3).read_text(encoding="utf-8"))
+        obj.setdefault("options", {})["order"] = 10**8
+        high = tmp_path / "high.json"
+        high.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, "certify", "--model", IX3, "--model", str(high))
         assert code == 2 and not out
-        assert json.loads(err) == {"error": f"order 1000 is past the limit of order {cli.MAX_ORDER}"}
+        message = f"order 100000000 is past the limit of order {cli.MAX_ORDER}"
+        assert json.loads(err) == {"error": message}
 
     def test_order_at_the_size_limit_reaches_the_solver(self, monkeypatch):
         class Reached(Exception):
@@ -938,42 +960,53 @@ class TestParser:
         assert main() == 0
         assert "dagger" in json.loads(capsys.readouterr().out)
 
-    def test_usage_wraps_at_the_width_of_each_call(self, capsys, monkeypatch):
-        # both parsers are first built, and their usage written, at 200
-        # columns, where it fits on one line
-        cli._build_parser.cache_clear()
-        monkeypatch.setenv("COLUMNS", "200")
-        for argv in (["frobnicate"], ["solve", "--jobs", "2"]):
-            with pytest.raises(SystemExit):
-                main(argv)
-            usage = f"usage: starmetric [-h] {self.COMMANDS} ...\n"
-            assert capsys.readouterr().err.startswith(usage)
-        self.test_unknown_command(capsys, monkeypatch)
-        self.test_unread_flag_of_a_known_command(capsys, monkeypatch)
 
+class TestCommandParser:
+    """A call that names a command is parsed by that command's parser alone;
+    it must parse, and print help and errors, as the full parser does."""
 
-class TestParserCache:
-    """Each command's parser is built once per process: a call must not see
-    what an earlier call parsed."""
+    TAILS = (
+        [],
+        ["-h"],
+        ["--he"],
+        ["--model", "m.json"],
+        ["--model=m.json", "--model", "n.json"],
+        ["--mod", "m"],
+        ["--order", "x"],
+        ["--order=-3"],
+        ["--order"],
+        ["--jobs", "2"],
+        ["foo"],
+        ["--", "--model", "a"],
+        ["-3"],
+        ["--la", "--latex"],
+        ["--observable", "q"],
+        ["--n", "5", "--trials", "2", "--seed", "x"],
+        ["--q1", "-0.5", "--omega", "1e3"],
+        ["--theta=-p", "--series", "s.json"],
+        ["--model", "a", "--zzz"],
+        ["--model", "a", "--zzz", "-h"],
+    )
 
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        cli._build_parser.cache_clear()
+    @staticmethod
+    def outcome(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = repr(sorted(vars(parse(list(argv))).items()))
+            except SystemExit as exc:
+                result = exc.code
+        return result, out.getvalue(), err.getvalue()
 
-    def test_one_parser_per_command_with_only_its_subparser(self, capsys):
-        def subcommands(parser):
-            (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-            return list(action._name_parser_map)
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_same_as_the_full_parser(self, monkeypatch, command):
+        def full(argv):
+            return cli._build_parser(argv).parse_args(argv)
 
-        parser = cli._build_parser("certify")
-        assert cli._build_parser("certify") is parser
-        assert subcommands(parser) == ["certify"]
-        assert cli._build_parser(None) is cli._build_parser(None)
-        assert subcommands(cli._build_parser(None)) == list(cli._COMMANDS)
-        cli._build_parser.cache_clear()
-        for _ in range(2):
-            assert run(capsys, "dagger", "--model", SHIFTED)[0] == 0
-        assert cli._build_parser.cache_info().misses == 1
+        for columns, tail in itertools.product(("80", "37"), self.TAILS):
+            monkeypatch.setenv("COLUMNS", columns)
+            argv = [command, *tail]
+            assert self.outcome(cli._parse_args, argv) == self.outcome(full, argv), argv
 
     def test_certify_models_do_not_carry_over(self, capsys, tmp_path):
         pt = tmp_path / "pt_mixed.json"
@@ -986,7 +1019,6 @@ class TestParserCache:
     def test_failed_parse_leaves_the_next_call_as_if_alone(self, capsys):
         good = ("certify", "--model", IX3, "--order", "2")
         alone = run(capsys, *good)
-        cli._build_parser.cache_clear()
         with pytest.raises(SystemExit):
             main(["certify", "--order", "x"])
         capsys.readouterr()

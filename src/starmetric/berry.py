@@ -76,7 +76,8 @@ def model_hamiltonian(q) -> np.ndarray:
     return _matrices((1.0 + 0j, z, z, -1.0 + 0j))
 
 
-def model_partials(q: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+def model_partials() -> Tuple[np.ndarray, np.ndarray]:
+    """dH/dq1 and dH/dq2, the same at every point."""
     d1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     d2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
     return d1, d2
@@ -134,15 +135,18 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # vec(E_k) = e_k: the columns of the double-commutator map
 _UNIT_MATRICES = np.eye(4, dtype=complex).reshape(4, 2, 2)
-# A[1][1] = 0 and A[1][0] = w1 * kappa: rows picking entries 3 and 2 of vec(A)
+# A[1][1] = 0 and A[1][0] = W1 * kappa: rows picking entries 3 and 2 of vec(A)
 _GAUGE_ROWS = np.array([[0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+# the gauge value of A_1[1][0], as in gauge_fixed_connection
+W1 = 0.5
+# a system whose smallest singular value is below this share of its largest
+# is singular
+RANK_TOL = 1e-8
 
 
-def solve_connection_2x2(
-    q, w1: complex = 0.5, rank_tol: float = 1e-8
-) -> Tuple[np.ndarray, np.ndarray]:
+def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
     """Solve [[A_i, H], H] = [dH_i, H] with the gauge A_i[1][1] = 0 and
-    A_i[1][0] = w1 * kappa_i (kappa = 1, i), unique away from exceptional points.
+    A_i[1][0] = W1 * kappa_i (kappa = 1, i), unique away from exceptional points.
 
     Each point's 6x4 system is solved by least squares through one SVD shared
     by both components, with numpy.linalg.lstsq's rank rule; RankDeficient
@@ -157,12 +161,12 @@ def solve_connection_2x2(
         axis=-2,
     )
     rhs = np.zeros(stack + (6, 2), dtype=complex)
-    for i, (dhi, kappa) in enumerate(zip(model_partials(q), (1.0, 1j))):
+    for i, (dhi, kappa) in enumerate(zip(model_partials(), (1.0, 1j))):
         rhs[..., :4, i] = _comm(dhi, h).reshape(stack + (4,))
-        rhs[..., 5, i] = w1 * kappa
+        rhs[..., 5, i] = W1 * kappa
     u, s, vh = np.linalg.svd(full, full_matrices=False)
     top, low = s[..., 0], s[..., -1]
-    singular = (low <= np.finfo(float).eps * 6 * top) | (low < rank_tol * top)
+    singular = (low <= np.finfo(float).eps * 6 * top) | (low < RANK_TOL * top)
     # unit singular values keep the solve finite at the points that raise below
     s = np.where(singular[..., None], 1.0, s)
     sol = np.conj(np.swapaxes(vh, -1, -2)) @ (
@@ -178,20 +182,21 @@ def solve_connection_2x2(
 
 ConnectionField = Callable[[Sequence[float]], Tuple[np.ndarray, np.ndarray]]
 
+# the step of the central differences in field_partials
+STEP = 1e-5
 
-def field_partials(
-    field: ConnectionField, q: Sequence[float], step: float = 1e-5
-) -> List[List[np.ndarray]]:
-    """d[i][j] = dA_i/dq_j by central differences at the given step."""
+
+def field_partials(field: ConnectionField, q: Sequence[float]) -> List[List[np.ndarray]]:
+    """d[i][j] = dA_i/dq_j by central differences at STEP."""
     out = []
     for i in range(2):
         row = []
         for j in range(2):
             qp = list(q)
             qm = list(q)
-            qp[j] += step
-            qm[j] -= step
-            row.append((field(qp)[i] - field(qm)[i]) / (2.0 * step))
+            qp[j] += STEP
+            qm[j] -= STEP
+            row.append((field(qp)[i] - field(qm)[i]) / (2.0 * STEP))
         out.append(row)
     return out
 
@@ -203,24 +208,20 @@ def curvature_matrix(
     return da1_dq2 - da2_dq1 + _comm(a1, a2)
 
 
-def curvature_of_field(
-    field: ConnectionField, q: Sequence[float], step: float = 1e-5
-) -> np.ndarray:
+def curvature_of_field(field: ConnectionField, q: Sequence[float]) -> np.ndarray:
     a1, a2 = field(q)
-    d = field_partials(field, q, step)
+    d = field_partials(field, q)
     return curvature_matrix(a1, a2, d[0][1], d[1][0])
 
 
-def plaquette_transport(
-    field: ConnectionField, q: Sequence[float], dq: float, step: float = 1e-5
-) -> np.ndarray:
+def plaquette_transport(field: ConnectionField, q: Sequence[float], dq: float) -> np.ndarray:
     """Compose the four second-order transport factors around a square plaquette.
 
     All connection values and derivatives are taken at the base corner; the
     product equals 1 + F_12 dq^2 up to O(dq^3).
     """
     a1, a2 = field(q)
-    d = field_partials(field, q, step)
+    d = field_partials(field, q)
     one = np.eye(2, dtype=complex)
     f1 = one + a2 * dq + 0.5 * (d[1][1] + a2 @ a2) * dq**2
     f2 = one + a1 * dq + d[0][1] * dq**2 + 0.5 * (d[0][0] + a1 @ a1) * dq**2
@@ -243,7 +244,8 @@ def plaquette_defect(field: ConnectionField, q: Sequence[float], dq: float) -> f
 AZIMUTHAL_LIMIT = np.array([[0.5j, -0.5], [0.0, 0.0]], dtype=complex)
 
 
-def matrix_exp_taylor(m: np.ndarray, tol: float = 1e-30) -> np.ndarray:
+def matrix_exp_taylor(m: np.ndarray) -> np.ndarray:
+    """exp(m) by its Taylor series, up to the first term below 1e-30 or 200 terms."""
     out = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
     k = 0
@@ -251,7 +253,7 @@ def matrix_exp_taylor(m: np.ndarray, tol: float = 1e-30) -> np.ndarray:
         k += 1
         term = term @ m / k
         out = out + term
-        if float(np.max(np.abs(term))) < tol or k > 200:
+        if float(np.max(np.abs(term))) < 1e-30 or k > 200:
             return out
 
 

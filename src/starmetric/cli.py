@@ -68,12 +68,12 @@ def _limited(order: int) -> int:
     return order
 
 
-def _order(args, model: Model, default=3) -> int:
+def _order(args, model: Model) -> int:
     if args.order is not None:
         return _limited(args.order)
     if model.order is not None:
         return _limited(model.order)
-    return default
+    return 3
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def cmd_berry2x2(args):
         worst_residual = max(
             worst_residual,
             float(np.max(berry.verify_connection_matrix(
-                berry.model_hamiltonian(q), berry.model_partials(q), a_solved
+                berry.model_hamiltonian(q), berry.model_partials(), a_solved
             ))),
         )
     rank_deficient = []
@@ -508,19 +508,14 @@ def _add_flags(parser: argparse.ArgumentParser, name) -> argparse.ArgumentParser
     return parser
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``: with only the subparser of the command that
-    ``argv[0]`` names, or with all of them when it names none (``-h``, an
-    unknown command).  The metavar keeps the top-level usage listing every
-    command either way."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, with the subparser of every command."""
     parser = argparse.ArgumentParser(
         prog="starmetric",
         description="Exact star-product calculus for metric operators and Berry connections",
     )
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="cmd", required=True, metavar=metavar)
-    for name in [command] if command else _COMMANDS:
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name in _COMMANDS:
         _add_flags(sub.add_parser(name), name)
     return parser
 
@@ -538,7 +533,7 @@ def _parse_args(argv) -> argparse.Namespace:
         if not rest:
             args.cmd = argv[0]
             return args
-    return _build_parser(argv).parse_args(argv)
+    return _build_parser().parse_args(argv)
 
 
 _int_text = int.__repr__

@@ -145,7 +145,7 @@ def parse_poly(text: str) -> PhasePoly:
 
 def parse_theta(spec: str) -> Tuple[str, object]:
     """Parse a --theta option into ("poly" | "expquad" | "series", value)."""
-    if spec in ("1", "one"):
+    if spec == "one":
         return "poly", PhasePoly.one()
     if spec.startswith("expquad:"):
         rest = spec[len("expquad:") :]
@@ -157,6 +157,4 @@ def parse_theta(spec: str) -> Tuple[str, object]:
         return "expquad", ExpQuadForm.pure_exponent(parse_poly(m.group(1)))
     if spec.startswith("series:"):
         return "series", CouplingSeries.from_json(read_json(spec[len("series:") :]))
-    if spec.startswith("poly:"):
-        return "poly", parse_poly(spec[len("poly:") :])
     return "poly", parse_poly(spec)

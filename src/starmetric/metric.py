@@ -259,8 +259,8 @@ def gaussian_branch_identities(a, b, c, r, s, t) -> Tuple[PhasePoly, PhasePoly, 
     return (u * u - d, v * v - d, u - v)
 
 
-def expand_gaussian_in_coupling(a, b, order: int, coupling: str = "c") -> CouplingSeries:
-    """Taylor series in the coupling of the number-operator-fixed Gaussian metric.
+def expand_gaussian_in_coupling(a, b, order: int) -> CouplingSeries:
+    """Taylor series in the coupling c of the number-operator-fixed Gaussian metric.
 
     Branch data: r = t = c / (2 hbar (a - b)) and s the root of the family
     constraint with the correct c -> 0 limit, expanded through the binomial
@@ -294,10 +294,7 @@ def expand_gaussian_in_coupling(a, b, order: int, coupling: str = "c") -> Coupli
         s[2 * k] = PhasePoly.monomial(I * delta / dpow, 0, 0, -1)
     n_poly = PhasePoly.p(2) + PhasePoly.x(2)
     xp = PhasePoly.x() * PhasePoly.p()
-    q = CouplingSeries(
-        coupling,
-        [rho[k] * n_poly + s[k] * xp for k in range(order + 1)],
-    )
+    q = CouplingSeries("c", [rho[k] * n_poly + s[k] * xp for k in range(order + 1)])
     return series_exp_pointwise(q)
 
 
@@ -341,16 +338,16 @@ def solve_perturbative(
     v_conj = v.conjugate()
     nv, nv_conj = _numerators(v), _numerators(v_conj)
     thetas: List[PhasePoly] = [PhasePoly.one()]
+    nprev = _numerators(thetas[0])  # the numerators of each order serve the next
     for n in range(1, order + 1):
         prev = thetas[n - 1]
-        nprev = _numerators(prev)
         if nv[1] is None or nprev[1] is None:
             rhs, rhs_den = _numerators(star_difference(v, prev, prev, v_conj))
         else:
             sums, rhs_den = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
             rhs = sums.items()
         theta_n = _exchange_solution(rhs, rhs_den, integration_functions.get(n, PhasePoly.zero()))
-        parts, den = _numerators(theta_n)
+        nprev = parts, den = _numerators(theta_n)
         lhs: dict = {}
         for (x, p, h), (re, im) in parts:  # 2 i hbar p dTheta/dx - hbar^2 d^2Theta/dx^2
             _add_scaled(lhs, (x - 1, p + 1, h + 1), -im, re, 2 * x)

@@ -20,7 +20,6 @@ Ring operations, whose terms are valid by construction, go through
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Tuple, Union
@@ -325,23 +324,19 @@ class CouplingSeries(Frozen):
             return NotImplemented
         return self + (-other)
 
-    def cauchy(self, other: "CouplingSeries", mul) -> "CouplingSeries":
-        """Cauchy product with coefficient product ``mul``, truncated."""
+    def __mul__(self, other):
+        """Cauchy product with pointwise coefficient products, truncated."""
+        if not isinstance(other, CouplingSeries):
+            return NotImplemented
         self._check(other)
         a, b = self.coeffs, other.coeffs
         return CouplingSeries(
             self.coupling,
             [
-                sum((mul(a[j], b[n - j]) for j in range(n + 1)), PhasePoly.zero())
+                sum((a[j] * b[n - j] for j in range(n + 1)), PhasePoly.zero())
                 for n in range(min(self.order, other.order) + 1)
             ],
         )
-
-    def __mul__(self, other):
-        """Cauchy product with pointwise coefficient products, truncated."""
-        if not isinstance(other, CouplingSeries):
-            return NotImplemented
-        return self.cauchy(other, operator.mul)
 
     def scaled(self, scalar) -> "CouplingSeries":
         return CouplingSeries(self.coupling, [c.scaled(scalar) for c in self.coeffs])

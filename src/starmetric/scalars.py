@@ -21,6 +21,8 @@ derives from it, and only its constructors set slots, past its
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -37,19 +39,41 @@ class ZeroDenominator(ValueError):
     """A rational function was built with an identically zero denominator."""
 
 
+# the largest decimal exponent of a numeric string: past it Fraction would
+# build a power of ten with more digits than int -> str may print, and each
+# further exponent digit costs about 20 times the time
+MAX_DECIMAL_EXPONENT = sys.int_info.default_max_str_digits
+# the exponent of Fraction's decimal form, with its sign and _ separators
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def as_fraction(value: RatLike) -> Fraction:
     """An exact rational: a Fraction, an int or a numeric string.  A float, a
-    bool or a zero denominator is a ValueError, so no JSON number but an
-    integer reaches the exact layer."""
+    bool, a zero denominator or a decimal exponent past MAX_DECIMAL_EXPONENT
+    in magnitude is a ValueError, so no JSON number but an integer reaches
+    the exact layer, and no string makes Fraction build a huge power of ten."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
+        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+        if exponent and _past_limit(exponent[1]):
+            msg = f"decimal exponent past the limit of {MAX_DECIMAL_EXPONENT}"
+            raise ValueError(f"cannot interpret {value!r} as an exact rational: {msg}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
             msg = f"cannot interpret {value!r} as an exact rational: zero denominator"
             raise ValueError(msg) from None
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _past_limit(exponent: str) -> bool:
+    """Whether a decimal exponent is past MAX_DECIMAL_EXPONENT in magnitude;
+    one with more digits than int reads is."""
+    try:
+        return abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+    except ValueError:
+        return True
 
 
 def as_exponent(value) -> int:

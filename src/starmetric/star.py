@@ -39,14 +39,14 @@ takes the same loop with the ring's own product, merged by
 `scalars.accumulate`.
 
 Differences are summed in one pass.  `star_difference(a, b, c, d)`, A * B -
-C * D, is one `_moyal` call over the products of both pairs, over the lcm of
+C * D, is one Moyal pass over the products of both pairs, over the lcm of
 the two denominator products; the products of C * D enter with negated
 numerators, so terms that cancel stay integer sums of zero and are never
-built as coefficients.  In the ring path the sign is folded into the scale
-(sign i)^k w.  `star_commutator` is star_difference(a, b, b, a) without the
-term pairs that commute, and `is_hermitian` sums conj(A) - exp(-i hbar dx
-dp) A the same way.  `star_series`, the Cauchy product of two series, and
-`star_series_difference` share one loop: one `_moyal` call per output order
+built as coefficients.  In the ring path (`_moyal`) the sign is folded into
+the scale (sign i)^k w.  `star_commutator` is star_difference(a, b, b, a)
+without the term pairs that commute, and `is_hermitian` sums conj(A) -
+exp(-i hbar dx dp) A the same way.  `star_series`, the Cauchy product of two series, and
+`star_series_difference` share one loop: one Moyal pass per output order
 n over all (j, n - j) pairs of nonzero coefficients of every product,
 over one denominator (the lcm of the pairs' denominator products): no
 PhasePoly, gcd or addition per pair.
@@ -122,18 +122,13 @@ def _weights(x1: int, p2: int) -> tuple:
     return tuple(out)
 
 
-def _moyal(products, sign: int, den: int | None = None) -> PhasePoly:
-    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c x^(x-k) p^(p-k) hbar^(h+k)
-    over the items of ``products``.
-
-    Given a denominator ``den``, the items are (x1, p2, (x, p, h), c) with c a
-    Gaussian integer (re, im) over it: the sums are plain integers (see
-    `_moyal_sums`) and each nonzero output term costs one gcd.  Without one,
-    the items are (x1, p2, (x, p, h), c, f) with c any coefficient and f = +-1,
-    c scaled by (sign i)^k w f once per k and merged by `accumulate`.
+def _moyal(products, sign: int) -> PhasePoly:
+    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) f c x^(x-k) p^(p-k) hbar^(h+k)
+    over the items (x1, p2, (x, p, h), c, f) of ``products``, c any
+    coefficient and f = +-1: c is scaled by (sign i)^k w f once per k and the
+    terms are merged by `accumulate`.  Gaussian integer numerators over one
+    denominator take `_moyal_sums` instead.
     """
-    if den is not None:
-        return PhasePoly._of(_joined(_moyal_sums(products, sign).items(), den))
     unit = I * sign
 
     def terms():
@@ -145,8 +140,9 @@ def _moyal(products, sign: int, den: int | None = None) -> PhasePoly:
 
 
 def _moyal_sums(products, sign: int) -> dict:
-    """The integer sums of `_moyal` as a dict (x, p, h) -> [re, im]; a sum
-    that cancels to zero is kept."""
+    """The sums of `_moyal` over items (x1, p2, (x, p, h), (re, im)) with
+    Gaussian integer numerators and f = 1, as a dict (x, p, h) -> [re, im] of
+    plain integers; a sum that cancels to zero is kept."""
     acc: dict = {}
     get = acc.get
     for x1, p2, (x, p, h), (re, im) in products:
@@ -188,8 +184,8 @@ def _joined(parts, den, scale: int = 1) -> list:
 
 
 def _products(ta, tb, f: int = 1):
-    """The `_moyal` items of all term pairs of two `_numerators` lists, with
-    the numerators of ta first multiplied by f."""
+    """The `_moyal_sums` items of all term pairs of two `_numerators` lists,
+    with the numerators of ta first multiplied by f."""
     if f != 1:
         ta = [(key, (r * f, m * f)) for key, (r, m) in ta]
     return (
@@ -216,7 +212,7 @@ def _coefficients(parts, den) -> list:
 
 def _star_sum(pairs) -> PhasePoly:
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
-    in one `_moyal` pass.  With any coefficient other than a GaussianRational
+    in one Moyal pass.  With any coefficient other than a GaussianRational
     the pairs take the ring's own product, f folded into the scale."""
     if any(da is None or db is None for (_, da), (_, db), _ in pairs):
         products = (
@@ -249,7 +245,8 @@ def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
     ta, den = _numerators(a)
     if den is None:
         return _moyal(((k[0], k[1], k, c, 1) for k, (c, _) in ta), sign)
-    return _moyal(((k[0], k[1], k, c) for k, c in ta), sign, den)
+    sums = _moyal_sums(((k[0], k[1], k, c) for k, c in ta), sign)
+    return PhasePoly._of(_joined(sums.items(), den))
 
 
 def is_hermitian(a: PhasePoly) -> bool:

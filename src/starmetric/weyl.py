@@ -145,8 +145,12 @@ def discrete_dagger(f: TorusFunction) -> TorusFunction:
     return TorusFunction(f.n, (np.conj(f.fourier) * p)[..., neg[:, None], neg])
 
 
-def discrete_is_hermitian(f: TorusFunction, tol: float = 1e-10):
-    return f.max_abs_diff(discrete_dagger(f)) <= tol
+# the largest deviation that a finite-N check accepts
+TOLERANCE = 1e-10
+
+
+def discrete_is_hermitian(f: TorusFunction):
+    return f.max_abs_diff(discrete_dagger(f)) <= TOLERANCE
 
 
 def random_operator(n: int, rng: np.random.Generator, stack: Tuple[int, ...] = ()) -> np.ndarray:
@@ -170,7 +174,7 @@ def isomorphism_trial(n: int, rng: np.random.Generator) -> float:
 ORACLE_BLOCK = 1 << 18
 
 
-def oracle_run(n: int, trials: int, seed: int, tol: float = 1e-10) -> dict:
+def oracle_run(n: int, trials: int, seed: int) -> dict:
     """Isomorphism + adjoint trials; the CLI surface of this module.  Each trial
     draws A, B and C; a block of trials is checked in one stacked pass."""
     _tables(n)  # rejects N < 2 also when there are no trials
@@ -183,12 +187,12 @@ def oracle_run(n: int, trials: int, seed: int, tol: float = 1e-10) -> dict:
         adjoint = op_to_fun(np.conj(np.swapaxes(c, -1, -2)))
         dev = np.maximum(_star_deviation(a, b), adjoint.max_abs_diff(discrete_dagger(op_to_fun(c))))
         worst = max(worst, float(np.max(dev)))
-        passes += int(np.count_nonzero(dev <= tol))
+        passes += int(np.count_nonzero(dev <= TOLERANCE))
     return {
         "n": n,
         "trials": trials,
         "passes": passes,
         "failures": trials - passes,
         "max_deviation": worst,
-        "tolerance": tol,
+        "tolerance": TOLERANCE,
     }

@@ -101,7 +101,7 @@ class TestConnection2x2:
     def test_gauge_fixed_satisfies_equation(self):
         q = (0.5, 1.0 / 3.0)
         res = verify_connection_matrix(
-            model_hamiltonian(q), model_partials(q), gauge_fixed_connection(q)
+            model_hamiltonian(q), model_partials(), gauge_fixed_connection(q)
         )
         assert res <= 1e-10
 
@@ -120,7 +120,7 @@ class TestConnection2x2:
     def test_solve_residual_at_random_points(self):
         for q in regular_points(seed=14, count=100):
             a = solve_connection_2x2(q)
-            res = verify_connection_matrix(model_hamiltonian(q), model_partials(q), a)
+            res = verify_connection_matrix(model_hamiltonian(q), model_partials(), a)
             assert res <= 1e-10
 
     def test_rank_deficient_at_exceptional_points(self):
@@ -133,7 +133,7 @@ class TestConnection2x2:
         stack = points.reshape(10, 20, 2)
         solved = solve_connection_2x2(stack)
         printed = gauge_fixed_connection(stack)
-        residuals = verify_connection_matrix(model_hamiltonian(stack), model_partials(stack), solved)
+        residuals = verify_connection_matrix(model_hamiltonian(stack), model_partials(), solved)
         assert residuals.shape == (10, 20)
         for index, q in zip(np.ndindex(10, 20), points):
             one_solved = solve_connection_2x2(q)
@@ -141,7 +141,7 @@ class TestConnection2x2:
             for a in range(2):
                 assert np.max(np.abs(solved[a][index] - one_solved[a])) <= 1e-12
                 assert np.max(np.abs(printed[a][index] - one_printed[a])) <= 1e-12
-            one_residual = verify_connection_matrix(model_hamiltonian(q), model_partials(q), one_solved)
+            one_residual = verify_connection_matrix(model_hamiltonian(q), model_partials(), one_solved)
             assert abs(residuals[index] - one_residual) <= 1e-12
 
     @pytest.mark.parametrize("point", [(0.0, 1.0), (0.0, -1.0)])
@@ -244,7 +244,7 @@ class TestCurvature:
             return tuple(a + b for a, b in zip(connection(q), shift))
 
         q = (0.7, 0.2)
-        res = verify_connection_matrix(model_hamiltonian(q), model_partials(q), connection(q))
+        res = verify_connection_matrix(model_hamiltonian(q), model_partials(), connection(q))
         assert res <= 1e-9
         f_before = curvature_of_field(connection, q)
         f_after = curvature_of_field(transformed, q)

@@ -552,6 +552,24 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "exact rational" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["berry-osc", "--q1", "1e100000000", "--q2", "0"],
+            ["scan-locus", "--q1", "1E-1_0000_0000", "--q2", "0"],
+            ["dagger", "--model", "{model}"],
+        ],
+    )
+    def test_huge_decimal_exponent_exits_2_fast(self, tmp_path, argv):
+        # Fraction would build 10^(10^8) for minutes before any check ran
+        term = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": "1e100000000", "im": "0"}}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"name": "m", "hamiltonian": {"terms": [term]}}))
+        argv = [arg.format(model=path) for arg in argv]
+        proc = subprocess.run(CLI + argv, env=CLI_ENV, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2 and not proc.stdout
+        assert "exponent" in json.loads(proc.stderr)["error"]
+
     def test_numeric_value_for_an_undeclared_parameter_exits_2(self, capsys, tmp_path):
         model = json.loads(Path(IX3).read_text(encoding="utf-8"))
         model.setdefault("options", {})["numeric"] = {"z": "1"}
@@ -1001,7 +1019,7 @@ class TestCommandParser:
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
     def test_same_as_the_full_parser(self, monkeypatch, command):
         def full(argv):
-            return cli._build_parser(argv).parse_args(argv)
+            return cli._build_parser().parse_args(argv)
 
         for columns, tail in itertools.product(("80", "37"), self.TAILS):
             monkeypatch.setenv("COLUMNS", columns)

@@ -1,23 +1,31 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from starmetric.scalars import (
     GaussianRational,
+    MAX_DECIMAL_EXPONENT,
     ONE,
     ParamPoly,
     PoleAtPoint,
     RatFunc2,
     ZeroDenominator,
+    as_fraction,
     fraction_str,
     primitive_real_poly,
     ratio_str,
 )
 
 from _helpers import random_ratfunc, ratfunc_generators
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def gr(re, im=0):
@@ -336,3 +344,37 @@ class TestFromJson:
         obj = dict(q1.to_json(), bogus=1)
         with pytest.raises(ValueError, match="bogus"):
             RatFunc2.from_json(obj)
+
+
+class TestAsFractionExponent:
+    """A decimal exponent past the int -> str digit limit is rejected before
+    Fraction builds its power of ten, in every form Fraction accepts."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4301", "1E4301", "1e+4301", "1e-4301", "-1.5e4301", "1e4_301", " 1e4301\n", "1e100000"],
+    )
+    def test_exponent_past_the_limit_is_rejected(self, text):
+        with pytest.raises(ValueError, match="exponent"):
+            as_fraction(text)
+
+    @pytest.mark.parametrize("text", ["1e4300", "1E-4300", "+1e4_300", " 1e0004300 ", "0.5e4300"])
+    def test_exponent_at_the_limit_is_exact(self, text):
+        assert as_fraction(text) == Fraction(text)
+
+    def test_limit_is_the_int_to_str_digit_limit(self):
+        assert MAX_DECIMAL_EXPONENT == sys.int_info.default_max_str_digits == 4300
+
+    def test_huge_exponent_fails_fast(self):
+        # Fraction("1e100000000") alone would build 10^(10^8) for minutes
+        code = (
+            "from starmetric.scalars import as_fraction\n"
+            "try:\n    as_fraction('1e100000000')\n"
+            "except ValueError as exc:\n    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "exponent" in proc.stdout

@@ -19,9 +19,7 @@ test D times the residual and D^2 times the curvature, again over
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import lcm, sqrt
-from operator import mul
+from math import lcm, prod, sqrt
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -242,6 +240,7 @@ def plaquette_defect(field: ConnectionField, q: Sequence[float], dq: float) -> f
 
 
 AZIMUTHAL_LIMIT = np.array([[0.5j, -0.5], [0.0, 0.0]], dtype=complex)
+PRODUCT_FORM_STEPS = 100000
 
 
 def matrix_exp_taylor(m: np.ndarray) -> np.ndarray:
@@ -262,8 +261,10 @@ def holonomy_exceptional() -> np.ndarray:
     return matrix_exp_taylor(2.0 * np.pi * AZIMUTHAL_LIMIT)
 
 
-def holonomy_product_form(n: int) -> np.ndarray:
-    """(1 + 2 pi A_phi / n)^n; converges to the exact monodromy as n grows."""
+def holonomy_product_form() -> np.ndarray:
+    """(1 + 2 pi A_phi / n)^n for n = PRODUCT_FORM_STEPS; converges to the
+    exact monodromy as n grows."""
+    n = PRODUCT_FORM_STEPS
     step = np.eye(2, dtype=complex) + (2.0 * np.pi / n) * AZIMUTHAL_LIMIT
     return np.linalg.matrix_power(step, n)
 
@@ -335,23 +336,24 @@ def _solve_two_unknowns_exact(rows: List[Tuple[ParamPoly, ParamPoly, ParamPoly]]
     """s and t with d1 s + d2 t = dr for every row (d1, d2, dr) of a
     (possibly overdetermined) system over polynomials in (q1, q2).
 
-    The first row (c1, c2, rhs) with c1 != 0 and the first row independent
-    of it (c1 d2 - d1 c2 != 0) are the pivots.  s and t are solved from them
-    over RatFunc2 by Gaussian elimination; RatFunc2 is not gcd-reduced, so
-    the order of these operations fixes the printed numerators and
-    denominators.  Every row is then checked fraction-free, as
+    The first row (c1, c2, rhs) with c1 != 0 and the first row (d1, d2, dr)
+    independent of it, det = c1 d2 - d1 c2 != 0, are the pivots.  s and t
+    are solved from them by Cramer's rule, s = (rhs d2 - c2 dr) / det and
+    t = (c1 dr - d1 rhs) / det.  Every row is then checked fraction-free, as
     d1 num_s den_t + d2 num_t den_s - dr den_s den_t = 0.
     """
     pivot1 = next((r for r in rows if not r[0].is_zero), None)
     if pivot1 is None:
         raise RankDeficient("no equation determines the first unknown")
     c1, c2, rhs = pivot1
-    pivot2 = next((r for r in rows if not (c1 * r[1] - r[0] * c2).is_zero), None)
-    if pivot2 is None:
+    for d1, d2, dr in rows:
+        det = c1 * d2 - d1 * c2
+        if not det.is_zero:
+            break
+    else:
         raise RankDeficient("no equation determines the second unknown")
-    c1, c2, rhs, d1, d2, dr = (RatFunc2(v) for v in pivot1 + pivot2)
-    t = (dr - d1 * rhs / c1) / (d2 - d1 * c2 / c1)
-    s = (rhs - c2 * t) / c1
+    s = RatFunc2(rhs * d2 - c2 * dr, det)
+    t = RatFunc2(c1 * dr - d1 * rhs, det)
     for d1, d2, dr in rows:
         if not (d1 * s.num * t.den + (d2 * t.num - dr * t.den) * s.den).is_zero:
             raise RankDeficient("inconsistent connection system")
@@ -393,7 +395,7 @@ def _common_denominator(conn: MoyalConnection) -> Tuple[ParamPoly, List[ParamPol
     for coeff in conn:
         if not coeff.is_zero and coeff.den not in dens:
             dens.append(coeff.den)
-    return (reduce(mul, dens) if dens else ParamPoly.constant(RatFunc2.PARAMS, 1)), dens
+    return prod(dens, start=ParamPoly.constant(RatFunc2.PARAMS, 1)), dens
 
 
 def _cleared(conn: MoyalConnection) -> Tuple[ParamPoly, PhasePoly, PhasePoly]:
@@ -403,7 +405,7 @@ def _cleared(conn: MoyalConnection) -> Tuple[ParamPoly, PhasePoly, PhasePoly]:
     d, dens = _common_denominator(conn)
 
     def cleared(coeff: RatFunc2) -> ParamPoly:
-        return reduce(mul, (e for e in dens if e != coeff.den), coeff.num)
+        return prod((e for e in dens if e != coeff.den), start=coeff.num)
 
     n1, n2 = (_xp_xx(cleared(s), cleared(t)) for s, t in ((conn.s1, conn.t1), (conn.s2, conn.t2)))
     return d, n1, n2

@@ -35,7 +35,7 @@ from .metric import (
 )
 from .modelio import Model, load_model, read_json
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import I, ParamPoly, PoleAtPoint, as_fraction
+from .scalars import I, ParamPoly, PoleAtPoint, as_fraction, fraction_str
 from .star import ExpQuadForm, dagger, is_hermitian, star, star_log, star_poly_expquad
 
 
@@ -254,8 +254,8 @@ def _family_number_observable(args, model: Model):
     )
     payload = {
         "observable": "N",
-        "a": str(av),
-        "b": str(bv),
+        "a": fraction_str(av),
+        "b": fraction_str(bv),
         "order": order,
         "hermitian": report.hermitian,
         "positive": report.positive,
@@ -279,7 +279,7 @@ def cmd_berry2x2(args):
     swap_err = float(
         max(np.max(np.abs(f @ up - um)), np.max(np.abs(f @ um - up)))
     )
-    product_err = float(np.max(np.abs(berry.holonomy_product_form(100000) - f_expected)))
+    product_err = float(np.max(np.abs(berry.holonomy_product_form() - f_expected)))
     worst_solve = 0.0
     worst_residual = 0.0
     trials = _trials(args)
@@ -355,7 +355,11 @@ def cmd_berry_osc(args):
     if args.q1 is not None:
         q1, q2 = as_fraction(args.q1), as_fraction(args.q2)
         value = berry.locus_value(q1, q2)
-        point = {"q1": str(q1), "q2": str(q2), "locus_value": str(value)}
+        point = {
+            "q1": fraction_str(q1),
+            "q2": fraction_str(q2),
+            "locus_value": fraction_str(value),
+        }
         if value == 0:
             point["on_locus"] = True
         else:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, ParamPoly, RatFunc2
+from .scalars import GaussianRational, ParamPoly, RatFunc2, int_str
 
 _GREEK = {"hbar": r"\hbar", "alpha": r"\alpha", "beta": r"\beta", "omega": r"\omega"}
 
@@ -28,19 +28,20 @@ def _pow(sym: str, exp: int) -> str:
 
 
 def _gr_factors(c: GaussianRational):
-    """(negative, numerator_parts, denominator_int) for a real or imaginary
-    coefficient; complex coefficients render as a parenthesized unit."""
+    """(negative, numerator_parts, denominator_text) for a real or imaginary
+    coefficient, the text "" for a denominator of 1; complex coefficients
+    render as a parenthesized unit."""
     if c.is_real or not c.re:
         frac = c.re if c.is_real else c.im
         neg = frac < 0
         num = abs(frac.numerator)
         parts = []
         if num != 1:
-            parts.append(str(num))
+            parts.append(int_str(num))
         if not c.is_real:
             parts.append("i")
-        return neg, parts, frac.denominator
-    return False, [f"\\left({gr_latex(c)}\\right)"], 1
+        return neg, parts, "" if frac.denominator == 1 else int_str(frac.denominator)
+    return False, [f"\\left({gr_latex(c)}\\right)"], ""
 
 
 def gr_latex(c: GaussianRational) -> str:
@@ -59,9 +60,9 @@ def gr_latex(c: GaussianRational) -> str:
 
 def _frac_latex(f: Fraction) -> str:
     if f.denominator == 1:
-        return str(f.numerator)
+        return int_str(f.numerator)
     sign = "-" if f < 0 else ""
-    return f"{sign}\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
+    return f"{sign}\\frac{{{int_str(abs(f.numerator))}}}{{{int_str(f.denominator)}}}"
 
 
 def param_poly_latex(p: ParamPoly) -> str:
@@ -74,12 +75,9 @@ def param_poly_latex(p: ParamPoly) -> str:
             if e > 0:
                 num.append(_pow(_sym(name), e))
             elif e < 0:
-                den = f"{den if den != 1 else ''}{_pow(_sym(name), -e)}"
+                den += _pow(_sym(name), -e)
         body = " ".join(num) or "1"
-        if isinstance(den, int) and den == 1:
-            rendered = body
-        else:
-            rendered = f"\\frac{{{body}}}{{{den}}}"
+        rendered = f"\\frac{{{body}}}{{{den}}}" if den else body
         bits.append(("-" if neg else "+", rendered))
     return _join_signed(bits)
 
@@ -107,12 +105,12 @@ def poly_latex(poly: PhasePoly) -> str:
     bits = []
     for (xd, pd, hd), coeff in poly.canonical_terms():
         if isinstance(coeff, GaussianRational):
-            neg, num, den_int = _gr_factors(coeff)
-            den_parts = [] if den_int == 1 else [str(den_int)]
+            neg, num, den = _gr_factors(coeff)
+            den_parts = [den] if den else []
         elif isinstance(coeff, ParamPoly) and coeff.is_monomial():
             ((key, scalar),) = coeff.terms.items()
-            neg, num, den_int = _gr_factors(scalar)
-            den_parts = [] if den_int == 1 else [str(den_int)]
+            neg, num, den = _gr_factors(scalar)
+            den_parts = [den] if den else []
             for name, e in zip(coeff.params, key):
                 if e > 0:
                     num.append(_pow(_sym(name), e))

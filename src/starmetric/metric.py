@@ -24,7 +24,6 @@ from .star import (
     is_hermitian,
     moyal_coefficients,
     power_sum,
-    series_exp_pointwise,
     star_difference,
     star_expquad_difference,
     star_log,
@@ -266,10 +265,12 @@ def expand_gaussian_in_coupling(a, b, order: int) -> CouplingSeries:
     constraint with the correct c -> 0 limit, expanded through the binomial
     series of sqrt(1 - c^2/(a-b)^2); no algebraic numbers are materialized.
     The exponential is pointwise: the series represents the metric function
-    itself, not a star exponential.
+    itself, not a star exponential.  E = exp(q) with q_0 = 0 follows from
+    E' = q' E as n E_n = sum_{k=1..n} k q_k E_{n-k} (Knuth, TAOCP vol. 2,
+    4.7).
     """
-    a = GaussianRational.coerce(a if not isinstance(a, str) else Fraction(a))
-    b = GaussianRational.coerce(b if not isinstance(b, str) else Fraction(b))
+    a = GaussianRational.coerce(a)
+    b = GaussianRational.coerce(b)
     if not (a.is_real and b.is_real):
         raise ValueError("a and b must be real rationals")
     if a == b:
@@ -294,8 +295,12 @@ def expand_gaussian_in_coupling(a, b, order: int) -> CouplingSeries:
         s[2 * k] = PhasePoly.monomial(I * delta / dpow, 0, 0, -1)
     n_poly = PhasePoly.p(2) + PhasePoly.x(2)
     xp = PhasePoly.x() * PhasePoly.p()
-    q = CouplingSeries("c", [rho[k] * n_poly + s[k] * xp for k in range(order + 1)])
-    return series_exp_pointwise(q)
+    dq = [(rho[k] * n_poly + s[k] * xp).scaled(k) for k in range(order + 1)]
+    e = [PhasePoly.one()]
+    for n in range(1, order + 1):
+        terms = (PhasePoly._product_terms(dq[k], e[n - k]) for k in range(1, n + 1))
+        e.append(PhasePoly._of(chain.from_iterable(terms)).scaled(Fraction(1, n)))
+    return CouplingSeries("c", e)
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +454,8 @@ def solution_family_closure(
     result (f(H) commutes with H under star, and likewise for g).
     """
     h = spec.as_exact_series(theta.coupling, theta.order)
-    fh = power_sum(f_coeffs, h, star_series)
-    ghd = power_sum(g_coeffs, dagger_series(h), star_series)
+    fh = power_sum(f_coeffs, h)
+    ghd = power_sum(g_coeffs, dagger_series(h))
     return star_series(star_series(fh, theta), ghd)
 
 

@@ -272,8 +272,9 @@ class CouplingSeries(Frozen):
     """Truncated power series in one formal coupling with PhasePoly coefficients.
 
     ``coeffs[k]`` is the coefficient of ``coupling**k``; the truncation order is
-    ``len(coeffs) - 1``.  Binary operations truncate to the smaller order of the
-    two operands; nothing is ever padded.
+    ``len(coeffs) - 1``.  Sums truncate to the smaller order of the two
+    operands, as does the one product of two series, `star.star_series`;
+    nothing is ever padded.
     """
 
     __slots__ = ("coupling", "coeffs")
@@ -324,20 +325,6 @@ class CouplingSeries(Frozen):
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        """Cauchy product with pointwise coefficient products, truncated."""
-        if not isinstance(other, CouplingSeries):
-            return NotImplemented
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        return CouplingSeries(
-            self.coupling,
-            [
-                sum((a[j] * b[n - j] for j in range(n + 1)), PhasePoly.zero())
-                for n in range(min(self.order, other.order) + 1)
-            ],
-        )
-
     def scaled(self, scalar) -> "CouplingSeries":
         return CouplingSeries(self.coupling, [c.scaled(scalar) for c in self.coeffs])
 
@@ -347,9 +334,6 @@ class CouplingSeries(Frozen):
 
     def map_coeffs(self, fn) -> "CouplingSeries":
         return CouplingSeries(self.coupling, [fn(c) for c in self.coeffs])
-
-    def conjugate(self) -> "CouplingSeries":
-        return self.map_coeffs(lambda c: c.conjugate())
 
     def subs_hbar(self, value) -> "CouplingSeries":
         return self.map_coeffs(lambda c: c.subs_hbar(value))

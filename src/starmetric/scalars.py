@@ -158,18 +158,32 @@ def power(base, n: int, one):
     return out
 
 
+def int_str(n: int) -> str:
+    """str(n), the one conversion of an exact integer to text.  An integer
+    longer than Python's int -> str digit limit (4300 digits by default) is a
+    ValueError naming that output limit.  The limit is not lifted: exact
+    outputs grow with the series order."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"an exact result has an integer past the output limit of {limit} digits"
+        ) from None
+
+
 def fraction_str(value: Fraction) -> str:
     """Serialize a rational as ``"num/den"``, omitting ``/den`` when den == 1."""
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return int_str(value.numerator)
+    return f"{int_str(value.numerator)}/{int_str(value.denominator)}"
 
 
 def ratio_str(num: int, den: int) -> str:
     """``fraction_str(Fraction(num, den))`` for den > 0, reduced with one gcd."""
     g = gcd(num, den)
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"
 
 
 class Frozen:

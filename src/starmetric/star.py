@@ -61,7 +61,6 @@ A * E - E * D, sums the products of both sides in one accumulation.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -72,11 +71,8 @@ from .scalars import Frozen, GaussianRational, I, _reduced, check_keys
 
 
 class BadConstantTerm(ValueError):
-    """star_log requires a series with constant term 1."""
-
-
-class NonzeroConstantTerm(ValueError):
-    """star_exp requires a series with zero constant term."""
+    """A series has the wrong constant term: star_log and certification need
+    1, star_exp needs 0."""
 
 
 class NonTerminating(ValueError):
@@ -236,16 +232,12 @@ def star_difference(a: PhasePoly, b: PhasePoly, c: PhasePoly, d: PhasePoly) -> P
 
 
 def dagger(a: PhasePoly) -> PhasePoly:
-    """Function-level image of the operator adjoint."""
-    return _exp_mixed(a.conjugate(), +1)
-
-
-def _exp_mixed(a: PhasePoly, sign: int) -> PhasePoly:
-    """Apply exp(sign * i hbar dx dp) to a; terminates on the x degree."""
-    ta, den = _numerators(a)
+    """Function-level image of the operator adjoint, exp(+i hbar dx dp)
+    conj(A); terminates on the x degree."""
+    ta, den = _numerators(a.conjugate())
     if den is None:
-        return _moyal(((k[0], k[1], k, c, 1) for k, (c, _) in ta), sign)
-    sums = _moyal_sums(((k[0], k[1], k, c) for k, c in ta), sign)
+        return _moyal(((k[0], k[1], k, c, 1) for k, (c, _) in ta), 1)
+    sums = _moyal_sums(((k[0], k[1], k, c) for k, c in ta), 1)
     return PhasePoly._of(_joined(sums.items(), den))
 
 
@@ -324,13 +316,13 @@ def dagger_series(s: CouplingSeries) -> CouplingSeries:
     return s.map_coeffs(dagger)
 
 
-def power_sum(coeffs, base: CouplingSeries, mul) -> CouplingSeries:
-    """sum_k coeffs[k] * base^k, the powers taken under the series product mul."""
+def power_sum(coeffs, base: CouplingSeries) -> CouplingSeries:
+    """sum_k coeffs[k] * base^k, the powers taken under `star_series`."""
     out = CouplingSeries.constant(base.coupling, PhasePoly.zero(), base.order)
     power = CouplingSeries.one(base.coupling, base.order)
     for k, c in enumerate(coeffs):
         if k:
-            power = mul(power, base)
+            power = star_series(power, base)
         out = out + power.scaled(c)
     return out
 
@@ -345,21 +337,14 @@ def star_log(s: CouplingSeries) -> CouplingSeries:
         raise BadConstantTerm("star_log needs constant term 1 at order 0")
     p = s - CouplingSeries.one(s.coupling, s.order)
     coeffs = [0] + [Fraction((-1) ** (n + 1), n) for n in range(1, s.order + 1)]
-    return power_sum(coeffs, p, star_series)
+    return power_sum(coeffs, p)
 
 
 def star_exp(s: CouplingSeries) -> CouplingSeries:
     """Formal star-exponential of a series with zero constant term."""
     if not s.coeffs[0].is_zero:
-        raise NonzeroConstantTerm("star_exp needs zero constant term at order 0")
-    return power_sum([Fraction(1, factorial(n)) for n in range(s.order + 1)], s, star_series)
-
-
-def series_exp_pointwise(s: CouplingSeries) -> CouplingSeries:
-    """Pointwise (commutative) exponential of a series with zero constant term."""
-    if not s.coeffs[0].is_zero:
-        raise NonzeroConstantTerm("pointwise exp needs zero constant term")
-    return power_sum([Fraction(1, factorial(n)) for n in range(s.order + 1)], s, operator.mul)
+        raise BadConstantTerm("star_exp needs zero constant term at order 0")
+    return power_sum([Fraction(1, factorial(n)) for n in range(s.order + 1)], s)
 
 
 class ExpQuadForm(Frozen):

@@ -65,7 +65,7 @@ class TestMonodromy:
         assert np.max(np.abs(f - F_EXPECTED)) <= 1e-12
 
     def test_product_form_cross_check(self):
-        f = holonomy_product_form(100000)
+        f = holonomy_product_form()
         assert np.max(np.abs(f - F_EXPECTED)) <= 1e-4
 
     def test_identity_for_zero_generator(self):

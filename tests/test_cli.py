@@ -570,6 +570,30 @@ class TestErrorHandling:
         assert proc.returncode == 2 and not proc.stdout
         assert "exponent" in json.loads(proc.stderr)["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["berry-osc", "--q1", "1e4300", "--q2", "0"],
+            ["berry-osc", "--q1", "0", "--q2", "1e2200"],  # locus value q2^2 has 4401 digits
+            ["dagger", "--model", "{model}"],
+            ["dagger", "--model", "{model}", "--latex"],
+            ["family", "--model", "{model}", "--observable", "N", "--order", "1"],
+        ],
+    )
+    def test_result_past_the_output_digit_limit_exits_2(self, capsys, tmp_path, argv):
+        # 1e4300 is the largest decimal exponent as_fraction reads; printed,
+        # it has 4301 digits
+        model = json.loads(Path(QUADRATIC).read_text(encoding="utf-8"))
+        model["hamiltonian"]["terms"].append(
+            {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1e4300", "im": "0"}}
+        )
+        model["options"]["numeric"]["a"] = "1e4300"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(model=path) for arg in argv))
+        assert code == 2 and not out
+        assert "output limit of 4300 digits" in json.loads(err)["error"]
+
     def test_numeric_value_for_an_undeclared_parameter_exits_2(self, capsys, tmp_path):
         model = json.loads(Path(IX3).read_text(encoding="utf-8"))
         model.setdefault("options", {})["numeric"] = {"z": "1"}

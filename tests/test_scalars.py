@@ -19,9 +19,13 @@ from starmetric.scalars import (
     ZeroDenominator,
     as_fraction,
     fraction_str,
+    int_str,
     primitive_real_poly,
     ratio_str,
 )
+
+from starmetric.latexout import gr_latex, param_poly_latex, poly_latex
+from starmetric.phasepoly import PhasePoly
 
 from _helpers import random_ratfunc, ratfunc_generators
 
@@ -378,3 +382,35 @@ class TestAsFractionExponent:
         )
         assert proc.returncode == 0, proc.stderr
         assert "exponent" in proc.stdout
+
+
+class TestOutputDigitLimit:
+    """An exact integer longer than the int -> str digit limit cannot be
+    printed: every conversion to text raises a ValueError naming the limit."""
+
+    HUGE = 10**4300  # 4301 digits
+
+    def test_at_the_limit_prints(self):
+        assert int_str(10**4299 - 1) == "9" * 4299
+        assert len(int_str(-(10**4299))) == 4301
+
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            int_str,
+            lambda n: fraction_str(Fraction(n)),
+            lambda n: fraction_str(Fraction(1, n)),
+            lambda n: ratio_str(n, 3),
+            lambda n: ratio_str(1, n),
+            lambda n: repr(GaussianRational(0, Fraction(1, n))),
+            lambda n: GaussianRational(Fraction(n, 7)).to_json(),
+            lambda n: gr_latex(GaussianRational(Fraction(n, 7))),
+            lambda n: gr_latex(GaussianRational(Fraction(7, n))),
+            lambda n: poly_latex(PhasePoly.const(Fraction(n, 7))),
+            lambda n: poly_latex(PhasePoly.const(Fraction(7, n))),
+            lambda n: param_poly_latex(ParamPoly.generators("a")[0] * Fraction(1, n)),
+        ],
+    )
+    def test_past_the_limit_names_it(self, convert):
+        with pytest.raises(ValueError, match="output limit of 4300 digits"):
+            convert(self.HUGE)

@@ -2,10 +2,10 @@
 
 Every expected value here is built from sympy derivatives of the operands
 written out as sympy expressions: the star product and commutator, the
-adjoint, the hermiticity criterion, star products against P exp(Q), the PDE form of
-the metric residual, and the oscillator's Berry connection equation and
-curvature.  Nothing but the conversion of the operands to sympy
-touches starmetric code.
+adjoint, the hermiticity criterion, star products against P exp(Q), the PDE
+form of the metric residual, the oscillator's Berry connection equation and
+curvature, and the Gaussian metric's series in the coupling.  Nothing but
+the conversion of the operands to sympy touches starmetric code.
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from starmetric.berry import moyal_connection_solve
-from starmetric.metric import HamiltonianSpec, pde_operator
+from starmetric.metric import HamiltonianSpec, expand_gaussian_in_coupling, pde_operator
 from starmetric.phasepoly import PhasePoly
 from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
 from starmetric.star import (
@@ -226,3 +226,18 @@ def test_berry_connection_matches_sympy():
     for a, q in ((a1, q1), (a2, q2)):
         assert sp.cancel(bracket(bracket(a, h), h) - bracket(sp.diff(h, q), h)) == 0
     assert sp.cancel(sp.diff(a1, q2) - sp.diff(a2, q1) + bracket(a1, a2)) == 0
+
+
+def test_gaussian_series_matches_sympy():
+    # exp(c/(2 hbar d) (x^2 + p^2) + (i/hbar)(1 - sqrt(1 - c^2/d^2)) x p), d = a - b,
+    # expanded by sympy's own series in c
+    a, b, order = Fraction(3, 2), Fraction(-1, 3), 6
+    c = sp.Symbol("c")
+    d = _rat(a - b)
+    exponent = (
+        c / (2 * HBAR * d) * (X**2 + P**2) + sp.I / HBAR * (1 - sp.sqrt(1 - c**2 / d**2)) * X * P
+    )
+    expected = sp.series(sp.exp(exponent), c, 0, order + 1).removeO()
+    theta = expand_gaussian_in_coupling(a, b, order)
+    assert theta.order == order
+    assert same(sp.Add(*[to_sympy(t) * c**n for n, t in enumerate(theta.coeffs)]), expected)

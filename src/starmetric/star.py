@@ -64,7 +64,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import Frozen, GaussianRational, I, _reduced, check_keys
@@ -254,6 +254,48 @@ def is_hermitian(a: PhasePoly) -> bool:
     conj = ((0, 0, k, (re, -im)) for k, (re, im) in ta)
     sums = _moyal_sums(chain(conj, ((k[0], k[1], k, (-re, -im)) for k, (re, im) in ta)), -1)
     return not any(re or im for re, im in sums.values())
+
+
+# i^k as (re, im) for k mod 4
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _falling(b: int, a: int) -> int:
+    """ff(b, a) = b (b - 1) ... (b - a + 1), for negative b too."""
+    return perm(b, a) if b >= 0 else (-1) ** a * perm(a - b - 1, a)
+
+
+def x0_hermitian(a: PhasePoly) -> bool:
+    """Whether the x^0 parts of A and A_dagger agree, exactly.
+
+    Of the adjoint's sum over a term c x^a p^b hbar^h only k = a lands at
+    x^0: i^a ff(b, a) conj(c) p^(b - a) hbar^(h + a).  So the test takes one
+    step per term, where `is_hermitian` takes up to a + 1.  It decides
+    hermiticity only where the x^0 parts are known to suffice, as for a
+    solved metric series (`metric.certify_metric`).
+    """
+    ta, den = _numerators(a)
+    if den is None:
+        own = (((0, p, h), c) for (x, p, h), (c, _) in ta if not x)
+        adj = (
+            ((0, p - x, h + x), c.conjugate() * (I**x * -_falling(p, x)))
+            for (x, p, h), (c, _) in ta
+        )
+        return PhasePoly._of(chain(own, adj)).is_zero
+    acc: dict = {}
+    for (x, p, h), (re, im) in ta:
+        if not x:
+            sums = acc.setdefault((p, h), [0, 0])
+            sums[0] += re
+            sums[1] += im
+        w = _falling(p, x)
+        if w:
+            # i^x conj(c) = (ur + i ui)(re - i im), entered with -w
+            ur, ui = _I_POWERS[x % 4]
+            sums = acc.setdefault((p - x, h + x), [0, 0])
+            sums[0] -= w * (ur * re + ui * im)
+            sums[1] -= w * (ui * re - ur * im)
+    return not any(re or im for re, im in acc.values())
 
 
 def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starmetric import cli, weyl
+from starmetric import cli, metric, weyl
 from starmetric.cli import main
 from starmetric.metric import UnsolvableOrder
 from starmetric.modelio import load_model, model_from_obj, ModelError
-from starmetric.phasepoly import CouplingSeries
+from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.star import ExpQuadForm
 
 from _helpers import bundled, model_path
@@ -439,6 +439,31 @@ class TestErrorHandling:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": "triangular system inconsistent at order 1"}
 
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_wrong_solution_fails_the_solvers_residual_check(self, capsys, monkeypatch, command):
+        # solve and certify report residual_zero from the solver's own check
+        # of each order's residual: a wrong Theta_n must end in UnsolvableOrder
+        solution = metric._exchange_solution
+
+        def corrupted(*args):
+            theta = solution(*args)
+            key = max(theta.terms)
+            return theta + PhasePoly({key: theta.terms[key]})
+
+        monkeypatch.setattr(metric, "_exchange_solution", corrupted)
+        code, out, err = run(capsys, command, "--model", IX3, "--order", "2")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "triangular system inconsistent at order 1"}
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_solved_series_residual_is_not_recomputed(self, capsys, monkeypatch, command):
+        def not_computed(*args):
+            raise AssertionError("the residual was recomputed")
+
+        monkeypatch.setattr(cli, "metric_residual", not_computed)
+        code, payload = run_json(capsys, command, "--model", IX3, "--order", "3")
+        assert code == 0 and payload["residual_zero"] is True
+
     def test_coupling_named_like_a_declared_parameter_exits_2(self, capsys, tmp_path):
         model = copy.deepcopy(PARAM_IX3)
         model["hamiltonian"]["coupling"]["name"] = "a"
@@ -593,6 +618,23 @@ class TestErrorHandling:
         code, out, err = run(capsys, *(arg.format(model=path) for arg in argv))
         assert code == 2 and not out
         assert "output limit of 4300 digits" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("where", ["flag", "model"])
+    def test_number_past_the_input_digit_limit_exits_2(self, capsys, tmp_path, where):
+        # Fraction would stop at CPython's int parse limit with a message
+        # that names none of ours
+        ones = "1" * 4400
+        if where == "flag":
+            argv = ("berry-osc", "--q1", ones, "--q2", "0")
+        else:
+            term = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": ones, "im": "0"}}
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps({"name": "m", "hamiltonian": {"terms": [term]}}))
+            argv = ("dagger", "--model", str(path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert "input limit of 4300 digits" in error and "set_int_max_str_digits" not in error
 
     def test_numeric_value_for_an_undeclared_parameter_exits_2(self, capsys, tmp_path):
         model = json.loads(Path(IX3).read_text(encoding="utf-8"))

@@ -266,6 +266,20 @@ class TestCertify:
             bump = gr(0, rng.choice([-2, 1, 3])) * (q if ring == "param" else 1)
             assert not is_hermitian(h + PhasePoly({key: bump}))
 
+    @pytest.mark.parametrize("ring", ["gaussian", "param"])
+    @pytest.mark.parametrize("order", [1, 4])
+    def test_solved_certificate_on_ix3(self, ring, order):
+        # the x^0 part of a solved Theta_n is its integration function: none
+        # or a real one keeps the ix3 metric hermitian, an imaginary one does not
+        (a,) = ParamPoly.generators("a")
+        scale = a if ring == "param" else gr(1)
+        v = IX3.v.map_coeffs(lambda c: scale * c)
+        for free, hermitian in ((None, True), (gr(2), True), (I, False)):
+            functions = {} if free is None else {order: PhasePoly.monomial(scale * free, 0, 2, -1)}
+            theta = solve_perturbative(IX3.h0, v, order, integration_functions=functions)
+            report = certify_metric(theta, solved=True)
+            assert report == certify_metric(theta) and report.hermitian == hermitian
+
     def test_non_hermitian_candidate_flagged(self):
         bad = CouplingSeries("g", [PhasePoly.one(), PhasePoly.monomial(I, 1, 0, 0)])
         report = certify_metric(bad)

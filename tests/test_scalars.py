@@ -384,6 +384,36 @@ class TestAsFractionExponent:
         assert "exponent" in proc.stdout
 
 
+class TestAsFractionDigits:
+    """A run of more digits than int reads (4300 by default) is rejected
+    before Fraction parses it, with an error naming the input limit."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1" * 4301,
+            "-" + "0" * 4301,
+            "1_" * 4300 + "1",
+            "1." + "1" * 4301,
+            "1/" + "1" * 4301,
+            " " + "9" * 4400 + "e-3 ",
+        ],
+        ids=["integer", "zeros", "separated", "decimals", "denominator", "exponent-form"],
+    )
+    def test_past_the_limit_names_it(self, text):
+        with pytest.raises(ValueError, match="input limit of 4300 digits") as info:
+            as_fraction(text)
+        assert "set_int_max_str_digits" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 4300, "1" * 4300 + "/" + "7" * 4300, "1_" * 2200 + "1", "0." + "5" * 4300],
+        ids=["integer", "fraction", "separated", "decimals"],
+    )
+    def test_at_the_limit_is_exact(self, text):
+        assert as_fraction(text) == Fraction(text)
+
+
 class TestOutputDigitLimit:
     """An exact integer longer than the int -> str digit limit cannot be
     printed: every conversion to text raises a ValueError naming the limit."""

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starmetric import metric
-from starmetric.metric import HamiltonianSpec, UnsolvableOrder, metric_residual, solve_perturbative
+from starmetric.metric import (
+    HamiltonianSpec,
+    UnsolvableOrder,
+    certify_metric,
+    metric_residual,
+    solve_perturbative,
+)
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
-from starmetric.star import star, star_log
+from starmetric.star import is_hermitian, star, star_log
 
 from _helpers import bundled, random_gr
 
@@ -155,33 +161,66 @@ def reference_solve(v: PhasePoly, order: int, integration_functions=None) -> Cou
     return CouplingSeries("g", thetas)
 
 
+# the random problems of the solver's property tests: a seed, an order, the
+# coefficient ring of V and whether integration functions are drawn
+PROBLEMS = (
+    st.integers(0, 2**32),
+    st.integers(0, 4),
+    st.sampled_from(["gaussian", "param", "mixed"]),
+    st.booleans(),
+)
+
+
+def random_problem(seed, order, ring, with_functions):
+    """V, a random polynomial in x and hbar over GaussianRational, over
+    ParamPoly in one parameter a, or with both kinds of coefficient, and
+    random x-free integration functions for some orders when asked."""
+    rng = random.Random(seed)
+    (a,) = ParamPoly.generators("a")
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        c = random_gr(rng)
+        if ring == "param" or (ring == "mixed" and rng.random() < 0.5):
+            c = a ** rng.randint(0, 2) * c
+        terms[rng.randint(0, 3), 0, rng.randint(-1, 1)] = c
+    v = PhasePoly(terms)
+    functions = {}
+    if with_functions:
+        for n in range(1, order + 1):
+            if rng.random() < 0.5:
+                key = (0, rng.randint(-3, 2), rng.randint(-1, 2))
+                functions[n] = PhasePoly({key: random_gr(rng)})
+    return v, functions
+
+
 class TestAgainstReference:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @given(
-        st.integers(0, 2**32),
-        st.integers(0, 4),
-        st.sampled_from(["gaussian", "param", "mixed"]),
-        st.booleans(),
-    )
+    @given(*PROBLEMS)
     def test_random_potential(self, seed, order, ring, with_functions):
-        # V: a random polynomial in x and hbar, over GaussianRational, over
-        # ParamPoly in one parameter a, or with both kinds of coefficient
-        rng = random.Random(seed)
-        (a,) = ParamPoly.generators("a")
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            c = random_gr(rng)
-            if ring == "param" or (ring == "mixed" and rng.random() < 0.5):
-                c = a ** rng.randint(0, 2) * c
-            terms[rng.randint(0, 3), 0, rng.randint(-1, 1)] = c
-        v = PhasePoly(terms)
-        functions = {}
-        if with_functions:
-            for n in range(1, order + 1):
-                if rng.random() < 0.5:
-                    key = (0, rng.randint(-3, 2), rng.randint(-1, 2))
-                    functions[n] = PhasePoly({key: random_gr(rng)})
+        v, functions = random_problem(seed, order, ring, with_functions)
         got = solve_perturbative(PhasePoly.p(2), v, order, integration_functions=functions)
         assert got == reference_solve(v, order, functions)
         if order:
             assert metric_residual(HamiltonianSpec(PhasePoly.p(2), ("g", v)), got).is_zero
+
+
+class TestSolvedCertificate:
+    def test_x0_certificate_matches_the_full_test(self):
+        # on solver outputs, certify_metric(solved=True) decides hermiticity
+        # from the x^0 parts alone; it must agree with is_hermitian on every
+        # coefficient, and the examples with x-dependent terms must produce
+        # both verdicts
+        verdicts = set()
+
+        @settings(derandomize=True, max_examples=120, deadline=None, database=None)
+        @given(*PROBLEMS)
+        def check(seed, order, ring, with_functions):
+            v, functions = random_problem(seed, order, ring, with_functions)
+            theta = solve_perturbative(PhasePoly.p(2), v, order, integration_functions=functions)
+            full = all(is_hermitian(c) for c in theta.coeffs)
+            assert certify_metric(theta, solved=True).hermitian == full
+            if any(key[0] for c in theta.coeffs for key in c.terms):
+                verdicts.add(full)
+
+        check()
+        assert verdicts == {True, False}

@@ -100,6 +100,37 @@ class TestSolveAndLog:
         (term,) = payload["log"]["coeffs"][1]
         assert term["coeff"]["terms"] == [{"powers": {"a": 1}, "coeff": {"re": "3", "im": "0"}}]
 
+    def test_starlog_param_series_matches_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        # ParamPoly and Gaussian coefficients in one series, a negative p
+        # power among them: every star product of the log takes ring
+        # coefficients; the relative path keeps "source" fixed
+        term = lambda x, p, h, coeff: {"x": x, "p": p, "hbar": h, "coeff": coeff}
+        gr = lambda re, im="0": {"re": re, "im": im}
+        param = lambda *terms: {
+            "params": ["a", "b"],
+            "terms": [{"powers": powers, "coeff": gr(*c)} for powers, c in terms],
+        }
+        series = {
+            "coupling": "g",
+            "coeffs": [
+                [term(0, 0, 0, gr("1"))],
+                [term(2, 0, 0, param(({"a": 1}, ("1",)))), term(0, 1, 0, gr("0", "1"))],
+                [
+                    term(1, 1, 0, param(({"a": 1, "b": 1}, ("1/2",)), ({}, ("0", "-1")))),
+                    term(1, -1, 1, param(({"b": 1}, ("3",)))),
+                ],
+                [
+                    term(1, 2, 0, param(({}, ("2",)), ({"a": 1}, ("0", "-1")))),
+                    term(3, 0, 0, gr("-3/2")),
+                ],
+            ],
+        }
+        monkeypatch.chdir(tmp_path)
+        Path("series.json").write_text(json.dumps(series), encoding="utf-8")
+        code, out, _ = run(capsys, "starlog", "--series", "series.json", "--latex")
+        assert code == 0
+        assert out == (GOLDENS / "starlog_param_series.json").read_text(encoding="utf-8")
+
     def test_starlog_matches_golden_file(self, capsys):
         code, payload = run_json(capsys, "starlog", "--model", IX3, "--order", "3")
         assert code == 0
@@ -199,10 +230,17 @@ class TestCertifyResidual:
             ),
             ("family_quadratic_p.json", ("family", "--model", QUADRATIC, "--observable", "p")),
             ("family_quadratic_x.json", ("family", "--model", QUADRATIC, "--observable", "x")),
+            # the two-sided Moyal sum over ParamPoly coefficients
+            ("dagger_quadratic.json", ("dagger", "--model", QUADRATIC, "--latex")),
+            (
+                "star_quadratic.json",
+                ("star", "--model", QUADRATIC, "--theta", "2*p^2 - 3*i*x*p + x^3/p"),
+            ),
         ],
     )
     def test_moyal_coefficient_commands_match_golden_bytes(self, capsys, golden, argv):
-        # the one-sided Moyal sums: the PDE form and the ExpQuadForm products
+        # the Moyal sums over ring coefficients: one-sided in the PDE form and
+        # the ExpQuadForm products, two-sided in dagger and star
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out == (GOLDENS / golden).read_text(encoding="utf-8")

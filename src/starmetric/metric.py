@@ -322,12 +322,11 @@ def solve_perturbative(
     that is 2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 on the left.
     Its right side is summed in one Moyal pass, the pointwise product
     Theta_{n-1} conj(V) = Theta_{n-1} * conj(V) (V has no p) entering with
-    negated numerators, and its integer sums go to `_exchange_solution`
-    without building a PhasePoly.  The solution is checked by the order-n
-    metric residual itself: the left side is summed with the Moyal kernel
-    and compared with the right side exactly, the integer sums cross
-    multiplied by the two denominators, and a mismatch raises
-    UnsolvableOrder.  So every returned order has H * Theta - Theta * H^dagger
+    negated numerators, and its sums go to `_exchange_solution` without
+    building a PhasePoly.  The solution is checked by the order-n metric
+    residual itself: the left side is summed with the Moyal kernel and
+    compared with the right side exactly (`_same_sums`), and a mismatch
+    raises UnsolvableOrder.  So every returned order has H * Theta - Theta * H^dagger
     exactly zero, and callers need not recompute the residual.  The
     normalization is 1, and the integration function (a free function of p)
     at order n is zero unless integration_functions[n], 1 <= n <= order,
@@ -345,24 +344,14 @@ def solve_perturbative(
             raise ValueError(f"integration function at order {n} is outside 1..{order}")
         if func.depends_on_x():
             raise ValueError(f"integration function at order {n} depends on x")
-    v_conj = v.conjugate()
-    nh0, nv, nv_conj = _numerators(h0), _numerators(v), _numerators(v_conj)
+    nh0, nv, nv_conj = _numerators(h0), _numerators(v), _numerators(v.conjugate())
     thetas: List[PhasePoly] = [PhasePoly.one()]
     nprev = _numerators(thetas[0])  # the numerators of each order serve the next
     for n in range(1, order + 1):
-        prev = thetas[n - 1]
-        if nv[1] is None or nprev[1] is None:
-            rhs, rhs_den = _numerators(star_difference(v, prev, prev, v_conj))
-        else:
-            sums, rhs_den = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
-            rhs = sums.items()
+        rhs, rhs_den = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
         theta_n = _exchange_solution(rhs, rhs_den, integration_functions.get(n, PhasePoly.zero()))
         nprev = _numerators(theta_n)
-        if nh0[1] is None or nprev[1] is None:
-            lhs, lhs_den = _numerators(star_difference(theta_n, h0, h0, theta_n))
-        else:
-            sums, lhs_den = _pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)])
-            lhs = sums.items()
+        lhs, lhs_den = _pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)])
         if not _same_sums(lhs, lhs_den, rhs, rhs_den):
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
         thetas.append(theta_n)
@@ -370,12 +359,13 @@ def solve_perturbative(
 
 
 def _same_sums(a, da, b, db) -> bool:
-    """Whether the (key, (re, im)) parts a over da and b over db are the same
+    """Whether the `_moyal_sums` dicts a over da and b over db are the same
     terms: integer sums cross-multiplied by the two denominators, and
-    PhasePolys when a denominator is None."""
+    PhasePolys when a denominator is None, since ring parts (re, im) are not
+    canonical."""
     if da is None or db is None:
-        return PhasePoly._of(_joined(a, da)) == PhasePoly._of(_joined(b, db))
-    a, b, zero = dict(a), dict(b), (0, 0)
+        return PhasePoly._of(_joined(a.items(), da)) == PhasePoly._of(_joined(b.items(), db))
+    zero = (0, 0)
     for key in a.keys() | b.keys():
         (ra, ma), (rb, mb) = a.get(key, zero), b.get(key, zero)
         if ra * db != rb * da or ma * db != mb * da:
@@ -385,14 +375,15 @@ def _same_sums(a, da, b, db) -> bool:
 
 def _exchange_solution(rhs, den, free: PhasePoly) -> PhasePoly:
     """Theta = free + sum_j t_j x^j for the right side rhs = sum_j r_j x^j,
-    given as `_numerators` parts over den (integer sums that cancel to zero
-    may be among them).  Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j +
+    given as a `_moyal_sums` dict over den (sums whose parts are both zero
+    are skipped).  Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j +
     (j + 2)(j + 1) hbar^2 t_{j+2}, is solved from the top j down: each term
     of the right side is multiplied by -i/(2 (j + 1)), the division going into
     one running integer scale, and moved to (j + 1, p - 1, h - 1)."""
     slices: dict = {}
-    for (x, p, h), c in rhs:
-        slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), c))
+    for (x, p, h), (re, im) in rhs.items():
+        if re or im:
+            slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), (re, im)))
     out, upper, scale = list(free.terms.items()), {}, 1  # upper: the numerators of t_{j+2}
     for j in range(max(slices, default=-1), -1, -1):
         acc = {key: [re * scale, im * scale] for key, (re, im) in slices.get(j, ())}

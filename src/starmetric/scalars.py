@@ -464,6 +464,9 @@ class ParamPoly(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     @property
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {(0,) * len(self.params)}
@@ -693,6 +696,9 @@ class RatFunc2(Frozen):
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
+
+    def __bool__(self):
+        return bool(self.num.terms)
 
     def sign_is_negative(self) -> bool:
         return self.num.sign_is_negative()

@@ -29,23 +29,27 @@ hermiticity criterion
 are the same loop over one term at a time, with (x1, p2) the term's own
 (x, p) and (sign i)^k as the unit.
 
-When every coefficient of both operands is a `GaussianRational`, each
-operand is scaled to Gaussian-integer numerators over one denominator (the
-lcm of its d's).  The kernel then sums plain integer pairs per output
-monomial and builds each output coefficient with one gcd, over the product
-of the two denominators (Knuth, TAOCP vol. 2, 4.6.1, content and primitive
-part).  Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands)
-takes the same loop with the ring's own product, merged by
-`scalars.accumulate`.
+One kernel, `_moyal_sums`, runs this loop for every coefficient ring.  It
+sums (re, im) parts per output monomial, c = re + i im, and a factor i
+maps (re, im) to (-im, re).  When every coefficient of both operands is a
+`GaussianRational`, each operand is scaled to Gaussian-integer numerators
+over one denominator (the lcm of its d's); the parts are plain integers,
+and each output coefficient is built with one gcd, over the product of the
+two denominators (Knuth, TAOCP vol. 2, 4.6.1, content and primitive part).
+Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands) enters as
+the ring part (c, 0) over no denominator: a term product is the ring
+product c1 c2, and the parts are added in the ring.  Only `_numerators`
+(in), `_pair_sums` (term products) and `_joined` (out) tell the two forms
+apart.
 
 Differences are summed in one pass.  `star_difference(a, b, c, d)`, A * B -
 C * D, is one Moyal pass over the products of both pairs, over the lcm of
 the two denominator products; the products of C * D enter with negated
 numerators, so terms that cancel stay integer sums of zero and are never
-built as coefficients.  In the ring path (`_moyal`) the sign is folded into
-the scale (sign i)^k w.  `star_commutator` is star_difference(a, b, b, a)
-without the term pairs that commute, and `is_hermitian` sums conj(A) -
-exp(-i hbar dx dp) A the same way.  `star_series`, the Cauchy product of two series, and
+built as coefficients; ring products enter as c1 c2 f.  `star_commutator`
+is star_difference(a, b, b, a) without the term pairs that commute, and
+`is_hermitian` sums conj(A) - exp(-i hbar dx dp) A the same way.
+`star_series`, the Cauchy product of two series, and
 `star_series_difference` share one loop: one Moyal pass per output order
 n over all (j, n - j) pairs of nonzero coefficients of every product,
 over one denominator (the lcm of the pairs' denominator products): no
@@ -103,56 +107,54 @@ def moyal_coefficients(a: PhasePoly, var: str) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _weights(x1: int, p2: int) -> tuple:
-    """C(x1, k) ff(p2, k) for k = 0, 1, ... up to k = x1 or the first zero.
+def _weights(x1: int, p2: int, sign: int) -> tuple:
+    """The weights s C(x1, k) ff(p2, k) of the steps k = 1, 2, ... up to
+    k = x1 or the first zero, where (sign i)^k = s i^(k mod 2): s = sign^k
+    (-1)^(k // 2) is the sign the unit leaves once its odd i is taken out.
 
     w_{k+1} = w_k (x1 - k)(p2 - k)/(k + 1) is an exact division, since
     C(x1, k)(x1 - k) = C(x1, k + 1)(k + 1); w reaches 0 once k > p2 >= 0.
     """
-    out = [1]
-    for k in range(x1):
-        w = out[k] * (x1 - k) * (p2 - k) // (k + 1)
+    out, w = [], 1
+    for k in range(1, x1 + 1):
+        w = w * (x1 - k + 1) * (p2 - k + 1) // k
         if not w:
             break
-        out.append(w)
+        out.append(w * sign**k * (-1) ** (k // 2))
     return tuple(out)
 
 
-def _moyal(products, sign: int) -> PhasePoly:
-    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) f c x^(x-k) p^(p-k) hbar^(h+k)
-    over the items (x1, p2, (x, p, h), c, f) of ``products``, c any
-    coefficient and f = +-1: c is scaled by (sign i)^k w f once per k and the
-    terms are merged by `accumulate`.  Gaussian integer numerators over one
-    denominator take `_moyal_sums` instead.
-    """
-    unit = I * sign
-
-    def terms():
-        for x1, p2, (x, p, h), c, f in products:
-            for k, w in enumerate(_weights(x1, p2)):
-                yield (x - k, p - k, h + k), c * (unit**k * (w * f)) if k or f != 1 else c
-
-    return PhasePoly._of(terms())
-
-
 def _moyal_sums(products, sign: int) -> dict:
-    """The sums of `_moyal` over items (x1, p2, (x, p, h), (re, im)) with
-    Gaussian integer numerators and f = 1, as a dict (x, p, h) -> [re, im] of
-    plain integers; a sum that cancels to zero is kept."""
+    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c x^(x-k) p^(p-k) hbar^(h+k)
+    over the items (x1, p2, (x, p, h), (re, im)) of ``products``, c = re + i im,
+    as a dict (x, p, h) -> [re, im] of the summed parts; a sum that cancels
+    to zero is kept.
+
+    The parts are plain integers (Gaussian integer numerators) or a ring
+    part (c, 0), c any coefficient.  Either way they are only scaled by the
+    signed integer weights of `_weights` and added, and the odd i of a step
+    swaps them, (re, im) -> (-im, re); so a ring part's partner stays the
+    int 0 until terms of both parities of k meet at one monomial.
+    """
     acc: dict = {}
     get = acc.get
-    for x1, p2, (x, p, h), (re, im) in products:
-        for k, w in enumerate(_weights(x1, p2)):
-            if k:
-                # multiply by sign * i, one k at a time
-                re, im = -sign * im, sign * re
+    for x1, p2, key, (re, im) in products:
+        sums = get(key)
+        if sums is None:
+            acc[key] = [re, im]
+        else:
+            sums[0] += re
+            sums[1] += im
+        x, p, h = key
+        for k, w in enumerate(_weights(x1, p2, sign), 1):
+            r, m = (im * -w, re * w) if k & 1 else (re * w, im * w)
             key = (x - k, p - k, h + k)
             sums = get(key)
             if sums is None:
-                acc[key] = [re * w, im * w]
+                acc[key] = [r, m]
             else:
-                sums[0] += re * w
-                sums[1] += im * w
+                sums[0] += r
+                sums[1] += m
     return acc
 
 
@@ -160,7 +162,7 @@ def _numerators(a: PhasePoly):
     """The terms of a as (key, (re, im)) for coefficients (re + i im)/den, and
     den.  When every coefficient is a GaussianRational, re and im are Gaussian
     integer numerators over one common denominator; otherwise each term is
-    (c, 0) and den is None."""
+    the ring part (c, 0) and den is None."""
     coeffs = a.terms.values()
     if not all(type(c) is GaussianRational for c in coeffs):
         return [(key, (c, 0)) for key, c in a.terms.items()], None
@@ -172,16 +174,23 @@ def _numerators(a: PhasePoly):
 
 
 def _joined(parts, den, scale: int = 1) -> list:
-    """The terms (key, (re + i im)/(den scale)) of the (key, (re, im)) parts,
-    the inverse of `_numerators`; integer sums of zero are dropped."""
-    if den is None:
-        return [(key, (re + im * I) * Fraction(1, scale)) for key, (re, im) in parts]
-    return [(key, _reduced(re, im, den * scale)) for key, (re, im) in parts if re or im]
+    """The nonzero terms (key, (re + i im)/(den scale)) of the (key, (re, im))
+    parts, the inverse of `_numerators`.  Over den = None a part is a ring
+    value or the int 0, and only the parts that are not the int 0 are added;
+    the pair is not canonical (re = -i im is zero), so the sum is tested."""
+    if den is not None:
+        return [(key, _reduced(re, im, den * scale)) for key, (re, im) in parts if re or im]
+    out = []
+    for key, (re, im) in parts:
+        c = re if type(im) is int else im * I if type(re) is int else re + im * I
+        if c:
+            out.append((key, c if scale == 1 else c * Fraction(1, scale)))
+    return out
 
 
 def _products(ta, tb, f: int = 1):
-    """The `_moyal_sums` items of all term pairs of two `_numerators` lists,
-    with the numerators of ta first multiplied by f."""
+    """The `_moyal_sums` items of all term pairs of two `_numerators` lists
+    with integer numerators, those of ta first multiplied by f."""
     if f != 1:
         ta = [(key, (r * f, m * f)) for key, (r, m) in ta]
     return (
@@ -192,32 +201,31 @@ def _products(ta, tb, f: int = 1):
 
 
 def _pair_sums(pairs):
-    """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results
-    with integer numerators, as (`_moyal_sums` dict, den).  den is the lcm of
-    the pairs' denominator products, and the products of a pair enter with
-    their numerators scaled by f den / (dA dB)."""
+    """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
+    in one `_moyal_sums` pass, as (its dict, den).
+
+    With integer numerators on every operand, den is the lcm of the pairs'
+    denominator products, and the products of a pair enter with their
+    numerators scaled by f den / (dA dB).  Otherwise den is None and each
+    term product enters as the ring part (c1 c2 f, 0), an operand with
+    integer numerators taken as its coefficients.
+    """
+    if any(da is None or db is None for (_, da), (_, db), _ in pairs):
+        products = (
+            (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (c1 * c2 * f if f != 1 else c1 * c2, 0))
+            for a, b, f in pairs
+            for (x1, p1, h1), c1 in _joined(*a)
+            for (x2, p2, h2), c2 in _joined(*b)
+        )
+        return _moyal_sums(products, 1), None
     den = lcm(*[da * db for (_, da), (_, db), _ in pairs])
     products = (_products(ta, tb, f * (den // (da * db))) for (ta, da), (tb, db), f in pairs)
     return _moyal_sums(chain.from_iterable(products), 1), den
 
 
-def _coefficients(parts, den) -> list:
-    """The (key, coefficient) terms of a `_numerators` result."""
-    return [(key, c) for key, (c, _) in parts] if den is None else _joined(parts, den)
-
-
 def _star_sum(pairs) -> PhasePoly:
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
-    in one Moyal pass.  With any coefficient other than a GaussianRational
-    the pairs take the ring's own product, f folded into the scale."""
-    if any(da is None or db is None for (_, da), (_, db), _ in pairs):
-        products = (
-            (x1, p2, (x1 + x2, p1 + p2, h1 + h2), c1 * c2, f)
-            for a, b, f in pairs
-            for (x1, p1, h1), c1 in _coefficients(*a)
-            for (x2, p2, h2), c2 in _coefficients(*b)
-        )
-        return _moyal(products, 1)
+    in one Moyal pass."""
     sums, den = _pair_sums(pairs)
     return PhasePoly._of(_joined(sums.items(), den))
 
@@ -235,8 +243,6 @@ def dagger(a: PhasePoly) -> PhasePoly:
     """Function-level image of the operator adjoint, exp(+i hbar dx dp)
     conj(A); terminates on the x degree."""
     ta, den = _numerators(a.conjugate())
-    if den is None:
-        return _moyal(((k[0], k[1], k, c, 1) for k, (c, _) in ta), 1)
     sums = _moyal_sums(((k[0], k[1], k, c) for k, c in ta), 1)
     return PhasePoly._of(_joined(sums.items(), den))
 
@@ -248,16 +254,9 @@ def is_hermitian(a: PhasePoly) -> bool:
     as items with x1 = 0, so k = 0 only.
     """
     ta, den = _numerators(a)
-    if den is None:
-        conj = ((0, 0, k, c.conjugate(), 1) for k, (c, _) in ta)
-        return _moyal(chain(conj, ((k[0], k[1], k, c, -1) for k, (c, _) in ta)), -1).is_zero
-    conj = ((0, 0, k, (re, -im)) for k, (re, im) in ta)
+    conj = ((0, 0, k, (re.conjugate(), -im.conjugate())) for k, (re, im) in ta)
     sums = _moyal_sums(chain(conj, ((k[0], k[1], k, (-re, -im)) for k, (re, im) in ta)), -1)
-    return not any(re or im for re, im in sums.values())
-
-
-# i^k as (re, im) for k mod 4
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    return not _joined(sums.items(), den)
 
 
 def _falling(b: int, a: int) -> int:
@@ -275,13 +274,6 @@ def x0_hermitian(a: PhasePoly) -> bool:
     solved metric series (`metric.certify_metric`).
     """
     ta, den = _numerators(a)
-    if den is None:
-        own = (((0, p, h), c) for (x, p, h), (c, _) in ta if not x)
-        adj = (
-            ((0, p - x, h + x), c.conjugate() * (I**x * -_falling(p, x)))
-            for (x, p, h), (c, _) in ta
-        )
-        return PhasePoly._of(chain(own, adj)).is_zero
     acc: dict = {}
     for (x, p, h), (re, im) in ta:
         if not x:
@@ -290,12 +282,17 @@ def x0_hermitian(a: PhasePoly) -> bool:
             sums[1] += im
         w = _falling(p, x)
         if w:
-            # i^x conj(c) = (ur + i ui)(re - i im), entered with -w
-            ur, ui = _I_POWERS[x % 4]
+            # -w i^x conj(c) = u i^(x mod 2) (re - i im), u = -w (-1)^(x // 2)
+            u = w if x & 2 else -w
+            re, im = re.conjugate(), im.conjugate()
             sums = acc.setdefault((p - x, h + x), [0, 0])
-            sums[0] -= w * (ur * re + ui * im)
-            sums[1] -= w * (ui * re - ur * im)
-    return not any(re or im for re, im in acc.values())
+            if x & 1:
+                sums[0] += u * im
+                sums[1] += u * re
+            else:
+                sums[0] += u * re
+                sums[1] += -u * im
+    return not _joined(acc.items(), den)
 
 
 def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:

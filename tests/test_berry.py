@@ -369,7 +369,7 @@ class TestMoyalConnection:
         q1p, q2p = ParamPoly.generators("q1", "q2")
         assert singular_locus(self.conn) == q1p * 4 + q2p * q2p
 
-    @pytest.mark.xfail(strict=True, reason="needs the bivariate gcd of ROADMAP item 8")
+    @pytest.mark.xfail(strict=True, reason="needs the bivariate gcd of ROADMAP item 9")
     def test_singular_locus_of_d_and_q1_d_is_q1_d(self):
         q1p, q2p = ParamPoly.generators("q1", "q2")
         one, zero = RatFunc2(1), RatFunc2(0)

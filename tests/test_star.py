@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from starmetric.phasepoly import CouplingMismatch, CouplingSeries, PhasePoly
-from starmetric.scalars import GaussianRational, I, ParamPoly
+from starmetric.scalars import GaussianRational, I, ParamPoly, RatFunc2
 from starmetric.star import (
     BadConstantTerm,
     ExpQuadForm,
@@ -24,6 +24,7 @@ from starmetric.star import (
     star_poly_expquad,
     star_series,
     star_series_difference,
+    x0_hermitian,
 )
 
 from _helpers import random_gr, random_poly
@@ -40,19 +41,27 @@ def gr(re, im=0):
 
 def ring_poly(rng, ring: str) -> PhasePoly:
     """A random PhasePoly, zero 30% of the time, over Gaussian rationals
-    ("gaussian"), ParamPoly in a ("param"), or both in one polynomial
-    ("mixed")."""
+    ("gaussian"), ParamPoly in a ("param"), both in one polynomial
+    ("mixed"), or RatFunc2 in (q1, q2) mixed with Gaussian rationals
+    ("ratfunc")."""
     if rng.random() < 0.3:
         return PhasePoly.zero()
     poly = random_poly(rng, max_terms=3)
     if ring == "gaussian":
         return poly
+    if ring == "ratfunc":
+        q1, q2 = ParamPoly.generators(*RatFunc2.PARAMS)
+        dens = (q2 + 2, q1 - q2 + 1)
+        return poly.map_coeffs(
+            lambda c: c if rng.random() < 0.4 else RatFunc2(q1 * c + 1, rng.choice(dens))
+        )
     (a,) = ParamPoly.generators("a")
     keep = 0.5 if ring == "mixed" else 0
     return poly.map_coeffs(lambda c: c if rng.random() < keep else a ** rng.randint(0, 1) * c)
 
 
-RING_CASES = given(st.integers(0, 2**32), st.sampled_from(["gaussian", "param", "mixed"]))
+RINGS = ["gaussian", "param", "mixed", "ratfunc"]
+RING_CASES = given(st.integers(0, 2**32), st.sampled_from(RINGS))
 
 
 class TestStar:
@@ -138,27 +147,57 @@ class TestDagger:
 
 class TestCoefficientPaths:
     def test_gaussian_and_parampoly_coefficients_agree(self):
-        # star and the adjoint take an integer-numerator path when every
-        # coefficient is a GaussianRational and a generic one otherwise;
-        # lifting the coefficients to ParamPoly constants must not change
-        # any result
-        def lift(poly):
-            return poly.map_coeffs(lambda c: ParamPoly.constant(("a",), c))
+        # the kernel sums integer numerators when every coefficient is a
+        # GaussianRational and ring parts (c, 0) otherwise.  Lifting the
+        # coefficients c to a^e c (e = 0 gives ParamPoly constants) on one or
+        # both operands, or on some terms of one operand, must scale every
+        # result by the matching power of a, a real parameter
+        (pa,) = ParamPoly.generators("a")
+
+        def lift(poly, e):
+            return poly.map_coeffs(lambda c: pa**e * c)
 
         rng = random.Random(11)
         verdicts = []
         for _ in range(30):
             a = random_poly(rng, max_x=5)
             b = random_poly(rng, p_span=3, h_span=2)
-            expected = lift(star(a, b))
-            assert star(lift(a), lift(b)) == expected
-            assert star(a, lift(b)) == expected
-            assert star(lift(a), b) == expected
-            assert lift(dagger(a)) == dagger(lift(a))
-            for h in (a, a + dagger(a)):
-                verdicts.append(is_hermitian(h))
-                assert is_hermitian(lift(h)) == verdicts[-1]
+            e, f = rng.randint(0, 1), rng.randint(0, 1)
+            # Gaussian terms and ParamPoly terms a * rest in one operand
+            part = PhasePoly({k: c for j, (k, c) in enumerate(a.terms.items()) if j % 2})
+            rest = a - part
+            mixed = part + lift(rest, 1)
+            for op in (star, star_commutator):
+                expected = op(a, b)
+                assert op(lift(a, e), lift(b, f)) == lift(expected, e + f)
+                assert op(a, lift(b, f)) == lift(expected, f)
+                assert op(lift(a, e), b) == lift(expected, e)
+                assert op(mixed, lift(b, f)) == lift(op(part, b), f) + lift(op(rest, b), 1 + f)
+            assert dagger(lift(a, e)) == lift(dagger(a), e)
+            assert dagger(mixed) == dagger(part) + lift(dagger(rest), 1)
+            for test in (is_hermitian, x0_hermitian):
+                for h in (a, a + dagger(a)):
+                    verdicts.append(test(h))
+                    assert test(lift(h, e)) == verdicts[-1]
+                for h0, h1 in ((part, rest), (part + dagger(part), rest + dagger(rest))):
+                    assert test(h0 + lift(h1, 1)) == (test(h0) and test(h1))
         assert any(verdicts) and not all(verdicts)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @RING_CASES
+    def test_adjoint_and_hermiticity_by_value(self, seed, ring):
+        # RatFunc2 has no canonical form, so results are compared by value
+        # (PhasePoly equality compares coefficients by cross multiplication)
+        rng = random.Random(seed)
+        a, b = ring_poly(rng, ring), ring_poly(rng, ring)
+        adjoint = dagger(a)
+        assert dagger(adjoint) == a
+        assert dagger(star(a, b)) == star(dagger(b), adjoint)
+        x0 = lambda poly: {k: c for k, c in poly.terms.items() if not k[0]}
+        for h in (a, a + adjoint):
+            assert is_hermitian(h) == (dagger(h) == h)
+            assert x0_hermitian(h) == (x0(dagger(h)) == x0(h))
+        assert is_hermitian(a + adjoint) and x0_hermitian(a + adjoint)
 
 
 class TestHermiticity:
@@ -192,7 +231,7 @@ class TestSeriesStar:
         st.integers(0, 2**32),
         st.integers(0, 4),
         st.integers(0, 4),
-        st.sampled_from(["gaussian", "param", "mixed"]),
+        st.sampled_from(RINGS),
     )
     def test_equals_sum_of_pairwise_stars(self, seed, order_a, order_b, ring):
         # zero coefficients, denominators that differ from one coefficient to
@@ -226,7 +265,7 @@ class TestFusedDifference:
         assert star_difference(a, b, a, b).is_zero
         assert star_commutator(a, b) == star(a, b) - star(b, a)
 
-    @pytest.mark.parametrize("ring", ["gaussian", "param", "mixed"])
+    @pytest.mark.parametrize("ring", RINGS)
     def test_most_differences_are_nonzero(self, ring):
         # the property above is not carried by results that cancel to zero
         rng = random.Random(ring)

@@ -186,8 +186,8 @@ class TestCoefficientPaths:
     @settings(derandomize=True, max_examples=80, deadline=None, database=None)
     @RING_CASES
     def test_adjoint_and_hermiticity_by_value(self, seed, ring):
-        # RatFunc2 has no canonical form, so results are compared by value
-        # (PhasePoly equality compares coefficients by cross multiplication)
+        # RatFunc2 has no canonical form, so results are compared by value:
+        # RatFunc2 equality cross-multiplies
         rng = random.Random(seed)
         a, b = ring_poly(rng, ring), ring_poly(rng, ring)
         adjoint = dagger(a)

@@ -236,6 +236,12 @@ class TestCertifyResidual:
                 "star_quadratic.json",
                 ("star", "--model", QUADRATIC, "--theta", "2*p^2 - 3*i*x*p + x^3/p"),
             ),
+            # ParamPoly coefficients through both one-sided sums, with the
+            # exponent's x and p derivatives both nonzero
+            (
+                "star_quadratic_expquad.json",
+                ("star", "--model", QUADRATIC, "--theta", "expquad:exp(-2*x*p + p^2)"),
+            ),
         ],
     )
     def test_moyal_coefficient_commands_match_golden_bytes(self, capsys, golden, argv):
@@ -739,8 +745,18 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "2.7" in json.loads(err)["error"]
 
-    def test_pde_with_negative_p_power_in_dagger_exits_2(self, tmp_path):
-        # H = p^2 + i x/p: the p-derivative chain of dagger(H) never vanishes
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pde",),
+            ("residual", "--theta", "expquad:exp(-2p)"),
+            ("star", "--theta", "expquad:exp(-2p)"),
+        ],
+        ids=["pde", "residual-expquad", "star-expquad"],
+    )
+    def test_pde_with_negative_p_power_in_dagger_exits_2(self, tmp_path, argv):
+        # H = p^2 + i x/p: the p-derivative chain of dagger(H) never vanishes,
+        # in the PDE form and in the products with a Gaussian alike
         model = {
             "name": "inverse-p",
             "hamiltonian": {
@@ -753,7 +769,10 @@ class TestErrorHandling:
         path = tmp_path / "inverse_p.json"
         path.write_text(json.dumps(model), encoding="utf-8")
         proc = subprocess.run(
-            CLI + ["pde", "--model", str(path)], env=CLI_ENV, capture_output=True, timeout=30
+            CLI + [argv[0], "--model", str(path), *argv[1:]],
+            env=CLI_ENV,
+            capture_output=True,
+            timeout=30,
         )
         assert proc.returncode == 2 and not proc.stdout
         assert "p powers" in json.loads(proc.stderr)["error"]

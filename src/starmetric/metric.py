@@ -15,17 +15,16 @@ from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
-    NonTerminating,
     _joined,
     _numerators,
     _pair_sums,
+    apply_slots,
     dagger,
     dagger_series,
     is_hermitian,
-    moyal_coefficients,
+    one_sided_slots,
     power_sum,
     star_difference,
-    star_expquad_difference,
     star_log,
     star_series,
     star_series_difference,
@@ -123,7 +122,7 @@ def _exchange_with_poly(h: PhasePoly, theta: ThetaLike):
     if isinstance(theta, PhasePoly):
         return star_difference(h, theta, theta, dagger(h))
     if isinstance(theta, ExpQuadForm):
-        return star_expquad_difference(h, theta, dagger(h))
+        return PDEOperator(one_sided_slots(h, dagger(h))).apply(theta)
     if isinstance(theta, CouplingSeries):
         hs = CouplingSeries.constant(theta.coupling, h, theta.order)
         return star_series_difference(hs, theta, theta, dagger_series(hs))
@@ -137,8 +136,9 @@ def _exchange_with_poly(h: PhasePoly, theta: ThetaLike):
 class PDEOperator(Frozen):
     """Linear differential operator L = sum coeff_ij(x, p, hbar) dx^i dp^j.
 
-    ``apply`` reproduces the metric residual exactly:
-    L(Theta) = H * Theta - Theta * dagger(H) for every Theta.
+    Built from `star.one_sided_slots(H, dagger(H))`, ``apply`` is the metric
+    residual exactly: L(Theta) = H * Theta - Theta * dagger(H) for every
+    Theta, a PhasePoly or an ExpQuadForm.
     ``normalized`` rescales by -1 when the canonical leading coefficient is
     negative, fixing the overall sign freedom of the homogeneous equation
     L(Theta) = 0 for display and golden comparison.
@@ -151,16 +151,13 @@ class PDEOperator(Frozen):
         pairs = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         object.__setattr__(self, "coeffs", accumulate(pairs))
 
-    def apply(self, theta: PhasePoly) -> PhasePoly:
-        out = PhasePoly.zero()
-        for (i, j), coeff in self.coeffs.items():
-            d = theta
-            for _ in range(i):
-                d = d.derivative("x")
-            for _ in range(j):
-                d = d.derivative("p")
-            out = out + coeff * d
-        return out
+    def apply(self, theta):
+        """L(Theta) for a PhasePoly Theta; for an ExpQuadForm P e^Q, the
+        ExpQuadForm whose prefactor is e^-Q L(P e^Q)."""
+        if isinstance(theta, ExpQuadForm):
+            prefactor = apply_slots(self.coeffs.items(), theta.prefactor, theta.exponent)
+            return ExpQuadForm(prefactor, theta.exponent)
+        return apply_slots(self.coeffs.items(), theta, PhasePoly.zero())
 
     def canonical_items(self):
         return sorted(self.coeffs.items())
@@ -194,24 +191,18 @@ class PDEOperator(Frozen):
 
 
 def pde_operator(spec: HamiltonianSpec) -> PDEOperator:
-    """L with L(Theta) = H * Theta - Theta * dagger(H) for every Theta.
+    """L with L(Theta) = H * Theta - Theta * dagger(H) for every Theta: the
+    `star.one_sided_slots` of (H, dagger(H)), the operator whose ``apply`` is
+    the residual of a Gaussian candidate.
 
     Both star sums truncate on the polynomial Hamiltonian:
     H * Theta contributes (i hbar)^k/k! dx^k H at slot (0, k) and
-    Theta * dagger(H) contributes (i hbar)^k/k! dp^k dagger(H) at slot (k, 0).
-    The second sum needs dagger(H) polynomial in p; negative p powers raise
-    NonTerminating.
+    Theta * dagger(H) contributes -(i hbar)^k/k! dp^k dagger(H) at slot
+    (k, 0).  The second sum needs dagger(H) polynomial in p; negative p
+    powers raise NonTerminating.
     """
     h = spec.symbolic_total()
-    hd = dagger(h)
-    if not hd.is_p_polynomial():
-        raise NonTerminating("dagger(H) has negative p powers")
-    return PDEOperator(
-        chain(
-            (((0, k), t) for k, t in enumerate(moyal_coefficients(h, "x"))),
-            (((k, 0), -t) for k, t in enumerate(moyal_coefficients(hd, "p"))),
-        )
-    )
+    return PDEOperator(one_sided_slots(h, dagger(h)))
 
 
 # ---------------------------------------------------------------------------

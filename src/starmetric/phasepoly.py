@@ -135,9 +135,6 @@ class PhasePoly(Frozen):
     def depends_on_p(self) -> bool:
         return any(k[1] for k in self.terms)
 
-    def is_p_polynomial(self) -> bool:
-        return all(k[1] >= 0 for k in self.terms)
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):

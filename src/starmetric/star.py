@@ -58,9 +58,13 @@ PhasePoly, gcd or addition per pair.
 One-sided sums, where only one operand is differentiated, use
 `moyal_coefficients`: the factors (i hbar)^k / k! d^k A / dv^k for v = x or
 p, built term by term as i^k C(n, k) c v^(n-k) hbar^k for a term c v^n.
-They serve `star_poly_expquad`, whose other factor is the prefactor
-recursion (d + dQ)^k P, and `metric.pde_operator`.  `star_expquad_difference`,
-A * E - E * D, sums the products of both sides in one accumulation.
+`one_sided_slots(a, d)` lays them out as the operator L(Theta) = A * Theta -
+Theta * D = sum c dx^i dp^j Theta, which `metric.PDEOperator` holds, and
+`apply_slots` is its one derivative walker: on E = P e^Q it gives the
+prefactor sum c (dx + Q_x)^i (dp + Q_p)^j P.  `star_poly_expquad` runs it on
+the left or the right slots alone, and the metric residual of a Gaussian
+applies the whole operator, so it is the PDE that `metric.pde_operator`
+gives.
 """
 
 from __future__ import annotations
@@ -97,7 +101,7 @@ def moyal_coefficients(a: PhasePoly, var: str) -> list:
     for key, c in a.terms.items():
         n = key[pos]
         if n < 0:
-            raise NonTerminating(f"negative powers of {var}")
+            raise NonTerminating(f"negative {var} powers")
         for k in range(n + 1):
             shifted = list(key)
             shifted[pos] -= k
@@ -432,47 +436,47 @@ class ExpQuadForm(Frozen):
         return f"({self.prefactor!r}) * exp({self.exponent!r})"
 
 
-def _expquad_pairs(a: PhasePoly, e: ExpQuadForm, side: str) -> list:
-    """The pairs (t_k, (d + dQ)^k P) whose products sum to the prefactor of
-    A * E (side="left") or E * A (side="right"): t_k is the k-th Moyal
-    coefficient of a, P and Q the prefactor and exponent of e, and d = d/dp
-    on the left, d/dx on the right.
+def one_sided_slots(a: PhasePoly, d: PhasePoly) -> list:
+    """The terms ((i, j), c) of L(Theta) = A * Theta - Theta * D, c the
+    coefficient of dx^i dp^j: t_k(A, x) at (0, k) and -t_k(D, p) at (k, 0),
+    with t_k(A, v) the k-th `moyal_coefficients` of A in v.  A * Theta
+    terminates on the finite x degree of A; Theta * D walks p derivatives of
+    D, so negative p powers of D raise NonTerminating."""
+    left = [((0, k), t) for k, t in enumerate(moyal_coefficients(a, "x"))]
+    return left + [((k, 0), t) for k, t in enumerate(moyal_coefficients(-d, "p"))]
 
-    side="left" terminates on the finite x degree of A.  side="right" walks
-    p derivatives of A, so A must be polynomial in p; negative p powers raise
-    NonTerminating.
+
+def apply_slots(slots, prefactor: PhasePoly, exponent: PhasePoly) -> PhasePoly:
+    """The prefactor of sum c dx^i dp^j (P e^Q) over the ((i, j), c) of
+    slots, P the prefactor and Q the exponent: sum c (dx + Q_x)^i (dp + Q_p)^j P.
+
+    The two factors commute (each is e^-Q d e^Q).  Each (dp + Q_p)^j P and
+    each (dx + Q_x)^i of it is built once, and the products with the c are
+    summed in one accumulation.
     """
-    if side == "left":
-        var, dvar = "x", "p"
-    elif side == "right":
-        if not a.is_p_polynomial():
-            raise NonTerminating("right operand has negative p powers")
-        var, dvar = "p", "x"
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    q = e.exponent.derivative(dvar)
-    pairs, g = [], e.prefactor
-    for t in moyal_coefficients(a, var):
-        if pairs:
-            g = g.derivative(dvar) + q * g
-        pairs.append((t, g))
-    return pairs
-
-
-def _prefactor_sum(pairs) -> PhasePoly:
-    """sum t g over the (t, g) of pairs, in one accumulation."""
-    return PhasePoly._of(chain.from_iterable(PhasePoly._product_terms(t, g) for t, g in pairs))
+    qx, qp = exponent.derivative("x"), exponent.derivative("p")
+    column, rows, products = [prefactor], {}, []
+    for (i, j), c in slots:
+        while len(column) <= j:
+            g = column[-1]
+            column.append(g.derivative("p") + qp * g)
+        row = rows.setdefault(j, [column[j]])
+        while len(row) <= i:
+            g = row[-1]
+            row.append(g.derivative("x") + qx * g)
+        products.append(PhasePoly._product_terms(c, row[i]))
+    return PhasePoly._of(chain.from_iterable(products))
 
 
 def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
-    """A * E (side="left") or E * A (side="right") as an ExpQuadForm; see
-    `_expquad_pairs` for when it terminates."""
-    return ExpQuadForm(_prefactor_sum(_expquad_pairs(a, e, side)), e.exponent)
-
-
-def star_expquad_difference(a: PhasePoly, e: ExpQuadForm, d: PhasePoly) -> ExpQuadForm:
-    """A * E - E * D as an ExpQuadForm.  The products of both sides, those of
-    E * D with their Moyal coefficient negated, are summed in one
-    accumulation: neither side's prefactor is built."""
-    right = [(-t, g) for t, g in _expquad_pairs(d, e, "right")]
-    return ExpQuadForm(_prefactor_sum(_expquad_pairs(a, e, "left") + right), e.exponent)
+    """A * E (side="left") or E * A (side="right") as an ExpQuadForm: the
+    left or the right `one_sided_slots` alone, applied to E.  The right
+    slots give -E * A, so they are applied to -P e^Q."""
+    zero = PhasePoly.zero()
+    if side == "left":
+        prefactor = apply_slots(one_sided_slots(a, zero), e.prefactor, e.exponent)
+    elif side == "right":
+        prefactor = apply_slots(one_sided_slots(zero, a), -e.prefactor, e.exponent)
+    else:
+        raise ValueError("side must be 'left' or 'right'")
+    return ExpQuadForm(prefactor, e.exponent)

@@ -34,7 +34,6 @@ ORACLES = (
     ("berry", "plaquette_defect", "the plaquette check of curvature_of_field"),
     ("berry", "MoyalConnection.a1", "A_1 as a phase-space function, for the bracket checks"),
     ("berry", "MoyalConnection.a2", "A_2 as a phase-space function, for the bracket checks"),
-    ("metric", "PDEOperator.apply", "checks that pde_operator reproduces metric_residual"),
     ("metric", "solution_family_closure", "f(H) * Theta * g(dagger(H)) solves the metric equation"),
     ("weyl", "clock_shift", "the Weyl pair whose commutation the finite-N algebra rests on"),
     ("weyl", "isomorphism_trial", "one finite-N star product against the matrix product"),

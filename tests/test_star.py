@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from starmetric.metric import PDEOperator
 from starmetric.phasepoly import CouplingMismatch, CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly, RatFunc2
 from starmetric.star import (
@@ -15,11 +16,11 @@ from starmetric.star import (
     dagger_series,
     is_hermitian,
     moyal_coefficients,
+    one_sided_slots,
     star,
     star_commutator,
     star_difference,
     star_exp,
-    star_expquad_difference,
     star_log,
     star_poly_expquad,
     star_series,
@@ -360,6 +361,11 @@ class TestExpQuadForm:
         with pytest.raises(NonTerminating):
             star_poly_expquad(PhasePoly.p(-1), e, "right")
 
+    def test_rejects_an_unknown_side(self):
+        e = ExpQuadForm.pure_exponent(PhasePoly.monomial(-2, 0, 1, 0))
+        with pytest.raises(ValueError, match="side"):
+            star_poly_expquad(p, e, "both")
+
     def test_zero_exponent_matches_star(self):
         # with exponent 0, E is its prefactor P, so the one-sided sums must
         # give the two-sided star product; the two kernels share no code
@@ -395,7 +401,8 @@ class TestExpQuadForm:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @RING_CASES
     def test_difference_equals_the_two_sided_form(self, seed, ring):
-        # A * E - E * D summed in one accumulation, against the two one-sided
+        # L(E) for the operator L = A * . - . * D of `one_sided_slots`, its
+        # two sides summed in one accumulation, against the two one-sided
         # products subtracted; D = dagger(A) is the metric residual's case
         rng = random.Random(seed)
         a, d = (ring_poly(rng, ring) * p**2 for _ in range(2))  # p powers >= 0
@@ -408,7 +415,7 @@ class TestExpQuadForm:
             left_side = star_poly_expquad(a, e, "left").prefactor
             right_side = star_poly_expquad(right, e, "right").prefactor
             expected = ExpQuadForm(left_side - right_side, exponent)
-            assert star_expquad_difference(a, e, right) == expected
+            assert PDEOperator(one_sided_slots(a, right)).apply(e) == expected
 
     def test_exponent_degree_guard(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 Every expected value here is built from sympy derivatives of the operands
 written out as sympy expressions: the star product and commutator, the
 adjoint, the hermiticity criterion, star products against P exp(Q), the PDE
-form of the metric residual, the oscillator's Berry connection equation and
+form of the metric residual on polynomials and on P exp(Q), the oscillator's Berry connection equation and
 curvature, and the Gaussian metric's series in the coupling.  Nothing but
 the conversion of the operands to sympy touches starmetric code.
 """
@@ -211,6 +211,15 @@ def test_pde_operator_matches_sympy_residual(name):
         t = to_sympy(theta)
         residual = moyal(h, t) - moyal(t, sym_dagger(h))
         assert same(to_sympy(op.apply(theta)), residual)
+    # the same operator on P exp(Q), the metric residual of a Gaussian
+    for _ in range(2):
+        e = ExpQuadForm(random_poly(rng, max_terms=2, max_x=1), random_exponent(rng))
+        out = op.apply(e)
+        assert out.exponent == e.exponent
+        q = to_sympy(e.exponent)
+        full = to_sympy(e.prefactor) * sp.exp(q)
+        residual = moyal(h, full) - moyal(full, sym_dagger(h))
+        assert same(to_sympy(out.prefactor), sp.expand(residual * sp.exp(-q)))
 
 
 def test_berry_connection_matches_sympy():

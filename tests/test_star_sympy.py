@@ -3,8 +3,9 @@
 Every expected value here is built from sympy derivatives of the operands
 written out as sympy expressions: the star product and commutator, the
 adjoint, the hermiticity criterion, star products against P exp(Q), the PDE
-form of the metric residual on polynomials and on P exp(Q), the oscillator's Berry connection equation and
-curvature, and the Gaussian metric's series in the coupling.  Nothing but
+form of the metric residual on polynomials and on P exp(Q), the oscillator's
+Berry connection equation and curvature, and the Gaussian metric's series in
+the coupling.  Nothing but
 the conversion of the operands to sympy touches starmetric code.
 """
 

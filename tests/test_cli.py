@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from starmetric import cli, metric, weyl
 from starmetric.cli import main
+from starmetric.exprparse import parse_poly
 from starmetric.metric import UnsolvableOrder
 from starmetric.modelio import load_model, model_from_obj, ModelError
 from starmetric.phasepoly import CouplingSeries, PhasePoly
@@ -811,6 +812,36 @@ class TestErrorHandling:
         assert "nested too deeply" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
+        "theta, limit",
+        [
+            ("3^99999999", "output limit of 4300 digits"),
+            ("3^3000000", "output limit of 4300 digits"),
+            ("(p/3)^-9013", "output limit of 4300 digits"),
+            ("(x+p+hbar)^300", "limit of 1000 terms"),
+            ("((x+p)^20)^5000", "limit of 1000 terms"),
+        ],
+    )
+    def test_theta_power_past_a_limit_exits_2_fast(self, theta, limit):
+        # each power ran for seconds to minutes before the output limit, if
+        # any, refused its result
+        argv = CLI + ["star", "--model", SHIFTED, "--theta", theta]
+        proc = subprocess.run(argv, env=CLI_ENV, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2 and not proc.stdout
+        error = json.loads(proc.stderr)["error"]
+        assert "power" in error and limit in error
+
+    @pytest.mark.parametrize(
+        "theta, terms",
+        [("x^99999999", 1), ("i^-1", 1), ("3^9012", 1), ("(1+i)^20000", 1), ("(x+p+hbar)^43", 990)],
+    )
+    def test_theta_power_within_the_limits_runs(self, capsys, theta, terms):
+        # 3^9012 has 4300 digits, the most that print; (1+i)^20000 = 2^10000
+        # has 3011, and (x+p+hbar)^43 has 990 terms
+        assert len(parse_poly(theta).terms) == terms
+        code, payload = run_json(capsys, "star", "--model", SHIFTED, "--theta", theta)
+        assert code == 0 and set(payload) == {"h_star_theta", "theta_star_hdagger"}
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("solve", "--model", "{deep}"),
@@ -1173,6 +1204,7 @@ _NUMPY_PROBE = """\
 import contextlib, io, json, sys
 from starmetric import cli
 from starmetric.cli import main
+from starmetric.exprparse import parse_poly
 from starmetric.metric import UnsolvableOrder
 report = [[None, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):

@@ -14,15 +14,16 @@ coefficients.  The residual and curvature checks clear the denominators
 first: with D the product of the connection's distinct denominators they
 test D times the residual and D^2 times the curvature, again over
 `ParamPoly`.
+
+numpy is imported inside the float functions, so the exact commands
+(`berry-osc`, `scan-locus`) never load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod, sqrt
-from typing import Callable, List, NamedTuple, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .phasepoly import PhasePoly
 from .scalars import (
@@ -33,6 +34,9 @@ from .scalars import (
     primitive_real_poly,
 )
 from .star import star_commutator
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RankDeficient(ArithmeticError):
@@ -53,18 +57,24 @@ TRIAL_BLOCK = 128
 
 
 def _z(q) -> np.ndarray:
+    import numpy as np
+
     q = np.asarray(q, dtype=float)
     return q[..., 0] + 1j * q[..., 1]
 
 
 def _first_point(q, bad: np.ndarray) -> Tuple[float, ...]:
     """The first point of the stack q where bad holds, as a tuple of floats."""
+    import numpy as np
+
     points = np.asarray(q, dtype=float).reshape(-1, 2)
     return tuple(float(v) for v in points[int(np.argmax(bad.reshape(-1)))])
 
 
 def _matrices(entries) -> np.ndarray:
     """Stack [[a, b], [c, d]] of broadcastable arrays into shape (..., 2, 2)."""
+    import numpy as np
+
     a, b, c, d = np.broadcast_arrays(*entries)
     return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2))
 
@@ -76,6 +86,8 @@ def model_hamiltonian(q) -> np.ndarray:
 
 def model_partials() -> Tuple[np.ndarray, np.ndarray]:
     """dH/dq1 and dH/dq2, the same at every point."""
+    import numpy as np
+
     d1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     d2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
     return d1, d2
@@ -89,6 +101,8 @@ def sample_regular_points(rng: np.random.Generator, count: int) -> np.ndarray:
     pairs near the exceptional points: each block draws only as many pairs as
     are still missing, so the generator is left where that loop leaves it.
     """
+    import numpy as np
+
     blocks = [np.empty((0, 2))]
     missing = count
     while missing > 0:
@@ -102,6 +116,8 @@ def sample_regular_points(rng: np.random.Generator, count: int) -> np.ndarray:
 
 def gauge_fixed_connection(q) -> Tuple[np.ndarray, np.ndarray]:
     """w1 = 1/2, y1 = y2 = 0; regular at the origin, A1 = -i A2."""
+    import numpy as np
+
     z = _z(q)
     den = 1.0 + z * z
     pole = np.abs(den) < 1e-13
@@ -118,6 +134,8 @@ def verify_connection_matrix(
 ):
     """Max-norm residual of [dH_i, H] = [[A_i, H], H] over the components,
     one per point of the stack."""
+    import numpy as np
+
     return np.max(
         [
             np.max(np.abs(_comm(dhi, h) - _comm(_comm(ai, h), h)), axis=(-2, -1))
@@ -131,10 +149,8 @@ def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
 
 
-# vec(E_k) = e_k: the columns of the double-commutator map
-_UNIT_MATRICES = np.eye(4, dtype=complex).reshape(4, 2, 2)
 # A[1][1] = 0 and A[1][0] = W1 * kappa: rows picking entries 3 and 2 of vec(A)
-_GAUGE_ROWS = np.array([[0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+_GAUGE_ROWS = ((0, 0, 0, 1), (0, 0, 1, 0))
 # the gauge value of A_1[1][0], as in gauge_fixed_connection
 W1 = 0.5
 # a system whose smallest singular value is below this share of its largest
@@ -150,12 +166,16 @@ def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
     by both components, with numpy.linalg.lstsq's rank rule; RankDeficient
     names the first point whose system is singular or inconsistent.
     """
+    import numpy as np
+
     h = model_hamiltonian(q)
     stack = h.shape[:-2]
-    m = _comm(_comm(_UNIT_MATRICES, h[..., None, :, :]), h[..., None, :, :])
+    # vec(E_k) = e_k: the columns of the double-commutator map
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    m = _comm(_comm(units, h[..., None, :, :]), h[..., None, :, :])
     full = np.concatenate(
         [np.swapaxes(m.reshape(stack + (4, 4)), -1, -2),
-         np.broadcast_to(_GAUGE_ROWS, stack + (2, 4))],
+         np.broadcast_to(np.array(_GAUGE_ROWS, dtype=complex), stack + (2, 4))],
         axis=-2,
     )
     rhs = np.zeros(stack + (6, 2), dtype=complex)
@@ -178,7 +198,7 @@ def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
     return sol[..., 0].reshape(stack + (2, 2)), sol[..., 1].reshape(stack + (2, 2))
 
 
-ConnectionField = Callable[[Sequence[float]], Tuple[np.ndarray, np.ndarray]]
+ConnectionField = Callable[[Sequence[float]], Tuple["np.ndarray", "np.ndarray"]]
 
 # the step of the central differences in field_partials
 STEP = 1e-5
@@ -218,6 +238,8 @@ def plaquette_transport(field: ConnectionField, q: Sequence[float], dq: float) -
     All connection values and derivatives are taken at the base corner; the
     product equals 1 + F_12 dq^2 up to O(dq^3).
     """
+    import numpy as np
+
     a1, a2 = field(q)
     d = field_partials(field, q)
     one = np.eye(2, dtype=complex)
@@ -230,6 +252,8 @@ def plaquette_transport(field: ConnectionField, q: Sequence[float], dq: float) -
 
 def plaquette_defect(field: ConnectionField, q: Sequence[float], dq: float) -> float:
     """Norm of transport - (1 + F dq^2); third order small in dq."""
+    import numpy as np
+
     transport = plaquette_transport(field, q, dq)
     expected = np.eye(2, dtype=complex) + curvature_of_field(field, q) * dq**2
     return float(np.max(np.abs(transport - expected)))
@@ -239,12 +263,15 @@ def plaquette_defect(field: ConnectionField, q: Sequence[float], dq: float) -> f
 # exceptional-point holonomy
 
 
-AZIMUTHAL_LIMIT = np.array([[0.5j, -0.5], [0.0, 0.0]], dtype=complex)
+# the 2x2 matrix A_phi of the loop around (0, 1), row by row
+AZIMUTHAL_LIMIT = ((0.5j, -0.5), (0.0, 0.0))
 PRODUCT_FORM_STEPS = 100000
 
 
 def matrix_exp_taylor(m: np.ndarray) -> np.ndarray:
     """exp(m) by its Taylor series, up to the first term below 1e-30 or 200 terms."""
+    import numpy as np
+
     out = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
     k = 0
@@ -258,14 +285,18 @@ def matrix_exp_taylor(m: np.ndarray) -> np.ndarray:
 
 def holonomy_exceptional() -> np.ndarray:
     """Monodromy F = exp(2 pi A_phi) for one loop around the point (0, 1)."""
-    return matrix_exp_taylor(2.0 * np.pi * AZIMUTHAL_LIMIT)
+    import numpy as np
+
+    return matrix_exp_taylor(2.0 * np.pi * np.array(AZIMUTHAL_LIMIT, dtype=complex))
 
 
 def holonomy_product_form() -> np.ndarray:
     """(1 + 2 pi A_phi / n)^n for n = PRODUCT_FORM_STEPS; converges to the
     exact monodromy as n grows."""
+    import numpy as np
+
     n = PRODUCT_FORM_STEPS
-    step = np.eye(2, dtype=complex) + (2.0 * np.pi / n) * AZIMUTHAL_LIMIT
+    step = np.eye(2, dtype=complex) + (2.0 * np.pi / n) * np.array(AZIMUTHAL_LIMIT, dtype=complex)
     return np.linalg.matrix_power(step, n)
 
 
@@ -276,6 +307,8 @@ def coalescing_eigenvectors(w: complex) -> Tuple[np.ndarray, np.ndarray]:
     coalesces to (-i, 1), the null vector of the nilpotent Hamiltonian at the
     exceptional point).  The monodromy swaps them: F u_pm = u_mp.
     """
+    import numpy as np
+
     root = np.sqrt(2.0 * w)
     up = np.array([-1j + 1j * root, 1.0], dtype=complex)
     um = np.array([-1j - 1j * root, 1.0], dtype=complex)

@@ -4,17 +4,19 @@ Every command reads UTF-8 JSON (model files) and prints a JSON report to
 stdout: the ``json.dumps(payload, indent=2)`` text, built by one direct
 writer (`_json_text`).  Exit codes: 0 success, 1 verification failure, 2
 input error.  Output is deterministic for fixed inputs and seed: containers
-are built in canonical term order.  A call that names a command is parsed
-by that command's parser alone (`_parse_args`), built for the call.
+are built in canonical term order.  A call that names a command and spells
+each of its own flags in full is read straight from the flag table
+(`_direct_args`), with no parser and no argparse import; any other call is
+parsed by argparse (`_parse_args`), which alone prints help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from .exprparse import parse_theta
 from .latexout import param_poly_latex, poly_latex, series_latex
@@ -507,15 +509,21 @@ _FLAGS = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, name) -> argparse.ArgumentParser:
+def _action(name, flag) -> dict:
+    """The argparse keywords of ``--flag`` in command ``name``."""
+    return {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
+
+
+def _add_flags(parser, name):
     for flag in _COMMANDS[name][1]:
-        spec = {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
-        parser.add_argument(f"--{flag}", **spec)
+        parser.add_argument(f"--{flag}", **_action(name, flag))
     return parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The full parser, with the subparser of every command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="starmetric",
         description="Exact star-product calculus for metric operators and Berry connections",
@@ -526,13 +534,64 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv) -> argparse.Namespace:
-    """Parse ``argv``.  When ``argv[0]`` names a command, that command's
-    parser parses the rest, as the top-level parser would hand it on, and
-    prints the same help and errors.  Arguments it leaves over are reported
-    by the top-level parser, so ``argv`` is then parsed again in full, as is
-    any ``argv`` that names no command."""
+def _direct_args(name, tokens):
+    """The namespace the full parser gives ``[name, *tokens]`` when every
+    token is one of ``name``'s flags spelled in full, as ``--flag=value``,
+    ``--flag value`` with a value that is empty or does not start with "-",
+    or a bare store_true flag, and every value passes its type and choices.
+    None for any other ``tokens``: argparse decides those."""
+    flags = _COMMANDS[name][1]
+    values = {}
+    for flag in flags:
+        spec = _action(name, flag)
+        values[flag] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    i = 0
+    while i < len(tokens):
+        flag, eq, value = tokens[i].partition("=")
+        i += 1
+        if not flag.startswith("--") or flag[2:] not in flags:
+            return None
+        flag = flag[2:]
+        spec = _action(name, flag)
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+            values[flag] = True
+            continue
+        if not eq:
+            if i == len(tokens) or tokens[i].startswith("-"):
+                return None
+            value = tokens[i]
+            i += 1
+        elif value == "--":  # argparse drops this value
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:
+                return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        if spec.get("action") == "append":
+            values[flag] = (values[flag] or []) + [value]
+        else:
+            values[flag] = value
+    return SimpleNamespace(**values, cmd=name)
+
+
+def _parse_args(argv):
+    """Parse ``argv``.  When ``argv[0]`` names a command whose flags
+    `_direct_args` reads in full, no parser is built.  Otherwise that
+    command's parser parses the rest, as the top-level parser would hand it
+    on, and prints the same help and errors.  Arguments it leaves over are
+    reported by the top-level parser, so ``argv`` is then parsed again in
+    full, as is any ``argv`` that names no command."""
     if argv and argv[0] in _COMMANDS:
+        args = _direct_args(argv[0], argv[1:])
+        if args is not None:
+            return args
+        import argparse
+
         # the subparser `_build_parser` would make, without the top level
         parser = _add_flags(argparse.ArgumentParser(prog=f"starmetric {argv[0]}"), argv[0])
         args, rest = parser.parse_known_args(argv[1:])

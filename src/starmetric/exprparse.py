@@ -10,11 +10,17 @@ Grammar (whitespace insensitive):
 Division is exact and only by single-term (monomial) subexpressions with no
 positive x power, e.g. "x^4/(4*hbar*p)".  This covers every printed formula;
 anything richer belongs in a JSON model file.
+
+A power is bounded before it is taken (`_check_power`): one whose result may
+have more than MAX_POWER_TERMS terms, or an integer past the int -> str
+output limit, is an ExprError.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from math import comb, lcm, log10, prod
 from typing import List, Tuple
 
 from .modelio import read_json
@@ -27,6 +33,49 @@ _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\^|\*|/|\+|-|\(|\))")
 
 class ExprError(ValueError):
     """Malformed polynomial expression."""
+
+
+# the most terms a power may have: squaring a power of near this many terms
+# with multi-hundred-digit coefficients already takes about a second
+MAX_POWER_TERMS = 1000
+
+
+def _check_power(base: PhasePoly, exp: int):
+    """Raise ExprError unless base**exp, exp >= 2, is sure to have at most
+    MAX_POWER_TERMS terms and only integers within the output limit.
+
+    The terms are bounded by the exponents each variable can reach, and by
+    the multisets of exp of the base's t terms.  With D the lcm of the
+    coefficient denominators and n_j = D c_j, every coefficient of the power
+    is a Gaussian integer of modulus at most (sum |n_j|)^exp over D^exp, so
+    its printed parts have at most as many digits as the larger of the two.
+    """
+    if exp < 2 or not base.terms:
+        return
+    keys, t = base.terms, len(base.terms)
+    spans = [max(k[v] for k in keys) - min(k[v] for k in keys) for v in range(3)]
+    by_degree = prod(exp * span + 1 for span in spans)
+    # comb(exp + t - 1, t - 1) is at least exp + t - 1, for t >= 2
+    n = exp + t - 1
+    by_count = comb(n, t - 1) if n <= MAX_POWER_TERMS else n
+    if min(by_degree, by_count) > MAX_POWER_TERMS:
+        raise ExprError(
+            f"a power ^{exp} of {t} terms may have more than the limit of "
+            f"{MAX_POWER_TERMS} terms"
+        )
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    coeffs = base.terms.values()
+    den = lcm(*(c.d for c in coeffs))
+    logs = [0.5 * log10((c.a * c.a + c.b * c.b) * (den // c.d) ** 2) for c in coeffs]
+    top = max(logs)
+    digits = exp * max(top + log10(sum(10 ** (v - top) for v in logs)), log10(den))
+    if digits >= limit:
+        raise ExprError(
+            f"a power ^{exp} may have an integer of about {digits:.0f} digits, past "
+            f"the output limit of {limit} digits"
+        )
 
 
 def _tokenize(text: str) -> List[str]:
@@ -93,6 +142,7 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise ExprError("expected an integer exponent after '^'")
             exp = sign * int(tok)
+            _check_power(base, abs(exp))
             if exp >= 0:
                 return base**exp
             return _divide(PhasePoly.one(), base ** (-exp))

@@ -1158,7 +1158,29 @@ class TestCommandParser:
         ["--theta=-p", "--series", "s.json"],
         ["--model", "a", "--zzz"],
         ["--model", "a", "--zzz", "-h"],
+        # the edge of the direct path (`cli._direct_args`)
+        ["--latex=1"],
+        ["--latex", "--latex"],
+        ["--order", ""],
+        ["--model", ""],
+        ["--model="],
+        ["--q1=-1", "--q2", "2"],
+        ["--order", "\u0663"],
+        ["--order", " 7 "],
+        ["--order", "1_0"],
+        ["--order", "2", "--order", "3"],
+        ["--observable=N"],
+        ["--omega", "nan"],
+        ["--seed", "2", "--seed=x"],
+        ["--model=--"],
     )
+    # tokens for random argvs: every flag of every command, abbreviations,
+    # help, the end of options and values of each kind
+    OTHER_TOKENS = sorted(
+        {f"--{flag}" for flag in cli._FLAGS}
+        | {"--mod", "--o", "--la", "--q", "--zzz", "-h", "--help", "--", "-3"}
+    )
+    VALUES = ("", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "\u0663", "m.json", "--", "--latex")
 
     @staticmethod
     def outcome(parse, argv):
@@ -1180,6 +1202,22 @@ class TestCommandParser:
             argv = [command, *tail]
             assert self.outcome(cli._parse_args, argv) == self.outcome(full, argv), argv
 
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_random_argvs_parse_as_the_full_parser(self, data):
+        command = data.draw(st.sampled_from(list(cli._COMMANDS)))
+        own = [f"--{flag}" for flag in cli._COMMANDS[command][1]]
+        # half the argvs use only the command's own flags
+        flag = st.sampled_from(own if data.draw(st.booleans()) else own + self.OTHER_TOKENS)
+        value = st.sampled_from(self.VALUES)
+        form = st.sampled_from(("spaced", "joined", "spaced", "joined", "bare"))
+        group = st.tuples(form, flag, value).map(
+            lambda g: {"spaced": g[1:], "joined": ["=".join(g[1:])], "bare": g[1:2]}[g[0]]
+        )
+        argv = [command, *itertools.chain.from_iterable(data.draw(st.lists(group, max_size=3)))]
+        full = cli._build_parser().parse_args
+        assert self.outcome(cli._parse_args, argv) == self.outcome(full, argv), argv
+
     def test_certify_models_do_not_carry_over(self, capsys, tmp_path):
         pt = tmp_path / "pt_mixed.json"
         pt.write_text(json.dumps(PT_MIXED), encoding="utf-8")
@@ -1199,26 +1237,31 @@ class TestCommandParser:
 
 # Runs the commands given as a JSON list of argvs in one fresh interpreter and
 # prints, after the import and after each command, the exit code and whether
-# numpy is loaded.
-_NUMPY_PROBE = """\
+# numpy and argparse are loaded, and then each command's stdout.
+_IMPORT_PROBE = """\
 import contextlib, io, json, sys
 from starmetric import cli
 from starmetric.cli import main
-from starmetric.exprparse import parse_poly
 from starmetric.metric import UnsolvableOrder
-report = [[None, "numpy" in sys.modules]]
+loaded = [[None, "numpy" in sys.modules, "argparse" in sys.modules]]
+stdout = []
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv)
-    report.append([code, "numpy" in sys.modules])
-print(json.dumps(report))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    loaded.append([code, "numpy" in sys.modules, "argparse" in sys.modules])
+    stdout.append(out.getvalue())
+print(json.dumps({"loaded": loaded, "stdout": stdout}))
 """
 
 
-def _numpy_probe(*argvs):
+def _import_probe(*argvs):
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
-        env=CLI_ENV, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        env=dict(CLI_ENV, COLUMNS="80"), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -1227,7 +1270,16 @@ def _numpy_probe(*argvs):
 class TestImports:
     def test_exact_commands_load_no_numpy(self):
         argvs = [[cmd, "--model", IX3, "--order", "3"] for cmd in ("solve", "certify", "starlog")]
-        assert _numpy_probe(*argvs) == [[None, False], [0, False], [0, False], [0, False]]
+        argvs += [["berry-osc", "--q1=1", "--q2=1"], ["scan-locus"]]
+        assert _import_probe(*argvs)["loaded"] == [[None, False, False]] + [[0, False, False]] * 5
+
+    def test_a_parse_argparse_decides_loads_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        probe = _import_probe(["solve", "--mod", IX3], ["solve", "-h"])
+        assert probe["loaded"] == [[None, False, False], [0, False, True], [0, False, True]]
+        assert probe["stdout"][0] == run(capsys, "solve", "--model", IX3)[1]
+        full = cli._build_parser().parse_args
+        assert probe["stdout"][1] == TestCommandParser.outcome(full, ["solve", "-h"])[1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1239,7 +1291,9 @@ class TestImports:
         ],
     )
     def test_float_commands_run_in_a_fresh_interpreter(self, argv):
-        assert _numpy_probe(argv)[-1] == [0, True]
+        # only the float commands load numpy
+        numpy = argv[0] in ("berry2x2", "finite-oracle")
+        assert _import_probe(argv)["loaded"][-1] == [0, numpy, False]
 
 
 def _readme_cli_lines():

@@ -1134,8 +1134,10 @@ class TestParser:
 
 
 class TestCommandParser:
-    """A call that names a command is parsed by that command's parser alone;
-    it must parse, and print help and errors, as the full parser does."""
+    """A call that names a command is read from the flag table when it
+    spells each of its own flags in full, and parsed by that command's parser
+    otherwise; either way it must parse, and print help and errors, as the
+    full parser does."""
 
     TAILS = (
         [],
@@ -1180,7 +1182,9 @@ class TestCommandParser:
         {f"--{flag}" for flag in cli._FLAGS}
         | {"--mod", "--o", "--la", "--q", "--zzz", "-h", "--help", "--", "-3"}
     )
-    VALUES = ("", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "\u0663", "m.json", "--", "--latex")
+    VALUES = (
+        "", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "\u0663", "m.json", "--", "--latex"
+    )
 
     @staticmethod
     def outcome(parse, argv):

@@ -152,6 +152,15 @@ class TestSolveAndLog:
         assert code == 0
         assert payload["hermitian"] is True and payload["residual_zero"] is True
 
+    def test_solve_param_model_order_six_matches_golden_bytes(self, capsys, tmp_path):
+        # sums over the parameter a at every order, with denominators that
+        # grow with the order
+        path = tmp_path / "param_ix3.json"
+        path.write_text(json.dumps(PARAM_IX3), encoding="utf-8")
+        code, out, _ = run(capsys, "solve", "--model", str(path), "--order", "6")
+        assert code == 0
+        assert out == (GOLDENS / "solve_param_ix3_order6.json").read_text(encoding="utf-8")
+
     def test_solve_ix3_order_six_matches_golden_bytes(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", IX3, "--order", "6")
         assert code == 0

@@ -201,6 +201,86 @@ class TestCoefficientPaths:
         assert is_hermitian(a + adjoint) and x0_hermitian(a + adjoint)
 
 
+def param_phase_poly(rng, params) -> PhasePoly:
+    """A random PhasePoly with negative p powers whose coefficients are
+    Laurent ParamPolys over params, or Gaussian rationals 20% of the time."""
+    if rng.random() < 0.2:
+        return random_poly(rng, max_terms=3, p_span=2)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        key = (rng.randint(0, 3), rng.randint(-2, 2), rng.randint(-1, 1))
+        monos = {
+            tuple(rng.randint(-2, 2) for _ in params): random_gr(rng)
+            for _ in range(rng.randint(1, 3))
+        }
+        terms[key] = ParamPoly(params, monos)
+    return PhasePoly(terms)
+
+
+class TestParameterMonomials:
+    """The parameters of ParamPoly coefficients are spectators of the Moyal
+    sum: d/dx and d/dp do not touch them."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(st.integers(0, 2**32), st.integers(1, 3))
+    def test_substitution_commutes_with_the_products(self, seed, n):
+        rng = random.Random(seed)
+        params = ("a", "b", "c")[:n]
+        values = {
+            name: Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+            for name in params
+        }
+
+        def subs(poly):
+            return poly.map_coeffs(lambda c: c.eval(values) if isinstance(c, ParamPoly) else c)
+
+        a, b, c, d = (param_phase_poly(rng, params) for _ in range(4))
+        for result, expected in (
+            (star(a, b), star(subs(a), subs(b))),
+            (star_commutator(a, b), star_commutator(subs(a), subs(b))),
+            (star_difference(a, b, c, d), star_difference(subs(a), subs(b), subs(c), subs(d))),
+        ):
+            assert subs(result) == expected
+        left = CouplingSeries("g", [param_phase_poly(rng, params) for _ in range(3)])
+        right = CouplingSeries("g", [param_phase_poly(rng, params) for _ in range(3)])
+        assert star_series(left, right).map_coeffs(subs) == star_series(
+            left.map_coeffs(subs), right.map_coeffs(subs)
+        )
+
+    def test_other_rings_keep_their_coefficient_types(self):
+        # only operands whose ParamPoly coefficients share one parameter
+        # tuple are summed per monomial; elsewhere a key's coefficient type
+        # shows which products reached it
+        (pa,) = ParamPoly.generators("a")
+        (pb,) = ParamPoly.generators("b")
+        ax, bp = PhasePoly.monomial(pa, 1, 0, 0), PhasePoly.monomial(pb, 0, 1, 0)
+        # a mixed operand: x alone gives Gaussian coefficients
+        mixed = star(x + PhasePoly.monomial(pa, 0, 1, 0), p)
+        assert mixed == x * p + ih + PhasePoly.monomial(pa, 0, 2, 0)
+        assert type(mixed.terms[(1, 1, 0)]) is GaussianRational
+        assert type(mixed.terms[(0, 0, 1)]) is GaussianRational
+        assert type(mixed.terms[(0, 2, 0)]) is ParamPoly
+        # a Gaussian pair beside a ParamPoly pair
+        fused = star_difference(ax, x, p, p)
+        assert type(fused.terms[(2, 0, 0)]) is ParamPoly
+        assert type(fused.terms[(0, 2, 0)]) is GaussianRational
+        assert fused.terms[(0, 2, 0)] == gr(-1)
+        # different parameter tuples: apart their keys keep their own
+        # tuples, and at one key they cannot be added
+        apart = star_difference(ax, x, bp, p)
+        assert apart.terms[(2, 0, 0)].params == ("a",)
+        assert apart.terms[(0, 2, 0)].params == ("b",)
+        with pytest.raises(ValueError, match="parameter lists differ"):
+            star(ax, bp)
+        # RatFunc2 coefficients stay RatFunc2
+        q1, q2 = ParamPoly.generators(*RatFunc2.PARAMS)
+        r = RatFunc2(q1, q2 + 2)
+        out = star(PhasePoly.monomial(r, 1, 0, 0), p)
+        assert set(out.terms) == {(1, 1, 0), (0, 0, 1)}
+        assert all(type(c) is RatFunc2 for c in out.terms.values())
+        assert out.terms[(0, 0, 1)] == r * I
+
+
 class TestHermiticity:
     def test_examples(self):
         assert is_hermitian(p**2 + x**2)

@@ -840,6 +840,25 @@ class TestErrorHandling:
         assert "power" in error and limit in error
 
     @pytest.mark.parametrize(
+        "theta, limit",
+        [
+            ("(x+p+hbar)^30*(x+p+hbar)^30", "limit of 1000 terms"),
+            ("(x+p+hbar)^30 (x+p+hbar)^30", "limit of 1000 terms"),
+            ("(x+p+hbar)^40*(1+x+p+hbar)", "limit of 1000 terms"),
+            ("(2/3+x/5)^999", "work limit"),
+            ("(123456789/987654321+x/5)^400", "work limit"),
+            ("(2/3+x/5)^500*(2/3+x/5)^499", "work limit"),
+        ],
+    )
+    def test_theta_product_past_a_limit_exits_2_fast(self, theta, limit):
+        # each product or power was inside the term and digit limits alone,
+        # and ran for seconds to minutes
+        argv = CLI + ["star", "--model", SHIFTED, "--theta", theta]
+        proc = subprocess.run(argv, env=CLI_ENV, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2 and not proc.stdout
+        assert limit in json.loads(proc.stderr)["error"]
+
+    @pytest.mark.parametrize(
         "theta, terms",
         [("x^99999999", 1), ("i^-1", 1), ("3^9012", 1), ("(1+i)^20000", 1), ("(x+p+hbar)^43", 990)],
     )
@@ -1184,6 +1203,17 @@ class TestCommandParser:
         ["--omega", "nan"],
         ["--seed", "2", "--seed=x"],
         ["--model=--"],
+        # values that start with "-" and hold a space
+        ["--theta", "-3*p^2 + 2*i*x*p"],
+        ["--theta", "- x"],
+        ["--theta", "-h x"],
+        ["--theta", "--theta=x y"],
+        ["--theta", "--ord=1 x"],
+        ["--theta", "-x y=2"],
+        ["--model", "-- a"],
+        ["--q1", "-1 ", "--q2", "- 2"],
+        ["--order", "-3 "],
+        ["--latex", "-p + x"],
     )
     # tokens for random argvs: every flag of every command, abbreviations,
     # help, the end of options and values of each kind
@@ -1192,7 +1222,8 @@ class TestCommandParser:
         | {"--mod", "--o", "--la", "--q", "--zzz", "-h", "--help", "--", "-3"}
     )
     VALUES = (
-        "", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "\u0663", "m.json", "--", "--latex"
+        "", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "\u0663", "m.json", "--", "--latex",
+        "-p + x", "- 1", "-h x", "--order=1 x", "--latex x", "-1 ",
     )
 
     @staticmethod
@@ -1293,6 +1324,14 @@ class TestImports:
         assert probe["stdout"][0] == run(capsys, "solve", "--model", IX3)[1]
         full = cli._build_parser().parse_args
         assert probe["stdout"][1] == TestCommandParser.outcome(full, ["solve", "-h"])[1]
+
+    def test_a_negative_theta_is_read_without_argparse(self, capsys):
+        # a value that starts with "-" and holds a space is a value to
+        # argparse too, unless it starts with "-h" or holds an "="
+        argv = ["star", "--model", SHIFTED, "--theta", "-3*p^2 + 2*i*x*p - x^2"]
+        probe = _import_probe(argv)
+        assert probe["loaded"] == [[None, False, False], [0, False, False]]
+        assert probe["stdout"][0] == run(capsys, *argv)[1]
 
     @pytest.mark.parametrize(
         "argv",

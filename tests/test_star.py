@@ -247,6 +247,30 @@ class TestParameterMonomials:
             left.map_coeffs(subs), right.map_coeffs(subs)
         )
 
+    def test_parameter_operands_make_no_ring_arithmetic(self, monkeypatch):
+        # the products of two all-ParamPoly operands are summed in integers,
+        # one parameter monomial at a time
+        rng = random.Random(5)
+        params = ("a", "b")
+        polys = []
+        while len(polys) < 4:
+            poly = param_phase_poly(rng, params)
+            if poly.terms and all(isinstance(c, ParamPoly) for c in poly.terms.values()):
+                polys.append(poly)
+        a, b, c, d = polys
+        series = CouplingSeries("g", [PhasePoly.one(), c, d])
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+
+            def counted(self, other, _original=ParamPoly.__dict__[name]):
+                calls.append(_original.__name__)
+                return _original(self, other)
+
+            monkeypatch.setattr(ParamPoly, name, counted)
+        results = [star(a, b), star_commutator(a, b), star_series(series, series)]
+        assert calls == []
+        assert not star_commutator(a, b).is_zero and all(results)
+
     def test_other_rings_keep_their_coefficient_types(self):
         # only operands whose ParamPoly coefficients share one parameter
         # tuple are summed per monomial; elsewhere a key's coefficient type

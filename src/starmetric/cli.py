@@ -534,12 +534,21 @@ def _build_parser():
     return parser
 
 
+def _flag_like(token: str) -> bool:
+    """Whether argparse may read ``token`` as a flag rather than a value: it
+    starts with "-" and has no space, or has an "=" or starts with "-h", the
+    one short flag.  A token that starts with "-" and holds a space, such as
+    a negative --theta, is a value."""
+    return token.startswith("-") and (" " not in token or "=" in token or token.startswith("-h"))
+
+
 def _direct_args(name, tokens):
     """The namespace the full parser gives ``[name, *tokens]`` when every
     token is one of ``name``'s flags spelled in full, as ``--flag=value``,
-    ``--flag value`` with a value that is empty or does not start with "-",
-    or a bare store_true flag, and every value passes its type and choices.
-    None for any other ``tokens``: argparse decides those."""
+    ``--flag value`` with a value that argparse cannot read as a flag
+    (`_flag_like`), or a bare store_true flag, and every value passes its
+    type and choices.  None for any other ``tokens``: argparse decides
+    those."""
     flags = _COMMANDS[name][1]
     values = {}
     for flag in flags:
@@ -559,7 +568,7 @@ def _direct_args(name, tokens):
             values[flag] = True
             continue
         if not eq:
-            if i == len(tokens) or tokens[i].startswith("-"):
+            if i == len(tokens) or _flag_like(tokens[i]):
                 return None
             value = tokens[i]
             i += 1

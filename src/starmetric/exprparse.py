@@ -11,9 +11,10 @@ Division is exact and only by single-term (monomial) subexpressions with no
 positive x power, e.g. "x^4/(4*hbar*p)".  This covers every printed formula;
 anything richer belongs in a JSON model file.
 
-A power is bounded before it is taken (`_check_power`): one whose result may
-have more than MAX_POWER_TERMS terms, or an integer past the int -> str
-output limit, is an ExprError.
+Every product and power is bounded before it is taken (`_times`,
+`_check_power`): one whose result may have more than MAX_TERMS terms, or
+whose products may take more than MAX_WORK, or a power with an integer past
+the int -> str output limit, is an ExprError.
 """
 
 from __future__ import annotations
@@ -35,47 +36,100 @@ class ExprError(ValueError):
     """Malformed polynomial expression."""
 
 
-# the most terms a power may have: squaring a power of near this many terms
-# with multi-hundred-digit coefficients already takes about a second
-MAX_POWER_TERMS = 1000
+# the most terms a product or power may have: squaring a power of near this
+# many terms with multi-hundred-digit coefficients already takes about a second
+MAX_TERMS = 1000
+
+# the most work a product, or the products of a power, may take: its term
+# pairs times 1 + the digits of its coefficients.  At this limit a product
+# takes up to about a second.
+MAX_WORK = 10**7
+
+
+def _digits(poly: PhasePoly) -> float:
+    """log10 of the larger of D, the lcm of the coefficient denominators, and
+    sum |n_j| over the Gaussian integer numerators n_j = D c_j of a nonzero
+    poly.  Every coefficient has modulus at most sum |n_j| over D, so its
+    printed parts have at most about that many digits; a product's have at
+    most the sum of its factors', and a power's exp times its base's."""
+    coeffs = poly.terms.values()
+    den = lcm(*[c.d for c in coeffs])
+    logs = [0.5 * log10((c.a * c.a + c.b * c.b) * (den // c.d) ** 2) for c in coeffs]
+    top = max(logs)
+    return max(top + log10(sum([10 ** (v - top) for v in logs])), log10(den))
+
+
+def _spans(poly: PhasePoly) -> list:
+    """The x, p and hbar degree spans of a nonzero poly."""
+    keys = poly.terms
+    return [max(k[v] for k in keys) - min(k[v] for k in keys) for v in range(3)]
+
+
+def _power_terms(t: int, spans, k: int) -> int:
+    """A bound on the terms of base**k, for a base of t terms and the degree
+    spans: the exponents each variable can reach, and the multisets of k of
+    the t terms.  Past MAX_TERMS it is only a bound from below,
+    comb(k + t - 1, t - 1) >= k + t - 1 for t >= 2."""
+    by_degree = prod(k * span + 1 for span in spans)
+    n = k + t - 1
+    return min(by_degree, comb(n, t - 1) if n <= MAX_TERMS else n)
+
+
+def _check_limits(what: str, terms: int, digits: float, work: float):
+    """Raise ExprError if a product or power may have more than MAX_TERMS
+    terms, an integer past the output limit or take more than MAX_WORK."""
+    if terms > MAX_TERMS:
+        raise ExprError(f"{what} may have more than the limit of {MAX_TERMS} terms")
+    limit = sys.get_int_max_str_digits()
+    if limit and digits >= limit:
+        raise ExprError(
+            f"{what} may have an integer of about {digits:.0f} digits, past the output "
+            f"limit of {limit} digits"
+        )
+    if work > MAX_WORK:
+        raise ExprError(
+            f"{what} may take about {work:.2g} term pairs times digits, past the work "
+            f"limit of {MAX_WORK:.0e}"
+        )
+
+
+def _times(a: PhasePoly, b: PhasePoly) -> PhasePoly:
+    """a * b, unless `_check_limits` refuses it: its work is its term pairs
+    times 1 + the `_digits` of its coefficients."""
+    ta, tb = len(a.terms), len(b.terms)
+    if ta and tb:
+        terms = ta * tb
+        if terms > MAX_TERMS:
+            terms = min(terms, prod(x + y + 1 for x, y in zip(_spans(a), _spans(b))))
+        digits = _digits(a) + _digits(b)
+        _check_limits(f"a product of {ta} and {tb} terms", terms, digits, ta * tb * (1 + digits))
+    return a * b
 
 
 def _check_power(base: PhasePoly, exp: int):
-    """Raise ExprError unless base**exp, exp >= 2, is sure to have at most
-    MAX_POWER_TERMS terms and only integers within the output limit.
+    """Raise ExprError unless `_check_limits` passes base**exp, exp >= 2.
 
-    The terms are bounded by the exponents each variable can reach, and by
-    the multisets of exp of the base's t terms.  With D the lcm of the
-    coefficient denominators and n_j = D c_j, every coefficient of the power
-    is a Gaussian integer of modulus at most (sum |n_j|)^exp over D^exp, so
-    its printed parts have at most as many digits as the larger of the two.
+    The power is taken by repeated squaring (`scalars.power`), and each of
+    its products is charged as `_times` charges it, from the bounds of its
+    operands: `_power_terms` and k times the base's `_digits` for base**k.
     """
     if exp < 2 or not base.terms:
         return
-    keys, t = base.terms, len(base.terms)
-    spans = [max(k[v] for k in keys) - min(k[v] for k in keys) for v in range(3)]
-    by_degree = prod(exp * span + 1 for span in spans)
-    # comb(exp + t - 1, t - 1) is at least exp + t - 1, for t >= 2
-    n = exp + t - 1
-    by_count = comb(n, t - 1) if n <= MAX_POWER_TERMS else n
-    if min(by_degree, by_count) > MAX_POWER_TERMS:
-        raise ExprError(
-            f"a power ^{exp} of {t} terms may have more than the limit of "
-            f"{MAX_POWER_TERMS} terms"
-        )
-    limit = sys.get_int_max_str_digits()
-    if not limit:
-        return
-    coeffs = base.terms.values()
-    den = lcm(*(c.d for c in coeffs))
-    logs = [0.5 * log10((c.a * c.a + c.b * c.b) * (den // c.d) ** 2) for c in coeffs]
-    top = max(logs)
-    digits = exp * max(top + log10(sum(10 ** (v - top) for v in logs)), log10(den))
-    if digits >= limit:
-        raise ExprError(
-            f"a power ^{exp} may have an integer of about {digits:.0f} digits, past "
-            f"the output limit of {limit} digits"
-        )
+    t, spans, digits = len(base.terms), _spans(base), _digits(base)
+    what = f"a power ^{exp} of {t} terms"
+    terms = _power_terms(t, spans, exp)
+    if terms > MAX_TERMS:
+        _check_limits(what, terms, 0, 0)
+    work, done, k, n = 0, 0, 1, exp
+    while n:
+        if n & 1:
+            work += _power_terms(t, spans, done) * _power_terms(t, spans, k) * (1 + (done + k) * digits)
+            done += k
+        n >>= 1
+        if n:
+            work += _power_terms(t, spans, k) ** 2 * (1 + 2 * k * digits)
+            k *= 2
+    _check_limits(what, terms, exp * digits, work)
 
 
 def _tokenize(text: str) -> List[str]:
@@ -124,9 +178,9 @@ class _Parser:
             if tok in ("*", "/"):
                 self.take()
                 rhs = self.factor()
-                total = total * rhs if tok == "*" else _divide(total, rhs)
+                total = _times(total, rhs) if tok == "*" else _divide(total, rhs)
             elif tok is not None and tok not in ("+", "-", ")"):
-                total = total * self.factor()
+                total = _times(total, self.factor())
             else:
                 return total
 
@@ -178,8 +232,7 @@ def _divide(num: PhasePoly, den: PhasePoly) -> PhasePoly:
     ((xd, pd, hd), coeff) = next(iter(den.terms.items()))
     if xd:
         raise ExprError("cannot divide by a positive power of x")
-    inv = PhasePoly.monomial(coeff.inverse(), 0, -pd, -hd)
-    return num * inv
+    return _times(num, PhasePoly.monomial(coeff.inverse(), 0, -pd, -hd))
 
 
 def parse_poly(text: str) -> PhasePoly:

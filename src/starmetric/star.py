@@ -75,7 +75,7 @@ from itertools import chain
 from math import comb, factorial, lcm, perm
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import Frozen, GaussianRational, I, _reduced, check_keys
+from .scalars import Frozen, GaussianRational, I, ParamPoly, _reduced, check_keys
 
 
 class BadConstantTerm(ValueError):
@@ -204,17 +204,80 @@ def _products(ta, tb, f: int = 1):
     )
 
 
+def _monomial_parts(pairs):
+    """(parts, params) for the operands of pairs, `_numerators` results; None
+    unless each pair has an operand of ring parts and all such operands have
+    only ParamPoly coefficients over one parameter tuple q, params.
+
+    parts maps the id of each operand's terms to ({e: terms}, den).  Ring
+    parts (c_j, 0) with c_j = sum_e g_je q^e are sum_e q^e A_e, the g_je
+    scaled to Gaussian integer numerators over den, the lcm of their d's, as
+    `_numerators` scales; an operand with integer numerators is its own q^0
+    part.
+    """
+    if any(da is not None and db is not None for (_, da), (_, db), _ in pairs):
+        return None
+    operands = {id(terms): (terms, den) for a, b, _ in pairs for terms, den in (a, b)}
+    coeffs = [c for terms, den in operands.values() if den is None for _, (c, _) in terms]
+    params = getattr(coeffs[0], "params", None)
+    if not all(type(c) is ParamPoly and c.params == params for c in coeffs):
+        return None
+    parts = {}
+    for key, (terms, den) in operands.items():
+        if den is not None:
+            parts[key] = {(0,) * len(params): terms}, den
+            continue
+        den = lcm(*[g.d for _, (c, _) in terms for g in c.terms.values()])
+        split: dict = {}
+        for k, (c, _) in terms:
+            for e, g in c.terms.items():
+                split.setdefault(e, []).append((k, (g.a * (den // g.d), g.b * (den // g.d))))
+        parts[key] = split, den
+    return parts, params
+
+
+def _monomial_sums(pairs, parts, params) -> dict:
+    """sum f A * B over the (A, B, f) of pairs as ring parts [ParamPoly, 0],
+    summed in integers one parameter monomial e1 + e2 at a time, with the
+    `_monomial_parts` of the operands, over the lcm of the pairs'
+    denominator products."""
+    den = lcm(*[parts[id(ta)][1] * parts[id(tb)][1] for (ta, _), (tb, _), _ in pairs])
+    groups: dict = {}
+    for (ta, _), (tb, _), f in pairs:
+        (ma, da), (mb, db) = parts[id(ta)], parts[id(tb)]
+        f *= den // (da * db)
+        for ea, terms in ma.items():
+            if f != 1:
+                terms = [(key, (r * f, m * f)) for key, (r, m) in terms]
+            for eb, other in mb.items():
+                e = tuple([i + j for i, j in zip(ea, eb)])
+                groups.setdefault(e, []).append(_products(terms, other))
+    acc: dict = {}
+    for e, products in groups.items():
+        for key, c in _joined(_moyal_sums(chain.from_iterable(products), 1).items(), den):
+            acc.setdefault(key, []).append((e, c))
+    return {key: [ParamPoly._of(params, monomials), 0] for key, monomials in acc.items()}
+
+
 def _pair_sums(pairs):
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
     in one `_moyal_sums` pass, as (its dict, den).
 
     With integer numerators on every operand, den is the lcm of the pairs'
     denominator products, and the products of a pair enter with their
-    numerators scaled by f den / (dA dB).  Otherwise den is None and each
-    term product enters as the ring part (c1 c2 f, 0), an operand with
-    integer numerators taken as its coefficients.
+    numerators scaled by f den / (dA dB).  Otherwise den is None and the
+    sums are ring parts.  When `_monomial_parts` splits the operands by
+    parameter monomial, the parameters are spectators of the Moyal sum,
+    A * B = sum q^(e1 + e2) A_e1 * B_e2: the products of each e1 + e2 are
+    summed in integers as above, one pass per e, and each key's sums are
+    gathered into one ParamPoly.  Otherwise each term product enters as the
+    ring part (c1 c2 f, 0), an operand with integer numerators taken as its
+    coefficients.
     """
     if any(da is None or db is None for (_, da), (_, db), _ in pairs):
+        split = _monomial_parts(pairs)
+        if split is not None:
+            return _monomial_sums(pairs, *split), None
         products = (
             (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (c1 * c2 * f if f != 1 else c1 * c2, 0))
             for a, b, f in pairs

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 import sys
-from math import comb, lcm, log10, prod
+from math import comb, inf, lcm, log10, prod
 from typing import List, Tuple
 
 from .modelio import read_json
@@ -67,17 +67,17 @@ def _spans(poly: PhasePoly) -> list:
 
 def _power_terms(t: int, spans, k: int) -> int:
     """A bound on the terms of base**k, for a base of t terms and the degree
-    spans: the exponents each variable can reach, and the multisets of k of
-    the t terms.  Past MAX_TERMS it is only a bound from below,
-    comb(k + t - 1, t - 1) >= k + t - 1 for t >= 2."""
-    by_degree = prod(k * span + 1 for span in spans)
+    spans, or MAX_TERMS + 1 past the limit: the exponents each variable can
+    reach, and the multisets of k of the t terms, comb(k + t - 1, t - 1),
+    which is at least k + t - 1 for t >= 2."""
     n = k + t - 1
-    return min(by_degree, comb(n, t - 1) if n <= MAX_TERMS else n)
+    by_count = comb(n, t - 1) if n <= MAX_TERMS else MAX_TERMS + 1
+    return min(prod(k * span + 1 for span in spans), by_count)
 
 
 def _check_limits(what: str, terms: int, digits: float, work: float):
     """Raise ExprError if a product or power may have more than MAX_TERMS
-    terms, an integer past the output limit or take more than MAX_WORK."""
+    terms or an integer past the output limit, or take more than MAX_WORK."""
     if terms > MAX_TERMS:
         raise ExprError(f"{what} may have more than the limit of {MAX_TERMS} terms")
     limit = sys.get_int_max_str_digits()
@@ -102,7 +102,8 @@ def _times(a: PhasePoly, b: PhasePoly) -> PhasePoly:
         if terms > MAX_TERMS:
             terms = min(terms, prod(x + y + 1 for x, y in zip(_spans(a), _spans(b))))
         digits = _digits(a) + _digits(b)
-        _check_limits(f"a product of {ta} and {tb} terms", terms, digits, ta * tb * (1 + digits))
+        what = f"a product of a {ta}-term and a {tb}-term factor"
+        _check_limits(what, terms, digits, ta * tb * (1 + digits))
     return a * b
 
 
@@ -115,11 +116,14 @@ def _check_power(base: PhasePoly, exp: int):
     """
     if exp < 2 or not base.terms:
         return
-    t, spans, digits = len(base.terms), _spans(base), _digits(base)
-    what = f"a power ^{exp} of {t} terms"
-    terms = _power_terms(t, spans, exp)
-    if terms > MAX_TERMS:
-        _check_limits(what, terms, 0, 0)
+    t, digits = len(base.terms), _digits(base)
+    if t == 1 and not digits:
+        return  # one term with a unit coefficient, at any exponent
+    what, spans = f"a power ^{exp} of a {t}-term base", _spans(base)
+    if exp >= 2**1000:
+        # past the terms limit (t >= 2) or the digits one (at least
+        # log10(2)/2 a factor), and past what a float bound holds
+        _check_limits(what, _power_terms(t, spans, exp), inf, inf)
     work, done, k, n = 0, 0, 1, exp
     while n:
         if n & 1:
@@ -129,7 +133,7 @@ def _check_power(base: PhasePoly, exp: int):
         if n:
             work += _power_terms(t, spans, k) ** 2 * (1 + 2 * k * digits)
             k *= 2
-    _check_limits(what, terms, exp * digits, work)
+    _check_limits(what, _power_terms(t, spans, exp), exp * digits, work)
 
 
 def _tokenize(text: str) -> List[str]:

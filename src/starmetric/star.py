@@ -37,10 +37,17 @@ over one denominator (the lcm of its d's); the parts are plain integers,
 and each output coefficient is built with one gcd, over the product of the
 two denominators (Knuth, TAOCP vol. 2, 4.6.1, content and primitive part).
 Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands) enters as
-the ring part (c, 0) over no denominator: a term product is the ring
-product c1 c2, and the parts are added in the ring.  Only `_numerators`
-(in), `_pair_sums` (term products) and `_joined` (out) tell the two forms
-apart.
+the ring part (c, 0) over no denominator.  When the ring operands have only
+`ParamPoly` coefficients over one parameter tuple q, the parameters are
+spectators, d/dx and d/dp do not touch them: A * B = sum q^(e1 + e2)
+A_e1 * B_e2, with A = sum_e q^e A_e.  So the products are summed in
+integers as above, one pass per parameter monomial e1 + e2
+(`_monomial_parts`, `_monomial_sums`), and each output key gathers its
+monomials into one `ParamPoly`.  Otherwise (`RatFunc2`, an operand that
+mixes `GaussianRational` and `ParamPoly`, differing parameters) a term
+product is the ring product c1 c2, and the parts are added in the ring.
+Only `_numerators` (in), `_pair_sums` (term products) and `_joined` (out)
+tell the forms apart.
 
 Differences are summed in one pass.  `star_difference(a, b, c, d)`, A * B -
 C * D, is one Moyal pass over the products of both pairs, over the lcm of

@@ -828,6 +828,9 @@ class TestErrorHandling:
             ("(p/3)^-9013", "output limit of 4300 digits"),
             ("(x+p+hbar)^300", "limit of 1000 terms"),
             ("((x+p)^20)^5000", "limit of 1000 terms"),
+            # an exponent past what a float holds
+            pytest.param("3^1" + "0" * 400, "output limit of 4300 digits", id="3^1e400"),
+            pytest.param("(x+p)^1" + "0" * 400, "limit of 1000 terms", id="(x+p)^1e400"),
         ],
     )
     def test_theta_power_past_a_limit_exits_2_fast(self, theta, limit):
@@ -860,7 +863,14 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "theta, terms",
-        [("x^99999999", 1), ("i^-1", 1), ("3^9012", 1), ("(1+i)^20000", 1), ("(x+p+hbar)^43", 990)],
+        [
+            ("x^99999999", 1),
+            pytest.param("x^1" + "0" * 400, 1, id="x^1e400"),
+            ("i^-1", 1),
+            ("3^9012", 1),
+            ("(1+i)^20000", 1),
+            ("(x+p+hbar)^43", 990),
+        ],
     )
     def test_theta_power_within_the_limits_runs(self, capsys, theta, terms):
         # 3^9012 has 4300 digits, the most that print; (1+i)^20000 = 2^10000

@@ -225,9 +225,9 @@ def _monomial_parts(pairs):
     if any(da is not None and db is not None for (_, da), (_, db), _ in pairs):
         return None
     operands = {id(terms): (terms, den) for a, b, _ in pairs for terms, den in (a, b)}
-    coeffs = [c for terms, den in operands.values() if den is None for _, (c, _) in terms]
-    params = getattr(coeffs[0], "params", None)
-    if not all(type(c) is ParamPoly and c.params == params for c in coeffs):
+    ring = [terms for terms, den in operands.values() if den is None]
+    params = getattr(ring[0][0][1][0], "params", None)
+    if not all(type(c) is ParamPoly and c.params == params for terms in ring for _, (c, _) in terms):
         return None
     parts = {}
     for key, (terms, den) in operands.items():

@@ -127,7 +127,8 @@ def _check_power(base: PhasePoly, exp: int):
     work, done, k, n = 0, 0, 1, exp
     while n:
         if n & 1:
-            work += _power_terms(t, spans, done) * _power_terms(t, spans, k) * (1 + (done + k) * digits)
+            pairs = _power_terms(t, spans, done) * _power_terms(t, spans, k)
+            work += pairs * (1 + (done + k) * digits)
             done += k
         n >>= 1
         if n:

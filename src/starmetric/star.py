@@ -226,8 +226,10 @@ def _monomial_parts(pairs):
         return None
     operands = {id(terms): (terms, den) for a, b, _ in pairs for terms, den in (a, b)}
     ring = [terms for terms, den in operands.values() if den is None]
-    params = getattr(ring[0][0][1][0], "params", None)
-    if not all(type(c) is ParamPoly and c.params == params for terms in ring for _, (c, _) in terms):
+    _, (first, _) = ring[0][0]
+    params = getattr(first, "params", None)
+    coeffs = (c for terms in ring for _, (c, _) in terms)
+    if not all(type(c) is ParamPoly and c.params == params for c in coeffs):
         return None
     parts = {}
     for key, (terms, den) in operands.items():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from starmetric.berry import (
+    TRIAL_BLOCK,
     MoyalConnection,
     RankDeficient,
+    _comm,
     _double_bracket,
+    _mul2x2,
     _solve_two_unknowns_exact,
     coalescing_eigenvectors,
     connection_residual,
@@ -71,6 +74,18 @@ class TestMonodromy:
     def test_identity_for_zero_generator(self):
         assert np.allclose(matrix_exp_taylor(np.zeros((2, 2))), np.eye(2))
 
+    def test_taylor_series_stops_after_200_terms(self):
+        # sums[k] = sum of m^j / j! for j <= k.  The terms 150^k / k! of
+        # 150 I never fall below 1e-30 up to k = 200; at 100 I the term
+        # k = 201 would vanish in the roundoff of the sum
+        m = 150.0 * np.eye(2, dtype=complex)
+        sums, term = [np.eye(2, dtype=complex)], np.eye(2, dtype=complex)
+        for k in range(1, 202):
+            term = term @ m / k
+            sums.append(sums[-1] + term)
+        assert np.allclose(matrix_exp_taylor(m), sums[200], rtol=1e-14, atol=0)
+        assert not np.allclose(sums[200], sums[201], rtol=1e-14, atol=0)
+
     def test_eigenvector_swap_numeric(self):
         f = holonomy_exceptional()
         up, um = coalescing_eigenvectors(0.02 * np.exp(1.3j))
@@ -95,6 +110,29 @@ class TestMonodromy:
             f[1][0] * u_minus[0] + f[1][1] * u_minus[1],
         ]
         assert acted[0] == u_plus[0] and acted[1] == u_plus[1]
+
+
+def random_stack(rng, shape):
+    return rng.normal(size=shape + (2, 2)) + 1j * rng.normal(size=shape + (2, 2))
+
+
+class TestProduct2x2:
+    @pytest.mark.parametrize(
+        "left, right",
+        [((), (100,)), ((100, 4), (100, 1)), ((), ()), ((3, 1), (5,))],
+        ids=["partial-by-stack", "solve-columns", "one-matrix", "outer"],
+    )
+    def test_equals_matmul(self, left, right):
+        rng = np.random.default_rng(31)
+        a, b = random_stack(rng, left), random_stack(rng, right)
+        product = _mul2x2(a, b)
+        expected = a @ b
+        assert product.shape == expected.shape
+        assert np.max(np.abs(product - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_commutator_of_a_matrix_with_itself_is_exactly_zero(self):
+        a = random_stack(np.random.default_rng(32), (100,))
+        assert np.array_equal(_comm(a, a), np.zeros_like(a))
 
 
 class TestConnection2x2:
@@ -130,12 +168,18 @@ class TestConnection2x2:
 
     def test_stack_agrees_with_single_points(self):
         points = np.array(regular_points(seed=21, count=200))
-        stack = points.reshape(10, 20, 2)
+        self.check_against_single_points(points.reshape(10, 20, 2), points)
+        # a block of berry2x2's trials
+        block = sample_regular_points(np.random.default_rng(24), TRIAL_BLOCK)
+        self.check_against_single_points(block, block)
+
+    @staticmethod
+    def check_against_single_points(stack, points):
         solved = solve_connection_2x2(stack)
         printed = gauge_fixed_connection(stack)
         residuals = verify_connection_matrix(model_hamiltonian(stack), model_partials(), solved)
-        assert residuals.shape == (10, 20)
-        for index, q in zip(np.ndindex(10, 20), points):
+        assert residuals.shape == stack.shape[:-1]
+        for index, q in zip(np.ndindex(stack.shape[:-1]), points):
             one_solved = solve_connection_2x2(q)
             one_printed = gauge_fixed_connection(q)
             for a in range(2):
@@ -146,9 +190,14 @@ class TestConnection2x2:
 
     @pytest.mark.parametrize("point", [(0.0, 1.0), (0.0, -1.0)])
     def test_stack_with_exceptional_point_is_rank_deficient(self, point):
-        stack = np.array(regular_points(seed=22, count=5) + [point, (0.0, 1.0)])
-        with pytest.raises(RankDeficient, match=rf"singular at q = \({point[0]}, {point[1]}\)"):
-            solve_connection_2x2(stack)
+        block = sample_regular_points(np.random.default_rng(25), TRIAL_BLOCK)
+        for stack in (
+            np.array(regular_points(seed=22, count=5) + [point, (0.0, 1.0)]),
+            # a block of berry2x2's trials with the point in the middle
+            np.insert(block[1:], TRIAL_BLOCK // 2, point, axis=0),
+        ):
+            with pytest.raises(RankDeficient, match=rf"singular at q = \({point[0]}, {point[1]}\)"):
+                solve_connection_2x2(stack)
 
     def test_stack_with_pole_raises(self):
         stack = np.array(regular_points(seed=23, count=5) + [(0.0, -1.0), (0.0, 1.0)])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starmetric import cli, metric, weyl
+from starmetric import cli, exprparse, metric, weyl
 from starmetric.cli import main
 from starmetric.exprparse import parse_poly
 from starmetric.metric import UnsolvableOrder
@@ -860,6 +860,19 @@ class TestErrorHandling:
         proc = subprocess.run(argv, env=CLI_ENV, capture_output=True, text=True, timeout=10)
         assert proc.returncode == 2 and not proc.stdout
         assert limit in json.loads(proc.stderr)["error"]
+
+    def test_theta_work_is_budgeted_per_expression(self):
+        # P parses in about half a second, inside every limit; a sum of
+        # copies of P ran for as many times that
+        one = "(2/3+x/5)^150*(2/3+x/5)^150"
+        assert len(parse_poly(one).terms) == 301
+        parser = exprparse._Parser(exprparse._tokenize(one))
+        parser.expr()
+        copies = int(exprparse.MAX_WORK // parser.work) + 1
+        argv = CLI + ["star", "--model", SHIFTED, "--theta", "+".join([one] * copies)]
+        proc = subprocess.run(argv, env=CLI_ENV, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2 and not proc.stdout
+        assert "work limit" in json.loads(proc.stderr)["error"]
 
     @pytest.mark.parametrize(
         "theta, terms",

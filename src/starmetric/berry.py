@@ -50,7 +50,10 @@ class RankDeficient(ArithmeticError):
 # model_hamiltonian, gauge_fixed_connection, solve_connection_2x2 and
 # verify_connection_matrix take one point q = (q1, q2) or a stack of points of
 # shape (..., 2), and return one value per point: a single point is a stack
-# with no leading axes.
+# with no leading axes.  Stacks of 2x2 matrices are multiplied entry by entry
+# with broadcast arithmetic (`_mul2x2`), not with numpy's matmul, whose fixed
+# cost per call is larger than the arithmetic on a stack of 2x2 matrices; the
+# connection system is solved with one SVD per stack.
 
 # Largest stack of random points that berry2x2 samples and solves at once.
 TRIAL_BLOCK = 128
@@ -72,11 +75,13 @@ def _first_point(q, bad: np.ndarray) -> Tuple[float, ...]:
 
 
 def _matrices(entries) -> np.ndarray:
-    """Stack [[a, b], [c, d]] of broadcastable arrays into shape (..., 2, 2)."""
+    """Stack [[a, b], [c, d]] of broadcastable complex arrays into shape
+    (..., 2, 2)."""
     import numpy as np
 
-    a, b, c, d = np.broadcast_arrays(*entries)
-    return np.stack([a, b, c, d], axis=-1).reshape(a.shape + (2, 2))
+    out = np.empty(np.broadcast(*entries).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = entries
+    return out
 
 
 def model_hamiltonian(q) -> np.ndarray:
@@ -145,8 +150,14 @@ def verify_connection_matrix(
     )
 
 
+def _mul2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of 2x2 matrices, broadcasting their leading axes:
+    c[..., i, j] = a[..., i, 0] b[..., 0, j] + a[..., i, 1] b[..., 1, j]."""
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
 def _comm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b - b @ a
+    return _mul2x2(a, b) - _mul2x2(b, a)
 
 
 # A[1][1] = 0 and A[1][0] = W1 * kappa: rows picking entries 3 and 2 of vec(A)
@@ -279,7 +290,7 @@ def matrix_exp_taylor(m: np.ndarray) -> np.ndarray:
         k += 1
         term = term @ m / k
         out = out + term
-        if float(np.max(np.abs(term))) < 1e-30 or k > 200:
+        if np.abs(term).max() < 1e-30 or k >= 200:
             return out
 
 

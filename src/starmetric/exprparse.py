@@ -11,10 +11,11 @@ Division is exact and only by single-term (monomial) subexpressions with no
 positive x power, e.g. "x^4/(4*hbar*p)".  This covers every printed formula;
 anything richer belongs in a JSON model file.
 
-Every product and power is bounded before it is taken (`_times`,
-`_check_power`): one whose result may have more than MAX_TERMS terms, or
-whose products may take more than MAX_WORK, or a power with an integer past
-the int -> str output limit, is an ExprError.
+Every product and power is bounded before it is taken (`_Parser.times`,
+`_Parser.check_power`): one whose result may have more than MAX_TERMS terms,
+or a power with an integer past the int -> str output limit, is an
+ExprError, and so is one that brings the work of the products and powers of
+the expression so far past MAX_WORK.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ class ExprError(ValueError):
 # many terms with multi-hundred-digit coefficients already takes about a second
 MAX_TERMS = 1000
 
-# the most work a product, or the products of a power, may take: its term
-# pairs times 1 + the digits of its coefficients.  At this limit a product
-# takes up to about a second.
-MAX_WORK = 10**7
+# the most work the products and powers of one expression may take together:
+# each product's term pairs times 1 + the digits of its coefficients.  At this
+# limit a parse takes up to about two seconds.
+MAX_WORK = 2 * 10**7
 
 
 def _digits(poly: PhasePoly) -> float:
@@ -75,68 +76,6 @@ def _power_terms(t: int, spans, k: int) -> int:
     return min(prod(k * span + 1 for span in spans), by_count)
 
 
-def _check_limits(what: str, terms: int, digits: float, work: float):
-    """Raise ExprError if a product or power may have more than MAX_TERMS
-    terms or an integer past the output limit, or take more than MAX_WORK."""
-    if terms > MAX_TERMS:
-        raise ExprError(f"{what} may have more than the limit of {MAX_TERMS} terms")
-    limit = sys.get_int_max_str_digits()
-    if limit and digits >= limit:
-        raise ExprError(
-            f"{what} may have an integer of about {digits:.0f} digits, past the output "
-            f"limit of {limit} digits"
-        )
-    if work > MAX_WORK:
-        raise ExprError(
-            f"{what} may take about {work:.2g} term pairs times digits, past the work "
-            f"limit of {MAX_WORK:.0e}"
-        )
-
-
-def _times(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    """a * b, unless `_check_limits` refuses it: its work is its term pairs
-    times 1 + the `_digits` of its coefficients."""
-    ta, tb = len(a.terms), len(b.terms)
-    if ta and tb:
-        terms = ta * tb
-        if terms > MAX_TERMS:
-            terms = min(terms, prod(x + y + 1 for x, y in zip(_spans(a), _spans(b))))
-        digits = _digits(a) + _digits(b)
-        what = f"a product of a {ta}-term and a {tb}-term factor"
-        _check_limits(what, terms, digits, ta * tb * (1 + digits))
-    return a * b
-
-
-def _check_power(base: PhasePoly, exp: int):
-    """Raise ExprError unless `_check_limits` passes base**exp, exp >= 2.
-
-    The power is taken by repeated squaring (`scalars.power`), and each of
-    its products is charged as `_times` charges it, from the bounds of its
-    operands: `_power_terms` and k times the base's `_digits` for base**k.
-    """
-    if exp < 2 or not base.terms:
-        return
-    t, digits = len(base.terms), _digits(base)
-    if t == 1 and not digits:
-        return  # one term with a unit coefficient, at any exponent
-    what, spans = f"a power ^{exp} of a {t}-term base", _spans(base)
-    if exp >= 2**1000:
-        # past the terms limit (t >= 2) or the digits one (at least
-        # log10(2)/2 a factor), and past what a float bound holds
-        _check_limits(what, _power_terms(t, spans, exp), inf, inf)
-    work, done, k, n = 0, 0, 1, exp
-    while n:
-        if n & 1:
-            pairs = _power_terms(t, spans, done) * _power_terms(t, spans, k)
-            work += pairs * (1 + (done + k) * digits)
-            done += k
-        n >>= 1
-        if n:
-            work += _power_terms(t, spans, k) ** 2 * (1 + 2 * k * digits)
-            k *= 2
-    _check_limits(what, _power_terms(t, spans, exp), exp * digits, work)
-
-
 def _tokenize(text: str) -> List[str]:
     text = text.rstrip()
     out, pos = [], 0
@@ -153,6 +92,80 @@ class _Parser:
     def __init__(self, tokens: List[str]):
         self.tokens = tokens
         self.pos = 0
+        # the work of the products and powers taken so far, as `charge` counts it
+        self.work = 0.0
+
+    def charge(self, what: str, terms: int, digits: float, work: float):
+        """Raise ExprError if a product or power may have more than MAX_TERMS
+        terms or an integer past the output limit, or if its work brings the
+        expression's past MAX_WORK; else add its work to the expression's."""
+        if terms > MAX_TERMS:
+            raise ExprError(f"{what} may have more than the limit of {MAX_TERMS} terms")
+        limit = sys.get_int_max_str_digits()
+        if limit and digits >= limit:
+            raise ExprError(
+                f"{what} may have an integer of about {digits:.0f} digits, past the output "
+                f"limit of {limit} digits"
+            )
+        self.work += work
+        if self.work > MAX_WORK:
+            raise ExprError(
+                f"{what} brings the work of the expression to about {self.work:.2g} term "
+                f"pairs times digits, past the work limit of {MAX_WORK:.0e}"
+            )
+
+    def times(self, a: PhasePoly, b: PhasePoly) -> PhasePoly:
+        """a * b, unless `charge` refuses it: its work is its term pairs
+        times 1 + the `_digits` of its coefficients."""
+        ta, tb = len(a.terms), len(b.terms)
+        if ta and tb:
+            terms = ta * tb
+            if terms > MAX_TERMS:
+                terms = min(terms, prod(x + y + 1 for x, y in zip(_spans(a), _spans(b))))
+            digits = _digits(a) + _digits(b)
+            what = f"a product of a {ta}-term and a {tb}-term factor"
+            self.charge(what, terms, digits, ta * tb * (1 + digits))
+        return a * b
+
+    def check_power(self, base: PhasePoly, exp: int):
+        """Raise ExprError unless `charge` passes base**exp, exp >= 2.
+
+        The power is taken by repeated squaring (`scalars.power`), and each
+        of its products is charged as `times` charges it, from the bounds of
+        its operands: `_power_terms` and k times the base's `_digits` for
+        base**k.
+        """
+        if exp < 2 or not base.terms:
+            return
+        t, digits = len(base.terms), _digits(base)
+        if t == 1 and not digits:
+            return  # one term with a unit coefficient, at any exponent
+        what, spans = f"a power ^{exp} of a {t}-term base", _spans(base)
+        if exp >= 2**1000:
+            # past the terms limit (t >= 2) or the digits one (at least
+            # log10(2)/2 a factor), and past what a float bound holds
+            self.charge(what, _power_terms(t, spans, exp), inf, inf)
+        work, done, k, n = 0, 0, 1, exp
+        while n:
+            if n & 1:
+                pairs = _power_terms(t, spans, done) * _power_terms(t, spans, k)
+                work += pairs * (1 + (done + k) * digits)
+                done += k
+            n >>= 1
+            if n:
+                work += _power_terms(t, spans, k) ** 2 * (1 + 2 * k * digits)
+                k *= 2
+        self.charge(what, _power_terms(t, spans, exp), exp * digits, work)
+
+    def divide(self, num: PhasePoly, den: PhasePoly) -> PhasePoly:
+        if den.is_zero:
+            raise ExprError("division by zero")
+        if len(den.terms) != 1:
+            raise ExprError("division only by monomial subexpressions")
+        ((xd, pd, hd), coeff) = next(iter(den.terms.items()))
+        if xd:
+            raise ExprError("cannot divide by a positive power of x")
+        return self.times(num, PhasePoly.monomial(coeff.inverse(), 0, -pd, -hd))
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -183,9 +196,9 @@ class _Parser:
             if tok in ("*", "/"):
                 self.take()
                 rhs = self.factor()
-                total = _times(total, rhs) if tok == "*" else _divide(total, rhs)
+                total = self.times(total, rhs) if tok == "*" else self.divide(total, rhs)
             elif tok is not None and tok not in ("+", "-", ")"):
-                total = _times(total, self.factor())
+                total = self.times(total, self.factor())
             else:
                 return total
 
@@ -201,10 +214,10 @@ class _Parser:
             if tok is None or not tok.isdigit():
                 raise ExprError("expected an integer exponent after '^'")
             exp = sign * int(tok)
-            _check_power(base, abs(exp))
+            self.check_power(base, abs(exp))
             if exp >= 0:
                 return base**exp
-            return _divide(PhasePoly.one(), base ** (-exp))
+            return self.divide(PhasePoly.one(), base ** (-exp))
         return base
 
     def primary(self) -> PhasePoly:
@@ -227,17 +240,6 @@ class _Parser:
                 raise ExprError("missing closing parenthesis")
             return inner
         raise ExprError(f"unexpected token {tok!r}")
-
-
-def _divide(num: PhasePoly, den: PhasePoly) -> PhasePoly:
-    if den.is_zero:
-        raise ExprError("division by zero")
-    if len(den.terms) != 1:
-        raise ExprError("division only by monomial subexpressions")
-    ((xd, pd, hd), coeff) = next(iter(den.terms.items()))
-    if xd:
-        raise ExprError("cannot divide by a positive power of x")
-    return _times(num, PhasePoly.monomial(coeff.inverse(), 0, -pd, -hd))
 
 
 def parse_poly(text: str) -> PhasePoly:

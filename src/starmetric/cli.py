@@ -514,12 +514,6 @@ def _action(name, flag) -> dict:
     return {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
 
 
-def _add_flags(parser, name):
-    for flag in _COMMANDS[name][1]:
-        parser.add_argument(f"--{flag}", **_action(name, flag))
-    return parser
-
-
 def _build_parser():
     """The full parser, with the subparser of every command."""
     import argparse
@@ -529,8 +523,10 @@ def _build_parser():
         description="Exact star-product calculus for metric operators and Berry connections",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name in _COMMANDS:
-        _add_flags(sub.add_parser(name), name)
+    for name, (_, flags) in _COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **_action(name, flag))
     return parser
 
 
@@ -590,22 +586,11 @@ def _direct_args(name, tokens):
 
 def _parse_args(argv):
     """Parse ``argv``.  When ``argv[0]`` names a command whose flags
-    `_direct_args` reads in full, no parser is built.  Otherwise that
-    command's parser parses the rest, as the top-level parser would hand it
-    on, and prints the same help and errors.  Arguments it leaves over are
-    reported by the top-level parser, so ``argv`` is then parsed again in
-    full, as is any ``argv`` that names no command."""
+    `_direct_args` reads in full, no parser is built; any other ``argv`` is
+    parsed by the full parser, which alone prints help and errors."""
     if argv and argv[0] in _COMMANDS:
         args = _direct_args(argv[0], argv[1:])
         if args is not None:
-            return args
-        import argparse
-
-        # the subparser `_build_parser` would make, without the top level
-        parser = _add_flags(argparse.ArgumentParser(prog=f"starmetric {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.cmd = argv[0]
             return args
     return _build_parser().parse_args(argv)
 

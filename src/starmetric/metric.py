@@ -15,9 +15,11 @@ from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
+    _gathered,
     _joined,
     _numerators,
     _pair_sums,
+    _poly,
     apply_slots,
     dagger,
     dagger_series,
@@ -313,11 +315,11 @@ def solve_perturbative(
     that is 2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 on the left.
     Its right side is summed in one Moyal pass, the pointwise product
     Theta_{n-1} conj(V) = Theta_{n-1} * conj(V) (V has no p) entering with
-    negated numerators, and its sums go to `_exchange_solution` without
-    building a PhasePoly.  The solution is checked by the order-n metric
-    residual itself: the left side is summed with the Moyal kernel and
-    compared with the right side exactly (`_same_sums`), and a mismatch
-    raises UnsolvableOrder.  So every returned order has H * Theta - Theta * H^dagger
+    negated numerators, and its sums go to `_exchange_solution`, one
+    parameter monomial at a time, without building a PhasePoly.  The
+    solution is checked by the order-n metric residual itself: the left side
+    is summed with the Moyal kernel and compared with the right side exactly
+    (`_same_sums`), and a mismatch raises UnsolvableOrder.  So every returned order has H * Theta - Theta * H^dagger
     exactly zero, and callers need not recompute the residual.  The
     normalization is 1, and the integration function (a free function of p)
     at order n is zero unless integration_functions[n], 1 <= n <= order,
@@ -339,54 +341,60 @@ def solve_perturbative(
     thetas: List[PhasePoly] = [PhasePoly.one()]
     nprev = _numerators(thetas[0])  # the numerators of each order serve the next
     for n in range(1, order + 1):
-        rhs, rhs_den = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
-        theta_n = _exchange_solution(rhs, rhs_den, integration_functions.get(n, PhasePoly.zero()))
+        rhs = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
+        theta_n = _exchange_solution(*rhs, integration_functions.get(n, PhasePoly.zero()))
         nprev = _numerators(theta_n)
-        lhs, lhs_den = _pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)])
-        if not _same_sums(lhs, lhs_den, rhs, rhs_den):
+        if not _same_sums(_pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)]), rhs):
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
         thetas.append(theta_n)
     return CouplingSeries(coupling, thetas)
 
 
-def _same_sums(a, da, b, db) -> bool:
-    """Whether the `_moyal_sums` dicts a over da and b over db are the same
-    terms: integer sums cross-multiplied by the two denominators, and
-    PhasePolys when a denominator is None, since ring parts (re, im) are not
-    canonical."""
-    if da is None or db is None:
-        return PhasePoly._of(_joined(a.items(), da)) == PhasePoly._of(_joined(b.items(), db))
+def _same_sums(a, b) -> bool:
+    """Whether the `star._pair_sums` results a and b are the same terms:
+    integer sums cross-multiplied by the two denominators, one parameter
+    monomial at a time, and PhasePolys when a denominator is None, since ring
+    parts (re, im) are not canonical, or when the parameters differ."""
+    (ga, da, pa), (gb, db, pb) = a, b
+    if da is None or db is None or pa != pb:
+        return PhasePoly._of(_poly(*a)) == PhasePoly._of(_poly(*b))
     zero = (0, 0)
-    for key in a.keys() | b.keys():
-        (ra, ma), (rb, mb) = a.get(key, zero), b.get(key, zero)
-        if ra * db != rb * da or ma * db != mb * da:
-            return False
+    for e in ga.keys() | gb.keys():
+        sa, sb = ga.get(e, {}), gb.get(e, {})
+        for key in sa.keys() | sb.keys():
+            (ra, ma), (rb, mb) = sa.get(key, zero), sb.get(key, zero)
+            if ra * db != rb * da or ma * db != mb * da:
+                return False
     return True
 
 
-def _exchange_solution(rhs, den, free: PhasePoly) -> PhasePoly:
+def _exchange_solution(rhs, den, params, free: PhasePoly) -> PhasePoly:
     """Theta = free + sum_j t_j x^j for the right side rhs = sum_j r_j x^j,
-    given as a `_moyal_sums` dict over den (sums whose parts are both zero
-    are skipped).  Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j +
-    (j + 2)(j + 1) hbar^2 t_{j+2}, is solved from the top j down: each term
-    of the right side is multiplied by -i/(2 (j + 1)), the division going into
-    one running integer scale, and moved to (j + 1, p - 1, h - 1)."""
-    slices: dict = {}
-    for (x, p, h), (re, im) in rhs.items():
-        if re or im:
-            slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), (re, im)))
-    out, upper, scale = list(free.terms.items()), {}, 1  # upper: the numerators of t_{j+2}
-    for j in range(max(slices, default=-1), -1, -1):
-        acc = {key: [re * scale, im * scale] for key, (re, im) in slices.get(j, ())}
-        w = (j + 2) * (j + 1)
-        for (_, p, h), (re, im) in upper.items():
-            sums = acc.setdefault((j + 1, p - 1, h + 1), [0, 0])
-            sums[0] += re * w
-            sums[1] += im * w
-        upper = {key: (im, -re) for key, (re, im) in acc.items()}
-        scale *= 2 * (j + 1)
-        out += _joined(upper.items(), den, scale)
-    return PhasePoly._of(out)
+    given as the groups of a `star._pair_sums` result over den and params
+    (sums whose parts are both zero are skipped), each group solved alone.
+    Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j + (j + 2)(j + 1) hbar^2
+    t_{j+2}, is solved from the top j down: each term of the right side is
+    multiplied by -i/(2 (j + 1)), the division going into one running
+    integer scale, and moved to (j + 1, p - 1, h - 1)."""
+    solved = {}
+    for e, parts in rhs.items():
+        slices: dict = {}
+        for (x, p, h), (re, im) in parts.items():
+            if re or im:
+                slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), (re, im)))
+        terms, upper, scale = [], {}, 1  # upper: the numerators of t_{j+2}
+        for j in range(max(slices, default=-1), -1, -1):
+            acc = {key: [re * scale, im * scale] for key, (re, im) in slices.get(j, ())}
+            w = (j + 2) * (j + 1)
+            for (_, p, h), (re, im) in upper.items():
+                sums = acc.setdefault((j + 1, p - 1, h + 1), [0, 0])
+                sums[0] += re * w
+                sums[1] += im * w
+            upper = {key: (im, -re) for key, (re, im) in acc.items()}
+            scale *= 2 * (j + 1)
+            terms += _joined(upper.items(), den, scale)
+        solved[e] = terms
+    return PhasePoly._of(chain(free.terms.items(), _gathered(solved, params)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,23 +31,21 @@ are the same loop over one term at a time, with (x1, p2) the term's own
 
 One kernel, `_moyal_sums`, runs this loop for every coefficient ring.  It
 sums (re, im) parts per output monomial, c = re + i im, and a factor i
-maps (re, im) to (-im, re).  When every coefficient of both operands is a
-`GaussianRational`, each operand is scaled to Gaussian-integer numerators
-over one denominator (the lcm of its d's); the parts are plain integers,
-and each output coefficient is built with one gcd, over the product of the
-two denominators (Knuth, TAOCP vol. 2, 4.6.1, content and primitive part).
-Any other coefficient (`ParamPoly`, `RatFunc2`, mixed operands) enters as
-the ring part (c, 0) over no denominator.  When the ring operands have only
-`ParamPoly` coefficients over one parameter tuple q, the parameters are
-spectators, d/dx and d/dp do not touch them: A * B = sum q^(e1 + e2)
-A_e1 * B_e2, with A = sum_e q^e A_e.  So the products are summed in
-integers as above, one pass per parameter monomial e1 + e2
-(`_monomial_parts`, `_monomial_sums`), and each output key gathers its
-monomials into one `ParamPoly`.  Otherwise (`RatFunc2`, an operand that
-mixes `GaussianRational` and `ParamPoly`, differing parameters) a term
-product is the ring product c1 c2, and the parts are added in the ring.
-Only `_numerators` (in), `_pair_sums` (term products) and `_joined` (out)
-tell the forms apart.
+maps (re, im) to (-im, re).  `_numerators` gives every operand one form,
+A = sum_e q^e A_e: groups e of parts over one denominator, q the
+parameters.  A `GaussianRational` operand is the one group (), and one whose
+coefficients are all `ParamPoly` over one tuple q is split by monomial e.
+The parts are then Gaussian integer numerators over the lcm of the d's,
+summed as plain integers, and each output coefficient is built with one
+gcd (Knuth, TAOCP vol. 2, 4.6.1, content and primitive part).  The real
+parameters are spectators, d/dx and d/dp do not touch them: A * B = sum
+q^(e1 + e2) A_e1 * B_e2, and the adjoint and hermiticity act on each A_e
+alone.  Any other operand (`RatFunc2`, or `GaussianRational` and
+`ParamPoly` coefficients in one) is the one group of ring parts (c, 0) over
+no denominator, and so is a sum of products whose pairs do not share one q:
+a term product is then the ring product c1 c2, added in the ring.  Only
+`_numerators` (in), `_pair_sums` (term products) and `_poly` (out) tell the
+forms apart.
 
 Differences are summed in one pass.  `star_difference(a, b, c, d)`, A * B -
 C * D, is one Moyal pass over the products of both pairs, over the lcm of
@@ -80,6 +78,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, lcm, perm
+from operator import add
 
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import Frozen, GaussianRational, I, ParamPoly, _reduced, check_keys
@@ -170,25 +169,35 @@ def _moyal_sums(products, sign: int) -> dict:
 
 
 def _numerators(a: PhasePoly):
-    """The terms of a as (key, (re, im)) for coefficients (re + i im)/den, and
-    den.  When every coefficient is a GaussianRational, re and im are Gaussian
-    integer numerators over one common denominator; otherwise each term is
-    the ring part (c, 0) and den is None."""
+    """(groups, den, params): a = sum_e q^e sum (re + i im)/den x^x p^p hbar^h
+    over the groups {e: [(key, (re, im))]}, q = params.  A Gaussian operand
+    is the one group () with params None; one whose coefficients are all
+    ParamPoly over one tuple q is split by monomial e.  Any other operand
+    is the one group () of ring parts (c, 0), den and params None."""
     coeffs = a.terms.values()
-    if not all(type(c) is GaussianRational for c in coeffs):
-        return [(key, (c, 0)) for key, c in a.terms.items()], None
-    # a list, not a generator: a tuple unpacked from a generator is built with
-    # ten slots and shrunk, which leaves one more tuple on CPython's free list
-    # for its final size on every call
-    den = lcm(*[c.d for c in coeffs])
-    return [(key, (c.a * (den // c.d), c.b * (den // c.d))) for key, c in a.terms.items()], den
+    if all(type(c) is GaussianRational for c in coeffs):
+        # a list, not a generator: a tuple unpacked from a generator is built
+        # with ten slots and shrunk, which leaves one more tuple on CPython's
+        # free list for its final size on every call
+        den = lcm(*[c.d for c in coeffs])
+        terms = [(key, (c.a * (den // c.d), c.b * (den // c.d))) for key, c in a.terms.items()]
+        return {(): terms}, den, None
+    params = getattr(next(iter(coeffs)), "params", None)
+    if params is None or not all(type(c) is ParamPoly and c.params == params for c in coeffs):
+        return {(): [(key, (c, 0)) for key, c in a.terms.items()]}, None, None
+    den = lcm(*[g.d for c in coeffs for g in c.terms.values()])
+    groups: dict = {}
+    for key, c in a.terms.items():
+        for e, g in c.terms.items():
+            groups.setdefault(e, []).append((key, (g.a * (den // g.d), g.b * (den // g.d))))
+    return groups, den, params
 
 
 def _joined(parts, den, scale: int = 1) -> list:
     """The nonzero terms (key, (re + i im)/(den scale)) of the (key, (re, im))
-    parts, the inverse of `_numerators`.  Over den = None a part is a ring
-    value or the int 0, and only the parts that are not the int 0 are added;
-    the pair is not canonical (re = -i im is zero), so the sum is tested."""
+    parts.  Over den = None a part is a ring value or the int 0, and only the
+    parts that are not the int 0 are added; the pair is not canonical (re =
+    -i im is zero), so the sum is tested."""
     if den is not None:
         return [(key, _reduced(re, im, den * scale)) for key, (re, im) in parts if re or im]
     out = []
@@ -199,11 +208,28 @@ def _joined(parts, den, scale: int = 1) -> list:
     return out
 
 
-def _products(ta, tb, f: int = 1):
-    """The `_moyal_sums` items of all term pairs of two `_numerators` lists
-    with integer numerators, those of ta first multiplied by f."""
-    if f != 1:
-        ta = [(key, (r * f, m * f)) for key, (r, m) in ta]
+def _poly(sums, den, params) -> list:
+    """The nonzero terms of the groups {e: {key: (re, im)}} of sums over den,
+    the inverse of `_numerators`."""
+    return _gathered({e: _joined(parts.items(), den) for e, parts in sums.items()}, params)
+
+
+def _gathered(groups, params) -> list:
+    """The terms of the groups {e: [(key, c)]} of one polynomial: with params
+    each key's monomials c q^e gathered into one ParamPoly, without them
+    the terms of the one group ()."""
+    if params is None:
+        return groups[()] if groups else []
+    acc: dict = {}
+    for e, terms in groups.items():
+        for key, c in terms:
+            acc.setdefault(key, []).append((e, c))
+    return [(key, ParamPoly._of(params, monomials)) for key, monomials in acc.items()]
+
+
+def _products(ta, tb):
+    """The `_moyal_sums` items of all term pairs of two term lists with
+    integer numerators."""
     return (
         (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (r1 * r2 - m1 * m2, r1 * m2 + m1 * r2))
         for (x1, p1, h1), (r1, m1) in ta
@@ -211,99 +237,60 @@ def _products(ta, tb, f: int = 1):
     )
 
 
-def _monomial_parts(pairs):
-    """(parts, params) for the operands of pairs, `_numerators` results; None
-    unless each pair has an operand of ring parts and all such operands have
-    only ParamPoly coefficients over one parameter tuple q, params.
-
-    parts maps the id of each operand's terms to ({e: terms}, den).  Ring
-    parts (c_j, 0) with c_j = sum_e g_je q^e are sum_e q^e A_e, the g_je
-    scaled to Gaussian integer numerators over den, the lcm of their d's, as
-    `_numerators` scales; an operand with integer numerators is its own q^0
-    part.
-    """
-    if any(da is not None and db is not None for (_, da), (_, db), _ in pairs):
-        return None
-    operands = {id(terms): (terms, den) for a, b, _ in pairs for terms, den in (a, b)}
-    ring = [terms for terms, den in operands.values() if den is None]
-    _, (first, _) = ring[0][0]
-    params = getattr(first, "params", None)
-    coeffs = (c for terms in ring for _, (c, _) in terms)
-    if not all(type(c) is ParamPoly and c.params == params for c in coeffs):
-        return None
-    parts = {}
-    for key, (terms, den) in operands.items():
-        if den is not None:
-            parts[key] = {(0,) * len(params): terms}, den
-            continue
-        den = lcm(*[g.d for _, (c, _) in terms for g in c.terms.values()])
-        split: dict = {}
-        for k, (c, _) in terms:
-            for e, g in c.terms.items():
-                split.setdefault(e, []).append((k, (g.a * (den // g.d), g.b * (den // g.d))))
-        parts[key] = split, den
-    return parts, params
-
-
-def _monomial_sums(pairs, parts, params) -> dict:
-    """sum f A * B over the (A, B, f) of pairs as ring parts [ParamPoly, 0],
-    summed in integers one parameter monomial e1 + e2 at a time, with the
-    `_monomial_parts` of the operands, over the lcm of the pairs'
-    denominator products."""
-    den = lcm(*[parts[id(ta)][1] * parts[id(tb)][1] for (ta, _), (tb, _), _ in pairs])
-    groups: dict = {}
-    for (ta, _), (tb, _), f in pairs:
-        (ma, da), (mb, db) = parts[id(ta)], parts[id(tb)]
-        f *= den // (da * db)
-        for ea, terms in ma.items():
-            if f != 1:
-                terms = [(key, (r * f, m * f)) for key, (r, m) in terms]
-            for eb, other in mb.items():
-                e = tuple([i + j for i, j in zip(ea, eb)])
-                groups.setdefault(e, []).append(_products(terms, other))
-    acc: dict = {}
-    for e, products in groups.items():
-        for key, c in _joined(_moyal_sums(chain.from_iterable(products), 1).items(), den):
-            acc.setdefault(key, []).append((e, c))
-    return {key: [ParamPoly._of(params, monomials), 0] for key, monomials in acc.items()}
+def _coefficients(operand) -> list:
+    """The terms (key, c) of a `_numerators` result."""
+    groups, den, params = operand
+    return _gathered({e: _joined(terms, den) for e, terms in groups.items()}, params)
 
 
 def _pair_sums(pairs):
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
-    in one `_moyal_sums` pass, as (its dict, den).
+    as (groups, den, params) of `_moyal_sums` dicts, one pass per e1 + e2.
 
-    With integer numerators on every operand, den is the lcm of the pairs'
-    denominator products, and the products of a pair enter with their
-    numerators scaled by f den / (dA dB).  Otherwise den is None and the
-    sums are ring parts.  When `_monomial_parts` splits the operands by
-    parameter monomial, the parameters are spectators of the Moyal sum,
-    A * B = sum q^(e1 + e2) A_e1 * B_e2: the products of each e1 + e2 are
-    summed in integers as above, one pass per e, and each key's sums are
-    gathered into one ParamPoly.  Otherwise each term product enters as the
-    ring part (c1 c2 f, 0), an operand with integer numerators taken as its
-    coefficients.
+    When every operand has integer numerators, and either no pair or every
+    pair has an operand with parameters, all over one tuple q, den is the
+    lcm of the pairs' denominator products, and the products of a pair enter
+    with their numerators scaled by f den / (dA dB).  Otherwise the sums are
+    `_ring_sums`.
     """
-    if any(da is None or db is None for (_, da), (_, db), _ in pairs):
-        split = _monomial_parts(pairs)
-        if split is not None:
-            return _monomial_sums(pairs, *split), None
-        products = (
-            (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (c1 * c2 * f if f != 1 else c1 * c2, 0))
-            for a, b, f in pairs
-            for (x1, p1, h1), c1 in _joined(*a)
-            for (x2, p2, h2), c2 in _joined(*b)
-        )
-        return _moyal_sums(products, 1), None
-    den = lcm(*[da * db for (_, da), (_, db), _ in pairs])
-    products = (_products(ta, tb, f * (den // (da * db))) for (ta, da), (tb, db), f in pairs)
-    return _moyal_sums(chain.from_iterable(products), 1), den
+    den, shared = 1, set()
+    for (_, da, pa), (_, db, pb), _ in pairs:
+        if da is None or db is None:
+            return _ring_sums(pairs)
+        den = lcm(den, da * db)
+        shared.update((pb if pa is None else pa, pa if pb is None else pb))
+    if len(shared) > 1:
+        return _ring_sums(pairs)
+    groups: dict = {}
+    for (ga, da, pa), (gb, db, pb), f in pairs:
+        f *= den // (da * db)
+        for ea, ta in ga.items():
+            if f != 1:
+                ta = [(key, (r * f, m * f)) for key, (r, m) in ta]
+            for eb, tb in gb.items():
+                e = eb if pa is None else ea if pb is None else tuple(map(add, ea, eb))
+                groups.setdefault(e, []).append(_products(ta, tb))
+    for e, products in groups.items():
+        groups[e] = _moyal_sums(chain.from_iterable(products), 1)
+    return groups, den, shared.pop() if shared else None
+
+
+def _ring_sums(pairs):
+    """The `_pair_sums` of pairs as ring parts (c1 c2 f, 0), in the one
+    group () over no denominator."""
+    products = (
+        (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (c1 * c2 * f if f != 1 else c1 * c2, 0))
+        for ca, cb, f in [(_coefficients(a), _coefficients(b), f) for a, b, f in pairs]
+        for (x1, p1, h1), c1 in ca
+        for (x2, p2, h2), c2 in cb
+    )
+    return {(): _moyal_sums(products, 1)}, None, None
 
 
 def _star_sum(pairs) -> PhasePoly:
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
     in one Moyal pass."""
-    sums, den = _pair_sums(pairs)
-    return PhasePoly._of(_joined(sums.items(), den))
+    return PhasePoly._of(_poly(*_pair_sums(pairs)))
 
 
 def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -318,9 +305,9 @@ def star_difference(a: PhasePoly, b: PhasePoly, c: PhasePoly, d: PhasePoly) -> P
 def dagger(a: PhasePoly) -> PhasePoly:
     """Function-level image of the operator adjoint, exp(+i hbar dx dp)
     conj(A); terminates on the x degree."""
-    ta, den = _numerators(a.conjugate())
-    sums = _moyal_sums(((k[0], k[1], k, c) for k, c in ta), 1)
-    return PhasePoly._of(_joined(sums.items(), den))
+    groups, den, params = _numerators(a.conjugate())
+    sums = {e: _moyal_sums(((k[0], k[1], k, c) for k, c in t), 1) for e, t in groups.items()}
+    return PhasePoly._of(_poly(sums, den, params))
 
 
 def is_hermitian(a: PhasePoly) -> bool:
@@ -329,10 +316,13 @@ def is_hermitian(a: PhasePoly) -> bool:
     conj(A) - exp(-i hbar dx dp) A is summed in one pass, the terms of conj(A)
     as items with x1 = 0, so k = 0 only.
     """
-    ta, den = _numerators(a)
-    conj = ((0, 0, k, (re.conjugate(), -im.conjugate())) for k, (re, im) in ta)
-    sums = _moyal_sums(chain(conj, ((k[0], k[1], k, (-re, -im)) for k, (re, im) in ta)), -1)
-    return not _joined(sums.items(), den)
+    groups, den, _ = _numerators(a)
+    for terms in groups.values():
+        conj = ((0, 0, k, (re.conjugate(), -im.conjugate())) for k, (re, im) in terms)
+        sums = _moyal_sums(chain(conj, ((k[0], k[1], k, (-re, -im)) for k, (re, im) in terms)), -1)
+        if _joined(sums.items(), den):
+            return False
+    return True
 
 
 def _falling(b: int, a: int) -> int:
@@ -349,26 +339,29 @@ def x0_hermitian(a: PhasePoly) -> bool:
     hermiticity only where the x^0 parts are known to suffice, as for a
     solved metric series (`metric.certify_metric`).
     """
-    ta, den = _numerators(a)
-    acc: dict = {}
-    for (x, p, h), (re, im) in ta:
-        if not x:
-            sums = acc.setdefault((p, h), [0, 0])
-            sums[0] += re
-            sums[1] += im
-        w = _falling(p, x)
-        if w:
-            # -w i^x conj(c) = u i^(x mod 2) (re - i im), u = -w (-1)^(x // 2)
-            u = w if x & 2 else -w
-            re, im = re.conjugate(), im.conjugate()
-            sums = acc.setdefault((p - x, h + x), [0, 0])
-            if x & 1:
-                sums[0] += u * im
-                sums[1] += u * re
-            else:
-                sums[0] += u * re
-                sums[1] += -u * im
-    return not _joined(acc.items(), den)
+    groups, den, _ = _numerators(a)
+    for terms in groups.values():
+        acc: dict = {}
+        for (x, p, h), (re, im) in terms:
+            if not x:
+                sums = acc.setdefault((p, h), [0, 0])
+                sums[0] += re
+                sums[1] += im
+            w = _falling(p, x)
+            if w:
+                # -w i^x conj(c) = u i^(x mod 2) (re - i im), u = -w (-1)^(x // 2)
+                u = w if x & 2 else -w
+                re, im = re.conjugate(), im.conjugate()
+                sums = acc.setdefault((p - x, h + x), [0, 0])
+                if x & 1:
+                    sums[0] += u * im
+                    sums[1] += u * re
+                else:
+                    sums[0] += u * re
+                    sums[1] += -u * im
+        if _joined(acc.items(), den):
+            return False
+    return True
 
 
 def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -379,16 +372,17 @@ def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:
     are skipped.  The terms of each operand are split by (x > 0, p != 0),
     which decides that.
     """
-    (ta, da), (tb, db) = _numerators(a), _numerators(b)
+    (ga, da, qa), (gb, db, qb) = _numerators(a), _numerators(b)
     sa, sb = {}, {}
-    for parts, split in ((ta, sa), (tb, sb)):
-        for (x, p, h), c in parts:
-            split.setdefault((x > 0, p != 0), []).append(((x, p, h), c))
+    for groups, split in ((ga, sa), (gb, sb)):
+        for e, terms in groups.items():
+            for (x, p, h), c in terms:
+                split.setdefault((x > 0, p != 0), {}).setdefault(e, []).append(((x, p, h), c))
     pairs = []
     for (ax, ap), pa in sa.items():
         for (bx, bp), pb in sb.items():
             if (ax and bp) or (bx and ap):
-                pairs += [((pa, da), (pb, db), 1), ((pb, db), (pa, da), -1)]
+                pairs += [((pa, da, qa), (pb, db, qb), 1), ((pb, db, qb), (pa, da, qa), -1)]
     return _star_sum(pairs)
 
 
@@ -401,15 +395,18 @@ def _cauchy_star(terms) -> CouplingSeries:
     for a, b, _ in terms:
         first._check(a)
         a._check(b)
-    nums = [([_numerators(c) for c in a.coeffs], [_numerators(c) for c in b.coeffs], f)
-            for a, b, f in terms]
+    nums = [
+        ([_numerators(c) if c.terms else None for c in a.coeffs],
+         [_numerators(c) if c.terms else None for c in b.coeffs], f)
+        for a, b, f in terms
+    ]
     out = []
     for n in range(min(min(a.order, b.order) for a, b, _ in terms) + 1):
         pairs = [
             (na[j], nb[n - j], f)
             for na, nb, f in nums
             for j in range(n + 1)
-            if na[j][0] and nb[n - j][0]
+            if na[j] and nb[n - j]
         ]
         out.append(_star_sum(pairs))
     return CouplingSeries(first.coupling, out)

@@ -132,6 +132,24 @@ class TestSolveAndLog:
         assert code == 0
         assert out == (GOLDENS / "starlog_param_series.json").read_text(encoding="utf-8")
 
+    def test_starlog_empty_params_series_matches_golden_bytes(self, capsys, tmp_path, monkeypatch):
+        # coefficients with "params": [] stay ParamPolys over no parameters
+        term = lambda x, p, h, re, im="0": {"x": x, "p": p, "hbar": h, "coeff": {
+            "params": [], "terms": [{"coeff": {"re": re, "im": im}}]}}
+        series = {
+            "coupling": "g",
+            "coeffs": [
+                [{"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1", "im": "0"}}],
+                [term(1, 1, 0, "1/2", "1"), term(2, -1, 1, "3")],
+                [term(0, 2, 0, "0", "-2/3"), term(3, 0, 0, "-1")],
+            ],
+        }
+        monkeypatch.chdir(tmp_path)
+        Path("series.json").write_text(json.dumps(series), encoding="utf-8")
+        code, out, _ = run(capsys, "starlog", "--series", "series.json", "--latex")
+        assert code == 0
+        assert out == (GOLDENS / "starlog_empty_params_series.json").read_text(encoding="utf-8")
+
     def test_starlog_matches_golden_file(self, capsys):
         code, payload = run_json(capsys, "starlog", "--model", IX3, "--order", "3")
         assert code == 0
@@ -1185,9 +1203,8 @@ class TestParser:
 
 class TestCommandParser:
     """A call that names a command is read from the flag table when it
-    spells each of its own flags in full, and parsed by that command's parser
-    otherwise; either way it must parse, and print help and errors, as the
-    full parser does."""
+    spells each of its own flags in full, and parsed by the full parser
+    otherwise; the flag table must parse as the full parser does."""
 
     TAILS = (
         [],

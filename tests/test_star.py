@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from starmetric.metric import PDEOperator
+from starmetric.metric import PDEOperator, solve_perturbative
 from starmetric.phasepoly import CouplingMismatch, CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly, RatFunc2
 from starmetric.star import (
@@ -235,12 +235,22 @@ class TestParameterMonomials:
             return poly.map_coeffs(lambda c: c.eval(values) if isinstance(c, ParamPoly) else c)
 
         a, b, c, d = (param_phase_poly(rng, params) for _ in range(4))
+        adjoint = dagger(a)
         for result, expected in (
             (star(a, b), star(subs(a), subs(b))),
             (star_commutator(a, b), star_commutator(subs(a), subs(b))),
             (star_difference(a, b, c, d), star_difference(subs(a), subs(b), subs(c), subs(d))),
+            (adjoint, dagger(subs(a))),
         ):
             assert subs(result) == expected
+        # a verdict over the parameters holds at every value of them
+        x0 = lambda poly: {k: c for k, c in poly.terms.items() if not k[0]}
+        for h in (a, a + adjoint):
+            assert is_hermitian(h) == (dagger(h) == h)
+            assert x0_hermitian(h) == (x0(dagger(h)) == x0(h))
+            assert is_hermitian(h) <= is_hermitian(subs(h))
+            assert x0_hermitian(h) <= x0_hermitian(subs(h))
+        assert is_hermitian(a + adjoint) and x0_hermitian(a + adjoint)
         left = CouplingSeries("g", [param_phase_poly(rng, params) for _ in range(3)])
         right = CouplingSeries("g", [param_phase_poly(rng, params) for _ in range(3)])
         assert star_series(left, right).map_coeffs(subs) == star_series(
@@ -248,8 +258,9 @@ class TestParameterMonomials:
         )
 
     def test_parameter_operands_make_no_ring_arithmetic(self, monkeypatch):
-        # the products of two all-ParamPoly operands are summed in integers,
-        # one parameter monomial at a time
+        # the products, adjoints and hermiticity tests of all-ParamPoly
+        # operands, and the solver on a ParamPoly potential, are summed in
+        # integers, one parameter monomial at a time
         rng = random.Random(5)
         params = ("a", "b")
         polys = []
@@ -259,6 +270,9 @@ class TestParameterMonomials:
                 polys.append(poly)
         a, b, c, d = polys
         series = CouplingSeries("g", [PhasePoly.one(), c, d])
+        hermitian = a + dagger(a)
+        pa, pb = ParamPoly.generators(*params)
+        v = PhasePoly({(3, 0, 0): pa * I, (1, 0, 0): pb + 1, (2, 0, 0): pa * pb})
         calls = []
         for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
 
@@ -268,8 +282,38 @@ class TestParameterMonomials:
 
             monkeypatch.setattr(ParamPoly, name, counted)
         results = [star(a, b), star_commutator(a, b), star_series(series, series)]
+        verdicts = [test(h) for test in (is_hermitian, x0_hermitian) for h in (a, hermitian)]
+        adjoint, solved = dagger(a), solve_perturbative(p**2, v, 3)
         assert calls == []
         assert not star_commutator(a, b).is_zero and all(results)
+        assert verdicts == [False, True, False, True]
+        monkeypatch.undo()
+        assert dagger(adjoint) == a and adjoint != a
+        values = {"a": Fraction(2, 3), "b": Fraction(-5)}
+        subs = lambda poly: poly.map_coeffs(
+            lambda c: c.eval(values) if isinstance(c, ParamPoly) else c
+        )
+        assert solved.map_coeffs(subs) == solve_perturbative(p**2, subs(v), 3)
+
+    def test_an_empty_parameter_tuple_keeps_its_type(self):
+        # coefficients ParamPoly((), ...), as a series file with "params": []
+        # gives them: the tuple () is falsy, yet the operand has parameters
+        def lifted(poly):
+            return poly.map_coeffs(lambda c: ParamPoly((), {(): c}))
+
+        rng = random.Random(8)
+        for _ in range(10):
+            a, b = random_poly(rng, p_span=2), random_poly(rng, p_span=2)
+            for result, expected in (
+                (star(lifted(a), lifted(b)), star(a, b)),
+                (star_commutator(lifted(a), lifted(b)), star_commutator(a, b)),
+                (dagger(lifted(a)), dagger(a)),
+            ):
+                assert result == lifted(expected)
+                assert all(type(c) is ParamPoly for c in result.terms.values())
+            for h in (a, a + dagger(a)):
+                assert is_hermitian(lifted(h)) == is_hermitian(h)
+                assert x0_hermitian(lifted(h)) == x0_hermitian(h)
 
     def test_other_rings_keep_their_coefficient_types(self):
         # only operands whose ParamPoly coefficients share one parameter

@@ -318,9 +318,10 @@ def solve_perturbative(
     negated numerators, and its sums go to `_exchange_solution`, one
     parameter monomial at a time, without building a PhasePoly.  The
     solution is checked by the order-n metric residual itself: the left side
-    is summed with the Moyal kernel and compared with the right side exactly
-    (`_same_sums`), and a mismatch raises UnsolvableOrder.  So every returned order has H * Theta - Theta * H^dagger
-    exactly zero, and callers need not recompute the residual.  The
+    is summed with the Moyal kernel from k = 1 (its k = 0 terms cancel) and
+    compared with the right side exactly (`_same_sums`); a mismatch raises
+    UnsolvableOrder.  So every returned order has H * Theta - Theta *
+    H^dagger exactly zero, and callers need not recompute the residual.  The
     normalization is 1, and the integration function (a free function of p)
     at order n is zero unless integration_functions[n], 1 <= n <= order,
     supplies one.
@@ -344,7 +345,7 @@ def solve_perturbative(
         rhs = _pair_sums([(nv, nprev, 1), (nprev, nv_conj, -1)])
         theta_n = _exchange_solution(*rhs, integration_functions.get(n, PhasePoly.zero()))
         nprev = _numerators(theta_n)
-        if not _same_sums(_pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)]), rhs):
+        if not _same_sums(_pair_sums([(nprev, nh0, 1), (nh0, nprev, -1)], k0=False), rhs):
             raise UnsolvableOrder(f"triangular system inconsistent at order {n}")
         thetas.append(theta_n)
     return CouplingSeries(coupling, thetas)
@@ -392,7 +393,7 @@ def _exchange_solution(rhs, den, params, free: PhasePoly) -> PhasePoly:
                 sums[1] += im * w
             upper = {key: (im, -re) for key, (re, im) in acc.items()}
             scale *= 2 * (j + 1)
-            terms += _joined(upper.items(), den, scale)
+            terms += _joined(upper, den, scale)
         solved[e] = terms
     return PhasePoly._of(chain(free.terms.items(), _gathered(solved, params)))
 

@@ -67,6 +67,18 @@ def as_fraction(value: RatLike) -> Fraction:
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _ratio(value: RatLike) -> tuple:
+    """(n, d), d > 0, with n/d the value of `as_fraction`; a short ASCII "n"
+    or "n/d" string, n with an optional "-", is read straight into ints."""
+    if type(value) is str and len(value) < 20 and value.isascii():
+        num, slash, den = value.partition("/")
+        d = int(den) if den.isdigit() else 0 if slash else 1
+        if d and num.removeprefix("-").isdigit():
+            return int(num), d
+    f = as_fraction(value)
+    return f.numerator, f.denominator
+
+
 def _check_size(text: str):
     """Raise as_fraction's ValueError for a numeric string too large to
     read: a decimal exponent past MAX_DECIMAL_EXPONENT or a run of more
@@ -230,12 +242,8 @@ class GaussianRational(Frozen):
     __slots__ = ("a", "b", "d")
 
     def __new__(cls, re: RatLike = 0, im: RatLike = 0):
-        re, im = as_fraction(re), as_fraction(im)
-        return _reduced(
-            re.numerator * im.denominator,
-            im.numerator * re.denominator,
-            re.denominator * im.denominator,
-        )
+        (n, d), (m, e) = _ratio(re), _ratio(im)
+        return _reduced(n * e, m * d, d * e)
 
     @classmethod
     def coerce(cls, value) -> "GaussianRational":

@@ -26,12 +26,13 @@ hermiticity criterion
     A_dagger = exp(+i hbar dx dp) conj(A)
     A hermitian  iff  conj(A) = exp(-i hbar dx dp) A
 
-are the same loop over one term at a time, with (x1, p2) the term's own
-(x, p) and (sign i)^k as the unit.
+are the same sum: exp(sign i hbar dx dp)(x^a f(p, hbar)) is the star
+product of x^a and f with (sign i)^k as the unit.
 
 One kernel, `_moyal_sums`, runs this loop for every coefficient ring.  It
-sums (re, im) parts per output monomial, c = re + i im, and a factor i
-maps (re, im) to (-im, re).  `_numerators` gives every operand one form,
+takes pairs of term lists, multiplies each term pair in its own loop and
+sums (re, im) parts per output monomial, c = re + i im; a factor i maps
+(re, im) to (-im, re).  `_numerators` gives every operand one form,
 A = sum_e q^e A_e: groups e of parts over one denominator, q the
 parameters.  A `GaussianRational` operand is the one group (), and one whose
 coefficients are all `ParamPoly` over one tuple q is split by monomial e.
@@ -43,22 +44,22 @@ q^(e1 + e2) A_e1 * B_e2, and the adjoint and hermiticity act on each A_e
 alone.  Any other operand (`RatFunc2`, or `GaussianRational` and
 `ParamPoly` coefficients in one) is the one group of ring parts (c, 0) over
 no denominator, and so is a sum of products whose pairs do not share one q:
-a term product is then the ring product c1 c2, added in the ring.  Only
-`_numerators` (in), `_pair_sums` (term products) and `_poly` (out) tell the
-forms apart.
+its term products are ring products (c1 c2, 0), added in the ring.  Only
+`_numerators` (in), `_pair_sums` (the form of a sum) and `_poly` (out) tell
+the forms apart.
 
 Differences are summed in one pass.  `star_difference(a, b, c, d)`, A * B -
-C * D, is one Moyal pass over the products of both pairs, over the lcm of
-the two denominator products; the products of C * D enter with negated
-numerators, so terms that cancel stay integer sums of zero and are never
-built as coefficients; ring products enter as c1 c2 f.  `star_commutator`
-is star_difference(a, b, b, a) without the term pairs that commute, and
-`is_hermitian` sums conj(A) - exp(-i hbar dx dp) A the same way.
-`star_series`, the Cauchy product of two series, and
-`star_series_difference` share one loop: one Moyal pass per output order
-n over all (j, n - j) pairs of nonzero coefficients of every product,
-over one denominator (the lcm of the pairs' denominator products): no
-PhasePoly, gcd or addition per pair.
+C * D, is one Moyal pass over the term pairs of both products, over the lcm
+of the two denominator products, C's numerators negated: terms that cancel
+stay integer sums of zero and are never built as coefficients.  A
+commutator, pairs (A, B) and (B, A) of opposite sign, is summed from k = 1:
+the k = 0 terms c1 c2 and c2 c1 of a term pair meet at one monomial and
+cancel in any commutative ring (Zachos, Fairlie and Curtright, Quantum
+Mechanics in Phase Space, 2005).  `star_commutator` and the solver's check
+of [Theta_n, p^2] are such sums.  `star_series`, the Cauchy product of two
+series, and `star_series_difference` share one loop: one Moyal pass per
+output order n over all (j, n - j) pairs of nonzero coefficients of every
+product, over one denominator: no PhasePoly, gcd or addition per pair.
 
 One-sided sums, where only one operand is differentiated, use
 `moyal_coefficients`: the factors (i hbar)^k / k! d^k A / dv^k for v = x or
@@ -118,8 +119,8 @@ def moyal_coefficients(a: PhasePoly, var: str) -> list:
 
 @lru_cache(maxsize=1024)
 def _weights(x1: int, p2: int, sign: int) -> tuple:
-    """The weights s C(x1, k) ff(p2, k) of the steps k = 1, 2, ... up to
-    k = x1 or the first zero, where (sign i)^k = s i^(k mod 2): s = sign^k
+    """The steps (k, s C(x1, k) ff(p2, k)) for k = 1, 2, ... up to k = x1 or
+    the first zero weight, where (sign i)^k = s i^(k mod 2): s = sign^k
     (-1)^(k // 2) is the sign the unit leaves once its odd i is taken out.
 
     w_{k+1} = w_k (x1 - k)(p2 - k)/(k + 1) is an exact division, since
@@ -130,41 +131,55 @@ def _weights(x1: int, p2: int, sign: int) -> tuple:
         w = w * (x1 - k + 1) * (p2 - k + 1) // k
         if not w:
             break
-        out.append(w * sign**k * (-1) ** (k // 2))
+        out.append((k, w * sign**k * (-1) ** (k // 2)))
     return tuple(out)
 
 
-def _moyal_sums(products, sign: int) -> dict:
-    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c x^(x-k) p^(p-k) hbar^(h+k)
-    over the items (x1, p2, (x, p, h), (re, im)) of ``products``, c = re + i im,
-    as a dict (x, p, h) -> [re, im] of the summed parts; a sum that cancels
-    to zero is kept.
+def _moyal_sums(pairs, sign: int, k0: bool = True, ring: bool = False) -> dict:
+    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c1 c2 x^(x-k) p^(p-k) hbar^(h+k)
+    over the term pairs (c1 x^x1 p^p1 hbar^h1, c2 x^x2 p^p2 hbar^h2) of each
+    (term list, term list) of ``pairs``, (x, p, h) the sum of the two keys,
+    from k = 0, or from k = 1 when k0 is false; a dict (x, p, h) -> [re, im]
+    of the summed parts, where a sum that cancels to zero is kept.
 
-    The parts are plain integers (Gaussian integer numerators) or a ring
-    part (c, 0), c any coefficient.  Either way they are only scaled by the
-    signed integer weights of `_weights` and added, and the odd i of a step
-    swaps them, (re, im) -> (-im, re); so a ring part's partner stays the
-    int 0 until terms of both parities of k meet at one monomial.
+    A term is (key, (re, im)), c = re + i im: Gaussian integer numerators,
+    or with ring set a ring part (c, 0), multiplied as (c1 c2, 0) and then
+    only scaled by the integer weights of `_weights` and added.  The odd i
+    of a step swaps the parts, (re, im) -> (-im, re), so a ring part's
+    partner stays the int 0 until both parities of k meet at one monomial.
     """
     acc: dict = {}
     get = acc.get
-    for x1, p2, key, (re, im) in products:
-        sums = get(key)
-        if sums is None:
-            acc[key] = [re, im]
-        else:
-            sums[0] += re
-            sums[1] += im
-        x, p, h = key
-        for k, w in enumerate(_weights(x1, p2, sign), 1):
-            r, m = (im * -w, re * w) if k & 1 else (re * w, im * w)
-            key = (x - k, p - k, h + k)
-            sums = get(key)
-            if sums is None:
-                acc[key] = [r, m]
-            else:
-                sums[0] += r
-                sums[1] += m
+    for ta, tb in pairs:
+        for (x1, p1, h1), (r1, m1) in ta:
+            if not (x1 or k0):
+                continue
+            for (x2, p2, h2), (r2, m2) in tb:
+                steps = _weights(x1, p2, sign) if x1 and p2 else ()
+                if not (steps or k0):
+                    continue
+                if ring:
+                    re, im = r1 * r2, 0
+                else:
+                    re, im = r1 * r2 - m1 * m2, r1 * m2 + m1 * r2
+                x, p, h = x1 + x2, p1 + p2, h1 + h2
+                if k0:
+                    key = (x, p, h)
+                    sums = get(key)
+                    if sums is None:
+                        acc[key] = [re, im]
+                    else:
+                        sums[0] += re
+                        sums[1] += im
+                for k, w in steps:
+                    r, m = (im * -w, re * w) if k & 1 else (re * w, im * w)
+                    key = (x - k, p - k, h + k)
+                    sums = get(key)
+                    if sums is None:
+                        acc[key] = [r, m]
+                    else:
+                        sums[0] += r
+                        sums[1] += m
     return acc
 
 
@@ -195,11 +210,14 @@ def _numerators(a: PhasePoly):
 
 def _joined(parts, den, scale: int = 1) -> list:
     """The nonzero terms (key, (re + i im)/(den scale)) of the (key, (re, im))
-    parts.  Over den = None a part is a ring value or the int 0, and only the
-    parts that are not the int 0 are added; the pair is not canonical (re =
-    -i im is zero), so the sum is tested."""
+    parts, or of a dict key -> (re, im).  Over den = None a part is a ring
+    value or the int 0, and only the parts that are not the int 0 are added;
+    the pair is not canonical (re = -i im is zero), so the sum is tested."""
+    if type(parts) is dict:
+        parts = parts.items()
     if den is not None:
-        return [(key, _reduced(re, im, den * scale)) for key, (re, im) in parts if re or im]
+        den *= scale
+        return [(key, _reduced(re, im, den)) for key, (re, im) in parts if re or im]
     out = []
     for key, (re, im) in parts:
         c = re if type(im) is int else im * I if type(re) is int else re + im * I
@@ -209,9 +227,9 @@ def _joined(parts, den, scale: int = 1) -> list:
 
 
 def _poly(sums, den, params) -> list:
-    """The nonzero terms of the groups {e: {key: (re, im)}} of sums over den,
-    the inverse of `_numerators`."""
-    return _gathered({e: _joined(parts.items(), den) for e, parts in sums.items()}, params)
+    """The nonzero terms of the groups {e: parts} of sums over den, parts
+    as `_joined` takes them: the inverse of `_numerators`."""
+    return _gathered({e: _joined(parts, den) for e, parts in sums.items()}, params)
 
 
 def _gathered(groups, params) -> list:
@@ -227,40 +245,23 @@ def _gathered(groups, params) -> list:
     return [(key, ParamPoly._of(params, monomials)) for key, monomials in acc.items()]
 
 
-def _products(ta, tb):
-    """The `_moyal_sums` items of all term pairs of two term lists with
-    integer numerators."""
-    return (
-        (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (r1 * r2 - m1 * m2, r1 * m2 + m1 * r2))
-        for (x1, p1, h1), (r1, m1) in ta
-        for (x2, p2, h2), (r2, m2) in tb
-    )
-
-
-def _coefficients(operand) -> list:
-    """The terms (key, c) of a `_numerators` result."""
-    groups, den, params = operand
-    return _gathered({e: _joined(terms, den) for e, terms in groups.items()}, params)
-
-
-def _pair_sums(pairs):
+def _pair_sums(pairs, k0: bool = True):
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
-    as (groups, den, params) of `_moyal_sums` dicts, one pass per e1 + e2.
+    as (groups, den, params) of `_moyal_sums` dicts, one pass per e1 + e2,
+    from k = 1 when k0 is false.
 
     When every operand has integer numerators, and either no pair or every
     pair has an operand with parameters, all over one tuple q, den is the
-    lcm of the pairs' denominator products, and the products of a pair enter
-    with their numerators scaled by f den / (dA dB).  Otherwise the sums are
-    `_ring_sums`.
-    """
+    lcm of the pairs' denominator products and A's numerators are scaled by
+    f den / (dA dB).  Otherwise the sums are `_ring_sums`."""
     den, shared = 1, set()
     for (_, da, pa), (_, db, pb), _ in pairs:
         if da is None or db is None:
-            return _ring_sums(pairs)
+            return _ring_sums(pairs, k0)
         den = lcm(den, da * db)
         shared.update((pb if pa is None else pa, pa if pb is None else pb))
     if len(shared) > 1:
-        return _ring_sums(pairs)
+        return _ring_sums(pairs, k0)
     groups: dict = {}
     for (ga, da, pa), (gb, db, pb), f in pairs:
         f *= den // (da * db)
@@ -269,28 +270,26 @@ def _pair_sums(pairs):
                 ta = [(key, (r * f, m * f)) for key, (r, m) in ta]
             for eb, tb in gb.items():
                 e = eb if pa is None else ea if pb is None else tuple(map(add, ea, eb))
-                groups.setdefault(e, []).append(_products(ta, tb))
-    for e, products in groups.items():
-        groups[e] = _moyal_sums(chain.from_iterable(products), 1)
-    return groups, den, shared.pop() if shared else None
+                groups.setdefault(e, []).append((ta, tb))
+    sums = {e: _moyal_sums(term_pairs, 1, k0) for e, term_pairs in groups.items()}
+    return sums, den, shared.pop() if shared else None
 
 
-def _ring_sums(pairs):
-    """The `_pair_sums` of pairs as ring parts (c1 c2 f, 0), in the one
+def _ring_sums(pairs, k0: bool):
+    """The `_pair_sums` of pairs as ring parts (f c1 c2, 0), in the one
     group () over no denominator."""
-    products = (
-        (x1, p2, (x1 + x2, p1 + p2, h1 + h2), (c1 * c2 * f if f != 1 else c1 * c2, 0))
-        for ca, cb, f in [(_coefficients(a), _coefficients(b), f) for a, b, f in pairs]
-        for (x1, p1, h1), c1 in ca
-        for (x2, p2, h2), c2 in cb
-    )
-    return {(): _moyal_sums(products, 1)}, None, None
+    term_pairs = [
+        ([(key, (c * f if f != 1 else c, 0)) for key, c in _poly(*a)],
+         [(key, (c, 0)) for key, c in _poly(*b)])
+        for a, b, f in pairs
+    ]
+    return {(): _moyal_sums(term_pairs, 1, k0, ring=True)}, None, None
 
 
-def _star_sum(pairs) -> PhasePoly:
+def _star_sum(pairs, k0: bool = True) -> PhasePoly:
     """sum f A * B over the (A, B, f) of pairs, A and B `_numerators` results,
-    in one Moyal pass."""
-    return PhasePoly._of(_poly(*_pair_sums(pairs)))
+    in one Moyal pass, from k = 1 when k0 is false."""
+    return PhasePoly._of(_poly(*_pair_sums(pairs, k0)))
 
 
 def star(a: PhasePoly, b: PhasePoly) -> PhasePoly:
@@ -302,25 +301,31 @@ def star_difference(a: PhasePoly, b: PhasePoly, c: PhasePoly, d: PhasePoly) -> P
     return _star_sum([(_numerators(a), _numerators(b), 1), (_numerators(c), _numerators(d), -1)])
 
 
+def _unit_pairs(terms, unit) -> list:
+    """The term pairs (unit x^a, f_a) of the terms sum_a x^a f_a(p, hbar)."""
+    by_x: dict = {}
+    for (x, p, h), c in terms:
+        by_x.setdefault(x, []).append(((0, p, h), c))
+    return [([((x, 0, 0), unit)], f) for x, f in by_x.items()]
+
+
 def dagger(a: PhasePoly) -> PhasePoly:
     """Function-level image of the operator adjoint, exp(+i hbar dx dp)
     conj(A); terminates on the x degree."""
     groups, den, params = _numerators(a.conjugate())
-    sums = {e: _moyal_sums(((k[0], k[1], k, c) for k, c in t), 1) for e, t in groups.items()}
+    sums = {e: _moyal_sums(_unit_pairs(t, (1, 0)), 1, ring=den is None) for e, t in groups.items()}
     return PhasePoly._of(_poly(sums, den, params))
 
 
 def is_hermitian(a: PhasePoly) -> bool:
-    """conj(A) == exp(-i hbar dx dp) A, exactly.
-
-    conj(A) - exp(-i hbar dx dp) A is summed in one pass, the terms of conj(A)
-    as items with x1 = 0, so k = 0 only.
-    """
+    """conj(A) == exp(-i hbar dx dp) A, exactly: conj(A) - exp(-i hbar dx
+    dp) A in one pass, conj(A) times the unit x^0 and -A as `_unit_pairs`."""
     groups, den, _ = _numerators(a)
+    ring, one = den is None, [((0, 0, 0), (1, 0))]
     for terms in groups.values():
-        conj = ((0, 0, k, (re.conjugate(), -im.conjugate())) for k, (re, im) in terms)
-        sums = _moyal_sums(chain(conj, ((k[0], k[1], k, (-re, -im)) for k, (re, im) in terms)), -1)
-        if _joined(sums.items(), den):
+        conj = [(key, (re.conjugate(), -im.conjugate())) for key, (re, im) in terms]
+        sums = _moyal_sums([(one, conj)] + _unit_pairs(terms, (-1, 0)), -1, ring=ring)
+        if _joined(sums, den):
             return False
     return True
 
@@ -359,31 +364,17 @@ def x0_hermitian(a: PhasePoly) -> bool:
                 else:
                     sums[0] += u * re
                     sums[1] += -u * im
-        if _joined(acc.items(), den):
+        if _joined(acc, den):
             return False
     return True
 
 
 def star_commutator(a: PhasePoly, b: PhasePoly) -> PhasePoly:
-    """A * B - B * A, that is star_difference(a, b, b, a), in one pass.
-
-    A term pair whose weights are (1,) both ways (x1 = 0 or p2 = 0 in A * B,
-    and in B * A) contributes only its k = 0 terms, which cancel: such pairs
-    are skipped.  The terms of each operand are split by (x > 0, p != 0),
-    which decides that.
-    """
-    (ga, da, qa), (gb, db, qb) = _numerators(a), _numerators(b)
-    sa, sb = {}, {}
-    for groups, split in ((ga, sa), (gb, sb)):
-        for e, terms in groups.items():
-            for (x, p, h), c in terms:
-                split.setdefault((x > 0, p != 0), {}).setdefault(e, []).append(((x, p, h), c))
-    pairs = []
-    for (ax, ap), pa in sa.items():
-        for (bx, bp), pb in sb.items():
-            if (ax and bp) or (bx and ap):
-                pairs += [((pa, da, qa), (pb, db, qb), 1), ((pb, db, qb), (pa, da, qa), -1)]
-    return _star_sum(pairs)
+    """A * B - B * A, that is star_difference(a, b, b, a), in one pass from
+    k = 1: the k = 0 terms of a term pair are c1 c2 and c2 c1 at one
+    monomial both ways, and cancel in every commutative ring."""
+    na, nb = _numerators(a), _numerators(b)
+    return _star_sum([(na, nb, 1), (nb, na, -1)], k0=False)
 
 
 def _cauchy_star(terms) -> CouplingSeries:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import itertools
 import json
@@ -183,6 +184,29 @@ class TestSolveAndLog:
         code, out, _ = run(capsys, "solve", "--model", IX3, "--order", "6")
         assert code == 0
         assert out == (GOLDENS / "solve_ix3_order6.json").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["solve", "--model", IX3, "--order", "12"],
+             "a604a0fa4f9fe463d591e275be4abf527a025e03282b5a83a3b103506744d1be"),
+            (["solve", "--model", IX3, "--order", "24"],
+             "35272542e01f3819b7d92901796bf61f257bf0b6d906e19ece6d812767a9e313"),
+            (["certify", "--model", IX3, "--order", "12", "--latex"],
+             "5ba014a997e22c9fefa35b130027cfee6406488c89396f02d6747f6862ca2cca"),
+            (["solve", "--model", "param_ix3", "--order", "12"],
+             "7d1ddffc47725f093973b4431739b8286fb5c28bb1ba924233cca24c81829e68"),
+        ],
+        ids=["solve-ix3-12", "solve-ix3-24", "certify-latex-ix3-12", "solve-param-ix3-12"],
+    )
+    def test_higher_orders_match_pinned_sha256(self, capsys, tmp_path, argv, digest):
+        # byte identity past the order-6 goldens, pinned by the hash of stdout
+        path = tmp_path / "param_ix3.json"
+        path.write_text(json.dumps(PARAM_IX3), encoding="utf-8")
+        argv = [str(path) if a == "param_ix3" else a for a in argv]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "golden, command",

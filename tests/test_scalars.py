@@ -414,6 +414,33 @@ class TestAsFractionDigits:
         assert as_fraction(text) == Fraction(text)
 
 
+class TestShortCoefficientStrings:
+    """GaussianRational reads a short ASCII "n" or "n/d" straight into
+    integers; every string must still give as_fraction's value, or its
+    error with the same message."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0", "7", "-7", "007", "-0", "12/18", "-3/4", "0/5", "1" * 17 + "/3",
+            "1" * 19 + "/3", "3/0", "3/00", "-3/0", "+1", " 1", "1 ", "1_0", "1e3", "1.5", "-", "", "/2", "3/",
+            "1/-2", "--1", "3/4/5", "\u0661\u0662", "\u00b2", "1" * 25, "9" * 4301,
+            "1/" + "1" * 4301,
+        ],
+    )
+    def test_same_value_or_error_as_as_fraction(self, text):
+        try:
+            value = as_fraction(text)
+        except ValueError as exc:
+            for args in ((text,), (0, text)):
+                with pytest.raises(ValueError) as info:
+                    GaussianRational(*args)
+                assert str(info.value) == str(exc)
+        else:
+            z, want = GaussianRational(text, text), GaussianRational(value, value)
+            assert (z.a, z.b, z.d) == (want.a, want.b, want.d)
+
+
 class TestOutputDigitLimit:
     """An exact integer longer than the int -> str digit limit cannot be
     printed: every conversion to text raises a ValueError naming the limit."""

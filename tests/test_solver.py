@@ -16,7 +16,7 @@ from starmetric.metric import (
 )
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
-from starmetric.star import is_hermitian, star, star_log
+from starmetric.star import _numerators, is_hermitian, star, star_log
 
 from _helpers import bundled, random_gr
 
@@ -118,6 +118,36 @@ class TestSolutionCheck:
         monkeypatch.setattr(metric, "_exchange_solution", corrupted)
         with pytest.raises(UnsolvableOrder):
             solve_perturbative(PhasePoly.p(2), v, 2)
+
+    @pytest.mark.parametrize("ring", ["gaussian", "param", "mixed"])
+    def test_corrupted_random_solution_raises(self, monkeypatch, ring):
+        # the check sums [Theta_n, p^2] from k = 1 only; doubling any term of
+        # Theta_n with x >= 1 changes that sum, on the integer paths and on
+        # the ring path that the mixed ring takes
+        solution = metric._exchange_solution
+        checked, ring_path = 0, 0
+        for seed in range(40):
+            v, functions = random_problem(seed, 2, ring, seed % 2)
+            ring_path += _numerators(v)[1] is None
+            theta = solve_perturbative(PhasePoly.p(2), v, 2, integration_functions=functions)
+            if not any(key[0] for c in theta.coeffs for key in c.terms):
+                continue
+
+            def corrupted(*args, pick=seed % 3):
+                theta_n = solution(*args)
+                keys = sorted(key for key in theta_n.terms if key[0])
+                if not keys:
+                    return theta_n
+                key = keys[pick % len(keys)]
+                return theta_n + PhasePoly({key: theta_n.terms[key]})
+
+            with monkeypatch.context() as patch:
+                patch.setattr(metric, "_exchange_solution", corrupted)
+                with pytest.raises(UnsolvableOrder):
+                    solve_perturbative(PhasePoly.p(2), v, 2, integration_functions=functions)
+            checked += 1
+        assert checked >= 20
+        assert bool(ring_path) == (ring == "mixed")
 
 
 class TestStarLogOfSolution:

@@ -216,17 +216,17 @@ STEP = 1e-5
 
 
 def field_partials(field: ConnectionField, q: Sequence[float]) -> List[List[np.ndarray]]:
-    """d[i][j] = dA_i/dq_j by central differences at STEP."""
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            qp = list(q)
-            qm = list(q)
-            qp[j] += STEP
-            qm[j] -= STEP
-            row.append((field(qp)[i] - field(qm)[i]) / (2.0 * STEP))
-        out.append(row)
+    """d[i][j] = dA_i/dq_j by central differences at STEP, from one field
+    call at each of the four shifted points."""
+    out = [[None, None], [None, None]]
+    for j in range(2):
+        qp = list(q)
+        qm = list(q)
+        qp[j] += STEP
+        qm[j] -= STEP
+        ap, am = field(qp), field(qm)
+        for i in range(2):
+            out[i][j] = (ap[i] - am[i]) / (2.0 * STEP)
     return out
 
 

@@ -2,7 +2,12 @@
 
 Every command reads UTF-8 JSON (model files) and prints a JSON report to
 stdout: the ``json.dumps(payload, indent=2)`` text, built by one direct
-writer (`_json_text`).  Exit codes: 0 success, 1 verification failure, 2
+writer (`_json_text`) inside the error handling, so a result past the
+output digit limit exits 2.  ``solve``, ``starlog``, ``star`` and
+``dagger`` put their `PhasePoly` and `CouplingSeries` results into the
+payload as they are, and the writer prints them from their terms with
+their ``write_json``; the term layout lives in `phasepoly`, next to
+``to_json``.  Exit codes: 0 success, 1 verification failure, 2
 input error.  Output is deterministic for fixed inputs and seed: containers
 are built in canonical term order.  A call that names a command and spells
 each of its own flags in full is read straight from the flag table
@@ -90,8 +95,8 @@ def cmd_star(args):
     if kind == "poly":
         left, right = star(h, theta), star(theta, dagger(h))
         payload = {
-            "h_star_theta": _maybe_hbar(model, left).to_json(),
-            "theta_star_hdagger": _maybe_hbar(model, right).to_json(),
+            "h_star_theta": _maybe_hbar(model, left),
+            "theta_star_hdagger": _maybe_hbar(model, right),
         }
     elif kind == "expquad":
         left = star_poly_expquad(h, theta, "left")
@@ -108,7 +113,7 @@ def cmd_star(args):
 def cmd_dagger(args):
     model = _model(args)
     result = _maybe_hbar(model, dagger(model.spec.symbolic_total()))
-    payload = {"dagger": result.to_json()}
+    payload = {"dagger": result}
     if args.latex:
         payload["latex"] = poly_latex(result)
     return payload, True
@@ -155,7 +160,7 @@ def _solved_series(args, model: Model) -> CouplingSeries:
 def cmd_solve(args):
     model = _model(args)
     theta = _solved_series(args, model)
-    payload = {"model": model.name, "series": theta.to_json(), "residual_zero": True}
+    payload = {"model": model.name, "series": theta, "residual_zero": True}
     if args.latex:
         payload["latex"] = series_latex(theta)
     return payload, True
@@ -172,7 +177,7 @@ def cmd_starlog(args):
         theta = _solved_series(args, model)
         payload = {"model": model.name}
     log = star_log(theta)
-    payload["log"] = log.to_json()
+    payload["log"] = log
     if args.latex:
         payload["latex"] = series_latex(log)
     return payload, True
@@ -680,15 +685,21 @@ def _write_json(out: list, value, newline: str) -> None:
         out.append(newline + "]")
     else:
         text = _scalar_text(value)
-        if text is None:
+        if text is not None:
+            out.append(text)
+        elif isinstance(value, (PhasePoly, CouplingSeries)):
+            value.write_json(out, newline, _write_json)
+        else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        out.append(text)
 
 
 def _json_text(payload) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``.  With an indent, json
-    drops its C encoder for pure-Python generators; this writer calls the C
-    string quoter, ``int.__repr__`` and ``float.__repr__`` directly."""
+    """Exactly ``json.dumps(payload, indent=2)``, where a `PhasePoly` or
+    `CouplingSeries` in ``payload`` stands for its ``to_json()`` tree.  With
+    an indent, json drops its C encoder for pure-Python generators; this
+    writer calls the C string quoter, ``int.__repr__`` and ``float.__repr__``
+    directly, and writes those two objects straight from their terms by
+    their ``write_json``, which keeps the term layout in `phasepoly`."""
     out = []
     _write_json(out, payload, "\n")
     return "".join(out)
@@ -699,6 +710,7 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
         payload, ok = _COMMANDS[args.cmd][0](args)
+        text = _json_text(payload)
     except json.JSONDecodeError as exc:
         msg = f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         print(json.dumps({"error": msg}), file=sys.stderr)
@@ -708,7 +720,7 @@ def main(argv=None) -> int:
         return 1 if isinstance(exc, UnsolvableOrder) else 2
     status = 0 if ok else 1
     try:
-        print(_json_text(payload))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader went away: send the rest of the output, and the flush

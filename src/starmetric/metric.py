@@ -395,7 +395,9 @@ def _exchange_solution(rhs, den, params, free: PhasePoly) -> PhasePoly:
             scale *= 2 * (j + 1)
             terms += _joined(upper, den, scale)
         solved[e] = terms
-    return PhasePoly._of(chain(free.terms.items(), _gathered(solved, params)))
+    # the keys are distinct (solved terms have x >= 1, free ones x = 0) and
+    # no coefficient is zero, so the terms are already in normal form
+    return PhasePoly._of_terms(dict(chain(free.terms.items(), _gathered(solved, params))))
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,20 @@ The terms are always in the one normal form of `scalars.accumulate`.  The
 public constructor (and so `from_json`) checks its input once: three
 integer exponents with x >= 0 and a coefficient of one of `COEFF_TYPES`.
 Ring operations, whose terms are valid by construction, go through
-`PhasePoly._of`, which only calls `accumulate`.
+`PhasePoly._of`, which only calls `accumulate`; the solver, whose terms are
+already in that form, hands them over as they are (`PhasePoly._of_terms`).
+
+The JSON term layout lives here alone: `to_json` builds the tree, and
+`write_json` writes its ``json.dumps(indent=2)`` text straight from the
+sorted terms, for the CLI's writer.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Tuple, Union
 
 from .scalars import (
@@ -38,6 +45,7 @@ from .scalars import (
     check_list,
     check_name,
     power,
+    ratio_str,
 )
 
 Key = Tuple[int, int, int]
@@ -81,6 +89,14 @@ class PhasePoly(Frozen):
         """The PhasePoly of pairs that are already valid terms."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "terms", accumulate(pairs))
+        return poly
+
+    @classmethod
+    def _of_terms(cls, terms: dict) -> "PhasePoly":
+        """The PhasePoly whose terms are ``terms``, valid terms already in
+        normal form: no coefficient is zero."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", terms)
         return poly
 
     # -- constructors ----------------------------------------------------
@@ -230,6 +246,29 @@ class PhasePoly(Frozen):
             for (xd, pd, hd), coeff in self.canonical_terms()
         ]
 
+    def write_json(self, out: list, newline: str, write_tree) -> None:
+        """Append to ``out`` the ``json.dumps(self.to_json(), indent=2)`` text,
+        at the level whose line break and indent is ``newline``, straight from
+        the sorted terms.  A Gaussian coefficient fills the term template of
+        that level (`_term_templates`); any other is written as its
+        ``to_json()`` tree by ``write_tree(out, tree, newline)``."""
+        if not self.terms:
+            out.append("[]")
+            return
+        item = newline + "  "
+        gaussian, head = _term_templates(item)
+        sep = "[" + item
+        for (xd, pd, hd), coeff in self.canonical_terms():
+            if type(coeff) is GaussianRational:
+                re, im = ratio_str(coeff.a, coeff.d), ratio_str(coeff.b, coeff.d)
+                out.append(sep + gaussian % (xd, pd, hd, re, im))
+            else:
+                out.append(sep + head % (xd, pd, hd))
+                write_tree(out, coeff.to_json(), item + "  ")
+                out.append(item + "}")
+            sep = "," + item
+        out.append(newline + "]")
+
     @classmethod
     def from_json(cls, obj) -> "PhasePoly":
         def term(entry):
@@ -252,6 +291,18 @@ class PhasePoly(Frozen):
             lead = f"({coeff!r})"
             bits.append(f"{lead}*{mono}" if mono else lead)
         return " + ".join(bits)
+
+
+@lru_cache(maxsize=64)
+def _term_templates(item: str):
+    """The %-templates of one `PhasePoly.to_json` term whose dict sits at the
+    line break and indent ``item``: the whole term with a Gaussian
+    coefficient (x, p, hbar, re, im), and the term up to its "coeff" value
+    (x, p, hbar).  re and im are `ratio_str` texts, which json quotes as
+    they are."""
+    field, part = item + "  ", item + "    "
+    head = f'{{{field}"x": %d,{field}"p": %d,{field}"hbar": %d,{field}"coeff": '
+    return f'{head}{{{part}"re": "%s",{part}"im": "%s"{field}}}{item}}}', head
 
 
 def coeff_from_json(obj):
@@ -350,6 +401,23 @@ class CouplingSeries(Frozen):
             "order": self.order,
             "coeffs": [c.to_json() for c in self.coeffs],
         }
+
+    def write_json(self, out: list, newline: str, write_tree) -> None:
+        """Append to ``out`` the ``json.dumps(self.to_json(), indent=2)`` text,
+        at the level whose line break and indent is ``newline``: each
+        coefficient by `PhasePoly.write_json`."""
+        inner = newline + "  "
+        item = inner + "  "
+        out.append(
+            f'{{{inner}"coupling": {_quote(self.coupling)},{inner}"order": {self.order:d},'
+            f'{inner}"coeffs": '
+        )
+        sep = "[" + item
+        for coeff in self.coeffs:
+            out.append(sep)
+            coeff.write_json(out, item, write_tree)
+            sep = "," + item
+        out.append(inner + "]" + newline + "}")
 
     @classmethod
     def from_json(cls, obj) -> "CouplingSeries":

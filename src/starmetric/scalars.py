@@ -215,6 +215,8 @@ def fraction_str(value: Fraction) -> str:
 
 def ratio_str(num: int, den: int) -> str:
     """``fraction_str(Fraction(num, den))`` for den > 0, reduced with one gcd."""
+    if not num:
+        return "0"
     g = gcd(num, den)
     num, den = num // g, den // g
     return int_str(num) if den == 1 else f"{int_str(num)}/{int_str(den)}"

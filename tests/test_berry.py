@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from starmetric.berry import (
+    STEP,
     TRIAL_BLOCK,
     MoyalConnection,
     RankDeficient,
@@ -250,6 +251,31 @@ class TestCurvature:
         field = lambda q: (q[1] * m, q[0] * m)
         f = curvature_of_field(field, (0.4, -0.3))
         assert np.max(np.abs(f)) <= 1e-10
+
+    def test_each_shifted_point_is_evaluated_once(self):
+        points = []
+
+        def field(q):
+            points.append(tuple(q))
+            return gauge_fixed_connection(q)
+
+        q = (0.5, 1.0 / 3.0)
+        f = curvature_of_field(field, q)
+        # the base point and the four shifted points, each once
+        assert len(points) == 5 and len(set(points)) == 5
+        # the central differences of each (i, j) from fields of their own, bit for bit
+        a1, a2 = gauge_fixed_connection(q)
+        d = []
+        for i in range(2):
+            row = []
+            for j in range(2):
+                qp, qm = list(q), list(q)
+                qp[j] += STEP
+                qm[j] -= STEP
+                diff = gauge_fixed_connection(qp)[i] - gauge_fixed_connection(qm)[i]
+                row.append(diff / (2.0 * STEP))
+            d.append(row)
+        assert np.array_equal(f, curvature_matrix(a1, a2, d[0][1], d[1][0]))
 
     def test_gauge_transformation_leaves_curvature(self):
         # eigenbasis field S(q) built from the analytic eigenvectors; the

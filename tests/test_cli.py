@@ -21,6 +21,7 @@ from starmetric.exprparse import parse_poly
 from starmetric.metric import UnsolvableOrder
 from starmetric.modelio import load_model, model_from_obj, ModelError
 from starmetric.phasepoly import CouplingSeries, PhasePoly
+from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
 from starmetric.star import ExpQuadForm
 
 from _helpers import bundled, model_path
@@ -709,6 +710,28 @@ class TestErrorHandling:
             {"x": 0, "p": 0, "hbar": 0, "coeff": {"re": "1e4300", "im": "0"}}
         )
         model["options"]["numeric"]["a"] = "1e4300"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(model=path) for arg in argv))
+        assert code == 2 and not out
+        assert "output limit of 4300 digits" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--model", "{model}", "--order", "2"],
+            ["star", "--model", "{model}", "--theta", "x"],
+            ["starlog", "--model", "{model}", "--order", "2"],
+        ],
+    )
+    def test_series_past_the_output_digit_limit_exits_2(self, capsys, tmp_path, argv):
+        # the payload holds the PhasePoly or CouplingSeries itself, and its
+        # text is written inside main's error handling: V x has the printed
+        # 1e4300 x^2, and Theta_2 numerators near 10^8600
+        model = json.loads(Path(IX3).read_text(encoding="utf-8"))
+        model["hamiltonian"]["coupling"]["V"].append(
+            {"x": 1, "p": 0, "hbar": 0, "coeff": {"re": "1e4300", "im": "0"}}
+        )
         path = tmp_path / "model.json"
         path.write_text(json.dumps(model), encoding="utf-8")
         code, out, err = run(capsys, *(arg.format(model=path) for arg in argv))
@@ -1518,6 +1541,72 @@ class TestJsonText:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert_indent_2_text(out)
+
+
+_numerators = st.integers(-9, 9) | st.integers(2**200, 2**260) | st.integers(-(2**260), -(2**200))
+_gaussians = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+    _numerators,
+    _numerators,
+    st.integers(1, 12) | st.integers(2**200, 2**210),
+)
+
+
+def _param_polys(params, exponents):
+    keys = st.tuples(*[exponents] * len(params))
+    return st.dictionaries(keys, _gaussians, max_size=3).map(lambda t: ParamPoly(params, t))
+
+
+_ratfuncs = st.builds(
+    RatFunc2,
+    _param_polys(RatFunc2.PARAMS, st.integers(0, 2)),
+    _param_polys(RatFunc2.PARAMS, st.integers(0, 2)).filter(lambda den: not den.is_zero),
+)
+_coeffs = _gaussians | _param_polys(("a", "b"), st.integers(-2, 2)) | _ratfuncs
+_keys = st.tuples(st.integers(0, 4), st.integers(-4, 4), st.integers(-4, 4))
+_polys = st.just(PhasePoly.zero()) | st.dictionaries(_keys, _coeffs, max_size=5).map(PhasePoly)
+_series = st.builds(
+    CouplingSeries, st.sampled_from(["g", "c"]) | _texts, st.lists(_polys, min_size=1, max_size=4)
+)
+payloads = st.recursive(
+    _scalars | _polys | _series,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_scalars, inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _as_trees(value):
+    """``value`` with each PhasePoly and CouplingSeries replaced by its to_json()."""
+    if isinstance(value, (PhasePoly, CouplingSeries)):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {key: _as_trees(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_trees(item) for item in value]
+    return value
+
+
+class TestJsonTextOfObjects:
+    """`cli._json_text` writes a PhasePoly or CouplingSeries in a payload as
+    ``json.dumps`` writes its ``to_json()`` tree, byte for byte."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(payloads)
+    def test_equals_json_dumps_of_the_trees(self, payload):
+        assert cli._json_text(payload) == json.dumps(_as_trees(payload), indent=2)
+
+    def test_the_writer_reads_every_coefficient_kind(self):
+        # one poly of each: a Gaussian coefficient with a numerator past 200
+        # bits, negative p and hbar exponents, a ParamPoly and a RatFunc2
+        big = GaussianRational(Fraction(-(3**150), 7), 2**201)
+        a, b = ParamPoly.generators("a", "b")
+        q1, q2 = ParamPoly.generators(*RatFunc2.PARAMS)
+        poly = PhasePoly({(0, -3, -2): big, (1, 2, -1): a * b**-2, (2, 0, 0): RatFunc2(q1, q2 + 4)})
+        series = CouplingSeries("g", [poly, PhasePoly.zero(), poly.conjugate()])
+        payload = {"poly": poly, "series": series, "list": [PhasePoly.zero(), series]}
+        assert cli._json_text(payload) == json.dumps(_as_trees(payload), indent=2)
 
 
 class TestBundledModels:

@@ -223,6 +223,49 @@ def random_problem(seed, order, ring, with_functions):
     return v, functions
 
 
+def _pt_potential():
+    """V = i (c1 x + c3 x^3) + c2 x^2, the form of a certify-ladder model."""
+    return PhasePoly({(1, 0, 0): gr(0, Fraction(-3, 2)), (3, 0, 0): gr(0, Fraction(2, 3)),
+                      (2, 0, 0): gr(Fraction(1, 4))})
+
+
+class TestSolvedTermsAreNormal:
+    """`metric._exchange_solution` builds each Theta_n from its terms
+    without `accumulate`: they must already be in its normal form."""
+
+    @staticmethod
+    def check(theta: CouplingSeries):
+        for c in theta.coeffs:
+            assert c.terms == PhasePoly._of(c.terms.items()).terms
+            assert not any(coeff.is_zero for coeff in c.terms.values())
+
+    @pytest.mark.parametrize(
+        "v, order",
+        [
+            (IX3.v, 6),
+            (_pt_potential(), 3),
+            (PhasePoly.monomial(ParamPoly(("a",), {(1,): I}), 3, 0, 0), 4),
+        ],
+        ids=["ix3", "pt", "param-ix3"],
+    )
+    def test_bundled_forms(self, v, order):
+        self.check(solve_perturbative(PhasePoly.p(2), v, order))
+
+    def test_with_integration_functions(self):
+        functions = {1: PhasePoly({(0, -2, 1): gr(1, 2)}), 3: PhasePoly({(0, 1, 0): gr(-3)})}
+        theta = solve_perturbative(
+            PhasePoly.p(2), _pt_potential(), 3, integration_functions=functions
+        )
+        assert theta.coeffs[1].terms[0, -2, 1] == gr(1, 2)
+        self.check(theta)
+
+    @pytest.mark.parametrize("ring", ["gaussian", "param", "mixed"])
+    def test_random_problems(self, ring):
+        for seed in range(30):
+            v, functions = random_problem(seed, 3, ring, seed % 2)
+            self.check(solve_perturbative(PhasePoly.p(2), v, 3, integration_functions=functions))
+
+
 class TestAgainstReference:
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
     @given(*PROBLEMS)

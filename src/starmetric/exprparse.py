@@ -11,11 +11,11 @@ Division is exact and only by single-term (monomial) subexpressions with no
 positive x power, e.g. "x^4/(4*hbar*p)".  This covers every printed formula;
 anything richer belongs in a JSON model file.
 
-Every product and power is bounded before it is taken (`_Parser.times`,
-`_Parser.check_power`): one whose result may have more than MAX_TERMS terms,
-or a power with an integer past the int -> str output limit, is an
-ExprError, and so is one that brings the work of the products and powers of
-the expression so far past MAX_WORK.
+Every product and power is bounded (`_Parser.times`, `_Parser.power`): one
+whose result may have more than MAX_TERMS terms or an integer past the
+int -> str output limit is an ExprError before it is taken.  So is every
+multiply, a power's repeated squaring included, whose work, counted from its
+real operands, brings the expression's so far past MAX_WORK.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 from .modelio import read_json
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import GaussianRational, I
+from .scalars import GaussianRational, I, _check_size, power
 from .star import ExpQuadForm
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z]+|\^|\*|/|\+|-|\(|\))")
@@ -78,6 +78,7 @@ def _power_terms(t: int, spans, k: int) -> int:
 
 def _tokenize(text: str) -> List[str]:
     text = text.rstrip()
+    _check_size(text)
     out, pos = [], 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
@@ -115,47 +116,37 @@ class _Parser:
             )
 
     def times(self, a: PhasePoly, b: PhasePoly) -> PhasePoly:
-        """a * b, unless `charge` refuses it: its work is its term pairs
-        times 1 + the `_digits` of its coefficients."""
+        """a * b, unless `charge` refuses it: its terms are bounded by its
+        term pairs, tightened by the degree spans, before it is taken."""
         ta, tb = len(a.terms), len(b.terms)
-        if ta and tb:
-            terms = ta * tb
-            if terms > MAX_TERMS:
-                terms = min(terms, prod(x + y + 1 for x, y in zip(_spans(a), _spans(b))))
+        terms = ta * tb
+        if terms > MAX_TERMS:
+            terms = min(terms, prod(x + y + 1 for x, y in zip(_spans(a), _spans(b))))
+        return self.multiply(a, b, f"a product of a {ta}-term and a {tb}-term factor", terms)
+
+    def multiply(self, a: PhasePoly, b: PhasePoly, what: str, terms: int = 0) -> PhasePoly:
+        """a * b, unless `charge` refuses it: its digits are its operands'
+        `_digits` summed, and its work its term pairs times 1 + those digits."""
+        if a.terms and b.terms:
             digits = _digits(a) + _digits(b)
-            what = f"a product of a {ta}-term and a {tb}-term factor"
-            self.charge(what, terms, digits, ta * tb * (1 + digits))
+            self.charge(what, terms, digits, len(a.terms) * len(b.terms) * (1 + digits))
         return a * b
 
-    def check_power(self, base: PhasePoly, exp: int):
-        """Raise ExprError unless `charge` passes base**exp, exp >= 2.
-
-        The power is taken by repeated squaring (`scalars.power`), and each
-        of its products is charged as `times` charges it, from the bounds of
-        its operands: `_power_terms` and k times the base's `_digits` for
-        base**k.
-        """
+    def power(self, base: PhasePoly, exp: int) -> PhasePoly:
+        """base**exp, exp >= 0, unless `charge` refuses it: its terms
+        (`_power_terms`) and digits (exp times the base's `_digits`) are
+        checked first, and bound every product of its repeated squaring
+        (`scalars.power`) too; `multiply` charges each of those its work."""
         if exp < 2 or not base.terms:
-            return
+            return base if exp else PhasePoly.one()
         t, digits = len(base.terms), _digits(base)
-        if t == 1 and not digits:
-            return  # one term with a unit coefficient, at any exponent
-        what, spans = f"a power ^{exp} of a {t}-term base", _spans(base)
-        if exp >= 2**1000:
-            # past the terms limit (t >= 2) or the digits one (at least
-            # log10(2)/2 a factor), and past what a float bound holds
-            self.charge(what, _power_terms(t, spans, exp), inf, inf)
-        work, done, k, n = 0, 0, 1, exp
-        while n:
-            if n & 1:
-                pairs = _power_terms(t, spans, done) * _power_terms(t, spans, k)
-                work += pairs * (1 + (done + k) * digits)
-                done += k
-            n >>= 1
-            if n:
-                work += _power_terms(t, spans, k) ** 2 * (1 + 2 * k * digits)
-                k *= 2
-        self.charge(what, _power_terms(t, spans, exp), exp * digits, work)
+        if t == 1 and not digits:  # c x^a p^b hbar^h with c^4 = 1, at any exponent
+            ((xd, pd, hd), c) = next(iter(base.terms.items()))
+            return PhasePoly._of_terms({(exp * xd, exp * pd, exp * hd): c ** (exp % 4)})
+        what = f"a power ^{exp} of a {t}-term base"
+        digits = exp * digits if exp <= sys.float_info.max else inf
+        self.charge(what, _power_terms(t, _spans(base), exp), digits, 0)
+        return power(base, exp, PhasePoly.one(), lambda a, b: self.multiply(a, b, what))
 
     def divide(self, num: PhasePoly, den: PhasePoly) -> PhasePoly:
         if den.is_zero:
@@ -206,18 +197,14 @@ class _Parser:
         base = self.primary()
         if self.peek() == "^":
             self.take()
-            sign = 1
-            if self.peek() == "-":
+            negative = self.peek() == "-"
+            if negative:
                 self.take()
-                sign = -1
             tok = self.take()
             if tok is None or not tok.isdigit():
                 raise ExprError("expected an integer exponent after '^'")
-            exp = sign * int(tok)
-            self.check_power(base, abs(exp))
-            if exp >= 0:
-                return base**exp
-            return self.divide(PhasePoly.one(), base ** (-exp))
+            out = self.power(base, int(tok))
+            return self.divide(PhasePoly.one(), out) if negative else out
         return base
 
     def primary(self) -> PhasePoly:

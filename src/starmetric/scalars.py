@@ -12,7 +12,7 @@ key to nonzero coefficient, with the coefficients of equal keys summed.
 Inputs are checked once, by the public constructors (key shape and
 coefficient type); results of arithmetic on valid terms go straight to
 `accumulate`.  `power` is the one repeated-squaring loop behind every
-``__pow__``.
+``__pow__`` and the `--theta` parser's budgeted powers.
 
 `Frozen` is the one immutability policy of the package: every value class
 derives from it, and only its constructors set slots, past its
@@ -21,6 +21,7 @@ derives from it, and only its constructors set slots, past its
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -176,8 +177,9 @@ def accumulate(pairs) -> dict:
     return {key: coeff for key, coeff in out.items() if not coeff.is_zero}
 
 
-def power(base, n: int, one):
-    """base**n for an integer n >= 0 by repeated squaring; ``one`` is base**0."""
+def power(base, n: int, one, times=operator.mul):
+    """base**n for an integer n >= 0 by repeated squaring; ``one`` is base**0
+    and ``times(a, b)`` is a * b, through which every product is taken."""
     if not isinstance(n, int):
         raise TypeError("exponent must be an integer")
     if n < 0:
@@ -185,10 +187,10 @@ def power(base, n: int, one):
     out = one
     while n:
         if n & 1:
-            out = out * base
+            out = times(out, base)
         n >>= 1
         if n:
-            base = base * base
+            base = times(base, base)
     return out
 
 

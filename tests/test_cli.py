@@ -738,13 +738,17 @@ class TestErrorHandling:
         assert code == 2 and not out
         assert "output limit of 4300 digits" in json.loads(err)["error"]
 
-    @pytest.mark.parametrize("where", ["flag", "model"])
+    @pytest.mark.parametrize("where", ["flag", "model", "theta-coefficient", "theta-exponent"])
     def test_number_past_the_input_digit_limit_exits_2(self, capsys, tmp_path, where):
-        # Fraction would stop at CPython's int parse limit with a message
-        # that names none of ours
+        # Fraction, or int in the --theta parser, would stop at CPython's int
+        # parse limit with a message that names none of ours
         ones = "1" * 4400
         if where == "flag":
             argv = ("berry-osc", "--q1", ones, "--q2", "0")
+        elif where == "theta-coefficient":
+            argv = ("star", "--model", SHIFTED, "--theta", f"{ones} x + p")
+        elif where == "theta-exponent":
+            argv = ("star", "--model", SHIFTED, "--theta", f"x^{ones}")
         else:
             term = {"x": 0, "p": 2, "hbar": 0, "coeff": {"re": ones, "im": "0"}}
             path = tmp_path / "model.json"
@@ -890,6 +894,7 @@ class TestErrorHandling:
         [
             ("3^99999999", "output limit of 4300 digits"),
             ("3^3000000", "output limit of 4300 digits"),
+            ("3^9013", "output limit of 4300 digits"),
             ("(p/3)^-9013", "output limit of 4300 digits"),
             ("(x+p+hbar)^300", "limit of 1000 terms"),
             ("((x+p)^20)^5000", "limit of 1000 terms"),
@@ -1190,6 +1195,93 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
+
+
+def _theta_leaf():
+    """(text, PhasePoly) of a --theta primary: an integer, i, x, p or hbar."""
+    named = [("i", PhasePoly.const(GaussianRational(0, 1))), ("x", PhasePoly.x()),
+             ("p", PhasePoly.p()), ("hbar", PhasePoly.hbar())]
+    ints = st.integers(0, 12).map(lambda n: (str(n), PhasePoly.const(n)))
+    return st.one_of(ints, st.sampled_from(named))
+
+
+def _theta_monomial():
+    """(text, PhasePoly, inverse) of a monomial c i^e p^j hbar^k with no x,
+    as a primary, and its inverse built from c, e, j and k."""
+
+    def build(c, e, j, k):
+        text = f"({c}*i^{e} p^{j} hbar^{k})"
+        coeff = GaussianRational(c) * GaussianRational(0, 1) ** e
+        inverse = GaussianRational(Fraction(1, c)) * GaussianRational(0, -1) ** e
+        return text, PhasePoly.monomial(coeff, 0, j, k), PhasePoly.monomial(inverse, 0, -j, -k)
+
+    return st.builds(build, st.integers(1, 9), st.integers(0, 3), st.integers(-2, 3),
+                     st.integers(-2, 2))
+
+
+def _theta_node(children):
+    """(text, PhasePoly) of a sum, difference, negation, product, adjacent
+    product, power, quotient by a monomial or negative power of one, each
+    parenthesized so that it is a primary again."""
+    pair = st.tuples(children, children)
+    return st.one_of(
+        pair.map(lambda ab: (f"({ab[0][0]} + {ab[1][0]})", ab[0][1] + ab[1][1])),
+        pair.map(lambda ab: (f"({ab[0][0]} - {ab[1][0]})", ab[0][1] - ab[1][1])),
+        children.map(lambda a: (f"(-{a[0]})", -a[1])),
+        pair.map(lambda ab: (f"({ab[0][0]}*{ab[1][0]})", ab[0][1] * ab[1][1])),
+        pair.map(lambda ab: (f"({ab[0][0]} {ab[1][0]})", ab[0][1] * ab[1][1])),
+        st.tuples(children, st.integers(0, 3)).map(
+            lambda ak: (f"({ak[0][0]}^{ak[1]})", ak[0][1] ** ak[1])
+        ),
+        st.tuples(children, _theta_monomial()).map(
+            lambda am: (f"({am[0][0]}/{am[1][0]})", am[0][1] * am[1][2])
+        ),
+        st.tuples(_theta_monomial(), st.integers(1, 3)).map(
+            lambda mk: (f"({mk[0][0]}^-{mk[1]})", mk[0][2] ** mk[1])
+        ),
+    )
+
+
+class TestThetaExpressions:
+    """`exprparse` against `PhasePoly` arithmetic, and its work charge
+    against the products it really takes."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(case=st.recursive(_theta_leaf(), _theta_node, max_leaves=8))
+    def test_parse_equals_phasepoly_arithmetic(self, case):
+        text, want = case
+        pairs = []
+        mul = PhasePoly.__mul__
+
+        def counting(a, b):
+            if isinstance(b, PhasePoly):
+                pairs.append(len(a.terms) * len(b.terms))
+            return mul(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PhasePoly, "__mul__", counting)
+            parser = exprparse._Parser(exprparse._tokenize(text))
+            got = parser.expr()
+        assert parser.peek() is None
+        assert got == want, text
+        assert parser.work >= sum(pairs), text
+
+    def test_a_product_past_the_terms_limit_is_refused_before_it_is_taken(self, monkeypatch):
+        # counting its terms after the product would first build all 490 000
+        x_side = "+".join(["1"] + [f"x^{k}" for k in range(1, 700)])
+        p_side = "+".join(["1"] + [f"p^{k}" for k in range(1, 700)])
+        big = []
+        mul = PhasePoly.__mul__
+
+        def counting(a, b):
+            if isinstance(b, PhasePoly) and len(a.terms) * len(b.terms) > exprparse.MAX_TERMS:
+                big.append((len(a.terms), len(b.terms)))
+            return mul(a, b)
+
+        monkeypatch.setattr(PhasePoly, "__mul__", counting)
+        with pytest.raises(exprparse.ExprError, match="limit of 1000 terms"):
+            parse_poly(f"({x_side})*({p_side})")
+        assert big == []
 
 
 class TestParser:

@@ -112,22 +112,19 @@ def metric_residual(spec: HamiltonianSpec, theta: ThetaLike) -> ThetaLike:
     if isinstance(theta, CouplingSeries):
         h = spec.as_exact_series(theta.coupling, theta.order)
         return star_series_difference(h, theta, theta, dagger_series(h))
-    return _exchange_with_poly(spec.symbolic_total(), theta)
+    return observable_residual(spec.symbolic_total(), theta)
 
 
 def observable_residual(a: PhasePoly, theta: ThetaLike) -> ThetaLike:
-    """A * Theta - Theta * dagger(A) for an additional observable A."""
-    return _exchange_with_poly(a, theta)
-
-
-def _exchange_with_poly(h: PhasePoly, theta: ThetaLike):
+    """A * Theta - Theta * dagger(A) for an additional observable A, of the
+    kind of theta."""
     if isinstance(theta, PhasePoly):
-        return star_difference(h, theta, theta, dagger(h))
+        return star_difference(a, theta, theta, dagger(a))
     if isinstance(theta, ExpQuadForm):
-        return PDEOperator(one_sided_slots(h, dagger(h))).apply(theta)
+        return PDEOperator(one_sided_slots(a, dagger(a))).apply(theta)
     if isinstance(theta, CouplingSeries):
-        hs = CouplingSeries.constant(theta.coupling, h, theta.order)
-        return star_series_difference(hs, theta, theta, dagger_series(hs))
+        s = CouplingSeries.constant(theta.coupling, a, theta.order)
+        return star_series_difference(s, theta, theta, dagger_series(s))
     raise TypeError(f"unsupported metric candidate {theta!r}")
 
 

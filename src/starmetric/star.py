@@ -20,14 +20,15 @@ where ff(p2, k) = p2 (p2 - 1) ... (p2 - k + 1) is an integer for negative p2
 too.  The weight w_k = C(x1, k) ff(p2, k) is an integer: w_0 = 1 and
 w_{k+1} = w_k (x1 - k)(p2 - k)/(k + 1), an exact division.  The sum stops
 after k = x1, or when w reaches 0 (0 <= p2 < k); it always stops because the
-x degree is finite by the PhasePoly type invariant.  The adjoint map and
-hermiticity criterion
+x degree is finite by the PhasePoly type invariant.  The adjoint and the
+hermiticity test use the same +i sign:
 
     A_dagger = exp(+i hbar dx dp) conj(A)
-    A hermitian  iff  conj(A) = exp(-i hbar dx dp) A
+    A hermitian  iff  A_dagger = A
 
-are the same sum: exp(sign i hbar dx dp)(x^a f(p, hbar)) is the star
-product of x^a and f with (sign i)^k as the unit.
+and exp(+i hbar dx dp)(x^a f(p, hbar)) is the star product x^a * f, so
+A_dagger is the Moyal sum of the term pairs (x^a, conj f_a), conjugated
+part by part.  `is_hermitian` sums A_dagger - A in one pass.
 
 One kernel, `_moyal_sums`, runs this loop for every coefficient ring.  It
 takes pairs of term lists, multiplies each term pair in its own loop and
@@ -67,10 +68,10 @@ p, built term by term as i^k C(n, k) c v^(n-k) hbar^k for a term c v^n.
 `one_sided_slots(a, d)` lays them out as the operator L(Theta) = A * Theta -
 Theta * D = sum c dx^i dp^j Theta, which `metric.PDEOperator` holds, and
 `apply_slots` is its one derivative walker: on E = P e^Q it gives the
-prefactor sum c (dx + Q_x)^i (dp + Q_p)^j P.  `star_poly_expquad` runs it on
-the left or the right slots alone, and the metric residual of a Gaussian
-applies the whole operator, so it is the PDE that `metric.pde_operator`
-gives.
+prefactor sum c (dx + Q_x)^i (dp + Q_p)^j P.  `star_poly_expquad` applies
+A's own left slots (A * E) or right slots (E * A), and the metric residual
+of a Gaussian applies the whole operator, so it is the PDE that
+`metric.pde_operator` gives.
 """
 
 from __future__ import annotations
@@ -118,10 +119,10 @@ def moyal_coefficients(a: PhasePoly, var: str) -> list:
 
 
 @lru_cache(maxsize=1024)
-def _weights(x1: int, p2: int, sign: int) -> tuple:
+def _weights(x1: int, p2: int) -> tuple:
     """The steps (k, s C(x1, k) ff(p2, k)) for k = 1, 2, ... up to k = x1 or
-    the first zero weight, where (sign i)^k = s i^(k mod 2): s = sign^k
-    (-1)^(k // 2) is the sign the unit leaves once its odd i is taken out.
+    the first zero weight, where i^k = s i^(k mod 2): s = (-1)^(k // 2) is
+    the sign i^k leaves once its odd i is taken out.
 
     w_{k+1} = w_k (x1 - k)(p2 - k)/(k + 1) is an exact division, since
     C(x1, k)(x1 - k) = C(x1, k + 1)(k + 1); w reaches 0 once k > p2 >= 0.
@@ -131,12 +132,12 @@ def _weights(x1: int, p2: int, sign: int) -> tuple:
         w = w * (x1 - k + 1) * (p2 - k + 1) // k
         if not w:
             break
-        out.append((k, w * sign**k * (-1) ** (k // 2)))
+        out.append((k, -w if k & 2 else w))
     return tuple(out)
 
 
-def _moyal_sums(pairs, sign: int, k0: bool = True, ring: bool = False) -> dict:
-    """sum_k (sign i hbar)^k C(x1, k) ff(p2, k) c1 c2 x^(x-k) p^(p-k) hbar^(h+k)
+def _moyal_sums(pairs, k0: bool = True, ring: bool = False) -> dict:
+    """sum_k (i hbar)^k C(x1, k) ff(p2, k) c1 c2 x^(x-k) p^(p-k) hbar^(h+k)
     over the term pairs (c1 x^x1 p^p1 hbar^h1, c2 x^x2 p^p2 hbar^h2) of each
     (term list, term list) of ``pairs``, (x, p, h) the sum of the two keys,
     from k = 0, or from k = 1 when k0 is false; a dict (x, p, h) -> [re, im]
@@ -155,7 +156,7 @@ def _moyal_sums(pairs, sign: int, k0: bool = True, ring: bool = False) -> dict:
             if not (x1 or k0):
                 continue
             for (x2, p2, h2), (r2, m2) in tb:
-                steps = _weights(x1, p2, sign) if x1 and p2 else ()
+                steps = _weights(x1, p2) if x1 and p2 else ()
                 if not (steps or k0):
                     continue
                 if ring:
@@ -271,7 +272,7 @@ def _pair_sums(pairs, k0: bool = True):
             for eb, tb in gb.items():
                 e = eb if pa is None else ea if pb is None else tuple(map(add, ea, eb))
                 groups.setdefault(e, []).append((ta, tb))
-    sums = {e: _moyal_sums(term_pairs, 1, k0) for e, term_pairs in groups.items()}
+    sums = {e: _moyal_sums(term_pairs, k0) for e, term_pairs in groups.items()}
     return sums, den, shared.pop() if shared else None
 
 
@@ -283,7 +284,7 @@ def _ring_sums(pairs, k0: bool):
          [(key, (c, 0)) for key, c in _poly(*b)])
         for a, b, f in pairs
     ]
-    return {(): _moyal_sums(term_pairs, 1, k0, ring=True)}, None, None
+    return {(): _moyal_sums(term_pairs, k0, ring=True)}, None, None
 
 
 def _star_sum(pairs, k0: bool = True) -> PhasePoly:
@@ -301,30 +302,30 @@ def star_difference(a: PhasePoly, b: PhasePoly, c: PhasePoly, d: PhasePoly) -> P
     return _star_sum([(_numerators(a), _numerators(b), 1), (_numerators(c), _numerators(d), -1)])
 
 
-def _unit_pairs(terms, unit) -> list:
-    """The term pairs (unit x^a, f_a) of the terms sum_a x^a f_a(p, hbar)."""
+def _adjoint_pairs(terms) -> list:
+    """The term pairs (x^a, conj f_a) of the terms sum_a x^a f_a(p, hbar),
+    whose Moyal sum is exp(+i hbar dx dp) conj(A), integer or ring parts."""
     by_x: dict = {}
-    for (x, p, h), c in terms:
-        by_x.setdefault(x, []).append(((0, p, h), c))
-    return [([((x, 0, 0), unit)], f) for x, f in by_x.items()]
+    for (x, p, h), (re, im) in terms:
+        by_x.setdefault(x, []).append(((0, p, h), (re.conjugate(), -im.conjugate())))
+    return [([((x, 0, 0), (1, 0))], f) for x, f in by_x.items()]
 
 
 def dagger(a: PhasePoly) -> PhasePoly:
     """Function-level image of the operator adjoint, exp(+i hbar dx dp)
     conj(A); terminates on the x degree."""
-    groups, den, params = _numerators(a.conjugate())
-    sums = {e: _moyal_sums(_unit_pairs(t, (1, 0)), 1, ring=den is None) for e, t in groups.items()}
+    groups, den, params = _numerators(a)
+    sums = {e: _moyal_sums(_adjoint_pairs(t), ring=den is None) for e, t in groups.items()}
     return PhasePoly._of(_poly(sums, den, params))
 
 
 def is_hermitian(a: PhasePoly) -> bool:
-    """conj(A) == exp(-i hbar dx dp) A, exactly: conj(A) - exp(-i hbar dx
-    dp) A in one pass, conj(A) times the unit x^0 and -A as `_unit_pairs`."""
+    """A_dagger == A, exactly: A_dagger - A in one pass, the
+    `_adjoint_pairs` and -A as the pair (-1, A)."""
     groups, den, _ = _numerators(a)
-    ring, one = den is None, [((0, 0, 0), (1, 0))]
+    ring, minus_one = den is None, [((0, 0, 0), (-1, 0))]
     for terms in groups.values():
-        conj = [(key, (re.conjugate(), -im.conjugate())) for key, (re, im) in terms]
-        sums = _moyal_sums([(one, conj)] + _unit_pairs(terms, (-1, 0)), -1, ring=ring)
+        sums = _moyal_sums(_adjoint_pairs(terms) + [(minus_one, terms)], ring=ring)
         if _joined(sums, den):
             return False
     return True
@@ -529,14 +530,13 @@ def apply_slots(slots, prefactor: PhasePoly, exponent: PhasePoly) -> PhasePoly:
 
 
 def star_poly_expquad(a: PhasePoly, e: ExpQuadForm, side: str) -> ExpQuadForm:
-    """A * E (side="left") or E * A (side="right") as an ExpQuadForm: the
-    left or the right `one_sided_slots` alone, applied to E.  The right
-    slots give -E * A, so they are applied to -P e^Q."""
-    zero = PhasePoly.zero()
+    """A * E (side="left") or E * A (side="right") as an ExpQuadForm: A's own
+    left slots t_k(A, x) at (0, k), or right slots t_k(A, p) at (k, 0), as in
+    `one_sided_slots`, applied to E."""
     if side == "left":
-        prefactor = apply_slots(one_sided_slots(a, zero), e.prefactor, e.exponent)
+        slots = [((0, k), t) for k, t in enumerate(moyal_coefficients(a, "x"))]
     elif side == "right":
-        prefactor = apply_slots(one_sided_slots(zero, a), -e.prefactor, e.exponent)
+        slots = [((k, 0), t) for k, t in enumerate(moyal_coefficients(a, "p"))]
     else:
         raise ValueError("side must be 'left' or 'right'")
-    return ExpQuadForm(prefactor, e.exponent)
+    return ExpQuadForm(apply_slots(slots, e.prefactor, e.exponent), e.exponent)

@@ -28,7 +28,7 @@ from starmetric.star import (
     x0_hermitian,
 )
 
-from _helpers import random_gr, random_poly
+from _helpers import quadratic, random_gr, random_poly
 
 x = PhasePoly.x()
 p = PhasePoly.p()
@@ -144,6 +144,26 @@ class TestDagger:
         for _ in range(30):
             a = random_poly(rng)
             assert is_hermitian(a) == (dagger(a) == a)
+
+    def test_conjugates_parts_not_polynomials(self, monkeypatch):
+        # the adjoint conjugates each operand's integer or ring parts in
+        # place, for Gaussian, ParamPoly and RatFunc2 coefficients alike
+        rng = random.Random(8)
+        ratfunc = PhasePoly.zero()
+        while not any(isinstance(c, RatFunc2) for c in ratfunc.terms.values()):
+            ratfunc = ring_poly(rng, "ratfunc")
+        operands = [random_poly(rng) + x**2, quadratic()[0].symbolic_total(), ratfunc]
+        calls = []
+
+        def counted(self, _original=PhasePoly.conjugate):
+            calls.append(self)
+            return _original(self)
+
+        monkeypatch.setattr(PhasePoly, "conjugate", counted)
+        adjoints = [dagger(a) for a in operands]
+        assert calls == []
+        monkeypatch.undo()
+        assert [dagger(b) for b in adjoints] == operands
 
 
 class TestCoefficientPaths:
@@ -508,6 +528,27 @@ class TestExpQuadForm:
         e = ExpQuadForm.pure_exponent(PhasePoly.monomial(-2, 0, 1, 0))
         with pytest.raises(NonTerminating):
             star_poly_expquad(PhasePoly.p(-1), e, "right")
+
+    def test_applies_the_operands_own_slots(self, monkeypatch):
+        # A * E and E * A apply A's own left or right slots to E: no
+        # operand, slot or prefactor is negated on either side
+        h = quadratic()[0].symbolic_total()
+        e = ExpQuadForm.pure_exponent(PhasePoly.monomial(-2, 1, 1, 0) + p**2)
+        calls = []
+
+        def counted(self, _original=PhasePoly.__neg__):
+            calls.append(self)
+            return _original(self)
+
+        monkeypatch.setattr(PhasePoly, "__neg__", counted)
+        left = star_poly_expquad(h, e, "left")
+        right = star_poly_expquad(dagger(h), e, "right")
+        assert calls == []
+        monkeypatch.undo()
+        assert left.exponent == right.exponent == e.exponent
+        assert PDEOperator(one_sided_slots(h, dagger(h))).apply(e) == ExpQuadForm(
+            left.prefactor - right.prefactor, e.exponent
+        )
 
     def test_rejects_an_unknown_side(self):
         e = ExpQuadForm.pure_exponent(PhasePoly.monomial(-2, 0, 1, 0))

@@ -7,12 +7,14 @@ output digit limit exits 2.  ``solve``, ``starlog``, ``star`` and
 ``dagger`` put their `PhasePoly` and `CouplingSeries` results into the
 payload as they are, and the writer prints them from their terms with
 their ``write_json``; the term layout lives in `phasepoly`, next to
-``to_json``.  Exit codes: 0 success, 1 verification failure, 2
-input error.  Output is deterministic for fixed inputs and seed: containers
-are built in canonical term order.  A call that names a command and spells
-each of its own flags in full is read straight from the flag table
-(`_direct_args`), with no parser and no argparse import; any other call is
-parsed by argparse (`_parse_args`), which alone prints help and errors.
+``to_json``.  ``scan-locus`` puts its grid in as a `LocusRecords`, which
+the writer prints straight from the integer grid.  Exit codes: 0 success,
+1 verification failure, 2 input error.  Output is deterministic for fixed
+inputs and seed: containers are built in canonical term order.  A call that
+names a command and spells each of its own flags in full is read straight
+from the flag table (`_direct_args`), with no parser and no argparse import;
+any other call is parsed by argparse (`_parse_args`), which alone prints
+help and errors.
 """
 
 from __future__ import annotations
@@ -410,21 +412,53 @@ def _parse_range(spec: str):
     return [lo + k * step for k in range(count)]
 
 
-def _locus_records(q1s, q2s, grid) -> list:
-    """One record per point of the grid q1s x q2s, whose `berry.locus_grid`
-    is ``grid``.  Each point is an integer numerator over the grid's common
-    denominator: its sign is the region, and int / int rounds as
-    float(Fraction).  A value past the float range is an input error."""
-    rows, den = grid
-    try:
-        f2s = [float(q2) for q2 in q2s]
+class LocusRecords:
+    """The scan-locus records of the grid q1s x q2s, whose `berry.locus_grid`
+    is ``grid``: one record per point, q1 by q1.  Each point is an integer
+    numerator over the grid's common denominator: its sign is the region,
+    and int / int rounds as float(Fraction).  ``to_json()`` is the list of
+    record dicts; `write_json` writes the same text straight from the
+    integer rows.  A value past the float range is an input error, raised
+    here, before any text is written: int / int is monotone in the
+    numerator, so the largest |numerator| is the only one to try."""
+
+    def __init__(self, q1s, q2s, grid):
+        self.rows, self.den = grid
+        try:
+            self.f1s, self.f2s = [float(q) for q in q1s], [float(q) for q in q2s]
+            max(max(max(row), -min(row)) for row in self.rows) / self.den
+        except OverflowError as exc:
+            raise CliInputError(f"scan value past the float range: {exc}") from exc
+
+    def to_json(self) -> list:
+        den = self.den
         return [
             {"q1": f1, "q2": f2, "locus_value": n / den, "region_sign": (n > 0) - (n < 0)}
-            for f1, row in zip(map(float, q1s), rows)
-            for f2, n in zip(f2s, row)
+            for f1, row in zip(self.f1s, self.rows)
+            for f2, n in zip(self.f2s, row)
         ]
-    except OverflowError as exc:
-        raise CliInputError(f"scan value past the float range: {exc}") from exc
+
+    def write_json(self, out: list, newline: str) -> None:
+        """Append to ``out`` the ``json.dumps(self.to_json(), indent=2)`` text,
+        at the level whose line break and indent is ``newline``, one string
+        per q1.  Each q1's record head, each q2's text up to the locus value
+        and the three region-sign tails are built once, so a record adds
+        only its locus value."""
+        item = newline + "  "
+        field, comma = item + "  ", "," + item
+        # indexed by the region sign (n > 0) - (n < 0), so -1 takes the last
+        tails = tuple(f',{field}"region_sign": {sign}{item}}}' for sign in (0, 1, -1))
+        mids = [f'{_float_text(f2)},{field}"locus_value": ' for f2 in self.f2s]
+        den, sep = self.den, "[" + item
+        for f1, row in zip(self.f1s, self.rows):
+            head = f'{{{field}"q1": {_float_text(f1)},{field}"q2": '
+            out.append(sep)
+            out.append(comma.join([
+                f"{head}{mid}{n / den!r}{tails[(n > 0) - (n < 0)]}"
+                for mid, n in zip(mids, row)
+            ]))
+            sep = comma
+        out.append(newline + "]")
 
 
 def cmd_scan_locus(args):
@@ -438,7 +472,7 @@ def cmd_scan_locus(args):
             q1, q2 = berry.oscillator_parameters(*oscillator)
         except (ZeroDivisionError, OverflowError) as exc:
             raise CliInputError(str(exc)) from exc
-        (record,) = _locus_records([q1], [q2], berry.locus_grid([q1], [q2]))
+        (record,) = LocusRecords([q1], [q2], berry.locus_grid([q1], [q2])).to_json()
         record.update(omega=args.omega, alpha=args.alpha, beta=args.beta)
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
@@ -449,8 +483,8 @@ def cmd_scan_locus(args):
         len(q1s) * len(q2s) <= MAX_GRID_POINTS,
         f"grid of {len(q1s)} x {len(q2s)} points is past the limit of {MAX_GRID_POINTS} points",
     )
-    records = _locus_records(q1s, q2s, berry.locus_grid(q1s, q2s))
-    return {"count": len(records), "records": records}, True
+    records = LocusRecords(q1s, q2s, berry.locus_grid(q1s, q2s))
+    return {"count": len(q1s) * len(q2s), "records": records}, True
 
 
 # the largest finite-oracle N, checked before any N x N table is built: a
@@ -642,8 +676,11 @@ def _write_json(out: list, value, newline: str) -> None:
     """Append to ``out`` the ``json.dumps(value, indent=2)`` text of
     ``value``, which sits at the level whose line break and indent is
     ``newline``.  The loops write exact str, int and float items in place
-    and recurse for any other item.  Being module-level recursion over one
-    list, a call builds no closure and leaves no reference cycle."""
+    and recurse for any other item.  Three objects write themselves by
+    their ``write_json``: a `PhasePoly` and a `CouplingSeries` from their
+    terms, and a `LocusRecords` grid from its integer rows.  Being
+    module-level recursion over one list, a call builds no closure and
+    leaves no reference cycle."""
     if isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -689,17 +726,21 @@ def _write_json(out: list, value, newline: str) -> None:
             out.append(text)
         elif isinstance(value, (PhasePoly, CouplingSeries)):
             value.write_json(out, newline, _write_json)
+        elif isinstance(value, LocusRecords):
+            value.write_json(out, newline)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_text(payload) -> str:
-    """Exactly ``json.dumps(payload, indent=2)``, where a `PhasePoly` or
-    `CouplingSeries` in ``payload`` stands for its ``to_json()`` tree.  With
-    an indent, json drops its C encoder for pure-Python generators; this
-    writer calls the C string quoter, ``int.__repr__`` and ``float.__repr__``
-    directly, and writes those two objects straight from their terms by
-    their ``write_json``, which keeps the term layout in `phasepoly`."""
+    """Exactly ``json.dumps(payload, indent=2)``, where a `PhasePoly`,
+    `CouplingSeries` or `LocusRecords` in ``payload`` stands for its
+    ``to_json()`` tree.  With an indent, json drops its C encoder for
+    pure-Python generators; this writer calls the C string quoter,
+    ``int.__repr__`` and ``float.__repr__`` directly, and writes those three
+    objects by their own ``write_json``: the two series types straight from
+    their terms, which keeps the term layout in `phasepoly`, and the
+    scan-locus records straight from the integer grid."""
     out = []
     _write_json(out, payload, "\n")
     return "".join(out)

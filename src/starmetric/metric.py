@@ -6,9 +6,10 @@ JSON; `modelio` is the one reader of model files.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
 from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate

@@ -25,11 +25,12 @@ sorted terms, for the CLI's writer.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 from .scalars import (
     Frozen,

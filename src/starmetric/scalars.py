@@ -24,10 +24,11 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Tuple, Union
 
 RatLike = Union[int, Fraction, str]
 

@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from starmetric import cli, exprparse, metric, weyl
+from starmetric import berry, cli, exprparse, metric, weyl
 from starmetric.cli import main
 from starmetric.exprparse import parse_poly
 from starmetric.metric import UnsolvableOrder
@@ -473,6 +473,17 @@ class TestOtherCommands:
         signs = {(r["q1"], r["q2"]): r["region_sign"] for r in payload["records"]}
         assert signs[(-1.0, 0.0)] == -1 and signs[(1.0, 2.0)] == 1
         assert signs[(-1.0, 2.0)] == 0  # 4(-1) + 4 = 0: on the locus
+
+    def test_scan_locus_sign_is_exact_where_the_float_underflows(self, capsys):
+        # 4 q1 + q2^2 is -3e-400, 1e-400 and 5e-400: every float is a zero
+        code, payload = run_json(capsys, "scan-locus", "--q1=-1e-400:1e-400:3", "--q2=1e-200")
+        assert code == 0
+        got = [(repr(r["locus_value"]), r["region_sign"]) for r in payload["records"]]
+        assert got == [("-0.0", -1), ("0.0", 1), ("0.0", 1)]
+        code, payload = run_json(capsys, "scan-locus", "--q1=1e-400", "--q2=0")
+        assert code == 0
+        (rec,) = payload["records"]
+        assert (repr(rec["locus_value"]), rec["region_sign"]) == ("0.0", 1)
 
     def test_scan_locus_jobs_deterministic(self, capsys):
         _, out1, _ = run(capsys, "scan-locus", "--q1=-1:1:3", "--q2=0:2:2", "--jobs", "2")
@@ -1699,6 +1710,64 @@ class TestJsonTextOfObjects:
         series = CouplingSeries("g", [poly, PhasePoly.zero(), poly.conjugate()])
         payload = {"poly": poly, "series": series, "list": [PhasePoly.zero(), series]}
         assert cli._json_text(payload) == json.dumps(_as_trees(payload), indent=2)
+
+
+# scan-locus range specs: rational and decimal endpoints, signed zeros, and
+# values that underflow, are subnormal or lie near the float maximum
+_endpoints = (
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 12))
+    | st.builds(
+        "{}.{}e{}".format,
+        st.integers(-99, 99),
+        st.integers(0, 99),
+        st.integers(-3, 3) | st.integers(-400, -300) | st.integers(150, 160)
+        | st.integers(305, 308),
+    )
+    | st.sampled_from(
+        ["0", "-0", "1e-400", "-1e-400", "5e-324", "-5e-324", "1e-162", "-2.5e-162",
+         "1.7976931348623157e308", "-1.7976931348623157e308", "1.3407807929942596e154"]
+    )
+)
+_range_specs = _endpoints | st.builds(
+    "{}:{}:{}".format, _endpoints, _endpoints, st.integers(2, 9)
+)
+
+
+def _locus_record(q1, q2):
+    """The scan-locus record of one point, from its Fractions alone."""
+    value = 4 * q1 + q2 * q2
+    return {
+        "q1": float(q1),
+        "q2": float(q2),
+        "locus_value": float(value),
+        "region_sign": (value > 0) - (value < 0),
+    }
+
+
+class TestLocusRecords:
+    """`cli.LocusRecords` writes the ``json.dumps`` text of its ``to_json()``
+    records, and those records are the exact locus values of the grid."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(_range_specs, _range_specs)
+    @example("-1/3:7/5:9", "0:2:5")
+    @example("-1e-400:1e-400:3", "1e-200")
+    @example("0:1.7976931348623157e308:3", "-1")
+    def test_writes_its_records_as_json_dumps_does(self, spec1, spec2):
+        q1s, q2s = cli._parse_range(spec1), cli._parse_range(spec2)
+        grid = berry.locus_grid(q1s, q2s)
+        try:
+            expected = [_locus_record(q1, q2) for q1 in q1s for q2 in q2s]
+        except OverflowError:
+            with pytest.raises(cli.CliInputError, match="past the float range"):
+                cli.LocusRecords(q1s, q2s, grid)
+            return
+        records = cli.LocusRecords(q1s, q2s, grid)
+        # as text, so that -0.0 and 0.0 differ
+        assert json.dumps(records.to_json()) == json.dumps(expected)
+        count = len(q1s) * len(q2s)
+        text = cli._json_text({"count": count, "records": records})
+        assert text == json.dumps({"count": count, "records": records.to_json()}, indent=2)
 
 
 class TestBundledModels:

@@ -12,7 +12,7 @@ from itertools import chain
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .phasepoly import CouplingSeries, PhasePoly
-from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, accumulate
+from .scalars import Frozen, GaussianRational, I, ONE, ParamPoly, _reduced, accumulate
 from .star import (
     BadConstantTerm,
     ExpQuadForm,
@@ -313,16 +313,16 @@ def solve_perturbative(
     that is 2 i hbar p dTheta_n/dx - hbar^2 d^2Theta_n/dx^2 on the left.
     Its right side is summed in one Moyal pass, the pointwise product
     Theta_{n-1} conj(V) = Theta_{n-1} * conj(V) (V has no p) entering with
-    negated numerators, and its sums go to `_exchange_solution`, one
-    parameter monomial at a time, without building a PhasePoly.  The
-    solution is checked by the order-n metric residual itself: the left side
-    is summed with the Moyal kernel from k = 1 (its k = 0 terms cancel) and
-    compared with the right side exactly (`_same_sums`); a mismatch raises
-    UnsolvableOrder.  So every returned order has H * Theta - Theta *
+    negated numerators; `_exchange_solution` solves its sums one parameter
+    monomial and one grading chain at a time, without building a PhasePoly.
+    The solution is checked by the order-n metric residual itself: the left
+    side is summed with the Moyal kernel from k = 1 (its k = 0 terms cancel)
+    and compared with the right side exactly (`_same_sums`); a mismatch
+    raises UnsolvableOrder.  So every returned order has H * Theta - Theta *
     H^dagger exactly zero, and callers need not recompute the residual.  The
     normalization is 1, and the integration function (a free function of p)
-    at order n is zero unless integration_functions[n], 1 <= n <= order,
-    supplies one.
+    at order n is zero unless integration_functions[n], an x-free PhasePoly
+    under an int key 1 <= n <= order, supplies one; any other raises ValueError.
     """
     if h0 != PhasePoly.p(2):
         raise ValueError("the perturbative solver requires H0 = p^2 exactly")
@@ -332,10 +332,10 @@ def solve_perturbative(
         raise ValueError("order must be >= 0")
     integration_functions = integration_functions or {}
     for n, func in integration_functions.items():
-        if not 1 <= n <= order:
-            raise ValueError(f"integration function at order {n} is outside 1..{order}")
-        if func.depends_on_x():
-            raise ValueError(f"integration function at order {n} depends on x")
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= order:
+            raise ValueError(f"integration function at order {n!r} is outside 1..{order}")
+        if not isinstance(func, PhasePoly) or func.depends_on_x():
+            raise ValueError(f"integration function at order {n} is not an x-free PhasePoly")
     nh0, nv, nv_conj = _numerators(h0), _numerators(v), _numerators(v.conjugate())
     thetas: List[PhasePoly] = [PhasePoly.one()]
     nprev = _numerators(thetas[0])  # the numerators of each order serve the next
@@ -368,31 +368,33 @@ def _same_sums(a, b) -> bool:
 
 
 def _exchange_solution(rhs, den, params, free: PhasePoly) -> PhasePoly:
-    """Theta = free + sum_j t_j x^j for the right side rhs = sum_j r_j x^j,
-    given as the groups of a `star._pair_sums` result over den and params
-    (sums whose parts are both zero are skipped), each group solved alone.
-    Its x^j part, 2 i hbar p (j + 1) t_{j+1} = r_j + (j + 2)(j + 1) hbar^2
-    t_{j+2}, is solved from the top j down: each term of the right side is
-    multiplied by -i/(2 (j + 1)), the division going into one running
-    integer scale, and moved to (j + 1, p - 1, h - 1)."""
+    """Theta = free + T, T * p^2 - p^2 * T = rhs: the groups of a
+    `star._pair_sums` result over den and params, each solved alone.  The left
+    side keeps x - p - 2 and x + hbar-degree, so the nonzero rhs terms of a
+    chain (A, B) = (x - p + 2, x + h) give T_X at (X, X - A, B - X) by
+    T_X = -i (R_(X-1) + (X + 1) X T_(X+1)) / (2 X), from the top X down to 1,
+    over a scale that restarts from each term's one `_reduced` (ring parts,
+    den None, are divided by the product of the 2 X); zero terms are dropped."""
     solved = {}
     for e, parts in rhs.items():
-        slices: dict = {}
-        for (x, p, h), (re, im) in parts.items():
-            if re or im:
-                slices.setdefault(x, []).append(((x + 1, p - 1, h - 1), (re, im)))
-        terms, upper, scale = [], {}, 1  # upper: the numerators of t_{j+2}
-        for j in range(max(slices, default=-1), -1, -1):
-            acc = {key: [re * scale, im * scale] for key, (re, im) in slices.get(j, ())}
-            w = (j + 2) * (j + 1)
-            for (_, p, h), (re, im) in upper.items():
-                sums = acc.setdefault((j + 1, p - 1, h + 1), [0, 0])
-                sums[0] += re * w
-                sums[1] += im * w
-            upper = {key: (im, -re) for key, (re, im) in acc.items()}
-            scale *= 2 * (j + 1)
-            terms += _joined(upper, den, scale)
-        solved[e] = terms
+        chains: dict = {}
+        for (x, p, h), part in parts.items():
+            if part[0] or part[1]:
+                chains.setdefault((x - p + 2, x + h), {})[x] = (*part, den or 1)
+        solved[e] = terms = []
+        for (a, b), levels in chains.items():
+            re, im, scale = 0, 0, 1  # T_(X+1) = (re + i im)/scale
+            for x in range(max(levels) + 1, 0, -1):
+                r, m, u = levels.get(x - 1, (0, 0, 1))  # R_(X-1) = (r + i m)/u
+                w = (x + 1) * x * u
+                re, im, scale = m * scale + im * w, -(r * scale + re * w), u * scale * 2 * x
+                if den is None:
+                    for key, c in _joined([((x, x - a, b - x), (re, im))], None):
+                        terms.append((key, c * Fraction(1, scale)))
+                elif re or im:
+                    t = _reduced(re, im, scale)
+                    terms.append(((x, x - a, b - x), t))
+                    re, im, scale = t.a, t.b, t.d
     # the keys are distinct (solved terms have x >= 1, free ones x = 0) and
     # no coefficient is zero, so the terms are already in normal form
     return PhasePoly._of_terms(dict(chain(free.terms.items(), _gathered(solved, params))))

@@ -209,22 +209,18 @@ def _numerators(a: PhasePoly):
     return groups, den, params
 
 
-def _joined(parts, den, scale: int = 1) -> list:
-    """The nonzero terms (key, (re + i im)/(den scale)) of the (key, (re, im))
-    parts, or of a dict key -> (re, im).  Over den = None a part is a ring
-    value or the int 0, and only the parts that are not the int 0 are added;
-    the pair is not canonical (re = -i im is zero), so the sum is tested."""
+def _joined(parts, den) -> list:
+    """The nonzero terms (key, (re + i im)/den) of the (key, (re, im)) parts,
+    or of a dict key -> (re, im).  Over den = None a part is a ring value or
+    the int 0, and only the parts that are not the int 0 are added; the pair
+    is not canonical (re = -i im is zero), so the sum is tested."""
     if type(parts) is dict:
         parts = parts.items()
     if den is not None:
-        den *= scale
         return [(key, _reduced(re, im, den)) for key, (re, im) in parts if re or im]
-    out = []
-    for key, (re, im) in parts:
-        c = re if type(im) is int else im * I if type(re) is int else re + im * I
-        if c:
-            out.append((key, c if scale == 1 else c * Fraction(1, scale)))
-    return out
+    joined = ((key, re if type(im) is int else im * I if type(re) is int else re + im * I)
+              for key, (re, im) in parts)
+    return [(key, c) for key, c in joined if c]
 
 
 def _poly(sums, den, params) -> list:

@@ -383,6 +383,19 @@ class TestBoundaryChoices:
         with pytest.raises(ValueError, match="outside 1..3"):
             solve_perturbative(IX3.h0, IX3.v, 3, integration_functions={n: func})
 
+    @pytest.mark.parametrize("n", [1.5, "1", None, True, False], ids=repr)
+    def test_integration_function_order_must_be_an_int(self, n):
+        # 1.5 passed the range test and was then never used; "1" and None
+        # raised TypeError; a bool is not an order
+        with pytest.raises(ValueError, match="outside 1..3"):
+            solve_perturbative(IX3.h0, IX3.v, 3, integration_functions={n: p})
+
+    @pytest.mark.parametrize("func", [5, Fraction(1, 3), None, "p"], ids=repr)
+    def test_integration_function_must_be_a_phasepoly(self, func):
+        # a plain number raised AttributeError
+        with pytest.raises(ValueError, match="not an x-free PhasePoly"):
+            solve_perturbative(IX3.h0, IX3.v, 3, integration_functions={1: func})
+
     def test_quadratic_from_model_params(self):
         # (a, b, c) of the oscillator constants (omega, alpha, beta) = (2, 1/4, 1/8)
         a, b, c = Fraction(13, 16), Fraction(19, 16), Fraction(1, 8)

@@ -16,7 +16,7 @@ from starmetric.metric import (
 )
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, I, ParamPoly
-from starmetric.star import _numerators, is_hermitian, star, star_log
+from starmetric.star import _numerators, is_hermitian, star, star_commutator, star_log
 
 from _helpers import bundled, random_gr
 
@@ -76,6 +76,29 @@ class TestPerturbativeSolver:
             top = max(k[0] for k in coeff.terms)
             hbar_degrees = [k[2] for k in coeff.terms if k[0] == top]
             assert all(h < 0 for h in hbar_degrees)
+
+    def test_grading(self):
+        # H = p^2 + i g x^3 is invariant under x -> s x, p -> t p,
+        # hbar -> s t hbar, g -> (t^2/s^3) g, so every term of Theta_n has
+        # x + hbar-degree 3n and p + hbar-degree -2n
+        theta = solved(24)
+        for n, c in enumerate(theta.coeffs):
+            assert {(x - p, x + h) for x, p, h in c.terms} == {(5 * n, 3 * n)}
+
+    def test_one_reduction_per_solved_term(self, monkeypatch):
+        # a work count that does not drift with the host: the solver reduces
+        # each solved term (x >= 1) once
+        calls = []
+        reduced = metric._reduced
+
+        def counted(*args):
+            calls.append(args)
+            return reduced(*args)
+
+        monkeypatch.setattr(metric, "_reduced", counted)
+        theta = solved(12)
+        assert len(calls) == sum(1 for c in theta.coeffs for key in c.terms if key[0] >= 1)
+        assert len(calls) > 12
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -264,6 +287,61 @@ class TestSolvedTermsAreNormal:
         for seed in range(30):
             v, functions = random_problem(seed, 3, ring, seed % 2)
             self.check(solve_perturbative(PhasePoly.p(2), v, 3, integration_functions=functions))
+
+
+def exchange(rhs: PhasePoly, free: PhasePoly = PhasePoly.zero()) -> PhasePoly:
+    """`metric._exchange_solution` on the `_numerators` of rhs."""
+    groups, den, params = _numerators(rhs)
+    return metric._exchange_solution({e: dict(t) for e, t in groups.items()}, den, params, free)
+
+
+# one chain, (x - p + 2, x + hbar-degree) = (-1, 5), whose x^2 term cancels
+ONE_CHAIN = PhasePoly({(2, 5, 3): gr(1), (1, 4, 4): gr(0, 1), (0, 3, 5): gr(1)})
+
+
+class TestExchangeSolution:
+    """`metric._exchange_solution` called directly: Theta * p^2 - p^2 *
+    Theta must give back the right side, and the terms must be normal."""
+
+    @staticmethod
+    def solves(theta: PhasePoly, rhs: PhasePoly):
+        assert star_commutator(theta, PhasePoly.p(2)) == rhs
+        TestSolvedTermsAreNormal.check(CouplingSeries("g", [PhasePoly.one(), theta]))
+
+    def test_one_chain_through_zero(self):
+        parts = {(2, 5, 3): (1, 0), (1, 4, 4): (0, 1), (0, 3, 5): (1, 0), (3, 0, 0): (0, 0)}
+        theta = metric._exchange_solution({(): parts}, 1, None, PhasePoly.zero())
+        # T_3 = -i/6, then T_2 = -i (i + 6 T_3)/4 = 0 and T_1 = -i (1 + 2 T_2)/2
+        assert theta.terms == {(3, 4, 2): gr(0, Fraction(-1, 6)), (1, 2, 4): gr(0, Fraction(-1, 2))}
+        self.solves(theta, ONE_CHAIN)
+
+    def test_two_interleaved_chains(self):
+        # (x - p + 2, x + h) = (-1, 5) and (0, 5), both at x = 0, 1, 2
+        other = PhasePoly({(2, 4, 3): gr(0, 2), (1, 3, 4): gr(Fraction(3, 2)),
+                           (0, 2, 5): gr(Fraction(-1, 7), 1)})
+        theta = exchange(ONE_CHAIN + other)
+        assert theta == exchange(ONE_CHAIN) + exchange(other)
+        self.solves(theta, ONE_CHAIN + other)
+
+    def test_ring_parts(self):
+        # the same right side as ring parts (c, 0) over no denominator
+        parts = {key: (c, 0) for key, c in ONE_CHAIN.terms.items()}
+        theta = metric._exchange_solution({(): parts}, None, None, PhasePoly.zero())
+        assert theta == exchange(ONE_CHAIN)
+        self.solves(theta, ONE_CHAIN)
+
+    def test_two_parameter_groups(self):
+        (a,) = ParamPoly.generators("a")
+        rhs = PhasePoly({(2, 5, 3): a * gr(Fraction(1, 3)), (1, 4, 4): a * a * gr(0, 1),
+                         (0, 3, 5): a * gr(2, -1), (3, 2, 0): a * a * gr(Fraction(5, 2))})
+        assert len(_numerators(rhs)[0]) == 2
+        self.solves(exchange(rhs), rhs)
+
+    def test_free_function(self):
+        free = PhasePoly({(0, -2, 1): gr(1, 2), (0, 3, 0): gr(-3)})
+        theta = exchange(ONE_CHAIN, free)
+        assert theta == exchange(ONE_CHAIN) + free
+        self.solves(theta, ONE_CHAIN)
 
 
 class TestAgainstReference:

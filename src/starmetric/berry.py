@@ -47,16 +47,18 @@ class RankDeficient(ArithmeticError):
 # ---------------------------------------------------------------------------
 # 2x2 model
 #
-# model_hamiltonian, gauge_fixed_connection, solve_connection_2x2 and
-# verify_connection_matrix take one point q = (q1, q2) or a stack of points of
-# shape (..., 2), and return one value per point: a single point is a stack
+# model_hamiltonian, gauge_fixed_connection, solve_connection_stack,
+# solve_connection_2x2 and verify_connection_matrix take one point
+# q = (q1, q2) or a stack of points of shape (..., 2), and return one value per point: a single point is a stack
 # with no leading axes.  Stacks of 2x2 matrices are multiplied entry by entry
 # with broadcast arithmetic (`_mul2x2`), not with numpy's matmul, whose fixed
 # cost per call is larger than the arithmetic on a stack of 2x2 matrices; the
-# connection system is solved with one SVD per stack.
+# connection system is solved with one SVD per stack (`solve_connection_stack`).
 
 # Largest stack of random points that berry2x2 samples and solves at once.
 TRIAL_BLOCK = 128
+# where the connection system is singular, as berry2x2 checks
+EXCEPTIONAL_POINTS = ((0.0, 1.0), (0.0, -1.0))
 
 
 def _z(q) -> np.ndarray:
@@ -169,13 +171,29 @@ W1 = 0.5
 RANK_TOL = 1e-8
 
 
-def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve [[A_i, H], H] = [dH_i, H] with the gauge A_i[1][1] = 0 and
-    A_i[1][0] = W1 * kappa_i (kappa = 1, i), unique away from exceptional points.
+class ConnectionStack(NamedTuple):
+    """The connection solved at a stack of points, and per point why its
+    solve failed: `singular` where the system is singular, `incompatible`
+    where it is regular but the gauge rows cannot hold.  The connection is
+    finite but meaningless where either mask is set."""
 
-    Each point's 6x4 system is solved by least squares through one SVD shared
-    by both components, with numpy.linalg.lstsq's rank rule; RankDeficient
-    names the first point whose system is singular or inconsistent.
+    a1: np.ndarray
+    a2: np.ndarray
+    singular: np.ndarray
+    incompatible: np.ndarray
+
+
+def solve_connection_stack(q) -> ConnectionStack:
+    """Solve [[A_i, H], H] = [dH_i, H] with the gauge A_i[1][1] = 0 and
+    A_i[1][0] = W1 * kappa_i (kappa = 1, i) at every point of the stack q,
+    unique away from exceptional points; it never raises.
+
+    Each point's 6x4 system is solved by least squares, the whole stack
+    through one SVD call shared by both components.  A point's system is
+    singular when its smallest singular value fails numpy.linalg.lstsq's
+    rank rule or is below RANK_TOL times its largest, and incompatible when
+    it is not singular and its least-squares residual exceeds 1e-8.  Each
+    point's values do not depend on the other points of the stack.
     """
     import numpy as np
 
@@ -196,17 +214,35 @@ def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
     u, s, vh = np.linalg.svd(full, full_matrices=False)
     top, low = s[..., 0], s[..., -1]
     singular = (low <= np.finfo(float).eps * 6 * top) | (low < RANK_TOL * top)
-    # unit singular values keep the solve finite at the points that raise below
+    # unit singular values keep the solve finite at the singular points
     s = np.where(singular[..., None], 1.0, s)
     sol = np.conj(np.swapaxes(vh, -1, -2)) @ (
         (np.conj(np.swapaxes(u, -1, -2)) @ rhs) / s[..., None]
     )
-    off = np.max(np.abs(full @ sol - rhs), axis=(-2, -1))
-    bad = singular | (off > 1e-8)
+    incompatible = ~singular & (np.max(np.abs(full @ sol - rhs), axis=(-2, -1)) > 1e-8)
+    return ConnectionStack(
+        sol[..., 0].reshape(stack + (2, 2)), sol[..., 1].reshape(stack + (2, 2)),
+        singular, incompatible,
+    )
+
+
+def require_solved(q, singular: np.ndarray, incompatible: np.ndarray) -> None:
+    """Raise RankDeficient naming the first point of the stack q where
+    `singular` or `incompatible` (the masks of `solve_connection_stack`)
+    holds, and why; return if there is none."""
+    bad = singular | incompatible
     if bad.any():
         what = "connection system singular" if singular[bad][0] else "gauge incompatible"
         raise RankDeficient(f"{what} at q = {_first_point(q, bad)}")
-    return sol[..., 0].reshape(stack + (2, 2)), sol[..., 1].reshape(stack + (2, 2))
+
+
+def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
+    """(A_1, A_2) of `solve_connection_stack` at one point or a stack of
+    points q; RankDeficient (`require_solved`) names the first point whose
+    system is singular or gauge incompatible."""
+    a1, a2, singular, incompatible = solve_connection_stack(q)
+    require_solved(q, singular, incompatible)
+    return a1, a2
 
 
 ConnectionField = Callable[[Sequence[float]], Tuple["np.ndarray", "np.ndarray"]]

@@ -291,28 +291,24 @@ def cmd_berry2x2(args):
         max(np.max(np.abs(f @ up - um)), np.max(np.abs(f @ um - up)))
     )
     product_err = float(np.max(np.abs(berry.holonomy_product_form() - f_expected)))
-    worst_solve = 0.0
-    worst_residual = 0.0
     trials = _trials(args)
-    for done in range(0, trials, berry.TRIAL_BLOCK):
+    # the first trial block and the exceptional points share one stacked solve
+    q = berry.sample_regular_points(rng, min(berry.TRIAL_BLOCK, trials))
+    n = len(q)
+    a1, a2, singular, incompatible = berry.solve_connection_stack(
+        np.concatenate([q, berry.EXCEPTIONAL_POINTS])
+    )
+    berry.require_solved(q, singular[:n], incompatible[:n])
+    rank_deficient = [
+        list(point)
+        for point, bad in zip(berry.EXCEPTIONAL_POINTS, singular[n:] | incompatible[n:])
+        if bad
+    ]
+    worst_solve, worst_residual = _trial_errors(q, (a1[:n], a2[:n]))
+    for done in range(berry.TRIAL_BLOCK, trials, berry.TRIAL_BLOCK):
         q = berry.sample_regular_points(rng, min(berry.TRIAL_BLOCK, trials - done))
-        a_solved = berry.solve_connection_2x2(q)
-        a_ref = berry.gauge_fixed_connection(q)
-        worst_solve = max(
-            worst_solve, max(float(np.max(np.abs(s - r))) for s, r in zip(a_solved, a_ref))
-        )
-        worst_residual = max(
-            worst_residual,
-            float(np.max(berry.verify_connection_matrix(
-                berry.model_hamiltonian(q), berry.model_partials(), a_solved
-            ))),
-        )
-    rank_deficient = []
-    for point in ((0.0, 1.0), (0.0, -1.0)):
-        try:
-            berry.solve_connection_2x2(point)
-        except berry.RankDeficient:
-            rank_deficient.append(list(point))
+        solve, residual = _trial_errors(q, berry.solve_connection_2x2(q))
+        worst_solve, worst_residual = max(worst_solve, solve), max(worst_residual, residual)
     curvature_norm = float(
         np.max(np.abs(berry.curvature_of_field(berry.gauge_fixed_connection, (0.5, 1.0 / 3.0))))
     )
@@ -337,6 +333,27 @@ def cmd_berry2x2(args):
         and curvature_norm <= 1e-8
     )
     return payload, ok
+
+
+def _trial_errors(q, a_solved) -> tuple[float, float]:
+    """(connection mismatch, equation residual) of the connection a_solved
+    solved at the stack of trial points q: the max-norm distance from
+    `gauge_fixed_connection` and the max residual of the equation, 0.0 and
+    0.0 for no points."""
+    import numpy as np
+
+    from . import berry
+
+    if not len(q):
+        return 0.0, 0.0
+    a_ref = berry.gauge_fixed_connection(q)
+    residual = berry.verify_connection_matrix(
+        berry.model_hamiltonian(q), berry.model_partials(), a_solved
+    )
+    return (
+        max(float(np.max(np.abs(s - r))) for s, r in zip(a_solved, a_ref)),
+        float(np.max(residual)),
+    )
 
 
 def _trials(args) -> int:

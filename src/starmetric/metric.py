@@ -323,11 +323,14 @@ def solve_perturbative(
     normalization is 1, and the integration function (a free function of p)
     at order n is zero unless integration_functions[n], an x-free PhasePoly
     under an int key 1 <= n <= order, supplies one; any other raises ValueError.
+    So does an order that is not an int (a bool included) or is negative.
     """
     if h0 != PhasePoly.p(2):
         raise ValueError("the perturbative solver requires H0 = p^2 exactly")
     if v.depends_on_p():
         raise ValueError("V must be a polynomial in x (and hbar) only")
+    if not isinstance(order, int) or isinstance(order, bool):
+        raise ValueError(f"order must be an int, not {order!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     integration_functions = integration_functions or {}

@@ -16,7 +16,9 @@ public constructor (and so `from_json`) checks its input once: three
 integer exponents with x >= 0 and a coefficient of one of `COEFF_TYPES`.
 Ring operations, whose terms are valid by construction, go through
 `PhasePoly._of`, which only calls `accumulate`; the solver, whose terms are
-already in that form, hands them over as they are (`PhasePoly._of_terms`).
+already in that form, hands them over as they are (`PhasePoly._of_terms`),
+and so do `zero`, `one`, `x`, `p` and `hbar` at a plain int power (x >= 0);
+any other power goes through the public constructor and its checks.
 
 The JSON term layout lives here alone: `to_json` builds the tree, and
 `write_json` writes its ``json.dumps(indent=2)`` text straight from the
@@ -104,11 +106,11 @@ class PhasePoly(Frozen):
 
     @classmethod
     def zero(cls) -> "PhasePoly":
-        return cls()
+        return cls._of_terms({})
 
     @classmethod
     def one(cls) -> "PhasePoly":
-        return cls({(0, 0, 0): ONE})
+        return cls._of_terms({(0, 0, 0): ONE})
 
     @classmethod
     def const(cls, value: CoeffLike) -> "PhasePoly":
@@ -120,14 +122,20 @@ class PhasePoly(Frozen):
 
     @classmethod
     def x(cls, power: int = 1) -> "PhasePoly":
+        if type(power) is int and power >= 0:
+            return cls._of_terms({(power, 0, 0): ONE})
         return cls({(power, 0, 0): ONE})
 
     @classmethod
     def p(cls, power: int = 1) -> "PhasePoly":
+        if type(power) is int:
+            return cls._of_terms({(0, power, 0): ONE})
         return cls({(0, power, 0): ONE})
 
     @classmethod
     def hbar(cls, power: int = 1) -> "PhasePoly":
+        if type(power) is int:
+            return cls._of_terms({(0, 0, power): ONE})
         return cls({(0, 0, power): ONE})
 
     # -- inspection ------------------------------------------------------

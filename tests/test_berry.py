@@ -34,7 +34,9 @@ from starmetric.berry import (
     plaquette_transport,
     sample_regular_points,
     singular_locus,
+    require_solved,
     solve_connection_2x2,
+    solve_connection_stack,
     verify_connection_matrix,
 )
 from starmetric.phasepoly import PhasePoly
@@ -199,6 +201,33 @@ class TestConnection2x2:
         ):
             with pytest.raises(RankDeficient, match=rf"singular at q = \({point[0]}, {point[1]}\)"):
                 solve_connection_2x2(stack)
+
+    def test_stacked_solve_masks_the_exceptional_points(self):
+        # berry2x2's first block: the trials, then both exceptional points
+        block = sample_regular_points(np.random.default_rng(26), TRIAL_BLOCK)
+        probes = [(0.0, 1.0), (0.0, -1.0)]
+        a1, a2, singular, incompatible = solve_connection_stack(np.concatenate([block, probes]))
+        assert singular.tolist() == [False] * TRIAL_BLOCK + [True, True]
+        assert not incompatible.any()
+        # a trial row does not depend on the rows stacked with it
+        alone = solve_connection_2x2(block)
+        assert np.array_equal(a1[:TRIAL_BLOCK], alone[0])
+        assert np.array_equal(a2[:TRIAL_BLOCK], alone[1])
+        for point in probes:
+            one = solve_connection_stack(point)
+            assert (bool(one.singular), bool(one.incompatible)) == (True, False)
+            assert np.isfinite(one.a1).all() and np.isfinite(one.a2).all()
+
+    def test_require_solved_names_the_first_bad_point_and_why(self):
+        q = np.array([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)])
+        none = np.zeros(3, dtype=bool)
+        singular = np.array([False, False, True])
+        incompatible = np.array([False, True, False])
+        require_solved(q, none, none)
+        with pytest.raises(RankDeficient, match=r"^gauge incompatible at q = \(0.3, 0.4\)$"):
+            require_solved(q, singular, incompatible)
+        with pytest.raises(RankDeficient, match=r"^connection system singular at q = \(0.5, 0.6\)$"):
+            require_solved(q, singular, none)
 
     def test_stack_with_pole_raises(self):
         stack = np.array(regular_points(seed=23, count=5) + [(0.0, -1.0), (0.0, 1.0)])

@@ -441,18 +441,19 @@ class TestOtherCommands:
     def test_berry2x2_solves_its_trials_in_one_call(self, capsys, monkeypatch):
         from starmetric import berry
 
-        solve = berry.solve_connection_2x2
+        solve = berry.solve_connection_stack
         stacks = []
 
         def counting(q, *args, **kwargs):
-            stacks.append(np.shape(q))
+            stacks.append(np.asarray(q).tolist())
             return solve(q, *args, **kwargs)
 
-        monkeypatch.setattr(berry, "solve_connection_2x2", counting)
+        monkeypatch.setattr(berry, "solve_connection_stack", counting)
         code, payload = run_json(capsys, "berry2x2", "--trials", "100", "--seed", "7")
         assert code == 0
-        # the trials, then the two exceptional-point probes
-        assert stacks == [(100, 2), (2,), (2,)]
+        # one stack: the trials, then the two exceptional-point probes
+        trials = berry.sample_regular_points(np.random.default_rng(7), 100).tolist()
+        assert stacks == [trials + [[0.0, 1.0], [0.0, -1.0]]]
         assert payload.pop("max_connection_mismatch") <= 1e-12
         assert payload.pop("max_equation_residual") <= 1e-12
         # what the per-point loop printed; the solver's roundoff is not pinned
@@ -465,6 +466,40 @@ class TestOtherCommands:
             "rank_deficient_at": [[0.0, 1.0], [0.0, -1.0]],
             "curvature_norm_at_sample": 2.2020249365036136e-10,
         }
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--trials", "0"], "9704a564b30932177c31ddf87f06897a00d7e719f3f6431a2738e9db3aacd215"),
+            (["--trials", "1"], "c8d367c66ddab94898f143de40b77ec6805acd9d8eaefcfca49477bd4e830146"),
+            (["--trials", "128"], "7b57f74d401812402d36954beff239804e6a3b2184bc5d4cf2007a6f849a34b1"),
+            (["--trials", "129"], "909440dedeb59574aa20db6efb4c6d36f2203b30fb606cda3af2684878324a70"),
+            (["--trials", "256"], "961427fdb3edf5f64323506da292153a92b2810dcc8113647bc4d5bd10115ea8"),
+            (["--trials", "20", "--seed", "7"],
+             "4d0ec42a129bcf28cd3da0bac08c358bc8df6be682351454459f4ba7290e273e"),
+        ],
+        ids=["0", "1", "128", "129", "256", "readme-20-seed-7"],
+    )
+    def test_berry2x2_matches_pinned_sha256(self, capsys, argv, digest):
+        # 128 trials fill the first block, 129 and 256 solve a second one
+        code, out, err = run(capsys, "berry2x2", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "block, bad",
+        [([(0.5, 0.25), (0.0, 1.0), (0.3, -0.2)], "(0.0, 1.0)"),
+         ([(0.0, -1.0), (0.0, 1.0)], "(0.0, -1.0)"),
+         ([(0.0, 1.0)], "(0.0, 1.0)")],
+    )
+    def test_berry2x2_names_a_singular_trial_point(self, capsys, monkeypatch, block, bad):
+        # an exceptional point among the trials fails as that trial, with the
+        # probes stacked after the block
+        monkeypatch.setattr(berry, "sample_regular_points", lambda rng, count: np.array(block))
+        with pytest.raises(berry.RankDeficient) as exc:
+            main(["berry2x2", "--trials", str(len(block))])
+        assert str(exc.value) == f"connection system singular at q = {bad}"
+        assert capsys.readouterr() == ("", "")
 
     def test_scan_locus_grid(self, capsys):
         code, payload = run_json(capsys, "scan-locus", "--q1=-1:1:3", "--q2=0:2:2")

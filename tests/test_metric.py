@@ -377,6 +377,17 @@ class TestBoundaryChoices:
         with pytest.raises(ValueError):
             solve_perturbative(IX3.h0, IX3.v, 1, integration_functions={1: PhasePoly.x()})
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [(-1, ">= 0"), (2.0, "an int"), ("2", "an int"), (None, "an int"), (True, "an int"),
+         (False, "an int")],
+        ids=repr,
+    )
+    def test_order_must_be_a_nonnegative_int(self, order, message):
+        # 2.0, "2" and None raised TypeError, and True solved to order 1
+        with pytest.raises(ValueError, match=message):
+            solve_perturbative(IX3.h0, IX3.v, order)
+
     @pytest.mark.parametrize("n, func", [(0, p), (5, p**3), (-1, p)])
     def test_integration_function_order_must_be_solved(self, n, func):
         # order 0 is the normalization 1, and nothing above the order is solved

@@ -41,6 +41,32 @@ class TestPhasePoly:
         with pytest.raises(ValueError):
             PhasePoly({(-1, 0, 0): 1})
 
+    @pytest.mark.parametrize(
+        "name, key",
+        [("x", (3, 0, 0)), ("x", (0, 0, 0)), ("p", (0, 2, 0)), ("p", (0, -2, 0)),
+         ("hbar", (0, 0, 1)), ("hbar", (0, 0, -3))],
+    )
+    def test_named_constructors_match_the_public_one(self, name, key):
+        got = getattr(PhasePoly, name)(sum(key))
+        assert got == PhasePoly({key: 1}) and got.terms == {key: gr(1)}
+
+    def test_zero_and_one(self):
+        assert PhasePoly.zero() == PhasePoly() and PhasePoly.zero().terms == {}
+        assert PhasePoly.one() == PhasePoly.const(1) and PhasePoly.one().terms == {(0, 0, 0): gr(1)}
+
+    @pytest.mark.parametrize("power", [2.0, "2"], ids=repr)
+    def test_named_constructors_read_an_integral_power(self, power):
+        assert PhasePoly.x(power) == x * x and PhasePoly.p(power) == p * p
+        assert PhasePoly.hbar(power) == hbar * hbar
+
+    @pytest.mark.parametrize(
+        "name, power",
+        [("x", -1), ("x", True), ("p", 1.5), ("p", False), ("hbar", "h"), ("hbar", True)],
+    )
+    def test_named_constructors_reject_a_bad_power(self, name, power):
+        with pytest.raises(ValueError):
+            getattr(PhasePoly, name)(power)
+
     def test_ring_axioms_random(self):
         rng = random.Random(3)
         for _ in range(40):

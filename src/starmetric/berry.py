@@ -49,15 +49,16 @@ class RankDeficient(ArithmeticError):
 #
 # model_hamiltonian, gauge_fixed_connection, solve_connection_stack,
 # solve_connection_2x2 and verify_connection_matrix take one point
-# q = (q1, q2) or a stack of points of shape (..., 2), and return one value per point: a single point is a stack
-# with no leading axes.  Stacks of 2x2 matrices are multiplied entry by entry
-# with broadcast arithmetic (`_mul2x2`), not with numpy's matmul, whose fixed
-# cost per call is larger than the arithmetic on a stack of 2x2 matrices; the
-# connection system is solved with one SVD per stack (`solve_connection_stack`).
+# q = (q1, q2) or a stack of points of shape (..., 2), and return one value
+# per point: a single point is a stack with no leading axes.  Stacks of 2x2
+# matrices are multiplied entry by entry with broadcast arithmetic
+# (`_mul2x2`), not with numpy's matmul, whose fixed cost per call is larger
+# than the arithmetic on a stack of 2x2 matrices; the connection system is
+# solved with one SVD per stack (`solve_connection_stack`).
 
-# Largest stack of random points that berry2x2 samples and solves at once.
+# Largest stack of random points that trial_errors samples and solves at once.
 TRIAL_BLOCK = 128
-# where the connection system is singular, as berry2x2 checks
+# where the connection system is singular, as trial_errors checks
 EXCEPTIONAL_POINTS = ((0.0, 1.0), (0.0, -1.0))
 
 
@@ -243,6 +244,36 @@ def solve_connection_2x2(q) -> Tuple[np.ndarray, np.ndarray]:
     a1, a2, singular, incompatible = solve_connection_stack(q)
     require_solved(q, singular, incompatible)
     return a1, a2
+
+
+def trial_errors(rng: np.random.Generator, trials: int) -> Tuple[float, float, List[List[float]]]:
+    """berry2x2's (max connection mismatch, max equation residual, rank-deficient
+    probes) over `trials` points of `sample_regular_points`, drawn and solved in
+    blocks of up to TRIAL_BLOCK, one `solve_connection_stack` call each.  The
+    first block, empty for no trials, carries the EXCEPTIONAL_POINTS as probes.
+    The mismatch is the max-norm distance from `gauge_fixed_connection`, the
+    residual that of `verify_connection_matrix`, each 0.0 for no trials;
+    RankDeficient (`require_solved`) names the first trial point that fails."""
+    import numpy as np
+
+    mismatches, residuals, rank_deficient = [], [], []
+    probes = EXCEPTIONAL_POINTS
+    for done in range(0, max(trials, 1), TRIAL_BLOCK):
+        q = sample_regular_points(rng, min(TRIAL_BLOCK, trials - done))
+        n = len(q)
+        a1, a2, singular, incompatible = solve_connection_stack(
+            np.concatenate([q, probes]) if probes else q
+        )
+        require_solved(q, singular[:n], incompatible[:n])
+        failed = singular[n:] | incompatible[n:]
+        rank_deficient += [list(p) for p, bad in zip(probes, failed) if bad]
+        probes = ()
+        if n:
+            a, a_ref = (a1[:n], a2[:n]), gauge_fixed_connection(q)
+            mismatches.append(max(float(np.max(np.abs(s - r))) for s, r in zip(a, a_ref)))
+            h = model_hamiltonian(q)
+            residuals.append(float(np.max(verify_connection_matrix(h, model_partials(), a))))
+    return max(mismatches, default=0.0), max(residuals, default=0.0), rank_deficient
 
 
 ConnectionField = Callable[[Sequence[float]], Tuple["np.ndarray", "np.ndarray"]]

@@ -277,7 +277,17 @@ def _family_number_observable(args, model: Model):
     return payload, all(v is not False for v in payload.values())
 
 
+# the most berry2x2 trials, checked before any work: about 12 us each, so a
+# call at the limit runs about 10 s
+MAX_BERRY_TRIALS = 800_000
+
+
 def cmd_berry2x2(args):
+    trials = _trials(args)
+    _require(
+        trials <= MAX_BERRY_TRIALS,
+        f"--trials {trials} is past the limit of {MAX_BERRY_TRIALS} trials",
+    )
     import numpy as np
 
     from . import berry
@@ -291,24 +301,9 @@ def cmd_berry2x2(args):
         max(np.max(np.abs(f @ up - um)), np.max(np.abs(f @ um - up)))
     )
     product_err = float(np.max(np.abs(berry.holonomy_product_form() - f_expected)))
-    trials = _trials(args)
-    # the first trial block and the exceptional points share one stacked solve
-    q = berry.sample_regular_points(rng, min(berry.TRIAL_BLOCK, trials))
-    n = len(q)
-    a1, a2, singular, incompatible = berry.solve_connection_stack(
-        np.concatenate([q, berry.EXCEPTIONAL_POINTS])
-    )
-    berry.require_solved(q, singular[:n], incompatible[:n])
-    rank_deficient = [
-        list(point)
-        for point, bad in zip(berry.EXCEPTIONAL_POINTS, singular[n:] | incompatible[n:])
-        if bad
-    ]
-    worst_solve, worst_residual = _trial_errors(q, (a1[:n], a2[:n]))
-    for done in range(berry.TRIAL_BLOCK, trials, berry.TRIAL_BLOCK):
-        q = berry.sample_regular_points(rng, min(berry.TRIAL_BLOCK, trials - done))
-        solve, residual = _trial_errors(q, berry.solve_connection_2x2(q))
-        worst_solve, worst_residual = max(worst_solve, solve), max(worst_residual, residual)
+    # every trial block is one stacked solve, the first with the exceptional
+    # points appended as probes
+    worst_solve, worst_residual, rank_deficient = berry.trial_errors(rng, trials)
     curvature_norm = float(
         np.max(np.abs(berry.curvature_of_field(berry.gauge_fixed_connection, (0.5, 1.0 / 3.0))))
     )
@@ -333,27 +328,6 @@ def cmd_berry2x2(args):
         and curvature_norm <= 1e-8
     )
     return payload, ok
-
-
-def _trial_errors(q, a_solved) -> tuple[float, float]:
-    """(connection mismatch, equation residual) of the connection a_solved
-    solved at the stack of trial points q: the max-norm distance from
-    `gauge_fixed_connection` and the max residual of the equation, 0.0 and
-    0.0 for no points."""
-    import numpy as np
-
-    from . import berry
-
-    if not len(q):
-        return 0.0, 0.0
-    a_ref = berry.gauge_fixed_connection(q)
-    residual = berry.verify_connection_matrix(
-        berry.model_hamiltonian(q), berry.model_partials(), a_solved
-    )
-    return (
-        max(float(np.max(np.abs(s - r))) for s, r in zip(a_solved, a_ref)),
-        float(np.max(residual)),
-    )
 
 
 def _trials(args) -> int:
@@ -507,13 +481,23 @@ def cmd_scan_locus(args):
 # the largest finite-oracle N, checked before any N x N table is built: a
 # trial's N^3 complex star intermediates are then near 32 MB each
 MAX_ORACLE_N = 128
+# the most finite-oracle work, trials x (N^3 + 512), checked before any work:
+# a trial's star sums cost N^3 and its fixed cost about 512 of those units,
+# each 5-40 ns, so a call at the limit runs at most about 10 s
+MAX_ORACLE_WORK = 250_000_000
 
 
 def cmd_finite_oracle(args):
+    _require(args.n <= MAX_ORACLE_N, f"--n {args.n} is past the limit of N = {MAX_ORACLE_N}")
+    trials = _trials(args)
+    _require(
+        trials * (args.n**3 + 512) <= MAX_ORACLE_WORK,
+        f"--trials {trials} at N = {args.n} is past the limit of {MAX_ORACLE_WORK}"
+        " for trials x (N^3 + 512)",
+    )
     from . import weyl
 
-    _require(args.n <= MAX_ORACLE_N, f"--n {args.n} is past the limit of N = {MAX_ORACLE_N}")
-    report = weyl.oracle_run(args.n, _trials(args), args.seed)
+    report = weyl.oracle_run(args.n, trials, args.seed)
     return report, report["failures"] == 0
 
 

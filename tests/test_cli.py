@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,6 +74,10 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert out, f"no stdout; stderr: {err}"
     return code, json.loads(out)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started past a limit")
 
 
 class TestSolveAndLog:
@@ -475,13 +480,16 @@ class TestOtherCommands:
             (["--trials", "128"], "7b57f74d401812402d36954beff239804e6a3b2184bc5d4cf2007a6f849a34b1"),
             (["--trials", "129"], "909440dedeb59574aa20db6efb4c6d36f2203b30fb606cda3af2684878324a70"),
             (["--trials", "256"], "961427fdb3edf5f64323506da292153a92b2810dcc8113647bc4d5bd10115ea8"),
+            (["--trials", "257"], "5a8e85ec0885b454b23008c6d132c25165477d0facf3225567a564b9eb5b59b2"),
+            (["--trials", "385"], "eb6e44550f387ec65acf108bfc13c81793919a86d4bdfba8fe422c77a50f2db0"),
             (["--trials", "20", "--seed", "7"],
              "4d0ec42a129bcf28cd3da0bac08c358bc8df6be682351454459f4ba7290e273e"),
         ],
-        ids=["0", "1", "128", "129", "256", "readme-20-seed-7"],
+        ids=["0", "1", "128", "129", "256", "257", "385", "readme-20-seed-7"],
     )
     def test_berry2x2_matches_pinned_sha256(self, capsys, argv, digest):
-        # 128 trials fill the first block, 129 and 256 solve a second one
+        # 128 trials fill the first block, 129 and 256 solve a second one, 257
+        # and 385 end on a partial third and fourth one
         code, out, err = run(capsys, "berry2x2", *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
@@ -490,12 +498,18 @@ class TestOtherCommands:
         "block, bad",
         [([(0.5, 0.25), (0.0, 1.0), (0.3, -0.2)], "(0.0, 1.0)"),
          ([(0.0, -1.0), (0.0, 1.0)], "(0.0, -1.0)"),
-         ([(0.0, 1.0)], "(0.0, 1.0)")],
+         ([(0.0, 1.0)], "(0.0, 1.0)"),
+         ([(0.5, 0.25)] * berry.TRIAL_BLOCK + [(0.3, -0.2), (0.0, 1.0)], "(0.0, 1.0)")],
     )
     def test_berry2x2_names_a_singular_trial_point(self, capsys, monkeypatch, block, bad):
         # an exceptional point among the trials fails as that trial, with the
-        # probes stacked after the block
-        monkeypatch.setattr(berry, "sample_regular_points", lambda rng, count: np.array(block))
+        # probes stacked after the first block; the last case's first block
+        # is clean and its second block holds (0, 1)
+        points = iter(block)
+        monkeypatch.setattr(
+            berry, "sample_regular_points",
+            lambda rng, count: np.array([next(points) for _ in range(count)]),
+        )
         with pytest.raises(berry.RankDeficient) as exc:
             main(["berry2x2", "--trials", str(len(block))])
         assert str(exc.value) == f"connection system singular at q = {bad}"
@@ -1104,6 +1118,52 @@ class TestErrorHandling:
         assert code == 2 and not out
         message = f"--n 100000 is past the limit of N = {cli.MAX_ORACLE_N}"
         assert json.loads(err) == {"error": message}
+
+    def test_berry2x2_trials_at_and_past_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BERRY_TRIALS", 3)
+        code, payload = run_json(capsys, "berry2x2", "--trials", "3")
+        assert code == 0 and payload["trials"] == 3
+        monkeypatch.setattr(berry, "holonomy_exceptional", _no_work)
+        monkeypatch.setattr(berry, "trial_errors", _no_work)
+        code, out, err = run(capsys, "berry2x2", "--trials", "4")
+        assert code == 2 and not out
+        assert json.loads(err) == {"error": "--trials 4 is past the limit of 3 trials"}
+
+    def test_finite_oracle_work_at_and_past_the_limit(self, capsys, monkeypatch):
+        # trials x (N^3 + 512): 2 trials at N = 3 are 1078
+        monkeypatch.setattr(cli, "MAX_ORACLE_WORK", 1078)
+        code, payload = run_json(capsys, "finite-oracle", "--n", "3", "--trials", "2")
+        assert code == 0 and payload["trials"] == 2
+        monkeypatch.setattr(weyl, "oracle_run", _no_work)
+        for argv in (("--n", "3", "--trials", "3"), ("--n", "4", "--trials", "2")):
+            code, out, err = run(capsys, "finite-oracle", *argv)
+            assert code == 2 and not out
+            n, trials = argv[1], argv[3]
+            message = (
+                f"--trials {trials} at N = {n} is past the limit of 1078 for trials x (N^3 + 512)"
+            )
+            assert json.loads(err) == {"error": message}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("berry2x2", "--trials", str(cli.MAX_BERRY_TRIALS + 1)),
+            ("finite-oracle", "--n", "2", "--trials", str(cli.MAX_ORACLE_WORK // 520 + 1)),
+            ("finite-oracle", "--n", "128",
+             "--trials", str(cli.MAX_ORACLE_WORK // (128**3 + 512) + 1)),
+        ],
+        ids=["berry2x2", "finite-oracle-n2", "finite-oracle-n128"],
+    )
+    def test_trials_one_past_the_real_limit_exit_2_at_once(self, capsys, monkeypatch, argv):
+        # refused before any work: a call at the limit runs about 10 s
+        monkeypatch.setattr(berry, "holonomy_exceptional", _no_work)
+        monkeypatch.setattr(berry, "trial_errors", _no_work)
+        monkeypatch.setattr(weyl, "oracle_run", _no_work)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert "is past the limit of" in json.loads(err)["error"]
 
     @pytest.mark.parametrize(
         "command, model",

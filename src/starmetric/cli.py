@@ -57,6 +57,12 @@ def _require(condition, message):
         raise CliInputError(message)
 
 
+def _given(value, flag: str) -> bool:
+    """Whether ``--flag`` was given; an empty value is given, and an error."""
+    _require(value != "", f"--{flag} needs a value")
+    return value is not None
+
+
 def _model(args) -> Model:
     _require(args.model, "this command needs --model PATH")
     return load_model(args.model)
@@ -123,7 +129,13 @@ def cmd_dagger(args):
 
 def cmd_check_hermitian(args):
     model = _model(args)
-    result = is_hermitian(_maybe_hbar(model, model.spec.symbolic_total()))
+    h = model.spec.symbolic_total()
+    if model.hbar is None:
+        result = is_hermitian(h)
+    else:
+        # decided at the model's hbar, as residual is: the adjoint's Moyal
+        # sum brings hbar back into an H with hbar substituted
+        result = (dagger(h) - h).subs_hbar(model.hbar).is_zero
     return {"model": model.name, "hermitian": result}, result
 
 
@@ -161,7 +173,7 @@ def _solved_series(args, model: Model) -> CouplingSeries:
 
 def cmd_solve(args):
     model = _model(args)
-    theta = _solved_series(args, model)
+    theta = _maybe_hbar(model, _solved_series(args, model))
     payload = {"model": model.name, "series": theta, "residual_zero": True}
     if args.latex:
         payload["latex"] = series_latex(theta)
@@ -169,16 +181,15 @@ def cmd_solve(args):
 
 
 def cmd_starlog(args):
-    model = None
-    if args.series:
+    if _given(args.series, "series"):
         theta = CouplingSeries.from_json(read_json(args.series))
         _limited(theta.order)
         payload = {"source": args.series}
+        log = star_log(theta)
     else:
         model = _model(args)
-        theta = _solved_series(args, model)
         payload = {"model": model.name}
-    log = star_log(theta)
+        log = _maybe_hbar(model, star_log(_solved_series(args, model)))
     payload["log"] = log
     if args.latex:
         payload["latex"] = series_latex(log)
@@ -191,7 +202,7 @@ def _certify_payload(args, model: Model) -> dict:
     out.update(certify_metric(theta, solved=True).to_json())
     out["residual_zero"] = True
     if args.latex:
-        out["latex"] = series_latex(theta)
+        out["latex"] = series_latex(_maybe_hbar(model, theta))
     return out
 
 
@@ -468,8 +479,8 @@ def cmd_scan_locus(args):
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
     # --jobs is unused
-    q1s = _parse_range(args.q1 or "-3:3:25")
-    q2s = _parse_range(args.q2 or "-3:3:25")
+    q1s = _parse_range(args.q1 if _given(args.q1, "q1") else "-3:3:25")
+    q2s = _parse_range(args.q2 if _given(args.q2, "q2") else "-3:3:25")
     _require(
         len(q1s) * len(q2s) <= MAX_GRID_POINTS,
         f"grid of {len(q1s)} x {len(q2s)} points is past the limit of {MAX_GRID_POINTS} points",
@@ -507,8 +518,8 @@ def cmd_emit_latex(args):
     payload = {"model": model.name, "hamiltonian": poly_latex(h)}
     if model.spec.has_coupling and (args.order is not None or model.order is not None):
         theta = _solved_series(args, model)
-        payload["metric_series"] = series_latex(theta)
-        payload["metric_log"] = series_latex(star_log(theta))
+        payload["metric_series"] = series_latex(_maybe_hbar(model, theta))
+        payload["metric_log"] = series_latex(_maybe_hbar(model, star_log(theta)))
     return payload, True
 
 
@@ -678,11 +689,14 @@ def _write_json(out: list, value, newline: str) -> None:
     ``value``, which sits at the level whose line break and indent is
     ``newline``.  The loops write exact str, int and float items in place
     and recurse for any other item.  Three objects write themselves by
-    their ``write_json``: a `PhasePoly` and a `CouplingSeries` from their
-    terms, and a `LocusRecords` grid from its integer rows.  Being
-    module-level recursion over one list, a call builds no closure and
-    leaves no reference cycle."""
-    if isinstance(value, dict):
+    their ``write_json``: a `PhasePoly` from its terms (tested for first,
+    so each series coefficient costs one check), a `CouplingSeries` as a
+    dict of its coefficients, and a `LocusRecords` grid from its integer
+    rows.  Being module-level recursion over one list, a call builds no
+    closure and leaves no reference cycle."""
+    if type(value) is PhasePoly:
+        value.write_json(out, newline, _write_json)
+    elif isinstance(value, dict):
         if not value:
             out.append("{}")
             return
@@ -725,7 +739,7 @@ def _write_json(out: list, value, newline: str) -> None:
         text = _scalar_text(value)
         if text is not None:
             out.append(text)
-        elif isinstance(value, (PhasePoly, CouplingSeries)):
+        elif isinstance(value, CouplingSeries):
             value.write_json(out, newline, _write_json)
         elif isinstance(value, LocusRecords):
             value.write_json(out, newline)
@@ -739,9 +753,10 @@ def _json_text(payload) -> str:
     ``to_json()`` tree.  With an indent, json drops its C encoder for
     pure-Python generators; this writer calls the C string quoter,
     ``int.__repr__`` and ``float.__repr__`` directly, and writes those three
-    objects by their own ``write_json``: the two series types straight from
-    their terms, which keeps the term layout in `phasepoly`, and the
-    scan-locus records straight from the integer grid."""
+    objects by their own ``write_json``: a `PhasePoly` straight from its
+    terms, which keeps the term layout in `phasepoly`, a `CouplingSeries` as
+    a dict of its `PhasePoly` coefficients, and the scan-locus records
+    straight from the integer grid."""
     out = []
     _write_json(out, payload, "\n")
     return "".join(out)

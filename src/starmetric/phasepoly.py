@@ -17,11 +17,12 @@ integer exponents with x >= 0 and a coefficient of one of `COEFF_TYPES`.
 Ring operations, whose terms are valid by construction, go through
 `PhasePoly._of`, which only calls `accumulate`; the solver, whose terms are
 already in that form, hands them over as they are (`PhasePoly._of_terms`),
-and so do `zero`, `one`, `x`, `p` and `hbar` at a plain int power (x >= 0);
-any other power goes through the public constructor and its checks.
+and so does `monomial` (and so `one`, `const`, `x`, `p` and `hbar`) for
+int exponents with x >= 0 and a nonzero `GaussianRational`; any other single
+term goes through the public constructor and its checks.
 
-The JSON term layout lives here alone: `to_json` builds the tree, and
-`write_json` writes its ``json.dumps(indent=2)`` text straight from the
+The JSON term layout lives here alone: `_term_json` builds one term's tree,
+and `write_json` writes the ``json.dumps(indent=2)`` text straight from the
 sorted terms, for the CLI's writer.
 """
 
@@ -31,7 +32,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Tuple, Union
 
 from .scalars import (
@@ -110,33 +110,30 @@ class PhasePoly(Frozen):
 
     @classmethod
     def one(cls) -> "PhasePoly":
-        return cls._of_terms({(0, 0, 0): ONE})
+        return cls.monomial(ONE)
 
     @classmethod
     def const(cls, value: CoeffLike) -> "PhasePoly":
-        return cls({(0, 0, 0): value})
+        return cls.monomial(value)
 
     @classmethod
     def monomial(cls, coeff: CoeffLike, x: int = 0, p: int = 0, hbar: int = 0) -> "PhasePoly":
+        valid = type(x) is type(p) is type(hbar) is int and x >= 0
+        if valid and type(coeff) is GaussianRational and coeff:
+            return cls._of_terms({(x, p, hbar): coeff})
         return cls({(x, p, hbar): coeff})
 
     @classmethod
     def x(cls, power: int = 1) -> "PhasePoly":
-        if type(power) is int and power >= 0:
-            return cls._of_terms({(power, 0, 0): ONE})
-        return cls({(power, 0, 0): ONE})
+        return cls.monomial(ONE, power)
 
     @classmethod
     def p(cls, power: int = 1) -> "PhasePoly":
-        if type(power) is int:
-            return cls._of_terms({(0, power, 0): ONE})
-        return cls({(0, power, 0): ONE})
+        return cls.monomial(ONE, 0, power)
 
     @classmethod
     def hbar(cls, power: int = 1) -> "PhasePoly":
-        if type(power) is int:
-            return cls._of_terms({(0, 0, power): ONE})
-        return cls({(0, 0, power): ONE})
+        return cls.monomial(ONE, 0, 0, power)
 
     # -- inspection ------------------------------------------------------
 
@@ -250,31 +247,27 @@ class PhasePoly(Frozen):
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> list:
-        return [
-            {"x": xd, "p": pd, "hbar": hd, "coeff": coeff.to_json()}
-            for (xd, pd, hd), coeff in self.canonical_terms()
-        ]
+        return [_term_json(key, coeff) for key, coeff in self.canonical_terms()]
 
     def write_json(self, out: list, newline: str, write_tree) -> None:
         """Append to ``out`` the ``json.dumps(self.to_json(), indent=2)`` text,
         at the level whose line break and indent is ``newline``, straight from
-        the sorted terms.  A Gaussian coefficient fills the term template of
-        that level (`_term_templates`); any other is written as its
-        ``to_json()`` tree by ``write_tree(out, tree, newline)``."""
+        the sorted terms.  A term with a Gaussian coefficient fills the term
+        template of that level (`_term_templates`); any other is written as
+        its `_term_json` tree by ``write_tree(out, tree, newline)``."""
         if not self.terms:
             out.append("[]")
             return
         item = newline + "  "
-        gaussian, head = _term_templates(item)
+        gaussian = _term_templates(item)
         sep = "[" + item
-        for (xd, pd, hd), coeff in self.canonical_terms():
+        for key, coeff in self.canonical_terms():
             if type(coeff) is GaussianRational:
                 re, im = ratio_str(coeff.a, coeff.d), ratio_str(coeff.b, coeff.d)
-                out.append(sep + gaussian % (xd, pd, hd, re, im))
+                out.append(sep + gaussian % (*key, re, im))
             else:
-                out.append(sep + head % (xd, pd, hd))
-                write_tree(out, coeff.to_json(), item + "  ")
-                out.append(item + "}")
+                out.append(sep)
+                write_tree(out, _term_json(key, coeff), item)
             sep = "," + item
         out.append(newline + "]")
 
@@ -302,16 +295,21 @@ class PhasePoly(Frozen):
         return " + ".join(bits)
 
 
+def _term_json(key: Key, coeff) -> dict:
+    """The `PhasePoly.to_json` tree of one term."""
+    xd, pd, hd = key
+    return {"x": xd, "p": pd, "hbar": hd, "coeff": coeff.to_json()}
+
+
 @lru_cache(maxsize=64)
-def _term_templates(item: str):
-    """The %-templates of one `PhasePoly.to_json` term whose dict sits at the
-    line break and indent ``item``: the whole term with a Gaussian
-    coefficient (x, p, hbar, re, im), and the term up to its "coeff" value
-    (x, p, hbar).  re and im are `ratio_str` texts, which json quotes as
-    they are."""
+def _term_templates(item: str) -> str:
+    """The %-template (x, p, hbar, re, im) of one `_term_json` term with a
+    Gaussian coefficient whose dict sits at the line break and indent
+    ``item``.  re and im are `ratio_str` texts, which json quotes as they
+    are."""
     field, part = item + "  ", item + "    "
     head = f'{{{field}"x": %d,{field}"p": %d,{field}"hbar": %d,{field}"coeff": '
-    return f'{head}{{{part}"re": "%s",{part}"im": "%s"{field}}}{item}}}', head
+    return f'{head}{{{part}"re": "%s",{part}"im": "%s"{field}}}{item}}}'
 
 
 def coeff_from_json(obj):
@@ -398,11 +396,7 @@ class CouplingSeries(Frozen):
     def __eq__(self, other):
         if not isinstance(other, CouplingSeries):
             return NotImplemented
-        return (
-            self.coupling == other.coupling
-            and self.order == other.order
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return (self.coupling, self.coeffs) == (other.coupling, other.coeffs)
 
     def to_json(self) -> dict:
         return {
@@ -413,20 +407,11 @@ class CouplingSeries(Frozen):
 
     def write_json(self, out: list, newline: str, write_tree) -> None:
         """Append to ``out`` the ``json.dumps(self.to_json(), indent=2)`` text,
-        at the level whose line break and indent is ``newline``: each
-        coefficient by `PhasePoly.write_json`."""
-        inner = newline + "  "
-        item = inner + "  "
-        out.append(
-            f'{{{inner}"coupling": {_quote(self.coupling)},{inner}"order": {self.order:d},'
-            f'{inner}"coeffs": '
-        )
-        sep = "[" + item
-        for coeff in self.coeffs:
-            out.append(sep)
-            coeff.write_json(out, item, write_tree)
-            sep = "," + item
-        out.append(inner + "]" + newline + "}")
+        at the level whose line break and indent is ``newline``, by
+        ``write_tree(out, tree, newline)`` with the coefficients left as
+        `PhasePoly` objects."""
+        tree = {"coupling": self.coupling, "order": self.order, "coeffs": self.coeffs}
+        write_tree(out, tree, newline)
 
     @classmethod
     def from_json(cls, obj) -> "CouplingSeries":

@@ -19,11 +19,12 @@ from hypothesis import example, given, settings, strategies as st
 from starmetric import berry, cli, exprparse, metric, weyl
 from starmetric.cli import main
 from starmetric.exprparse import parse_poly
+from starmetric.latexout import series_latex
 from starmetric.metric import UnsolvableOrder
 from starmetric.modelio import load_model, model_from_obj, ModelError
 from starmetric.phasepoly import CouplingSeries, PhasePoly
 from starmetric.scalars import GaussianRational, ParamPoly, RatFunc2
-from starmetric.star import ExpQuadForm
+from starmetric.star import ExpQuadForm, star_log
 
 from _helpers import bundled, model_path
 
@@ -260,6 +261,33 @@ class TestSolveAndLog:
         _, out2, _ = run(capsys, "solve", "--model", IX3, "--order", "2")
         assert out1 == out2
 
+    @pytest.mark.parametrize("command", ["solve", "starlog", "certify", "emit-latex"])
+    def test_options_hbar_is_substituted_into_the_printed_series(self, capsys, tmp_path, command):
+        # ix3 at hbar = 2 prints the series of ix3 with hbar set to 2; the
+        # verdicts stay those of the symbolic series
+        model = json.loads(Path(IX3).read_text(encoding="utf-8"))
+        model["options"]["hbar"] = "2"
+        path = tmp_path / "ix3_hbar2.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        flags = ["--order", "3"] + ([] if command == "emit-latex" else ["--latex"])
+        code, symbolic = run_json(capsys, command, "--model", IX3, *flags)
+        expected = {**symbolic, **_printed_at_hbar_2(command)}
+        assert run_json(capsys, command, "--model", str(path), *flags) == (code, expected)
+        assert code == 0
+
+
+def _printed_at_hbar_2(command) -> dict:
+    """The series that ``command --order 3`` prints for ix3 at hbar = 2."""
+    spec = load_model(IX3).spec
+    theta = metric.solve_perturbative(spec.h0, spec.v, 3, coupling=spec.coupling_name)
+    theta2, log2 = theta.subs_hbar(2), star_log(theta).subs_hbar(2)
+    return {
+        "solve": {"series": theta2.to_json(), "latex": series_latex(theta2)},
+        "starlog": {"log": log2.to_json(), "latex": series_latex(log2)},
+        "certify": {"latex": series_latex(theta2)},
+        "emit-latex": {"metric_series": series_latex(theta2), "metric_log": series_latex(log2)},
+    }[command]
+
 
 class TestCertifyResidual:
     def test_certify_ix3(self, capsys):
@@ -408,6 +436,27 @@ class TestOtherCommands:
         path.write_text(json.dumps(hermitian_model), encoding="utf-8")
         code, payload = run_json(capsys, "check-hermitian", "--model", str(path))
         assert code == 0 and payload["hermitian"] is True
+
+    @pytest.mark.parametrize(
+        "im_hbar0, im_hbar1, options, hermitian",
+        [
+            # x p + i hbar/2 is hermitian at every hbar
+            ("0", "1/2", {"hbar": "2"}, True),
+            # dagger(x p + i) - (x p + i) = i hbar - 2 i: zero at hbar = 2 alone
+            ("1", "0", {"hbar": "2"}, True),
+            ("1", "0", {}, False),
+        ],
+    )
+    def test_check_hermitian_decides_at_the_models_hbar(
+        self, capsys, tmp_path, im_hbar0, im_hbar1, options, hermitian
+    ):
+        term = lambda x, p, h, re, im: {"x": x, "p": p, "hbar": h, "coeff": {"re": re, "im": im}}
+        terms = [term(1, 1, 0, "1", "0"), term(0, 0, 0, "0", im_hbar0), term(0, 0, 1, "0", im_hbar1)]
+        model = {"name": "xp", "hamiltonian": {"terms": terms}, "options": options}
+        path = tmp_path / "xp.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        code, payload = run_json(capsys, "check-hermitian", "--model", str(path))
+        assert (code, payload) == (0 if hermitian else 1, {"model": "xp", "hermitian": hermitian})
 
     def test_dagger_output(self, capsys):
         code, payload = run_json(capsys, "dagger", "--model", QUADRATIC, "--latex")
@@ -706,6 +755,12 @@ class TestErrorHandling:
             (("scan-locus", "--beta=1", "--q1=0"), "--omega, --alpha and --beta"),
             (("scan-locus", "--omega=1", "--alpha=0.1", "--beta=0.2", "--q1=1"), "--q1"),
             (("scan-locus", "--omega=1", "--alpha=0.1", "--beta=0.2", "--q2=1"), "--q2"),
+            # an empty value is a given flag, not an absent one
+            (("scan-locus", "--q1="), "--q1 needs a value"),
+            (("scan-locus", "--q2="), "--q2 needs a value"),
+            (("scan-locus", "--q1=0", "--q2", ""), "--q2 needs a value"),
+            (("starlog", "--series=", "--model", IX3), "--series needs a value"),
+            (("starlog", "--model", IX3, "--series", ""), "--series needs a value"),
         ],
     )
     def test_incomplete_flag_set_exits_2(self, capsys, argv, message):
@@ -1786,12 +1841,22 @@ def _as_trees(value):
     return value
 
 
+_a, _b = ParamPoly.generators("a", "b")
+_q1, _q2 = ParamPoly.generators(*RatFunc2.PARAMS)
+# a poly with ParamPoly and RatFunc2 coefficients only, so no term takes the
+# Gaussian template
+_NON_GAUSSIAN = PhasePoly({(1, 2, -1): _a * _b**-2, (2, 0, 0): RatFunc2(_q1, _q2 + 4)})
+
+
 class TestJsonTextOfObjects:
     """`cli._json_text` writes a PhasePoly or CouplingSeries in a payload as
     ``json.dumps`` writes its ``to_json()`` tree, byte for byte."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(payloads)
+    @example({"a": [{"b": CouplingSeries("g", [PhasePoly.one(), PhasePoly.x()])}]})
+    @example([CouplingSeries("c", [PhasePoly.zero(), _NON_GAUSSIAN])])
+    @example(_NON_GAUSSIAN)
     def test_equals_json_dumps_of_the_trees(self, payload):
         assert cli._json_text(payload) == json.dumps(_as_trees(payload), indent=2)
 

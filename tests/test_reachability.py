@@ -11,7 +11,8 @@ reached class count as reached.  Annotations are not evaluated (every
 module has ``from __future__ import annotations``), so they reach nothing.
 
 Every definition must be reached, be traced by name in
-`starbench/layers.py`, or be an oracle listed below.
+`starbench/layers.py`, or be an oracle listed below, and every module-level
+import must be named somewhere in its module.
 
 The same AST gives the parameters.  A defaulted parameter must be set by
 some call in `starmetric`, and every parameter must be read in its
@@ -314,6 +315,29 @@ def test_every_flag_is_read():
     listed = {flag for flag, _ in UNREAD_FLAGS}
     stray = _unread_flags() - listed
     assert not stray, f"flags that no handler reads: {sorted(stray)}"
+
+
+def _unnamed_imports():
+    """(module, name) of each module-level import that its module never names;
+    ``from __future__`` imports are left out."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in named:
+                        out.add((path.stem, name))
+    return out
+
+
+def test_every_import_is_named():
+    stray = _unnamed_imports()
+    assert not stray, f"imports that their module never names: {sorted(stray)}"
 
 
 def test_every_exception_is_still_needed():

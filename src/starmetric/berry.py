@@ -22,7 +22,7 @@ numpy is imported inside the float functions, so the exact commands
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod, sqrt
+from math import prod, sqrt
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Sequence, Tuple
 
 from .phasepoly import PhasePoly
@@ -580,14 +580,13 @@ def locus_value(q1, q2) -> Fraction:
     return 4 * q1 + q2 * q2
 
 
-def locus_grid(q1s: Sequence[Fraction], q2s: Sequence[Fraction]):
-    """4 q1 + q2^2 on the grid q1s x q2s, one row per q1, as integer numerators
-    over one denominator l1 l2^2, where l1 and l2 are the lcms of each range's
-    denominators: 4 q1 + q2^2 = (4 l2^2 (l1 q1) + l1 (l2 q2)^2) / (l1 l2^2)."""
-    l1, l2 = (lcm(*(q.denominator for q in qs)) for qs in (q1s, q2s))
-    lefts = [4 * l2 * l2 * (q.numerator * (l1 // q.denominator)) for q in q1s]
-    rights = [l1 * (q.numerator * (l2 // q.denominator)) ** 2 for q in q2s]
-    return [[left + right for right in rights] for left in lefts], l1 * l2 * l2
+def locus_grid(q1s: Sequence[int], den1: int, q2s: Sequence[int], den2: int):
+    """4 q1 + q2^2 on the grid of q1 = n1 / den1 for n1 in q1s by q2 = n2 / den2
+    for n2 in q2s, one row per q1, as integer numerators over one denominator:
+    4 q1 + q2^2 = (4 den2^2 n1 + den1 n2^2) / (den1 den2^2)."""
+    scale = 4 * den2 * den2
+    rights = [den1 * n * n for n in q2s]
+    return [[scale * n + right for right in rights] for n in q1s], den1 * den2 * den2
 
 
 def locus_distance_from_origin(omega) -> float:

@@ -10,11 +10,10 @@ their ``write_json``; the term layout lives in `phasepoly`, next to
 ``to_json``.  ``scan-locus`` puts its grid in as a `LocusRecords`, which
 the writer prints straight from the integer grid.  Exit codes: 0 success,
 1 verification failure, 2 input error.  Output is deterministic for fixed
-inputs and seed: containers are built in canonical term order.  A call that
-names a command and spells each of its own flags in full is read straight
-from the flag table (`_direct_args`), with no parser and no argparse import;
-any other call is parsed by argparse (`_parse_args`), which alone prints
-help and errors.
+inputs and seed: containers are built in canonical term order.  One reader,
+`_parse_args`, reads every call from the command and flag tables
+(`_COMMANDS`, `_FLAGS`); a bad call is an input error like any other, and
+``-h``/``--help`` prints a usage text built from the same tables.
 """
 
 from __future__ import annotations
@@ -353,7 +352,8 @@ def _cstr(v: complex) -> str:
 def cmd_berry_osc(args):
     from . import berry
 
-    _require((args.q1 is None) == (args.q2 is None), "a point needs both --q1 and --q2")
+    at_point = _given(args.q1, "q1")
+    _require(at_point == _given(args.q2, "q2"), "a point needs both --q1 and --q2")
     conn = berry.moyal_connection_solve()
     res1, res2 = berry.connection_residual(conn)
     curvature = berry.moyal_curvature(conn)
@@ -365,7 +365,7 @@ def cmd_berry_osc(args):
         "locus": locus.to_json(),
         "locus_latex": param_poly_latex(locus),
     }
-    if args.q1 is not None:
+    if at_point:
         q1, q2 = as_fraction(args.q1), as_fraction(args.q2)
         value = berry.locus_value(q1, q2)
         point = {
@@ -395,8 +395,12 @@ MAX_GRID_POINTS = 10**6
 
 
 def _parse_range(spec: str):
+    """The grid values of ``spec``, a value or ``min:max:count``, as integer
+    numerators over one denominator: lo + k (hi - lo) / (count - 1) over
+    lo.den hi.den (count - 1)."""
     if ":" not in spec:
-        return [as_fraction(spec)]
+        q = as_fraction(spec)
+        return [q.numerator], q.denominator
     parts = spec.split(":")
     _require(len(parts) == 3, f"range {spec!r}: expected the form min:max:count")
     lo, hi = as_fraction(parts[0]), as_fraction(parts[1])
@@ -410,24 +414,26 @@ def _parse_range(spec: str):
         count <= MAX_GRID_POINTS,
         f"range {spec!r}: count is past the limit of {MAX_GRID_POINTS} grid points",
     )
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+    (a, b), (c, d) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    start, step = a * d * (count - 1), c * b - a * d
+    return [start + k * step for k in range(count)], b * d * (count - 1)
 
 
 class LocusRecords:
     """The scan-locus records of the grid q1s x q2s, whose `berry.locus_grid`
-    is ``grid``: one record per point, q1 by q1.  Each point is an integer
-    numerator over the grid's common denominator: its sign is the region,
-    and int / int rounds as float(Fraction).  ``to_json()`` is the list of
-    record dicts; `write_json` writes the same text straight from the
-    integer rows.  A value past the float range is an input error, raised
-    here, before any text is written: int / int is monotone in the
+    is ``grid``: one record per point, q1 by q1.  Each range, and each point
+    of the grid, is integer numerators over one denominator: a point's sign
+    is its region, and int / int rounds as float(Fraction).  ``to_json()``
+    is the list of record dicts; `write_json` writes the same text straight
+    from the integer rows.  A value past the float range is an input error,
+    raised here, before any text is written: int / int is monotone in the
     numerator, so the largest |numerator| is the only one to try."""
 
     def __init__(self, q1s, q2s, grid):
+        (n1s, d1), (n2s, d2) = q1s, q2s
         self.rows, self.den = grid
         try:
-            self.f1s, self.f2s = [float(q) for q in q1s], [float(q) for q in q2s]
+            self.f1s, self.f2s = [n / d1 for n in n1s], [n / d2 for n in n2s]
             max(max(max(row), -min(row)) for row in self.rows) / self.den
         except OverflowError as exc:
             raise CliInputError(f"scan value past the float range: {exc}") from exc
@@ -474,19 +480,21 @@ def cmd_scan_locus(args):
             q1, q2 = berry.oscillator_parameters(*oscillator)
         except (ZeroDivisionError, OverflowError) as exc:
             raise CliInputError(str(exc)) from exc
-        (record,) = LocusRecords([q1], [q2], berry.locus_grid([q1], [q2])).to_json()
+        q1s, q2s = ([q1.numerator], q1.denominator), ([q2.numerator], q2.denominator)
+        (record,) = LocusRecords(q1s, q2s, berry.locus_grid(*q1s, *q2s)).to_json()
         record.update(omega=args.omega, alpha=args.alpha, beta=args.beta)
         record["distance_origin_to_locus"] = berry.locus_distance_from_origin(args.omega)
         return {"records": [record]}, True
     # --jobs is unused
     q1s = _parse_range(args.q1 if _given(args.q1, "q1") else "-3:3:25")
     q2s = _parse_range(args.q2 if _given(args.q2, "q2") else "-3:3:25")
+    n1, n2 = len(q1s[0]), len(q2s[0])
     _require(
-        len(q1s) * len(q2s) <= MAX_GRID_POINTS,
-        f"grid of {len(q1s)} x {len(q2s)} points is past the limit of {MAX_GRID_POINTS} points",
+        n1 * n2 <= MAX_GRID_POINTS,
+        f"grid of {n1} x {n2} points is past the limit of {MAX_GRID_POINTS} points",
     )
-    records = LocusRecords(q1s, q2s, berry.locus_grid(q1s, q2s))
-    return {"count": len(q1s) * len(q2s), "records": records}, True
+    records = LocusRecords(q1s, q2s, berry.locus_grid(*q1s, *q2s))
+    return {"count": n1 * n2, "records": records}, True
 
 
 # the largest finite-oracle N, checked before any N x N table is built: a
@@ -556,94 +564,90 @@ _FLAGS = {
     "trials": {"type": int, "default": 20},
     "seed": {"type": int, "default": 7},
     "jobs": {"type": int, "default": 1},
-    "latex": {"action": "store_true"},
+    "latex": {"action": "store_true", "default": False},
 }
 
 
 def _action(name, flag) -> dict:
-    """The argparse keywords of ``--flag`` in command ``name``."""
+    """The table entry of ``--flag`` in command ``name``; ``certify`` takes
+    ``--model`` more than once."""
     return {"action": "append"} if (name, flag) == ("certify", "model") else _FLAGS[flag]
 
 
-def _build_parser():
-    """The full parser, with the subparser of every command."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="starmetric",
-        description="Exact star-product calculus for metric operators and Berry connections",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (_, flags) in _COMMANDS.items():
-        command = sub.add_parser(name)
-        for flag in flags:
-            command.add_argument(f"--{flag}", **_action(name, flag))
-    return parser
+_HELP = ("-h", "--help")
 
 
-def _flag_like(token: str) -> bool:
-    """Whether argparse may read ``token`` as a flag rather than a value: it
-    starts with "-" and has no space, or has an "=" or starts with "-h", the
-    one short flag.  A token that starts with "-" and holds a space, such as
-    a negative --theta, is a value."""
-    return token.startswith("-") and (" " not in token or "=" in token or token.startswith("-h"))
+def _usage(name) -> str:
+    """The usage line of command ``name``, built from its flags."""
+    words = [f"usage: starmetric {name} [-h]"]
+    for flag in _COMMANDS[name][1]:
+        spec = _FLAGS[flag]
+        value = "{" + ",".join(spec["choices"]) + "}" if "choices" in spec else flag.upper()
+        words.append(f"[--{flag}]" if "action" in spec else f"[--{flag} {value}]")
+    return " ".join(words)
 
 
-def _direct_args(name, tokens):
-    """The namespace the full parser gives ``[name, *tokens]`` when every
-    token is one of ``name``'s flags spelled in full, as ``--flag=value``,
-    ``--flag value`` with a value that argparse cannot read as a flag
-    (`_flag_like`), or a bare store_true flag, and every value passes its
-    type and choices.  None for any other ``tokens``: argparse decides
-    those."""
+def _parse_args(argv):
+    """The namespace of ``argv``: ``cmd`` and each of its flags, as given or
+    at its default, read from `_COMMANDS` and `_FLAGS`.  Or a help text: the
+    program's when ``argv[0]`` is ``-h`` or ``--help``, and the command's
+    when one stands in flag position, whatever else ``argv`` holds.  Flags
+    are spelled in full: as ``--flag=value``, as ``--flag value`` (the next
+    token, unless it starts with "--" and holds no space, so "-p" is a
+    value) or, for ``--latex``, bare.  Any other call raises CliInputError
+    naming its fault."""
+    if argv and argv[0] in _HELP:
+        about = "starmetric: exact star-product calculus for metric operators and Berry connections"
+        return "\n".join([about, *map(_usage, _COMMANDS)])
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise CliInputError(f"{given}: the commands are {', '.join(_COMMANDS)}")
+    name, tokens = argv[0], argv[1:]
     flags = _COMMANDS[name][1]
-    values = {}
-    for flag in flags:
-        spec = _action(name, flag)
-        values[flag] = spec.get("default", False if spec.get("action") == "store_true" else None)
+    values = {flag: _action(name, flag).get("default") for flag in flags}
+    # the first error is raised after the scan, so that a later -h still helps
+    errors = []
     i = 0
     while i < len(tokens):
-        flag, eq, value = tokens[i].partition("=")
+        token = tokens[i]
         i += 1
-        if not flag.startswith("--") or flag[2:] not in flags:
-            return None
+        if token in _HELP:
+            return _usage(name)
+        flag, eq, value = token.partition("=")
         flag = flag[2:]
+        if not token.startswith("--") or flag not in flags:
+            own = ", ".join(f"--{own}" for own in flags)
+            errors.append(f"{name} has no flag {token!r}; its flags are {own}")
+            continue
         spec = _action(name, flag)
         if spec.get("action") == "store_true":
             if eq:
-                return None
-            values[flag] = True
+                errors.append(f"--{flag} takes no value")
+            else:
+                values[flag] = True
             continue
         if not eq:
-            if i == len(tokens) or _flag_like(tokens[i]):
-                return None
+            if i == len(tokens) or tokens[i].startswith("--") and " " not in tokens[i]:
+                errors.append(f"--{flag} needs a value")
+                continue
             value = tokens[i]
             i += 1
-        elif value == "--":  # argparse drops this value
-            return None
         if "type" in spec:
             try:
                 value = spec["type"](value)
             except ValueError:
-                return None
+                errors.append(f"--{flag}: invalid {spec['type'].__name__} value {value!r}")
+                continue
         if "choices" in spec and value not in spec["choices"]:
-            return None
-        if spec.get("action") == "append":
+            choices = ", ".join(spec["choices"])
+            errors.append(f"--{flag}: invalid choice {value!r}; choose from {choices}")
+        elif spec.get("action") == "append":
             values[flag] = (values[flag] or []) + [value]
         else:
             values[flag] = value
+    if errors:
+        raise CliInputError(errors[0])
     return SimpleNamespace(**values, cmd=name)
-
-
-def _parse_args(argv):
-    """Parse ``argv``.  When ``argv[0]`` names a command whose flags
-    `_direct_args` reads in full, no parser is built; any other ``argv`` is
-    parsed by the full parser, which alone prints help and errors."""
-    if argv and argv[0] in _COMMANDS:
-        args = _direct_args(argv[0], argv[1:])
-        if args is not None:
-            return args
-    return _build_parser().parse_args(argv)
 
 
 _int_text = int.__repr__
@@ -764,10 +768,13 @@ def _json_text(payload) -> str:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_args(argv)
     try:
-        payload, ok = _COMMANDS[args.cmd][0](args)
-        text = _json_text(payload)
+        args = _parse_args(argv)
+        if isinstance(args, str):
+            text, status = args, 0
+        else:
+            payload, ok = _COMMANDS[args.cmd][0](args)
+            text, status = _json_text(payload), 0 if ok else 1
     except json.JSONDecodeError as exc:
         msg = f"malformed JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         print(json.dumps({"error": msg}), file=sys.stderr)
@@ -775,7 +782,6 @@ def main(argv=None) -> int:
     except (ValueError, PoleAtPoint, OSError, UnsolvableOrder) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1 if isinstance(exc, UnsolvableOrder) else 2
-    status = 0 if ok else 1
     try:
         print(text)
         sys.stdout.flush()

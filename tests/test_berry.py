@@ -515,7 +515,10 @@ class TestMoyalConnection:
     def test_locus_grid_matches_locus_value(self):
         q1s = [Fraction(-7, 13) + k * Fraction(1, 17) for k in range(5)]
         q2s = [Fraction(-5, 19), Fraction(0), Fraction(23, 29), Fraction(4)]
-        rows, den = locus_grid(q1s, q2s)
+        # each range as integer numerators over one denominator
+        den1, den2 = 13 * 17, 19 * 29
+        n1s, n2s = [int(q * den1) for q in q1s], [int(q * den2) for q in q2s]
+        rows, den = locus_grid(n1s, den1, n2s, den2)
         assert [[Fraction(n, den) for n in row] for row in rows] == [
             [locus_value(q1, q2) for q2 in q2s] for q1 in q1s
         ]

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -5,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -761,6 +763,8 @@ class TestErrorHandling:
             (("scan-locus", "--q1=0", "--q2", ""), "--q2 needs a value"),
             (("starlog", "--series=", "--model", IX3), "--series needs a value"),
             (("starlog", "--model", IX3, "--series", ""), "--series needs a value"),
+            (("berry-osc", "--q1=", "--q2=1"), "--q1 needs a value"),
+            (("berry-osc", "--q1=1", "--q2", ""), "--q2 needs a value"),
         ],
     )
     def test_incomplete_flag_set_exits_2(self, capsys, argv, message):
@@ -1353,9 +1357,11 @@ class TestErrorHandling:
         ],
     )
     def test_command_rejects_flags_it_does_not_read(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        assert exc.value.code == 2
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        own = cli._COMMANDS[argv[0]][1]
+        unread = next(t for t in argv[1:] if t.startswith("--") and t[2:] not in own)
+        assert f"has no flag {unread!r}" in json.loads(err)["error"]
 
 
 def _theta_leaf():
@@ -1445,55 +1451,89 @@ class TestThetaExpressions:
         assert big == []
 
 
+SOLVE_FLAGS = "its flags are --model, --order, --latex"
+
+
 class TestParser:
-    """Usage and error texts at 80 columns: they must not depend on which
-    subparsers a call builds."""
+    """Every bad call is a JSON input error, and help is a usage text built
+    from the command and flag tables (`cli._COMMANDS`, `cli._FLAGS`)."""
 
-    COMMANDS = (
-        "{star,dagger,check-hermitian,pde,residual,solve,starlog,certify,family,"
-        "berry2x2,berry-osc,scan-locus,finite-oracle,emit-latex}"
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("solve", "--bogus", "1"), f"solve has no flag '--bogus'; {SOLVE_FLAGS}"),
+            (("solve", "--order="), "--order: invalid int value ''"),
+            (("certify", "--order", "x"), "--order: invalid int value 'x'"),
+            (("family", "--observable", "q"), "--observable: invalid choice 'q'; choose from p, x, N"),
+            (("solve", "--order"), "--order needs a value"),
+            (("solve", "--model", "--latex"), "--model needs a value"),
+            (("dagger", "--latex=1"), "--latex takes no value"),
+            (("solve", "--", "--model", "a"), f"solve has no flag '--'; {SOLVE_FLAGS}"),
+            (("solve", "foo"), f"solve has no flag 'foo'; {SOLVE_FLAGS}"),
+        ],
     )
-    USAGE = f"usage: starmetric [-h]\n                  {COMMANDS}\n                  ...\n"
-
-    def parse(self, capsys, monkeypatch, *argv):
-        monkeypatch.setenv("COLUMNS", "80")
-        with pytest.raises(SystemExit) as exc:
-            main(list(argv))
-        captured = capsys.readouterr()
-        return exc.value.code, captured.out, captured.err
-
-    def test_unread_flag_of_a_known_command(self, capsys, monkeypatch):
-        code, out, err = self.parse(capsys, monkeypatch, "solve", "--jobs", "2")
+    def test_a_bad_call_names_its_fault(self, capsys, argv, error):
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == self.USAGE + "starmetric: error: unrecognized arguments: --jobs 2\n"
+        assert json.loads(err) == {"error": error}
 
-    def test_unknown_command(self, capsys, monkeypatch):
-        code, out, err = self.parse(capsys, monkeypatch, "frobnicate")
+    def test_unread_flag_of_a_known_command(self, capsys):
+        code, out, err = run(capsys, "solve", "--jobs", "2")
         assert (code, out) == (2, "")
-        choices = ", ".join(f"'{c}'" for c in self.COMMANDS.strip("{}").split(","))
-        assert err == (
-            self.USAGE
-            + "starmetric: error: argument cmd: invalid choice: 'frobnicate' "
-            + f"(choose from {choices})\n"
+        assert json.loads(err) == {"error": f"solve has no flag '--jobs'; {SOLVE_FLAGS}"}
+
+    def test_unknown_command(self, capsys):
+        # a missing or unknown command lists the commands
+        for argv in (["frobnicate"], [], ["--model", IX3, "solve"], ["--he"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            given = f"unknown command {argv[0]!r}" if argv else "no command"
+            error = f"{given}: the commands are {', '.join(cli._COMMANDS)}"
+            assert json.loads(err) == {"error": error}
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        for flag in ("-h", "--help"):
+            code, out, err = run(capsys, flag)
+            assert (code, err) == (0, "")
+            usages = [line.split()[2] for line in out.splitlines() if line.startswith("usage: ")]
+            assert usages == list(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_command_help_names_exactly_its_flags(self, capsys, command):
+        for flag in ("-h", "--help"):
+            code, out, err = run(capsys, command, flag)
+            assert (code, err) == (0, "")
+            assert out.startswith(f"usage: starmetric {command} [-h] ")
+            assert re.findall(r"--([\w-]+)", out) == list(cli._COMMANDS[command][1])
+
+    def test_subcommand_usage(self, capsys):
+        assert run(capsys, "certify", "-h") == (
+            0, "usage: starmetric certify [-h] [--model MODEL] [--order ORDER] [--latex]\n", ""
         )
+        usage = "usage: starmetric family [-h] [--model MODEL] [--observable {p,x,N}] [--order ORDER]"
+        assert run(capsys, "family", "--help") == (0, usage + "\n", "")
 
-    def test_top_level_help_lists_every_command(self, capsys, monkeypatch):
-        code, out, err = self.parse(capsys, monkeypatch, "-h")
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            ["--bogus", "1", "-h"],
+            ["--order", "x", "--help"],
+            ["-h", "--order"],
+            ["--model", "--help"],
+            ["--model", IX3, "--zzz", "-h"],
+        ],
+    )
+    def test_help_wins_whatever_else_the_call_holds(self, capsys, tail):
+        code, out, err = run(capsys, "solve", *tail)
         assert (code, err) == (0, "")
-        assert out == (
-            self.USAGE
-            + "\nExact star-product calculus for metric operators and Berry connections\n"
-            + f"\npositional arguments:\n  {self.COMMANDS}\n"
-            + "\noptions:\n  -h, --help            show this help message and exit\n"
-        )
+        assert out == cli._usage("solve") + "\n"
 
-    def test_subcommand_usage(self, capsys, monkeypatch):
-        code, out, err = self.parse(capsys, monkeypatch, "certify", "--order", "x")
-        assert (code, out) == (2, "")
-        assert err == (
-            "usage: starmetric certify [-h] [--model MODEL] [--order ORDER] [--latex]\n"
-            "starmetric certify: error: argument --order: invalid int value: 'x'\n"
-        )
+    def test_help_as_a_value_is_a_value(self):
+        assert cli._parse_args(["solve", "--model", "-h"]).model == "-h"
+        assert cli._parse_args(["solve", "--model=-h"]).model == "-h"
+        assert cli._parse_args(["solve", "--model", "--help x"]).model == "--help x"
+        with pytest.raises(cli.CliInputError, match="--order: invalid int value '-h'"):
+            cli._parse_args(["solve", "--order", "-h"])
 
     def test_main_without_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["starmetric", "dagger", "--model", SHIFTED])
@@ -1501,11 +1541,42 @@ class TestParser:
         assert "dagger" in json.loads(capsys.readouterr().out)
 
 
-class TestCommandParser:
-    """A call that names a command is read from the flag table when it
-    spells each of its own flags in full, and parsed by the full parser
-    otherwise; the flag table must parse as the full parser does."""
+def _full_parser():
+    """argparse's full parser of the command and flag tables: the reference
+    that `cli._parse_args` is checked against."""
+    parser = argparse.ArgumentParser(prog="starmetric")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, (_, flags) in cli._COMMANDS.items():
+        command = sub.add_parser(name)
+        for flag in flags:
+            command.add_argument(f"--{flag}", **cli._action(name, flag))
+    return parser
 
+
+def _abbreviates(token, flags):
+    """Whether argparse reads ``token`` as the one of ``flags`` it starts."""
+    name = token.partition("=")[0]
+    return name.startswith("--") and name not in flags and any(f.startswith(name) for f in flags)
+
+
+def _kept_dashes(value):
+    """An argparse value with an explicit "--" put back: argparse drops it, so
+    ``--model=--`` reads as [] there, and as "--" in the reader."""
+    if value == []:
+        return "--"
+    if isinstance(value, list):
+        return [_kept_dashes(item) for item in value]
+    return value
+
+
+class TestCommandParser:
+    """The one reader against argparse reading the same tables: every argv
+    that argparse accepts gives the same namespace, and every argv that it
+    rejects is an input error, but for two changes, each tested on its own:
+    an abbreviation is an error, and ``--flag value`` takes a value that
+    starts with "-".  Help wins whatever else the call holds."""
+
+    REFERENCE = _full_parser()
     TAILS = (
         [],
         ["-h"],
@@ -1527,14 +1598,14 @@ class TestCommandParser:
         ["--theta=-p", "--series", "s.json"],
         ["--model", "a", "--zzz"],
         ["--model", "a", "--zzz", "-h"],
-        # the edge of the direct path (`cli._direct_args`)
+        ["--order", "x", "-h"],
         ["--latex=1"],
         ["--latex", "--latex"],
         ["--order", ""],
         ["--model", ""],
         ["--model="],
         ["--q1=-1", "--q2", "2"],
-        ["--order", "\u0663"],
+        ["--order", "٣"],
         ["--order", " 7 "],
         ["--order", "1_0"],
         ["--order", "2", "--order", "3"],
@@ -1542,7 +1613,8 @@ class TestCommandParser:
         ["--omega", "nan"],
         ["--seed", "2", "--seed=x"],
         ["--model=--"],
-        # values that start with "-" and hold a space
+        ["--order=--"],
+        # values that start with "-"
         ["--theta", "-3*p^2 + 2*i*x*p"],
         ["--theta", "- x"],
         ["--theta", "-h x"],
@@ -1553,6 +1625,8 @@ class TestCommandParser:
         ["--q1", "-1 ", "--q2", "- 2"],
         ["--order", "-3 "],
         ["--latex", "-p + x"],
+        ["--q1", "-3:3:25", "--theta", "-p"],
+        ["--model", "-h"],
     )
     # tokens for random argvs: every flag of every command, abbreviations,
     # help, the end of options and values of each kind
@@ -1561,31 +1635,65 @@ class TestCommandParser:
         | {"--mod", "--o", "--la", "--q", "--zzz", "-h", "--help", "--", "-3"}
     )
     VALUES = (
-        "", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "\u0663", "m.json", "--", "--latex",
-        "-p + x", "- 1", "-h x", "--order=1 x", "--latex x", "-1 ",
+        "", "1", "2", "-1", "0.5", "x", "nan", "p", "N", " 7 ", "٣", "m.json", "--", "--latex",
+        "-p + x", "- 1", "-h x", "--order=1 x", "--latex x", "-1 ", "-3:3:25", "-h",
     )
 
-    @staticmethod
-    def outcome(parse, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    def reference(self, argv):
+        """argparse's outcome: ("args", its namespace as a dict), ("help", None)
+        or ("error", None); its text goes nowhere."""
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                result = repr(sorted(vars(parse(list(argv))).items()))
+                args = vars(self.REFERENCE.parse_args(argv))
             except SystemExit as exc:
-                result = exc.code
-        return result, out.getvalue(), err.getvalue()
+                return ("help" if exc.code == 0 else "error"), None
+        return "args", {flag: _kept_dashes(value) for flag, value in args.items()}
+
+    def check(self, argv):
+        kind, want = self.reference(argv)
+        command, own = argv[0], {f"--{flag}" for flag in cli._COMMANDS[argv[0]][1]}
+        try:
+            got = cli._parse_args(list(argv))
+        except cli.CliInputError as exc:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(list(argv)) == 2, argv
+            out, err = out.getvalue(), err.getvalue()
+            assert out == "", argv
+            assert json.loads(err) == {"error": str(exc)}, argv
+            # the error names the token or the flag at fault
+            message = str(exc)
+            named = {token for token in argv[1:] if f"no flag {token!r};" in message}
+            named |= {message.split()[0].rstrip(":")} & {t.partition("=")[0] for t in argv[1:]}
+            assert named, argv
+            if kind != "error":
+                # an abbreviation, which argparse reads as the flag it starts,
+                # or an explicit "--" value, which argparse drops
+                abbreviations = {t for t in argv[1:] if _abbreviates(t, own | {"--help"})}
+                dashes = {t.partition("=")[0] for t in argv[1:] if t.endswith("=--")}
+                assert named & (abbreviations | dashes), argv
+            return
+        if isinstance(got, str):
+            assert got == cli._usage(command), argv
+            # help wins whatever else the call holds
+            assert kind in ("help", "error") and {"-h", "--help"} & set(argv[1:]), argv
+            return
+        if kind == "args":
+            # as text, so that nan equals nan
+            assert repr(sorted(vars(got).items())) == repr(sorted(want.items())), argv
+        else:
+            # a value that starts with "-", which argparse reads as a flag
+            assert kind == "error" and any(
+                flag in own and next_token.startswith("-")
+                for flag, next_token in zip(argv[1:], argv[2:])
+            ), argv
 
     @pytest.mark.parametrize("command", list(cli._COMMANDS))
-    def test_same_as_the_full_parser(self, monkeypatch, command):
-        def full(argv):
-            return cli._build_parser().parse_args(argv)
+    def test_same_as_the_full_parser(self, command):
+        for tail in self.TAILS:
+            self.check([command, *tail])
 
-        for columns, tail in itertools.product(("80", "37"), self.TAILS):
-            monkeypatch.setenv("COLUMNS", columns)
-            argv = [command, *tail]
-            assert self.outcome(cli._parse_args, argv) == self.outcome(full, argv), argv
-
-    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
     @given(data=st.data())
     def test_random_argvs_parse_as_the_full_parser(self, data):
         command = data.draw(st.sampled_from(list(cli._COMMANDS)))
@@ -1598,8 +1706,34 @@ class TestCommandParser:
             lambda g: {"spaced": g[1:], "joined": ["=".join(g[1:])], "bare": g[1:2]}[g[0]]
         )
         argv = [command, *itertools.chain.from_iterable(data.draw(st.lists(group, max_size=3)))]
-        full = cli._build_parser().parse_args
-        assert self.outcome(cli._parse_args, argv) == self.outcome(full, argv), argv
+        self.check(argv)
+
+    def test_an_abbreviation_is_an_input_error(self, capsys):
+        # argparse reads --mod as --model and --he as --help
+        for tail in (["--mod", IX3], ["--la"], ["--he"]):
+            assert self.reference(["solve", *tail])[0] in ("args", "help")
+            code, out, err = run(capsys, "solve", *tail)
+            assert (code, out) == (2, "")
+            assert f"'{tail[0]}'" in json.loads(err)["error"]
+
+    def test_a_value_may_start_with_a_dash(self, capsys):
+        # argparse reads "-3:3:25" and "-p" as flags, and refuses both calls
+        for spaced, joined in (
+            (["scan-locus", "--q1", "-3:3:25", "--q2", "-1:1:3"],
+             ["scan-locus", "--q1=-3:3:25", "--q2=-1:1:3"]),
+            (["star", "--model", SHIFTED, "--theta", "-p"],
+             ["star", "--model", SHIFTED, "--theta=-p"]),
+        ):
+            assert self.reference(spaced)[0] == "error"
+            code, out, _ = run(capsys, *spaced)
+            assert code == 0 and run(capsys, *joined) == (0, out, "")
+
+    def test_an_explicit_double_dash_is_a_value(self, capsys):
+        # argparse drops it: --order=-- read as [] and ended in a TypeError
+        assert vars(cli._parse_args(["solve", "--model=--"]))["model"] == "--"
+        code, out, err = run(capsys, "solve", "--model", IX3, "--order=--")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "--order: invalid int value '--'"}
 
     def test_certify_models_do_not_carry_over(self, capsys, tmp_path):
         pt = tmp_path / "pt_mixed.json"
@@ -1612,9 +1746,7 @@ class TestCommandParser:
     def test_failed_parse_leaves_the_next_call_as_if_alone(self, capsys):
         good = ("certify", "--model", IX3, "--order", "2")
         alone = run(capsys, *good)
-        with pytest.raises(SystemExit):
-            main(["certify", "--order", "x"])
-        capsys.readouterr()
+        assert run(capsys, "certify", "--order", "x")[0] == 2
         assert run(capsys, *good) == alone
 
 
@@ -1623,18 +1755,13 @@ class TestCommandParser:
 # numpy and argparse are loaded, and then each command's stdout.
 _IMPORT_PROBE = """\
 import contextlib, io, json, sys
-from starmetric import cli
 from starmetric.cli import main
-from starmetric.metric import UnsolvableOrder
 loaded = [[None, "numpy" in sys.modules, "argparse" in sys.modules]]
 stdout = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
     loaded.append([code, "numpy" in sys.modules, "argparse" in sys.modules])
     stdout.append(out.getvalue())
 print(json.dumps({"loaded": loaded, "stdout": stdout}))
@@ -1644,7 +1771,7 @@ print(json.dumps({"loaded": loaded, "stdout": stdout}))
 def _import_probe(*argvs):
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-        env=dict(CLI_ENV, COLUMNS="80"), capture_output=True, text=True, timeout=120,
+        env=CLI_ENV, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -1656,17 +1783,23 @@ class TestImports:
         argvs += [["berry-osc", "--q1=1", "--q2=1"], ["scan-locus"]]
         assert _import_probe(*argvs)["loaded"] == [[None, False, False]] + [[0, False, False]] * 5
 
-    def test_a_parse_argparse_decides_loads_it(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        probe = _import_probe(["solve", "--mod", IX3], ["solve", "-h"])
-        assert probe["loaded"] == [[None, False, False], [0, False, True], [0, False, True]]
-        assert probe["stdout"][0] == run(capsys, "solve", "--model", IX3)[1]
-        full = cli._build_parser().parse_args
-        assert probe["stdout"][1] == TestCommandParser.outcome(full, ["solve", "-h"])[1]
+    def test_no_argv_loads_argparse(self, capsys):
+        # help, abbreviations, unknown flags and commands and bad values:
+        # the one reader reads them all
+        argvs = [
+            ["solve", "--model", IX3], ["solve", "-h"], ["--help"], ["solve", "--mod", IX3],
+            ["solve", "--bogus", "1"], ["solve", "--order="], ["certify", "--order", "x"],
+            ["family", "--observable", "q"], ["frobnicate"], [],
+        ]
+        probe = _import_probe(*argvs)
+        assert [argparse for _, _, argparse in probe["loaded"]] == [False] * (len(argvs) + 1)
+        assert [code for code, _, _ in probe["loaded"][1:]] == [0, 0, 0] + [2] * 7
+        for argv, out in zip(argvs, probe["stdout"]):
+            assert out == run(capsys, *argv)[1]
 
     def test_a_negative_theta_is_read_without_argparse(self, capsys):
-        # a value that starts with "-" and holds a space is a value to
-        # argparse too, unless it starts with "-h" or holds an "="
+        # a value that starts with "-" is a value, unless it starts with "--"
+        # and holds no space
         argv = ["star", "--model", SHIFTED, "--theta", "-3*p^2 + 2*i*x*p - x^2"]
         probe = _import_probe(argv)
         assert probe["loaded"] == [[None, False, False], [0, False, False]]
@@ -1893,6 +2026,15 @@ _range_specs = _endpoints | st.builds(
 )
 
 
+def _range_fractions(spec):
+    """The grid values of a scan-locus range spec, as Fractions."""
+    if ":" not in spec:
+        return [Fraction(spec)]
+    lo, hi, count = spec.split(":")
+    lo, hi, count = Fraction(lo), Fraction(hi), int(count)
+    return [lo + k * (hi - lo) / (count - 1) for k in range(count)]
+
+
 def _locus_record(q1, q2):
     """The scan-locus record of one point, from its Fractions alone."""
     value = 4 * q1 + q2 * q2
@@ -1914,20 +2056,27 @@ class TestLocusRecords:
     @example("-1e-400:1e-400:3", "1e-200")
     @example("0:1.7976931348623157e308:3", "-1")
     def test_writes_its_records_as_json_dumps_does(self, spec1, spec2):
-        q1s, q2s = cli._parse_range(spec1), cli._parse_range(spec2)
-        grid = berry.locus_grid(q1s, q2s)
+        range1, range2 = cli._parse_range(spec1), cli._parse_range(spec2)
+        grid = berry.locus_grid(*range1, *range2)
+        q1s, q2s = _range_fractions(spec1), _range_fractions(spec2)
         try:
             expected = [_locus_record(q1, q2) for q1 in q1s for q2 in q2s]
         except OverflowError:
             with pytest.raises(cli.CliInputError, match="past the float range"):
-                cli.LocusRecords(q1s, q2s, grid)
+                cli.LocusRecords(range1, range2, grid)
             return
-        records = cli.LocusRecords(q1s, q2s, grid)
+        records = cli.LocusRecords(range1, range2, grid)
         # as text, so that -0.0 and 0.0 differ
         assert json.dumps(records.to_json()) == json.dumps(expected)
         count = len(q1s) * len(q2s)
         text = cli._json_text({"count": count, "records": records})
         assert text == json.dumps({"count": count, "records": records.to_json()}, indent=2)
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_range_specs)
+    def test_a_range_is_its_fractions_over_one_denominator(self, spec):
+        numerators, den = cli._parse_range(spec)
+        assert [Fraction(n, den) for n in numerators] == _range_fractions(spec)
 
 
 class TestBundledModels:
